@@ -6,8 +6,7 @@ values.  Outputs are CSV (metadata echo in ``#`` comment lines, then a
 single header row, 17-significant-digit numbers) or JSON validated
 against the shipped schema; files are written atomically.  Exit codes:
 0 success, 1 a requested check failed, 2 usage or validation error,
-3 numerical solver failure.  ``KHLAB_THREADS`` caps worker threads for
-the embarrassingly parallel sweeps.
+3 numerical solver failure.
 """
 
 import json
@@ -15,8 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -154,7 +152,6 @@ class RunConfig:
     source_sign: float = 1.0
     out: str = None
     format: str = None        # csv or json; per-command default
-    threads: int = None       # defaults to KHLAB_THREADS or 1
 
     def params(self) -> ShearParams:
         return ShearParams(self.u_plus, self.u_minus, self.a, self.b,
@@ -178,7 +175,6 @@ _PARSERS = {
     "source_sign": _parse_float,
     "out": _parse_str,
     "format": _parse_choice(("csv", "json")),
-    "threads": _parse_int,
 }
 
 _REQUIRED = {
@@ -221,16 +217,13 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise MalformedValueError("steps and refinements must be >= 1")
     if cfg.source_sign not in (1.0, -1.0):
         raise MalformedValueError("source_sign must be 1 or -1")
-    if cfg.threads is not None and cfg.threads < 1:
-        raise MalformedValueError("threads must be >= 1")
-    if cfg.threads is None:
-        env = os.environ.get("KHLAB_THREADS", "").strip()
-        if env:
-            cfg = replace(cfg, threads=_parse_int(env))
-            if cfg.threads < 1:
-                raise MalformedValueError("KHLAB_THREADS must be >= 1")
-        else:
-            cfg = replace(cfg, threads=1)
+    if cfg.command == "pressure":
+        if not all(float(k).is_integer() for k in cfg.kappas):
+            raise MalformedValueError("kappas must be integers: pressure studies k = (kappa, 0)")
+        if cfg.n_tan >> (cfg.refinements - 1) < 16:
+            raise MalformedValueError(
+                f"n_tan {cfg.n_tan} with {cfg.refinements} refinements puts the "
+                f"coarsest pressure level below 16")
     return cfg
 
 
@@ -285,7 +278,7 @@ def _fmt(x):
     return str(x)
 
 
-_ECHO_EXCLUDED = {"out", "threads"}   # execution details, not run physics
+_ECHO_EXCLUDED = {"out"}   # execution details, not run physics
 
 
 def _config_echo(cfg: RunConfig):
@@ -445,33 +438,14 @@ def _cmd_modes(cfg: RunConfig):
     return 0, _csv_payload(cfg, ("x3", "phase", "W_re", "V_im"), rows)
 
 
-def _pressure_errors(cfg: RunConfig):
-    jobs = []
+def _cmd_pressure(cfg: RunConfig):
+    per_kappa = {}
     for kappa in cfg.kappas:
-        k = WaveVector(int(round(kappa)), 0)
         for level in range(cfg.refinements):
             n = cfg.n_tan >> (cfg.refinements - 1 - level)
-            n = max(n, 16)
-            jobs.append((kappa, k, n))
-
-    def solve(job):
-        kappa, k, n = job
-        return mode_solver_fd_error(k, cfg.source_sign * 1.0, n, n)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            errors = list(pool.map(solve, jobs))
-    else:
-        errors = [solve(job) for job in jobs]
-    return jobs, errors
-
-
-def _cmd_pressure(cfg: RunConfig):
-    jobs, errors = _pressure_errors(cfg)
+            err = mode_solver_fd_error(WaveVector(int(kappa), 0), cfg.source_sign, n, n)
+            per_kappa.setdefault(kappa, []).append((n, err))
     rows = []
-    per_kappa = {}
-    for (kappa, _, n), err in zip(jobs, errors):
-        per_kappa.setdefault(kappa, []).append((n, err))
     for kappa, series in per_kappa.items():
         prev = None
         for n, err in series:

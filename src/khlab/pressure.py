@@ -16,7 +16,9 @@ provided and tested against each other:
   one-sided second-order wall Neumann rows, and a pair of coupling rows
   at the interface carrying the two jumps.  Tangential directions are
   diagonalised by the DFT with the discrete Laplacian symbol, which
-  reproduces the full 3-D centered discretization exactly.
+  reproduces the full 3-D centered discretization exactly.  The
+  per-mode systems reduce to tridiagonal ones, solved for all modes at
+  once by batched Thomas elimination.
 
 Pure-Neumann data fix the solution only up to a constant; the gauge is
 zero volume mean.  The slip shift enters mode-wise as the phase factor
@@ -31,9 +33,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from khlab.core import TwoPhaseGridField, VerticalProfile, WaveVector, inv_expm1
+from khlab.core import (
+    TwoPhaseGridField,
+    VerticalProfile,
+    WaveVector,
+    _integer_frequencies,
+    _vertical_weights,
+    inv_expm1,
+    tangential_grid,
+    vertical_levels,
+)
 
 RESIDUAL_TOL = 1e-10
 
@@ -132,12 +142,18 @@ def solve_mode_interface_flux(data: InterfaceData, drift: float = 0.0):
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _apply_mode_rows(z, n_ver, h, lam, phi):
-    """Apply the per-mode discrete operator (for residual checks)."""
-    N = n_ver
-    out = np.zeros_like(z)
-    lo = z[:N + 1]
-    up = z[N + 1:]
+def _apply_mode_rows(z, h, lam, phi):
+    """Apply the per-mode discrete operator to z, the only statement of its rows.
+
+    z holds 2N+2 rows, the lower phase (wall to interface) then the
+    upper phase (interface to wall); any trailing axes are modes, with
+    lam (discrete tangential symbol) and phi (slip phase) broadcasting
+    against them.  Rows: lower wall Neumann, lower interior, value
+    coupling, flux coupling, upper interior, upper wall Neumann.
+    """
+    N = z.shape[0] // 2 - 1
+    lo, up = z[:N + 1], z[N + 1:]
+    out = np.empty(z.shape, dtype=np.result_type(z, lam, phi))
     out[0] = (-3.0 * lo[0] + 4.0 * lo[1] - lo[2]) / (2 * h)
     out[1:N] = (lo[:-2] - 2.0 * lo[1:-1] + lo[2:]) / h ** 2 + lam * lo[1:-1]
     out[N] = up[0] - phi * lo[N]
@@ -148,56 +164,62 @@ def _apply_mode_rows(z, n_ver, h, lam, phi):
     return out
 
 
-def _mode_matrix_dense(n_ver, h, lam, phi):
-    N = n_ver
-    M = 2 * N + 2
-    A = np.zeros((M, M), dtype=complex)
-    A[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
-    for i in range(1, N):
-        A[i, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / h ** 2
-        A[i, i] += lam
-    A[N, N + 1] = 1.0
-    A[N, N] = -phi
-    A[N + 1, N + 1:N + 4] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
-    A[N + 1, N - 2:N + 1] = -phi * np.array([1.0, -4.0, 3.0]) / (2 * h)
-    for i in range(1, N):
-        r = N + 1 + i
-        A[r, r - 1:r + 2] = np.array([1.0, -2.0, 1.0]) / h ** 2
-        A[r, r] += lam
-    A[2 * N + 1, 2 * N - 1:2 * N + 2] = np.array([1.0, -4.0, 3.0]) / (2 * h)
-    return A
+def _solve_nonzero_modes(b, h, lam, phi):
+    """Batched Thomas solve of the mode systems A z = b, modes on the last axis.
+
+    Each wall Neumann row and the flux row are combined with their
+    neighbouring interior rows, and the value row eliminates
+    up[0] = b[N] + phi*lo[N].  What remains is tridiagonal in
+    (lo[0..N], up[1..N]).  For -4 <= h^2 lam < 0 (n_tan up to about
+    4.4 n_ver) it is diagonally dominant, and for smaller h^2 lam the
+    interior rows dominate the pivots, so the elimination needs no
+    pivoting.  The zero mode (lam = 0) is singular here and must not be
+    passed in.
+    """
+    N = b.shape[0] // 2 - 1
+    h2 = h * h
+    c = 2.0 + h2 * lam
+    d = h2 * lam - 2.0
+    # (sub, diag, super) of rows 1..2N; row 0 has diag -2 and super c
+    rows = ([(1.0, d, 1.0)] * (N - 1)
+            + [(phi * c, -4.0 * phi, c), (phi, d, 1.0)]
+            + [(1.0, d, 1.0)] * (N - 2) + [(-c, 2.0, 0.0)])
+    x = np.empty((2 * N + 1,) + b.shape[1:], dtype=complex)
+    x[:N] = h2 * b[:N]
+    x[0] = 2 * h * b[0] + h2 * b[1]
+    x[N] = 2 * h * b[N + 1] + h2 * (b[N + 2] + phi * b[N - 1]) + 2.0 * b[N]
+    x[N + 1:] = h2 * b[N + 2:]
+    x[N + 1] -= b[N]
+    x[2 * N] = 2 * h * b[2 * N + 1] - h2 * b[2 * N]
+
+    # forward elimination, then back substitution in place
+    sup_scaled = np.empty_like(x)
+    sup_scaled[0] = c / -2.0
+    x[0] /= -2.0
+    for i, (sub, diag, sup) in enumerate(rows, start=1):
+        pivot = diag - sub * sup_scaled[i - 1]
+        sup_scaled[i] = sup / pivot
+        x[i] = (x[i] - sub * x[i - 1]) / pivot
+    for i in range(2 * N - 1, -1, -1):
+        x[i] -= sup_scaled[i] * x[i + 1]
+
+    z = np.empty(b.shape, dtype=complex)
+    z[:N + 1] = x[:N + 1]
+    z[N + 1] = b[N] + phi * x[N]
+    z[N + 2:] = x[N + 1:]
+    return z
 
 
-def _mode_matrix_banded(n_ver, h, lam, phi):
-    """Banded storage (l, u) = (3, 2) of the per-mode matrix."""
-    A = _mode_matrix_dense(n_ver, h, lam, phi)
-    M = A.shape[0]
-    ab = np.zeros((6, M), dtype=complex)
-    for i in range(M):
-        for j in range(max(0, i - 3), min(M, i + 3)):
-            ab[2 + i - j, j] = A[i, j]
-    return ab
-
-
-def _vertical_quadrature_weights(n_ver):
-    w = np.ones(n_ver + 1)
-    w[0] = w[-1] = 0.5
-    return w / n_ver
-
-
-def _solve_zero_mode(n_ver, h, rhs, gauge_fix):
-    A = _mode_matrix_dense(n_ver, h, 0.0, 1.0)
-    if not gauge_fix:
-        raise PressureSolverError(
-            "pure-Neumann zero mode is singular; gauge row omitted")
-    w = _vertical_quadrature_weights(n_ver)
-    gauge = np.concatenate([w, w]).astype(complex)
-    aug = np.vstack([A, gauge[None, :]])
+def _solve_zero_mode(h, rhs):
+    M = rhs.shape[0]
+    A = _apply_mode_rows(np.eye(M), h, 0.0, 1.0)
+    w = _vertical_weights(M // 2 - 1, h)
+    aug = np.vstack([A, np.concatenate([w, w])[None, :]])
     b = np.concatenate([rhs, [0.0]])
     z, *_ = np.linalg.lstsq(aug, b, rcond=None)
     residual = np.max(np.abs(A @ z - rhs))
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    if residual > RESIDUAL_TOL * scale:
+    if not residual <= RESIDUAL_TOL * scale:
         raise SolvabilityError(
             f"incompatible pure-Neumann data on the zero mode "
             f"(residual {residual:.3e})")
@@ -205,8 +227,7 @@ def _solve_zero_mode(n_ver, h, rhs, gauge_fix):
 
 
 def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
-                               flux_jump=None, drift: float = 0.0,
-                               gauge_fix: bool = True) -> TwoPhaseGridField:
+                               flux_jump=None, drift: float = 0.0) -> TwoPhaseGridField:
     """Finite-difference solve of the jump-coupled two-phase Poisson problem.
 
     Parameters
@@ -218,15 +239,13 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
         (shifted lower trace when drift != 0); None means zero.
     drift : float
         Tangential slip offset, applied as the mode phase e^{i k1 drift}.
-    gauge_fix : bool
-        Append the mean-zero gauge row on the zero tangential mode.
-        Disabling it turns the singular zero mode into an error, which
-        is occasionally useful as a diagnostic.
 
     Second-order accurate: centered interior stencils, one-sided
-    second-order Neumann walls and interface coupling rows.  Each
-    tangential mode is solved directly (banded) and its residual checked
-    against the 1e-10 contract.
+    second-order Neumann walls and interface coupling rows.  All
+    nonzero tangential modes are solved at once by batched tridiagonal
+    elimination, the zero mode by a gauged (mean-zero) least-squares
+    solve, and every mode's residual is checked against the 1e-10
+    contract on the original rows.
     """
     n_tan, n_ver = source.n_tan, source.n_ver
     if n_tan < 8 or n_ver < 8:
@@ -236,49 +255,45 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     fj = np.zeros((n_tan, n_tan)) if flux_jump is None else np.asarray(flux_jump, dtype=float)
     if vj.shape != (n_tan, n_tan) or fj.shape != (n_tan, n_tan):
         raise ValueError("jump data must be (n_tan, n_tan) interface grids")
+    if not all(np.isfinite(a).all() for a in (source.values_upper, source.values_lower, vj, fj)):
+        raise ValueError("source, value_jump and flux_jump must be finite")
 
-    src_up = np.fft.fft2(source.values_upper, axes=(0, 1)) / n_tan ** 2
-    src_lo = np.fft.fft2(source.values_lower, axes=(0, 1)) / n_tan ** 2
-    vj_hat = np.fft.fft2(vj) / n_tan ** 2
-    fj_hat = np.fft.fft2(fj) / n_tan ** 2
+    # right-hand sides with the vertical rows first and the modes last:
+    # k = (freqs[i1], freqs[i2]) is column i1 * n_tan + i2, the zero mode column 0
+    N = n_ver
+    n_modes = n_tan * n_tan
+    b = np.zeros((2 * N + 2, n_tan, n_tan))
+    b[1:N] = np.moveaxis(source.values_lower[:, :, 1:N], -1, 0)
+    b[N] = vj
+    b[N + 1] = fj
+    b[N + 2:2 * N + 1] = np.moveaxis(source.values_upper[:, :, 1:N], -1, 0)
+    b = np.fft.fft2(b).reshape(2 * N + 2, n_modes) / n_modes
 
-    freqs = np.rint(np.fft.fftfreq(n_tan) * n_tan).astype(int)
+    freqs = _integer_frequencies(n_tan)
     h_tan = source.h_tan
     sym = -4.0 * np.sin(0.5 * freqs * h_tan) ** 2 / h_tan ** 2   # discrete d^2
+    lam = (sym[:, None] + sym[None, :]).ravel()
+    phi = np.repeat(np.exp(1j * freqs * drift), n_tan)
 
-    N = n_ver
-    sol_up = np.zeros_like(src_up)
-    sol_lo = np.zeros_like(src_lo)
-    for i1, k1 in enumerate(freqs):
-        phi = complex(np.exp(1j * k1 * drift))
-        for i2, k2 in enumerate(freqs):
-            lam = sym[i1] + sym[i2]
-            rhs = np.zeros(2 * N + 2, dtype=complex)
-            rhs[1:N] = src_lo[i1, i2, 1:N]
-            rhs[N] = vj_hat[i1, i2]
-            rhs[N + 1] = fj_hat[i1, i2]
-            rhs[N + 2:2 * N + 1] = src_up[i1, i2, 1:N]
-            if k1 == 0 and k2 == 0:
-                z = _solve_zero_mode(N, h, rhs, gauge_fix)
-            else:
-                ab = _mode_matrix_banded(N, h, lam, phi)
-                z = solve_banded((3, 2), ab, rhs)
-                residual = np.max(np.abs(_apply_mode_rows(z, N, h, lam, phi) - rhs))
-                if residual > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(rhs)))):
-                    raise PressureSolverError(
-                        f"mode ({k1},{k2}) residual {residual:.3e} exceeds "
-                        f"{RESIDUAL_TOL}")
-            sol_lo[i1, i2, :] = z[:N + 1]
-            sol_up[i1, i2, :] = z[N + 1:]
+    z = np.empty_like(b)
+    z[:, 0] = _solve_zero_mode(h, b[:, 0])
+    z[:, 1:] = _solve_nonzero_modes(b[:, 1:], h, lam[1:], phi[1:])
+    residual = np.max(np.abs(_apply_mode_rows(z, h, lam, phi) - b), axis=0)
+    scale = np.maximum(1.0, np.max(np.abs(b), axis=0))
+    failed = np.flatnonzero(~(residual <= RESIDUAL_TOL * scale))
+    if failed.size:
+        i1, i2 = divmod(int(failed[0]), n_tan)
+        raise PressureSolverError(
+            f"mode ({freqs[i1]},{freqs[i2]}) residual {residual[failed[0]]:.3e} "
+            f"exceeds {RESIDUAL_TOL}")
 
-    vals_up = np.fft.ifft2(sol_up * n_tan ** 2, axes=(0, 1)).real
-    vals_lo = np.fft.ifft2(sol_lo * n_tan ** 2, axes=(0, 1)).real
-    out = TwoPhaseGridField(n_tan, n_ver, vals_up, vals_lo)
+    vals = np.moveaxis(np.fft.ifft2(z.reshape(2 * N + 2, n_tan, n_tan) * n_modes).real, 0, -1)
+    out = TwoPhaseGridField(n_tan, n_ver, vals[:, :, N + 1:], vals[:, :, :N + 1])
     return _subtract_volume_mean(out)
 
 
 def _subtract_volume_mean(f: TwoPhaseGridField) -> TwoPhaseGridField:
-    w = _vertical_quadrature_weights(f.n_ver)
+    w = _vertical_weights(f.n_ver, f.h_ver)
     total = (np.sum(f.values_upper * w) + np.sum(f.values_lower * w)) / f.n_tan ** 2
     mean = total / 2.0   # vertical extent of each phase is 1, total volume 2
     return TwoPhaseGridField(f.n_tan, f.n_ver,
@@ -316,10 +331,9 @@ def mode_solver_fd_error(k: WaveVector, flux_amplitude: float,
     k.require_nonzero()
     q_up, q_lo = solve_mode_interface_flux(
         InterfaceData(k, value_jump=0.0, flux_jump=flux_amplitude))
-    x = 2.0 * math.pi * np.arange(n_tan) / n_tan
-    phase = np.exp(1j * (k.k1 * x[:, None] + k.k2 * x[None, :]))
-    zu = np.linspace(0.0, 1.0, n_ver + 1)
-    zl = np.linspace(-1.0, 0.0, n_ver + 1)
+    x1, x2 = tangential_grid(n_tan)
+    phase = np.exp(1j * (k.k1 * x1[:, None] + k.k2 * x2[None, :]))
+    zu, zl = vertical_levels(n_ver)
     exact_up = np.real(phase[:, :, None] * q_up.eval_upper(zu)[None, None, :])
     exact_lo = np.real(phase[:, :, None] * q_lo.eval_lower(zl)[None, None, :])
 

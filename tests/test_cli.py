@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -59,6 +61,13 @@ def test_malformed_value_rejected():
         parse_config("command = dispersion\nk = banana\n")
     with pytest.raises(MalformedValueError):
         parse_config("", ["--command", "dispersion", "--k", "1,0", "--dt", "-1"])
+    # pressure solves k = (kappa, 0): a fractional kappa would mislabel its row
+    for bad in (["--kappas", "1.5"], ["--kappas", "1,nan"],
+                # coarsest level 32 >> 2 = 8 is below the 16-point floor
+                ["--n_tan", "32", "--refinements", "3"]):
+        with pytest.raises(MalformedValueError):
+            parse_config("", ["--command", "pressure"] + bad)
+        assert main(["--command", "pressure"] + bad) == 2
 
 
 def test_missing_required_key():
@@ -73,13 +82,20 @@ def test_negative_duration_exit_code(capsys):
     assert rc == 2
 
 
-def test_threads_env(monkeypatch):
-    monkeypatch.setenv("KHLAB_THREADS", "3")
-    cfg = parse_config("", ["--command", "pressure"])
-    assert cfg.threads == 3
-    monkeypatch.delenv("KHLAB_THREADS")
-    cfg = parse_config("", ["--command", "pressure"])
-    assert cfg.threads == 1
+def test_threads_key_removed():
+    with pytest.raises(UnknownKeyError):
+        parse_config("", ["--command", "pressure", "--threads", "2"])
+    with pytest.raises(UnknownKeyError):
+        parse_config("command = pressure\nthreads = 2\n")
+    assert main(["--command", "pressure", "--threads", "2"]) == 2
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, khlab.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from khlab.core import TwoPhaseGridField, WaveVector
 from khlab.pressure import (
     InterfaceData,
-    PressureSolverError,
     SolvabilityError,
+    _apply_mode_rows,
     fitted_convergence_order,
     mode_solver_fd_error,
     neumann_mode_profile,
@@ -239,12 +239,6 @@ def test_fd_zero_mean_gauge():
     assert abs(total) / q.max_abs() < 1e-10
 
 
-def test_fd_gauge_row_omitted_is_error():
-    source = TwoPhaseGridField.zeros(8, 8)
-    with pytest.raises(PressureSolverError):
-        solve_two_phase_poisson_fd(source, gauge_fix=False)
-
-
 def test_fd_incompatible_neumann_data():
     # constant source with zero jumps violates the compatibility relation
     n = 8
@@ -257,6 +251,70 @@ def test_fd_incompatible_neumann_data():
 def test_fd_requires_minimum_resolution():
     with pytest.raises(ValueError):
         solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(4, 8))
+
+
+def test_fd_rejects_non_finite_data():
+    n = 8
+    bad_source = TwoPhaseGridField.zeros(n, n)
+    bad_source.values_lower[2, 3, 4] = np.nan
+    bad_trace = np.zeros((n, n))
+    bad_trace[1, 5] = np.inf
+    for kwargs in ({"source": bad_source},
+                   {"source": TwoPhaseGridField.zeros(n, n), "value_jump": bad_trace},
+                   {"source": TwoPhaseGridField.zeros(n, n), "flux_jump": bad_trace}):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_two_phase_poisson_fd(**kwargs)
+
+
+def _dense_reference_fd(source, value_jump, flux_jump, drift):
+    """Per-mode np.linalg.solve on the dense operator; data must have no zero mode."""
+    n, N = source.n_tan, source.n_ver
+    h = source.h_ver
+    up_hat = np.fft.fft2(source.values_upper, axes=(0, 1)) / n ** 2
+    lo_hat = np.fft.fft2(source.values_lower, axes=(0, 1)) / n ** 2
+    vj_hat = np.fft.fft2(value_jump) / n ** 2
+    fj_hat = np.fft.fft2(flux_jump) / n ** 2
+    freqs = np.rint(np.fft.fftfreq(n) * n).astype(int)
+    h_tan = source.h_tan
+    sym = -4.0 * np.sin(0.5 * freqs * h_tan) ** 2 / h_tan ** 2
+    sol_up = np.zeros_like(up_hat)
+    sol_lo = np.zeros_like(lo_hat)
+    for i1 in range(n):
+        for i2 in range(n):
+            if i1 == i2 == 0:
+                continue
+            A = _apply_mode_rows(np.eye(2 * N + 2), h, sym[i1] + sym[i2],
+                                 np.exp(1j * freqs[i1] * drift))
+            rhs = np.zeros(2 * N + 2, dtype=complex)
+            rhs[1:N] = lo_hat[i1, i2, 1:N]
+            rhs[N] = vj_hat[i1, i2]
+            rhs[N + 1] = fj_hat[i1, i2]
+            rhs[N + 2:2 * N + 1] = up_hat[i1, i2, 1:N]
+            z = np.linalg.solve(A, rhs)
+            sol_lo[i1, i2] = z[:N + 1]
+            sol_up[i1, i2] = z[N + 1:]
+    return (np.fft.ifft2(sol_up * n ** 2, axes=(0, 1)).real,
+            np.fft.ifft2(sol_lo * n ** 2, axes=(0, 1)).real)
+
+
+def test_fd_batched_solve_matches_dense_reference():
+    rng = np.random.default_rng(7)
+    for n in (8, 16):
+        shape = (n, n, n + 1)
+        up = rng.standard_normal(shape)
+        lo = rng.standard_normal(shape)
+        up -= up.mean(axis=(0, 1))   # zero tangential mean: no zero-mode data
+        lo -= lo.mean(axis=(0, 1))
+        vj = rng.standard_normal((n, n))
+        fj = rng.standard_normal((n, n))
+        vj -= vj.mean()
+        fj -= fj.mean()
+        source = TwoPhaseGridField(n, n, up, lo)
+        q = solve_two_phase_poisson_fd(source, value_jump=vj, flux_jump=fj, drift=0.37)
+        ref_up, ref_lo = _dense_reference_fd(source, vj, fj, 0.37)
+        err = max(np.max(np.abs(q.values_upper - ref_up)),
+                  np.max(np.abs(q.values_lower - ref_lo)))
+        assert err <= 1e-12 * max(1.0, q.max_abs()), (n, err)
 
 
 # ---------------------------------------------------------------------------
