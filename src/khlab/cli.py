@@ -6,7 +6,7 @@ values.  Outputs are CSV (metadata echo in ``#`` comment lines, then a
 single header row, 17-significant-digit numbers) or JSON validated
 against the shipped schema; files are written atomically.  Exit codes:
 0 success, 1 a requested check failed, 2 usage or validation error,
-3 numerical solver failure.
+3 numerical solver failure or overflow of the float range.
 """
 
 import json
@@ -79,24 +79,21 @@ def _parse_vec3(text):
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 3:
         raise MalformedValueError(f"expected 'v1,v2,v3', got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise MalformedValueError(f"bad vector {text!r}: {exc}") from exc
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_float_list(text):
-    try:
-        return tuple(float(p) for p in str(text).split(","))
-    except ValueError as exc:
-        raise MalformedValueError(f"bad number list {text!r}: {exc}") from exc
+    return tuple(_parse_float(p) for p in str(text).split(","))
 
 
 def _parse_float(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise MalformedValueError(f"bad number {text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise MalformedValueError(f"bad number {text!r}: must be finite")
+    return value
 
 
 def _parse_int(text):
@@ -472,7 +469,8 @@ def _evolve_series(cfg: RunConfig):
     state = decompose_perturbation(chi, chi_dot, cutoff)
     dt = cfg.dt
     if cfg.stepper == "rk4" and dt is None:
-        omega_max = math.sqrt(2.0) * max([n] + list(state.P) + list(state.g) + [1])
+        omega_max = max(math.sqrt(2.0) * max([n] + list(state.P) + list(state.g) + [1]),
+                        max(cfg.a, cfg.b) * (cfg.n_tan // 2))
         dt = _default_dt(omega_max)
     times = np.linspace(0.0, cfg.t, cfg.samples)
     trajectory = []
@@ -559,6 +557,9 @@ def run(cfg: RunConfig) -> int:
         raise
     except PressureSolverError as exc:
         sys.stderr.write(f"khlab: solver failure: {exc}\n")
+        return 3
+    except OverflowError as exc:
+        sys.stderr.write(f"khlab: numerical overflow: {exc}\n")
         return 3
     except ValueError as exc:
         sys.stderr.write(f"khlab: invalid input: {exc}\n")

@@ -454,16 +454,17 @@ def trace_spectrum(trace: np.ndarray) -> np.ndarray:
 
 
 def apply_x2_multiplier(f: TwoPhaseGridField, multiplier) -> TwoPhaseGridField:
-    """Apply a Fourier multiplier in x2: multiplier(k2) acts per mode.
+    """Apply a real Fourier multiplier in x2: multiplier(|k2|) acts per mode.
 
-    multiplier is a callable on the integer frequency array; it must be
-    real and even in k2 for the result to stay real.
+    multiplier is a callable on the frequencies 0..n_tan//2 of the real
+    transform; the result is the real field of the multiplier extended
+    evenly in k2.
     """
     n = f.n_tan
-    k2 = _integer_frequencies(n)
+    k2 = np.arange(n // 2 + 1)
     m = np.asarray(multiplier(k2), dtype=float)[None, :, None]
-    up = np.fft.ifft(np.fft.fft(f.values_upper, axis=1) * m, axis=1).real
-    lo = np.fft.ifft(np.fft.fft(f.values_lower, axis=1) * m, axis=1).real
+    up = np.fft.irfft(np.fft.rfft(f.values_upper, axis=1) * m, n=n, axis=1)
+    lo = np.fft.irfft(np.fft.rfft(f.values_lower, axis=1) * m, n=n, axis=1)
     return TwoPhaseGridField(f.n_tan, f.n_ver, up, lo)
 
 

@@ -18,9 +18,13 @@ independently (the linear system is block-diagonal):
     r block   c'' = -k * k2^2 c   per phase, k = a^2 above / b^2 below
 
 The operator A acts as the j^2 multiplier on potential coefficients and
-as the tangential Fourier multiplier k2^2 on r.  The exact stepper uses
-the per-mode cosh/sinh (or cos/sin, or linear) propagators; a classical
-RK4 stepper exists for convergence studies and future forcing terms.
+as the tangential Fourier multiplier k2^2 on r.  Every mode, including
+each x2 Fourier mode of r, obeys y'' = lambda^2 y and is advanced by one
+propagator (C, S): y(t) = C y0 + S v0, v(t) = lambda^2 S y0 + C v0.  The
+exact stepper takes C and S in closed form (cosh/sinh, cos/sin or
+linear); the rk4 stepper takes them from the m-th power of the classical
+RK4 one-step matrix, its amplification polynomial, which reproduces
+stage-by-stage RK4 to roundoff.
 """
 
 import math
@@ -28,13 +32,73 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from khlab.core import PerturbationState, TwoPhaseGridField, WaveVector
+from khlab.core import PerturbationState, TwoPhaseGridField, WaveVector, apply_x2_multiplier
 
-RK4_STABILITY_LIMIT = 2.8   # max |omega| * dt for the oscillatory blocks
+RK4_STABILITY_LIMIT = 2.8   # max |omega| * h for the oscillatory blocks
 
 
 class StabilityError(ValueError):
     """Requested RK4 step size violates the documented stability rule."""
+
+
+# ---------------------------------------------------------------------------
+# the propagator
+# ---------------------------------------------------------------------------
+
+def _propagators(lambda_sq, t, stepper, dt):
+    """(C, S) arrays advancing y'' = lambda_sq * y by time t, per entry.
+
+    exact: closed forms.  rk4: m = max(1, round(t/dt)) classical steps of
+    h = t/m.  For this system A^2 = lambda_sq * I, so one step is
+    c*I + h*s*A with z = lambda_sq*h^2, c = 1 + z/2 + z^2/24,
+    s = 1 + z/6, and its powers stay of the form C*I + S*A.  The step
+    taken must satisfy max|omega| * h <= RK4_STABILITY_LIMIT.  Raises
+    OverflowError when C or S leaves the float range.
+    """
+    if not t >= 0:
+        raise ValueError("time must be nonnegative")
+    lam = np.asarray(lambda_sq, dtype=float)
+    if stepper == "exact":
+        w = np.sqrt(np.abs(lam))
+        grow = lam > 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            wt = w * t
+            C = np.cos(wt)
+            S = np.where(w > 0, np.sin(wt) / np.where(w > 0, w, 1.0), t)
+            # libm cosh/sinh on the few growing entries: numpy's may differ by
+            # an ulp, which E_mu- (a difference of e^{jt}-sized terms) amplifies
+            try:
+                C[grow] = [math.cosh(x) for x in wt[grow]]
+                S[grow] = [math.sinh(x) for x in wt[grow]]
+            except OverflowError:
+                C[grow] = np.inf
+            S[grow] /= w[grow]
+    elif stepper == "rk4":
+        if dt is None:
+            raise ValueError("rk4 stepper requires dt")
+        if dt <= 0:
+            raise StabilityError("rk4 requires dt > 0")
+        steps = max(1, round(t / dt))
+        h = t / steps
+        omega_h = math.sqrt(float(np.max(np.abs(lam), initial=0.0))) * h
+        if omega_h > RK4_STABILITY_LIMIT:
+            raise StabilityError(
+                f"rk4 step h={h} (dt={dt}) unstable: |omega|*h = {omega_h:.3f} "
+                f"exceeds the limit {RK4_STABILITY_LIMIT}")
+        z = lam * h * h
+        c = 1.0 + z / 2.0 + z * z / 24.0
+        hs = h * (1.0 + z / 6.0)
+        C, S = np.ones_like(lam), np.zeros_like(lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps):
+                C, S = c * C + lam * hs * S, c * S + hs * C
+    else:
+        raise ValueError(f"unknown stepper {stepper!r}")
+    if not (np.all(np.isfinite(C)) and np.all(np.isfinite(S))):
+        raise OverflowError(
+            f"propagator leaves the float range at t={t} "
+            f"(largest lambda^2 = {float(np.max(lam, initial=0.0)):.6g})")
+    return C, S
 
 
 # ---------------------------------------------------------------------------
@@ -56,45 +120,6 @@ def boundary_dispersion(k: WaveVector, a: float, b: float) -> float:
     return float(k.k1) ** 2 - 0.5 * (a * a + b * b) * float(k.k2) ** 2
 
 
-def _propagator(lambda_sq: float, t: float):
-    """(C, S) with amp(t) = amp*C + vel*S, vel(t) = amp*lambda_sq*S + vel*C."""
-    if lambda_sq > 0.0:
-        w = math.sqrt(lambda_sq)
-        return math.cosh(w * t), math.sinh(w * t) / w
-    if lambda_sq < 0.0:
-        w = math.sqrt(-lambda_sq)
-        return math.cos(w * t), (math.sin(w * t) / w if w else t)
-    return 1.0, t
-
-
-def _rk4_second_order(amp, vel, lambda_sq, t, dt):
-    """Classical RK4 on (amp' = vel, vel' = lambda_sq * amp) up to time t."""
-    steps = max(1, int(round(t / dt)))
-    h = t / steps
-    y = np.asarray([amp, vel], dtype=complex)
-
-    def rhs(y):
-        return np.asarray([y[1], lambda_sq * y[0]], dtype=complex)
-
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y[0], y[1]
-
-
-def _check_rk4_step(lambda_sq_values, dt):
-    if dt <= 0:
-        raise StabilityError("rk4 requires dt > 0")
-    omega_max = max((math.sqrt(abs(l)) for l in lambda_sq_values), default=0.0)
-    if omega_max * dt > RK4_STABILITY_LIMIT:
-        raise StabilityError(
-            f"rk4 step dt={dt} unstable: |omega|*dt = {omega_max * dt:.3f} "
-            f"exceeds the limit {RK4_STABILITY_LIMIT}")
-
-
 def evolve_boundary_mode(state: BoundaryModeState, a: float, b: float, t: float,
                          stepper: str = "exact", dt: float = None) -> BoundaryModeState:
     """Advance one interface mode by time t.
@@ -104,42 +129,16 @@ def evolve_boundary_mode(state: BoundaryModeState, a: float, b: float, t: float,
     lambda^2 = 0).  stepper="rk4" integrates the same system with the
     classical scheme at step dt for convergence studies.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
     lam_sq = boundary_dispersion(state.k, a, b)
-    if stepper == "exact":
-        C, S = _propagator(lam_sq, t)
-        amp = state.amplitude * C + state.velocity * S
-        vel = state.amplitude * lam_sq * S + state.velocity * C
-    elif stepper == "rk4":
-        if dt is None:
-            raise ValueError("rk4 stepper requires dt")
-        if t > 0:
-            _check_rk4_step([lam_sq], dt)
-            amp, vel = _rk4_second_order(state.amplitude, state.velocity, lam_sq, t, dt)
-        else:
-            amp, vel = state.amplitude, state.velocity
-    else:
-        raise ValueError(f"unknown stepper {stepper!r}")
+    C, S = (float(x[0]) for x in _propagators([lam_sq], t, stepper, dt))
+    amp = state.amplitude * C + state.velocity * S
+    vel = state.amplitude * lam_sq * S + state.velocity * C
     return BoundaryModeState(state.k, amp, vel)
 
 
 # ---------------------------------------------------------------------------
 # operator A on decomposed states
 # ---------------------------------------------------------------------------
-
-def r_fourier_multiplier(field: TwoPhaseGridField, weight_upper=1.0,
-                         weight_lower=1.0, power=2):
-    """Apply (weight * |k2|^power) per phase in the x2 Fourier direction."""
-    n = field.n_tan
-    k2 = np.rint(np.fft.fftfreq(n) * n).astype(int)
-    m = np.abs(k2.astype(float)) ** power
-    up = np.fft.ifft(np.fft.fft(field.values_upper, axis=1) * (weight_upper * m)[None, :, None],
-                     axis=1).real
-    lo = np.fft.ifft(np.fft.fft(field.values_lower, axis=1) * (weight_lower * m)[None, :, None],
-                     axis=1).real
-    return TwoPhaseGridField(field.n_tan, field.n_ver, up, lo)
-
 
 def apply_A(state: PerturbationState) -> PerturbationState:
     """Apply the block operator A to every part of a state.
@@ -154,7 +153,7 @@ def apply_A(state: PerturbationState) -> PerturbationState:
     def on_r(vec):
         if vec is None:
             return None
-        return tuple(r_fourier_multiplier(comp) for comp in vec)
+        return tuple(apply_x2_multiplier(comp, lambda k2: k2 ** 2) for comp in vec)
 
     return PerturbationState(
         state.n_cutoff,
@@ -169,43 +168,17 @@ def apply_A(state: PerturbationState) -> PerturbationState:
 # full linear evolution
 # ---------------------------------------------------------------------------
 
-def _evolve_coeff_block(coeffs, dots, lambda_sq_of_j, t, stepper, dt):
-    new_c, new_d = {}, {}
-    for j in sorted(set(coeffs) | set(dots)):
-        c = coeffs.get(j, 0.0 + 0.0j)
-        d = dots.get(j, 0.0 + 0.0j)
-        lam_sq = lambda_sq_of_j(j)
-        if stepper == "exact":
-            C, S = _propagator(lam_sq, t)
-            new_c[j] = c * C + d * S
-            new_d[j] = c * lam_sq * S + d * C
-        else:
-            new_c[j], new_d[j] = _rk4_second_order(c, d, lam_sq, t, dt)
-    return new_c, new_d
+def _r_spectrum(vec):
+    """x2 rfft of a 3-vector field as (component, phase, x1, k2, x3); None is 0."""
+    if vec is None:
+        return 0.0
+    values = np.stack([(c.values_upper, c.values_lower) for c in vec])
+    return np.fft.rfft(values, axis=3)
 
 
-def _evolve_r_exact(r, r_dot, a, b, t):
-    """Exact x2-modewise propagation of r'' = -k * k2^2 * r per phase."""
-    n = r[0].n_tan
-    k2 = np.rint(np.fft.fftfreq(n) * n).astype(int).astype(float)
-    out_r, out_d = [], []
-    for comp, comp_dot in zip(r, r_dot):
-        new_vals, new_dots = [], []
-        for vals, dots, coef in ((comp.values_upper, comp_dot.values_upper, a),
-                                 (comp.values_lower, comp_dot.values_lower, b)):
-            vh = np.fft.fft(vals, axis=1)
-            dh = np.fft.fft(dots, axis=1)
-            w = coef * np.abs(k2)          # natural frequency per x2 mode
-            C = np.cos(w * t)
-            S = np.where(w > 0, np.divide(np.sin(w * t), np.where(w > 0, w, 1.0)), t)
-            C = C[None, :, None]
-            S = S[None, :, None]
-            lam_sq = -(w ** 2)[None, :, None]
-            new_vals.append(np.fft.ifft(vh * C + dh * S, axis=1).real)
-            new_dots.append(np.fft.ifft(vh * lam_sq * S + dh * C, axis=1).real)
-        out_r.append(TwoPhaseGridField(comp.n_tan, comp.n_ver, new_vals[0], new_vals[1]))
-        out_d.append(TwoPhaseGridField(comp.n_tan, comp.n_ver, new_dots[0], new_dots[1]))
-    return tuple(out_r), tuple(out_d)
+def _r_fields(spectrum, n_tan, n_ver):
+    values = np.fft.irfft(spectrum, n=n_tan, axis=3)
+    return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
 
 
 def evolve_state(state: PerturbationState, a: float, b: float, t: float,
@@ -215,72 +188,38 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     Blocks evolve independently with their own stiffness: P and L grow
     and decay at rate j, g oscillates at sqrt(2)*j, r oscillates at
     a*|k2| above and b*|k2| below the interface (x2-independent r
-    content moves linearly in t).  The exact stepper composes the
-    closed-form propagators; rk4 uses the classical scheme and is
-    rejected when max|omega|*dt exceeds RK4_STABILITY_LIMIT.
+    content moves linearly in t).  All coefficients and every x2 mode
+    of r go through one call of the propagator; rk4 is rejected when
+    max|omega| times the step taken exceeds RK4_STABILITY_LIMIT.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if stepper not in ("exact", "rk4"):
-        raise ValueError(f"unknown stepper {stepper!r}")
-    if stepper == "rk4":
-        if dt is None:
-            raise ValueError("rk4 stepper requires dt")
-        omegas = [-(j ** 2) for j in list(state.P) + list(state.P_dot)
-                  + list(state.L) + list(state.L_dot)]
-        omegas += [-2.0 * j ** 2 for j in list(state.g) + list(state.g_dot)]
-        if state.r is not None:
-            k2_max = state.r[0].n_tan // 2
-            omegas.append(-(max(a, b) * k2_max) ** 2)
-        if t > 0:
-            _check_rk4_step(omegas, dt)
+    blocks = [(state.P, state.P_dot, 1.0), (state.L, state.L_dot, 1.0),
+              (state.g, state.g_dot, -2.0)]
+    keys = [sorted(set(c) | set(d)) for c, d, _ in blocks]
+    lam_sq = np.array([sign * float(j * j) for (_, _, sign), js in zip(blocks, keys)
+                       for j in js])
+    has_r = state.r is not None or state.r_dot is not None
+    if has_r:
+        grid = (state.r or state.r_dot)[0]
+        k2 = np.arange(grid.n_tan // 2 + 1, dtype=float)
+        lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
+        lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
+    C, S = _propagators(lam_sq, t, stepper, dt)
 
-    P, P_dot = _evolve_coeff_block(state.P, state.P_dot, lambda j: float(j * j),
-                                   t, stepper, dt)
-    L, L_dot = _evolve_coeff_block(state.L, state.L_dot, lambda j: float(j * j),
-                                   t, stepper, dt)
-    g, g_dot = _evolve_coeff_block(state.g, state.g_dot, lambda j: -2.0 * j * j,
-                                   t, stepper, dt)
+    evolved, i = [], 0
+    for (coeffs, dots, _), js in zip(blocks, keys):
+        sl = slice(i, i + len(js))
+        i += len(js)
+        c = np.array([coeffs.get(j, 0.0) for j in js], dtype=complex)
+        d = np.array([dots.get(j, 0.0) for j in js], dtype=complex)
+        evolved.append(dict(zip(js, (c * C[sl] + d * S[sl]).tolist())))
+        evolved.append(dict(zip(js, (c * lam_sq[sl] * S[sl] + d * C[sl]).tolist())))
 
     r, r_dot = state.r, state.r_dot
-    if r is not None:
-        if stepper == "exact":
-            r, r_dot = _evolve_r_exact(r, state.r_dot, a, b, t)
-        else:
-            r, r_dot = _evolve_r_rk4_steps(r, state.r_dot, a, b, t, dt)
+    if has_r:
+        shape = (1, 2, 1, k2.size, 1)
+        Cr, Sr = C[i:].reshape(shape), S[i:].reshape(shape)
+        y0, v0 = _r_spectrum(state.r), _r_spectrum(state.r_dot)
+        r = _r_fields(y0 * Cr + v0 * Sr, grid.n_tan, grid.n_ver)
+        r_dot = _r_fields(y0 * (lam_r.reshape(shape) * Sr) + v0 * Cr, grid.n_tan, grid.n_ver)
 
-    return PerturbationState(state.n_cutoff, P, P_dot, L, L_dot, g, g_dot, r, r_dot)
-
-
-def _evolve_r_rk4_steps(r, r_dot, a, b, t, dt):
-    """Classical RK4 for the r block (field-valued second-order system)."""
-    steps = max(1, int(round(t / dt)))
-    h = t / steps
-
-    def accel(vec):
-        return tuple(r_fourier_multiplier(comp, -a * a, -b * b) for comp in vec)
-
-    def combo(base, *scaled):
-        out = []
-        for i, comp in enumerate(base):
-            acc = comp.values_upper.copy(), comp.values_lower.copy()
-            up, lo = acc
-            for s, vec in scaled:
-                up += s * vec[i].values_upper
-                lo += s * vec[i].values_lower
-            out.append(TwoPhaseGridField(comp.n_tan, comp.n_ver, up, lo))
-        return tuple(out)
-
-    y, v = r, r_dot
-    for _ in range(steps):
-        ay1 = v
-        av1 = accel(y)
-        ay2 = combo(v, (0.5 * h, av1))
-        av2 = accel(combo(y, (0.5 * h, ay1)))
-        ay3 = combo(v, (0.5 * h, av2))
-        av3 = accel(combo(y, (0.5 * h, ay2)))
-        ay4 = combo(v, (h, av3))
-        av4 = accel(combo(y, (h, ay3)))
-        y = combo(y, (h / 6.0, ay1), (h / 3.0, ay2), (h / 3.0, ay3), (h / 6.0, ay4))
-        v = combo(v, (h / 6.0, av1), (h / 3.0, av2), (h / 3.0, av3), (h / 6.0, av4))
-    return y, v
+    return PerturbationState(state.n_cutoff, *evolved, r, r_dot)

@@ -35,6 +35,8 @@ from khlab.core import (
     PerturbationState,
     TwoPhaseGridField,
     WaveVector,
+    _integer_frequencies,
+    apply_x2_multiplier,
     inner_product_vector,
     trace_spectrum,
     vector_field_zeros,
@@ -45,7 +47,6 @@ from khlab.eigenmodes import (
     potential_gradient_field,
     potential_gradient_norm_sq,
 )
-from khlab.evolution import r_fourier_multiplier
 
 
 class AliasingError(ValueError):
@@ -67,7 +68,7 @@ def _streamwise_trace_coefficients(trace_up, trace_lo, tol):
     n = trace_up.shape[0]
     su = trace_spectrum(trace_up)
     sl = trace_spectrum(trace_lo)
-    freqs = np.rint(np.fft.fftfreq(n) * n).astype(int)
+    freqs = _integer_frequencies(n)
 
     off_line = 0.0
     for i2, k2 in enumerate(freqs):
@@ -264,8 +265,11 @@ def _r_energy(state: PerturbationState, a: float, b: float):
     if state.r_dot is not None:
         total += inner_product_vector(state.r_dot, state.r_dot)
     if state.r is not None:
-        weighted = tuple(r_fourier_multiplier(comp, a, b, power=1)
-                         for comp in state.r)
+        weighted = []
+        for comp in state.r:
+            d = apply_x2_multiplier(comp, np.abs)
+            weighted.append(TwoPhaseGridField(d.n_tan, d.n_ver, a * d.values_upper,
+                                              b * d.values_lower))
         total += inner_product_vector(weighted, weighted)
     return total
 

@@ -61,6 +61,12 @@ def test_malformed_value_rejected():
         parse_config("command = dispersion\nk = banana\n")
     with pytest.raises(MalformedValueError):
         parse_config("", ["--command", "dispersion", "--k", "1,0", "--dt", "-1"])
+    # non-finite numbers never reach the physics
+    for bad in (["--t", "inf"], ["--a", "nan"], ["--dt", "inf"],
+                ["--u_plus", "1,nan,0"]):
+        with pytest.raises(MalformedValueError):
+            parse_config("", ["--command", "evolve", "--n", "4"] + bad)
+        assert main(["--command", "evolve", "--n", "4"] + bad) == 2
     # pressure solves k = (kappa, 0): a fractional kappa would mislabel its row
     for bad in (["--kappas", "1.5"], ["--kappas", "1,nan"],
                 # coarsest level 32 >> 2 = 8 is below the 16-point floor
@@ -230,6 +236,24 @@ def test_rk4_stability_rejection_exit_code(capsys):
                "--stepper", "rk4", "--dt", "0.5",
                "--n_tan", "64", "--n_ver", "8"])
     assert rc == 2
+
+
+def test_rk4_default_dt_covers_r_block(capsys):
+    # |omega| = a * n_tan/2 = 320 in the r block needs dt below 0.01
+    rc = main(["--command", "evolve", "--n", "8", "--stepper", "rk4", "--a", "10",
+               "--n_tan", "64", "--n_ver", "8", "--samples", "2"])
+    assert rc == 0
+
+
+def test_overflow_exit_code(capsys):
+    # cosh(50 * 15) leaves the float range: exit 3 with one line, no traceback
+    rc = main(["--command", "illposedness", "--n", "50", "--t", "15",
+               "--n_tan", "128", "--n_ver", "8"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("khlab: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_solver_failure_exit_code(monkeypatch):

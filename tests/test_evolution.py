@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from khlab.core import PerturbationState, TwoPhaseGridField, WaveVector
+from khlab.core import PerturbationState, TwoPhaseGridField, WaveVector, inner_product_L2
 from khlab.evolution import (
     BoundaryModeState,
     StabilityError,
@@ -13,8 +13,8 @@ from khlab.evolution import (
     boundary_dispersion,
     evolve_boundary_mode,
     evolve_state,
-    r_fourier_multiplier,
 )
+from khlab.functionals import _r_energy
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +124,17 @@ def test_apply_A_on_r_single_x2_mode():
 
 
 def test_r_multiplier_per_phase_weights():
+    # || k^(1/2) A^(1/2) r ||^2 weighs the upper phase by a, the lower by b
     n_tan, n_ver = 16, 4
     comp = TwoPhaseGridField.from_function(
         lambda x1, x2, x3: np.cos(2 * x2) + 0 * x3, n_tan, n_ver)
-    out = r_fourier_multiplier(comp, 3.0, 5.0, power=1)
-    assert np.allclose(out.values_upper, 3.0 * 2.0 * comp.values_upper, atol=1e-12)
-    assert np.allclose(out.values_lower, 5.0 * 2.0 * comp.values_lower, atol=1e-12)
+    zero = TwoPhaseGridField.zeros(n_tan, n_ver)
+    upper = TwoPhaseGridField(n_tan, n_ver, comp.values_upper, zero.values_lower)
+    lower = TwoPhaseGridField(n_tan, n_ver, zero.values_upper, comp.values_lower)
+    for part, weight in ((upper, 3.0), (lower, 5.0)):
+        s = PerturbationState(2, r=(part, zero, zero))
+        expect = (weight * 2.0) ** 2 * inner_product_L2(part, part)
+        assert _r_energy(s, 3.0, 5.0) == pytest.approx(expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +242,84 @@ def test_rk4_stability_rejection():
     s = PerturbationState(2, g={40: 1.0}, g_dot={40: 0.0})
     with pytest.raises(StabilityError):
         evolve_state(s, 0.0, 0.0, 1.0, stepper="rk4", dt=0.1)
+
+
+def test_rk4_stability_checks_the_step_taken():
+    # dt = 0.01 passes |omega|*dt = 2.7, but t = 0.014 is one step of
+    # h = 0.014 with |omega|*h = 3.78, where RK4 amplifies a neutral mode
+    s = BoundaryModeState(WaveVector(0, 1), 1.0, 0.0)
+    with pytest.raises(StabilityError):
+        evolve_boundary_mode(s, 270.0, 270.0, 0.014, stepper="rk4", dt=0.01)
+    out = evolve_boundary_mode(s, 270.0, 270.0, 0.014, stepper="rk4", dt=0.005)
+    assert abs(out.amplitude) <= 1.0
+
+
+def _literal_rk4(y, v, lam_sq, t, dt):
+    """Classical RK4 stage by stage on (y' = v, v' = lam_sq * y)."""
+    steps = max(1, round(t / dt))
+    h = t / steps
+    for _ in range(steps):
+        k1y, k1v = v, lam_sq * y
+        k2y, k2v = v + 0.5 * h * k1v, lam_sq * (y + 0.5 * h * k1y)
+        k3y, k3v = v + 0.5 * h * k2v, lam_sq * (y + 0.5 * h * k2y)
+        k4y, k4v = v + h * k3v, lam_sq * (y + h * k3y)
+        y, v = (y + h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y),
+                v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+    return y, v
+
+
+def _reference_rk4_state(s, a, b, t, dt):
+    coeffs, r = {}, {}
+    for name, dot, sign in (("P", "P_dot", 1.0), ("L", "L_dot", 1.0), ("g", "g_dot", -2.0)):
+        c, d = getattr(s, name), getattr(s, dot)
+        for j in set(c) | set(d):
+            coeffs[name, j] = _literal_rk4(c.get(j, 0j), d.get(j, 0j), sign * j * j, t, dt)
+    # r per x2 Fourier mode and phase: k2^2 weighted by a^2 above, b^2 below
+    k2 = np.abs(np.fft.fftfreq(s.r[0].n_tan) * s.r[0].n_tan)[None, :, None]
+    for i in range(3):
+        for phase, weight in (("values_upper", a), ("values_lower", b)):
+            y = np.fft.fft(getattr(s.r[i], phase), axis=1)
+            v = np.fft.fft(getattr(s.r_dot[i], phase), axis=1)
+            y, v = _literal_rk4(y, v, -(weight * k2) ** 2, t, dt)
+            r[i, phase] = np.fft.ifft(y, axis=1).real, np.fft.ifft(v, axis=1).real
+    return coeffs, r
+
+
+def test_rk4_propagator_matches_literal_stages():
+    n_tan, n_ver = 16, 6
+    rng = np.random.default_rng(3)
+
+    def field(zero_rows=False):
+        up, lo = rng.standard_normal((2, n_tan, n_tan, n_ver + 1))
+        if zero_rows:
+            up[:, :, [0, -1]] = 0.0
+            lo[:, :, [0, -1]] = 0.0
+        return TwoPhaseGridField(n_tan, n_ver, up, lo)
+
+    s = PerturbationState(3, P={4: 1.0 - 0.5j, 6: 0.2j}, P_dot={4: 0.3, 5: -1.0},
+                          L={1: 0.7, 2: -0.1j}, L_dot={2: 0.4},
+                          g={1: 1.0, 3: 0.5 + 0.5j}, g_dot={3: -0.2, 5: 1.0j},
+                          r=(field(), field(), field(True)),
+                          r_dot=(field(), field(), field(True)))
+    a, b, t = 0.9, 0.35, 0.8
+    for dt in (0.02, 0.007):
+        got = evolve_state(s, a, b, t, stepper="rk4", dt=dt)
+        coeffs, r = _reference_rk4_state(s, a, b, t, dt)
+        for (name, j), (y, v) in coeffs.items():
+            assert getattr(got, name)[j] == pytest.approx(y, rel=1e-12, abs=0)
+            assert getattr(got, name + "_dot")[j] == pytest.approx(v, rel=1e-12, abs=0)
+        for (i, phase), (y, v) in r.items():
+            assert np.max(np.abs(getattr(got.r[i], phase) - y)) <= 1e-12 * np.max(np.abs(y))
+            assert np.max(np.abs(getattr(got.r_dot[i], phase) - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_propagator_overflow_raises():
+    s = PerturbationState(2, P={50: 1.0}, P_dot={50: 50.0})
+    for stepper, dt in (("exact", None), ("rk4", 0.01)):
+        with pytest.raises(OverflowError):
+            evolve_state(s, 0.0, 0.0, 15.0, stepper=stepper, dt=dt)
+    with pytest.raises(OverflowError):
+        evolve_boundary_mode(BoundaryModeState(WaveVector(50, 0), 1.0, 0.0), 0.0, 0.0, 15.0)
 
 
 def test_rk4_r_block_matches_exact():
