@@ -19,9 +19,9 @@ from importlib import resources
 
 import numpy as np
 
-from khlab.core import ShearParams, WaveVector
+from khlab.core import ShearParams, WaveVector, vertical_levels
 from khlab.eigenmodes import build_linearized_mode, build_wall_bounded_profiles, verify_mode
-from khlab.evolution import evolve_state
+from khlab.evolution import boundary_dispersion, evolve_state
 from khlab.functionals import (
     check_growth_corollary,
     check_proposition2,
@@ -36,7 +36,6 @@ from khlab.pressure import (
     mode_solver_fd_error,
 )
 from khlab.stability import evaluate_point, stability_map
-from khlab.evolution import boundary_dispersion
 
 COMMANDS = ("dispersion", "map", "modes", "pressure", "evolve",
             "functionals", "illposedness", "verify")
@@ -328,7 +327,10 @@ def _json_payload(cfg: RunConfig, data):
                       for k, v in _config_echo(cfg).items()},
            "data": data}
     validate_report(doc)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite value in the report: {exc}") from None
 
 
 def load_report_schema():
@@ -423,15 +425,11 @@ def _cmd_map(cfg: RunConfig):
 
 def _cmd_modes(cfg: RunConfig):
     W, V = build_wall_bounded_profiles(cfg.k)
-    rows = []
-    zu = np.linspace(0.0, 1.0, cfg.n_ver + 1)
-    for x3 in zu:
-        rows.append((x3, "upper", complex(W.eval_upper(x3)).real,
-                     complex(V.eval_upper(x3)).imag))
-    zl = np.linspace(-1.0, 0.0, cfg.n_ver + 1)
-    for x3 in zl:
-        rows.append((x3, "lower", complex(W.eval_lower(x3)).real,
-                     complex(V.eval_lower(x3)).imag))
+    zu, zl = vertical_levels(cfg.n_ver)
+    rows = [(x3, "upper", complex(W.eval_upper(x3)).real, complex(V.eval_upper(x3)).imag)
+            for x3 in zu]
+    rows += [(x3, "lower", complex(W.eval_lower(x3)).real, complex(V.eval_lower(x3)).imag)
+             for x3 in zl]
     return 0, _csv_payload(cfg, ("x3", "phase", "W_re", "V_im"), rows)
 
 
@@ -463,29 +461,26 @@ def _cmd_pressure(cfg: RunConfig):
 
 
 def _evolve_series(cfg: RunConfig):
+    """(cutoff, samples); samples yields (t, state) lazily, each evolved from t = 0."""
     n = cfg.n
     cutoff = cfg.n_cutoff if cfg.n_cutoff is not None else n
-    chi, chi_dot = perturbed_initial_data(n, cfg.scale, cfg.n_tan, cfg.n_ver)
-    state = decompose_perturbation(chi, chi_dot, cutoff)
+    state = decompose_perturbation(
+        *perturbed_initial_data(n, cfg.scale, cfg.n_tan, cfg.n_ver), cutoff)
     dt = cfg.dt
     if cfg.stepper == "rk4" and dt is None:
         omega_max = max(math.sqrt(2.0) * max([n] + list(state.P) + list(state.g) + [1]),
                         max(cfg.a, cfg.b) * (cfg.n_tan // 2))
         dt = _default_dt(omega_max)
-    times = np.linspace(0.0, cfg.t, cfg.samples)
-    trajectory = []
-    for t in times:
-        out = evolve_state(state, cfg.a, cfg.b, float(t),
-                           stepper=cfg.stepper,
-                           dt=dt if cfg.stepper == "rk4" else None)
-        trajectory.append((float(t), out))
-    return cutoff, trajectory
+    samples = ((float(t), evolve_state(state, cfg.a, cfg.b, float(t), stepper=cfg.stepper,
+                                       dt=dt if cfg.stepper == "rk4" else None))
+               for t in np.linspace(0.0, cfg.t, cfg.samples))
+    return cutoff, samples
 
 
 def _cmd_evolve(cfg: RunConfig):
-    cutoff, trajectory = _evolve_series(cfg)
+    cutoff, samples = _evolve_series(cfg)
     rows = []
-    for t, state in trajectory:
+    for t, state in samples:
         rep = compute_functionals(state, [1.0], cfg.a, cfg.b, t=t)
         rows.append((t, rep.E_plus[1.0], rep.E_minus[1.0], rep.G, rep.F,
                      h2_readout(state)))
@@ -494,8 +489,8 @@ def _cmd_evolve(cfg: RunConfig):
 
 
 def _cmd_functionals(cfg: RunConfig):
-    cutoff, trajectory = _evolve_series(cfg)
-    prop = check_proposition2(trajectory, cutoff, cfg.a, cfg.b)
+    cutoff, samples = _evolve_series(cfg)
+    prop = check_proposition2(samples, cutoff, cfg.a, cfg.b)
     series = []
     for t, E1p, E1m, F, G in zip(prop.times, prop.E1_plus, prop.E1_minus,
                                  prop.F, prop.G):
@@ -507,15 +502,24 @@ def _cmd_functionals(cfg: RunConfig):
 
 
 def _cmd_illposedness(cfg: RunConfig):
-    cutoff, trajectory = _evolve_series(cfg)
-    growth = check_growth_corollary(trajectory, cutoff, tol=GROWTH_TOL)
-    t_final, final_state = trajectory[-1]
-    E0 = compute_functionals(trajectory[0][1], [1.0], cfg.a, cfg.b).E_plus[1.0]
-    Ef = compute_functionals(final_state, [1.0], cfg.a, cfg.b).E_plus[1.0]
+    cutoff, samples = _evolve_series(cfg)
+    kept = {}
+
+    def watched():
+        # keep E1+(0) and the final sample while the check streams the rest
+        for t, state in samples:
+            if not kept:
+                kept["E0"] = compute_functionals(state, [1.0], cfg.a, cfg.b, t).E_plus[1.0]
+            kept["final"] = t, state
+            yield t, state
+
+    growth = check_growth_corollary(watched(), cutoff, tol=GROWTH_TOL)
+    t_final, final_state = kept["final"]
+    Ef = compute_functionals(final_state, [1.0], cfg.a, cfg.b, t_final).E_plus[1.0]
     data = {
         "n": cfg.n,
         "t_final": t_final,
-        "growth_factor": Ef / E0 if E0 > 0 else float("nan"),
+        "growth_factor": Ef / kept["E0"],
         "required_factor": math.exp(cutoff * t_final) * (1.0 - GROWTH_TOL),
         "initial_sup_norm": cfg.scale * math.exp(-math.sqrt(cfg.n)),
         "h2_readout_final": h2_readout(final_state),
@@ -560,6 +564,9 @@ def run(cfg: RunConfig) -> int:
         return 3
     except OverflowError as exc:
         sys.stderr.write(f"khlab: numerical overflow: {exc}\n")
+        return 3
+    except FloatingPointError as exc:
+        sys.stderr.write(f"khlab: {exc}\n")
         return 3
     except ValueError as exc:
         sys.stderr.write(f"khlab: invalid input: {exc}\n")

@@ -225,9 +225,6 @@ class SpectralMode:
     lam: complex
     phase_shift: float = 1.0
 
-    def component(self, i: int) -> VerticalProfile:
-        return self.profiles[i]
-
     def velocity(self, x1, x2, x3, t=0.0):
         """Velocity components at points (complex mode values)."""
         x1 = np.asarray(x1, dtype=float)
@@ -301,10 +298,6 @@ class TwoPhaseGridField:
     def h_ver(self) -> float:
         return 1.0 / self.n_ver
 
-    @property
-    def spacings(self) -> tuple:
-        return (self.h_tan, self.h_ver)
-
     def same_grid(self, other) -> bool:
         return self.n_tan == other.n_tan and self.n_ver == other.n_ver
 
@@ -370,6 +363,16 @@ def vector_field_zeros(n_tan, n_ver):
     return tuple(TwoPhaseGridField.zeros(n_tan, n_ver) for _ in range(3))
 
 
+def row_profile_field(row_up, row_lo, profile, n_tan, n_ver):
+    """Re(row(x1) * profile(x3)) per phase on the grid, constant in x2."""
+    zu, zl = vertical_levels(n_ver)
+    shape = (n_tan, n_tan, n_ver + 1)
+    up = np.real(row_up[:, None, None] * profile.eval_upper(zu)[None, None, :])
+    lo = np.real(row_lo[:, None, None] * profile.eval_lower(zl)[None, None, :])
+    return TwoPhaseGridField(n_tan, n_ver, np.broadcast_to(up, shape).copy(),
+                             np.broadcast_to(lo, shape).copy())
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -394,10 +397,6 @@ def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
     s = np.sum(f.values_upper * g.values_upper * w)
     s += np.sum(f.values_lower * g.values_lower * w)
     return float(s * f.h_tan ** 2)
-
-
-def norm_L2(f: TwoPhaseGridField) -> float:
-    return math.sqrt(max(inner_product_L2(f, f), 0.0))
 
 
 def inner_product_vector(fs, gs) -> float:
@@ -472,35 +471,62 @@ def apply_x2_multiplier(f: TwoPhaseGridField, multiplier) -> TwoPhaseGridField:
 # perturbation state
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _r_spectrum(vec):
+    """x2 rfft of a grid 3-vector, axes (component, phase, x1, k2, x3); None stays None."""
+    if vec is None:
+        return None
+    if len(vec) != 3:
+        raise ValueError("r must be a 3-vector of grid fields")
+    values = np.stack([(c.values_upper, c.values_lower) for c in vec])
+    _check_r_field(values)
+    return np.fft.rfft(values, axis=3)
+
+
+def _r_grid(spectrum):
+    """The grid 3-vector of an x2 spectrum (inverse of _r_spectrum)."""
+    if spectrum is None:
+        return None
+    n_tan, n_ver = spectrum.shape[2], spectrum.shape[4] - 1
+    values = np.fft.irfft(spectrum, n=n_tan, axis=3)
+    return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
+
+
+def _check_r_field(values):
+    """r3 must vanish exactly on interface and wall rows, in grid values or x2 spectrum."""
+    if values is not None and np.any(values[2][..., [0, -1]] != 0.0):
+        raise ValueError("third component of r must vanish exactly on "
+                         "the interface and the walls")
+
+
 class PerturbationState:
     """Four-part decomposition of an interface perturbation.
 
     Coefficient maps are indexed by the streamwise integer frequency j
     of the odd/even harmonic potential families: P carries j >= n_cutoff,
-    L carries 1 <= j < n_cutoff, g carries every j >= 1.  r and r_dot are
-    optional 3-vector grid fields whose third component vanishes on the
-    interface and the walls.  The *_dot partners hold the coefficient
-    velocities used by the second-order evolution.
+    L carries 1 <= j < n_cutoff, g carries every j >= 1.  The *_dot
+    partners hold the coefficient velocities used by the second-order
+    evolution.
+
+    r and r_dot are optional 3-vector fields whose third component
+    vanishes on the interface and the walls.  The r block is diagonal in
+    the x2 Fourier modes, so they are stored only as their x2 spectra
+    r_hat and r_dot_hat: rfft(values, axis=x2), complex arrays of shape
+    (3, 2, n_tan, n_tan//2 + 1, n_ver + 1), axes (component, phase, x1,
+    k2, x3).  The r= and r_dot= arguments take grid 3-vectors, transformed
+    once; state.r and state.r_dot read back fresh grid fields.
 
     Coefficients live in the co-moving tangential frame: materialising
     a field at time t multiplies mode j by exp(+i*j*t) in the upper
     phase and exp(-i*j*t) in the lower one.
     """
 
-    n_cutoff: int
-    P: dict = field(default_factory=dict)
-    P_dot: dict = field(default_factory=dict)
-    L: dict = field(default_factory=dict)
-    L_dot: dict = field(default_factory=dict)
-    g: dict = field(default_factory=dict)
-    g_dot: dict = field(default_factory=dict)
-    r: tuple = None
-    r_dot: tuple = None
-
-    def __post_init__(self):
-        if self.n_cutoff < 1:
+    def __init__(self, n_cutoff, P=None, P_dot=None, L=None, L_dot=None,
+                 g=None, g_dot=None, r=None, r_dot=None):
+        if n_cutoff < 1:
             raise ValueError("n_cutoff must be >= 1")
+        self.n_cutoff = n_cutoff
+        self.P, self.P_dot, self.L, self.L_dot, self.g, self.g_dot = (
+            {} if c is None else c for c in (P, P_dot, L, L_dot, g, g_dot))
         for j in list(self.P) + list(self.P_dot):
             if j < self.n_cutoff:
                 raise ValueError(f"P coefficient {j} below cutoff {self.n_cutoff}")
@@ -510,32 +536,21 @@ class PerturbationState:
         for j in list(self.g) + list(self.g_dot):
             if j < 1:
                 raise ValueError("g coefficients are indexed by j >= 1")
-        for vec in (self.r, self.r_dot):
-            if vec is not None:
-                _check_r_field(vec)
+        self.r_hat, self.r_dot_hat = _r_spectrum(r), _r_spectrum(r_dot)
 
-    def copy(self) -> "PerturbationState":
-        return PerturbationState(
-            self.n_cutoff,
-            dict(self.P), dict(self.P_dot),
-            dict(self.L), dict(self.L_dot),
-            dict(self.g), dict(self.g_dot),
-            tuple(c.copy() for c in self.r) if self.r is not None else None,
-            tuple(c.copy() for c in self.r_dot) if self.r_dot is not None else None,
-        )
+    @classmethod
+    def _from_spectra(cls, n_cutoff, P, P_dot, L, L_dot, g, g_dot, r_hat, r_dot_hat):
+        """A state built straight from x2 spectra (checked, not transformed)."""
+        state = cls(n_cutoff, P, P_dot, L, L_dot, g, g_dot)
+        for spectrum in (r_hat, r_dot_hat):
+            _check_r_field(spectrum)
+        state.r_hat, state.r_dot_hat = r_hat, r_dot_hat
+        return state
 
-    def support(self) -> dict:
-        return {"P": sorted(set(self.P) | set(self.P_dot)),
-                "L": sorted(set(self.L) | set(self.L_dot)),
-                "g": sorted(set(self.g) | set(self.g_dot))}
+    @property
+    def r(self):
+        return _r_grid(self.r_hat)
 
-
-def _check_r_field(vec):
-    if len(vec) != 3:
-        raise ValueError("r must be a 3-vector of grid fields")
-    r3 = vec[2]
-    for row in (r3.upper_interface_trace(), r3.upper_wall_trace(),
-                r3.lower_interface_trace(), r3.lower_wall_trace()):
-        if np.any(row != 0.0):
-            raise ValueError("third component of r must vanish exactly on "
-                             "the interface and the walls")
+    @property
+    def r_dot(self):
+        return _r_grid(self.r_dot_hat)

@@ -36,7 +36,8 @@ from khlab.core import (
     WaveVector,
     coth,
     inv_expm1,
-    vertical_levels,
+    row_profile_field,
+    tangential_grid,
 )
 
 
@@ -97,13 +98,6 @@ class HarmonicPotential:
                 VerticalProfile.zero(self.profile.kappa),
                 self.profile.derivative())
 
-    def eval(self, x1, x3, t=0.0):
-        """Complex potential values; real part is the physical field."""
-        x1 = np.asarray(x1, dtype=float)
-        x3 = np.asarray(x3, dtype=float)
-        drift = np.where(x3 >= 0.0, t, -t)
-        return np.exp(1j * self.j * (x1 + drift)) * self.profile.eval(x3)
-
 
 def build_harmonic_potentials(j: int):
     """The odd/even harmonic potential pair at streamwise frequency j.
@@ -137,19 +131,12 @@ def potential_gradient_field(pot: HarmonicPotential, coeff, n_tan: int, n_ver: i
                              t: float = 0.0):
     """Materialise Re(coeff * grad potential) on a two-phase grid."""
     gx1, _, gx3 = pot.gradient_profiles()
-    x1 = TWO_PI * np.arange(n_tan) / n_tan
-    zu, zl = vertical_levels(n_ver)
-    comps = []
-    for prof in (gx1, None, gx3):
-        up = np.zeros((n_tan, n_tan, n_ver + 1))
-        lo = np.zeros_like(up)
-        if prof is not None:
-            row_up = coeff * np.exp(1j * pot.j * (x1 + t))
-            row_lo = coeff * np.exp(1j * pot.j * (x1 - t))
-            up[:] = np.real(row_up[:, None, None] * prof.eval_upper(zu)[None, None, :])
-            lo[:] = np.real(row_lo[:, None, None] * prof.eval_lower(zl)[None, None, :])
-        comps.append(TwoPhaseGridField(n_tan, n_ver, up, lo))
-    return tuple(comps)
+    x1, _ = tangential_grid(n_tan)
+    row_up = coeff * np.exp(1j * pot.j * (x1 + t))
+    row_lo = coeff * np.exp(1j * pot.j * (x1 - t))
+    return (row_profile_field(row_up, row_lo, gx1, n_tan, n_ver),
+            TwoPhaseGridField.zeros(n_tan, n_ver),
+            row_profile_field(row_up, row_lo, gx3, n_tan, n_ver))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ independently (the linear system is block-diagonal):
     g block   c'' = -2 j^2 c      even potentials, neutral oscillation
     r block   c'' = -k * k2^2 c   per phase, k = a^2 above / b^2 below
 
-The operator A acts as the j^2 multiplier on potential coefficients and
-as the tangential Fourier multiplier k2^2 on r.  Every mode, including
+A acts as j^2 on potential coefficients and as k2^2 on the x2 spectrum
+in which a state stores r, so no step transforms.  Every mode, including
 each x2 Fourier mode of r, obeys y'' = lambda^2 y and is advanced by one
 propagator (C, S): y(t) = C y0 + S v0, v(t) = lambda^2 S y0 + C v0.  The
 exact stepper takes C and S in closed form (cosh/sinh, cos/sin or
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from khlab.core import PerturbationState, TwoPhaseGridField, WaveVector, apply_x2_multiplier
+from khlab.core import PerturbationState, WaveVector
 
 RK4_STABILITY_LIMIT = 2.8   # max |omega| * h for the oscillatory blocks
 
@@ -144,42 +144,29 @@ def apply_A(state: PerturbationState) -> PerturbationState:
     """Apply the block operator A to every part of a state.
 
     Potential coefficients (P, L, g and their velocities) are multiplied
-    by j^2; the r fields get the tangential Fourier multiplier k2^2,
-    i.e. the negative second x2 derivative.
+    by j^2; the r spectra get the x2 Fourier multiplier k2^2, i.e. the
+    negative second x2 derivative.
     """
     def scale(coeffs):
         return {j: (j ** 2) * c for j, c in coeffs.items()}
 
-    def on_r(vec):
-        if vec is None:
+    def on_r(spectrum):
+        if spectrum is None:
             return None
-        return tuple(apply_x2_multiplier(comp, lambda k2: k2 ** 2) for comp in vec)
+        return spectrum * (np.arange(spectrum.shape[3], dtype=float) ** 2)[:, None]
 
-    return PerturbationState(
+    return PerturbationState._from_spectra(
         state.n_cutoff,
         scale(state.P), scale(state.P_dot),
         scale(state.L), scale(state.L_dot),
         scale(state.g), scale(state.g_dot),
-        on_r(state.r), on_r(state.r_dot),
+        on_r(state.r_hat), on_r(state.r_dot_hat),
     )
 
 
 # ---------------------------------------------------------------------------
 # full linear evolution
 # ---------------------------------------------------------------------------
-
-def _r_spectrum(vec):
-    """x2 rfft of a 3-vector field as (component, phase, x1, k2, x3); None is 0."""
-    if vec is None:
-        return 0.0
-    values = np.stack([(c.values_upper, c.values_lower) for c in vec])
-    return np.fft.rfft(values, axis=3)
-
-
-def _r_fields(spectrum, n_tan, n_ver):
-    values = np.fft.irfft(spectrum, n=n_tan, axis=3)
-    return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
-
 
 def evolve_state(state: PerturbationState, a: float, b: float, t: float,
                  stepper: str = "exact", dt: float = None) -> PerturbationState:
@@ -197,10 +184,10 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     keys = [sorted(set(c) | set(d)) for c, d, _ in blocks]
     lam_sq = np.array([sign * float(j * j) for (_, _, sign), js in zip(blocks, keys)
                        for j in js])
-    has_r = state.r is not None or state.r_dot is not None
+    r_hat, r_dot_hat = state.r_hat, state.r_dot_hat
+    has_r = r_hat is not None or r_dot_hat is not None
     if has_r:
-        grid = (state.r or state.r_dot)[0]
-        k2 = np.arange(grid.n_tan // 2 + 1, dtype=float)
+        k2 = np.arange((r_dot_hat if r_hat is None else r_hat).shape[3], dtype=float)
         lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
         lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
     C, S = _propagators(lam_sq, t, stepper, dt)
@@ -214,12 +201,11 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
         evolved.append(dict(zip(js, (c * C[sl] + d * S[sl]).tolist())))
         evolved.append(dict(zip(js, (c * lam_sq[sl] * S[sl] + d * C[sl]).tolist())))
 
-    r, r_dot = state.r, state.r_dot
     if has_r:
         shape = (1, 2, 1, k2.size, 1)
         Cr, Sr = C[i:].reshape(shape), S[i:].reshape(shape)
-        y0, v0 = _r_spectrum(state.r), _r_spectrum(state.r_dot)
-        r = _r_fields(y0 * Cr + v0 * Sr, grid.n_tan, grid.n_ver)
-        r_dot = _r_fields(y0 * (lam_r.reshape(shape) * Sr) + v0 * Cr, grid.n_tan, grid.n_ver)
+        y0 = 0.0 if r_hat is None else r_hat
+        v0 = 0.0 if r_dot_hat is None else r_dot_hat
+        r_hat, r_dot_hat = y0 * Cr + v0 * Sr, y0 * (lam_r.reshape(shape) * Sr) + v0 * Cr
 
-    return PerturbationState(state.n_cutoff, *evolved, r, r_dot)
+    return PerturbationState._from_spectra(state.n_cutoff, *evolved, r_hat, r_dot_hat)

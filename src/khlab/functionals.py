@@ -17,10 +17,10 @@ operator A (the j^2 multiplier on potential coefficients, k2^2 on r):
               + || dr/dt ||^2 + || k^(1/2) A^(1/2) r ||^2
 
 with k = a^2 above and b^2 below the interface.  Fractional powers act
-spectrally (j^mu on coefficients, |k2|^mu on r).  E_mu+ isolates the
-growing branch: along exact evolution it is monotone with rate at least
-2*n, which is what the invariant-region and exponential-growth checks
-exercise.
+spectrally (j^mu on coefficients, |k2|^mu on the stored x2 spectrum of r,
+whose part of F is a weighted Parseval sum).  E_mu+ isolates the growing
+branch: along exact evolution it is monotone with rate at least 2*n,
+which is what the invariant-region and exponential-growth checks exercise.
 
 The decomposition assumes data at reference time zero; materialising a
 state at a later time applies the co-moving drift phases.
@@ -36,8 +36,9 @@ from khlab.core import (
     TwoPhaseGridField,
     WaveVector,
     _integer_frequencies,
-    apply_x2_multiplier,
-    inner_product_vector,
+    _vertical_weights,
+    row_profile_field,
+    tangential_grid,
     trace_spectrum,
     vector_field_zeros,
 )
@@ -70,13 +71,8 @@ def _streamwise_trace_coefficients(trace_up, trace_lo, tol):
     sl = trace_spectrum(trace_lo)
     freqs = _integer_frequencies(n)
 
-    off_line = 0.0
-    for i2, k2 in enumerate(freqs):
-        if k2 == 0:
-            continue
-        off_line = max(off_line,
-                       float(np.max(np.abs(su[:, i2]))),
-                       float(np.max(np.abs(sl[:, i2]))))
+    # column 0 is k2 = 0, the streamwise line
+    off_line = max(float(np.max(np.abs(su[:, 1:]))), float(np.max(np.abs(sl[:, 1:]))))
     if off_line > tol:
         raise ValueError(
             "interface trace has tangential content off the streamwise "
@@ -138,20 +134,13 @@ def _gradient_from_coefficients(odd, even, n_tan, n_ver, t=0.0):
 
 
 def _snap_r_rows(r3: TwoPhaseGridField, tol):
-    worst = max(float(np.max(np.abs(r3.values_upper[:, :, 0]))),
-                float(np.max(np.abs(r3.values_lower[:, :, -1]))),
-                float(np.max(np.abs(r3.values_upper[:, :, -1]))),
-                float(np.max(np.abs(r3.values_lower[:, :, 0]))))
+    up, lo = r3.values_upper.copy(), r3.values_lower.copy()
+    worst = max(float(np.max(np.abs(v[:, :, [0, -1]]))) for v in (up, lo))
     if worst > tol:
         raise ValueError(
             f"remainder field keeps a wall-normal trace of {worst:.3e}; "
             "decomposition failed to absorb the interface motion")
-    up = r3.values_upper.copy()
-    lo = r3.values_lower.copy()
-    up[:, :, 0] = 0.0
-    up[:, :, -1] = 0.0
-    lo[:, :, 0] = 0.0
-    lo[:, :, -1] = 0.0
+    up[:, :, [0, -1]] = lo[:, :, [0, -1]] = 0.0
     return TwoPhaseGridField(r3.n_tan, r3.n_ver, up, lo)
 
 
@@ -261,16 +250,27 @@ def _quadratic_block(coeffs, dots):
 
 
 def _r_energy(state: PerturbationState, a: float, b: float):
+    """||dr/dt||^2 + ||k^(1/2) A^(1/2) r||^2 as Parseval sums over the x2 spectra.
+
+    h_tan^2/n_tan * sum c_k m_k w_x3 |r_hat|^2: c_k = 1 at k2 = 0 and at the Nyquist
+    mode of even n_tan, else 2 (the conjugates rfft omits); m_k = 1 for r_dot,
+    (a*k2)^2 above and (b*k2)^2 below the interface for r; w_x3 trapezoid weights.
+    """
+    def parseval(spectrum, m):
+        n_tan, n_ver = spectrum.shape[2], spectrum.shape[4] - 1
+        k2 = np.arange(spectrum.shape[3])
+        c = np.where((k2 == 0) | (2 * k2 == n_tan), 1.0, 2.0)
+        power = sum(np.einsum("cpikz,cpikz->pkz", part, part)
+                    for part in (spectrum.real, spectrum.imag))
+        w = _vertical_weights(n_ver, 1.0 / n_ver) * (2.0 * math.pi / n_tan) ** 2 / n_tan
+        return float(np.einsum("pkz,pk,z->", power, m * c, w))
+
     total = 0.0
-    if state.r_dot is not None:
-        total += inner_product_vector(state.r_dot, state.r_dot)
-    if state.r is not None:
-        weighted = []
-        for comp in state.r:
-            d = apply_x2_multiplier(comp, np.abs)
-            weighted.append(TwoPhaseGridField(d.n_tan, d.n_ver, a * d.values_upper,
-                                              b * d.values_lower))
-        total += inner_product_vector(weighted, weighted)
+    if state.r_dot_hat is not None:
+        total += parseval(state.r_dot_hat, np.ones((2, 1)))
+    if state.r_hat is not None:
+        k2 = np.arange(state.r_hat.shape[3], dtype=float)
+        total += parseval(state.r_hat, (np.array([[a], [b]]) * k2) ** 2)
     return total
 
 
@@ -280,16 +280,18 @@ def compute_functionals(state: PerturbationState, mus, a: float, b: float,
 
     Coefficient norms use the closed-form basis weight
     ||grad of unit potential||^2 = 4*pi^2*j*coth(j); the r contributions
-    are evaluated by grid quadrature with the per-phase field weights
-    a (upper) and b (lower) on the half-power stiffness.
+    are Parseval sums over the stored x2 spectra, with the per-phase
+    field weights a (upper) and b (lower) on the half-power stiffness.
+    Raises OverflowError when a value leaves the float range.
     """
     E_plus, E_minus = {}, {}
-    for mu in mus:
-        p, m = _E_mu(state, float(mu))
-        E_plus[float(mu)] = p
-        E_minus[float(mu)] = m
-    G = _quadratic_block(state.L, state.L_dot)
-    F = _quadratic_block(state.g, state.g_dot) + _r_energy(state, a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mu in mus:
+            E_plus[float(mu)], E_minus[float(mu)] = _E_mu(state, float(mu))
+        G = _quadratic_block(state.L, state.L_dot)
+        F = _quadratic_block(state.g, state.g_dot) + _r_energy(state, a, b)
+    if not all(map(math.isfinite, [*E_plus.values(), *E_minus.values(), G, F])):
+        raise OverflowError(f"growth functionals leave the float range at t={t}")
     return FunctionalReport(t, E_plus, E_minus, G, F)
 
 
@@ -366,22 +368,29 @@ def _aux_bounds_ok(state: PerturbationState, n: int, rel=1e-12):
     return order_ok, low_ok
 
 
+def _time_ordered(trajectory):
+    """Yield the (t, state) samples of an iterable in one pass, checking the order."""
+    previous = None
+    for t, state in trajectory:
+        if previous is not None and t < previous:
+            raise ValueError("trajectory must be time-ordered")
+        previous = t
+        yield t, state
+    if previous is None:
+        raise ValueError("trajectory must contain at least one sample")
+
+
 def check_proposition2(trajectory, n_cutoff: int, a: float, b: float) -> Proposition2Report:
     """Check the invariant region along a time-ordered trajectory.
 
-    trajectory is a sequence of (t, PerturbationState) sharing n_cutoff.
-    Raises on an empty trajectory; states with mismatched cutoffs are
-    rejected.  a and b enter only through the r part of F.
+    trajectory is an iterable of (t, PerturbationState) sharing n_cutoff,
+    consumed in one pass.  Raises on an empty or out-of-order trajectory;
+    states with mismatched cutoffs are rejected.  a and b enter only
+    through the r part of F.
     """
-    trajectory = list(trajectory)
-    if not trajectory:
-        raise ValueError("trajectory must contain at least one sample")
-    times = [t for t, _ in trajectory]
-    if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("trajectory must be time-ordered")
     report = Proposition2Report(n_cutoff=n_cutoff)
     n3 = float(n_cutoff) ** 3
-    for t, state in trajectory:
+    for t, state in _time_ordered(trajectory):
         if state.n_cutoff != n_cutoff:
             raise ValueError("states must share the trajectory n_cutoff")
         rep = compute_functionals(state, [1.0], a, b, t=t)
@@ -418,18 +427,19 @@ class GrowthReport:
 
 def check_growth_corollary(trajectory, n_cutoff: int,
                            tol: float = 1e-8) -> GrowthReport:
-    """True iff E1+(t) >= E1+(0) * e^(n_cutoff * t) * (1 - tol) at all samples."""
-    trajectory = list(trajectory)
-    if not trajectory:
-        raise ValueError("trajectory must contain at least one sample")
-    t0, s0 = trajectory[0]
-    E0 = compute_functionals(s0, [1.0], 0.0, 0.0).E_plus[1.0]
-    if E0 == 0.0:
-        raise ValueError("E1+(0) = 0: growth ratio undefined")
+    """True iff E1+(t) >= E1+(0) * e^(n_cutoff * t) * (1 - tol) at all samples.
+
+    trajectory is an iterable of (t, PerturbationState), consumed in one
+    pass; its first sample is the reference time.
+    """
     times, margins = [], []
     passed = True
-    for t, state in trajectory:
-        E = compute_functionals(state, [1.0], 0.0, 0.0).E_plus[1.0]
+    for t, state in _time_ordered(trajectory):
+        E = compute_functionals(state, [1.0], 0.0, 0.0, t=t).E_plus[1.0]
+        if not times:
+            t0, E0 = t, E
+            if E0 == 0.0:
+                raise ValueError("E1+(0) = 0: growth ratio undefined")
         target = E0 * math.exp(n_cutoff * (t - t0))
         margins.append(E / target)
         times.append(t)
@@ -456,20 +466,10 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
     k = WaveVector(n, 0)
     W, V = build_wall_bounded_profiles(k)
     amp = scale * math.exp(-math.sqrt(n))
-    x1 = 2.0 * math.pi * np.arange(n_tan) / n_tan
-    zu = np.linspace(0.0, 1.0, n_ver + 1)
-    zl = np.linspace(-1.0, 0.0, n_ver + 1)
+    x1, _ = tangential_grid(n_tan)
     row = amp * np.exp(1j * n * x1)
-
-    def materialise(profile):
-        up = np.real(row[:, None, None] * profile.eval_upper(zu)[None, None, :])
-        lo = np.real(row[:, None, None] * profile.eval_lower(zl)[None, None, :])
-        shape = (n_tan, n_tan, n_ver + 1)
-        return TwoPhaseGridField(n_tan, n_ver,
-                                 np.broadcast_to(up, shape).copy(),
-                                 np.broadcast_to(lo, shape).copy())
-
     chi = vector_field_zeros(n_tan, n_ver)
-    chi_dot = (materialise(V), TwoPhaseGridField.zeros(n_tan, n_ver),
-               materialise(W))
+    chi_dot = (row_profile_field(row, row, V, n_tan, n_ver),
+               TwoPhaseGridField.zeros(n_tan, n_ver),
+               row_profile_field(row, row, W, n_tan, n_ver))
     return chi, chi_dot

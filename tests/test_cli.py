@@ -285,3 +285,53 @@ def test_numeric_formatting_round_trip(capsys):
     # 17 significant digits survive the text round trip exactly
     expect = -(0.1 ** 2 + 0.2 ** 2) / (4 * math.pi * 2.0)
     assert gamma == expect
+
+
+def test_non_finite_report_exit_code(monkeypatch, capsys):
+    # a NaN reaching a JSON report is a numerical failure: exit 3, one line
+    import khlab.cli as cli_mod
+
+    def nan_report(cfg):
+        return 0, cli_mod._json_payload(cfg, {"growth_factor": float("nan"), "passed": True})
+
+    monkeypatch.setitem(cli_mod._HANDLERS, "illposedness", nan_report)
+    rc = main(["--command", "illposedness", "--n", "4"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("khlab: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_functional_overflow_exit_code(capsys):
+    # E1+ ~ e^{2 n t} overflows at n t = 400 although the propagator does not:
+    # exit 3 with one line, and no RuntimeWarning on the way
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--command", "evolve", "--n", "50", "--t", "8",
+                   "--n_tan", "128", "--n_ver", "8", "--samples", "2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("khlab: numerical overflow") and captured.err.count("\n") == 1
+
+
+def test_sample_series_memory_does_not_grow_with_samples(capsys):
+    # the series is streamed: only the sample being checked is alive
+    import tracemalloc
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            rc = main(["--command", "functionals", "--n", "4", "--n_tan", "32",
+                       "--n_ver", "16", "--samples", str(samples)])
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc == 0
+        return peak_bytes
+
+    assert peak(9) <= 1.5 * peak(2)

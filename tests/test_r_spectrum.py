@@ -1,0 +1,159 @@
+"""The r block stored as its x2 spectrum: Parseval energy, FFT-free hot paths, streaming."""
+
+import numpy as np
+import pytest
+
+from khlab.core import (
+    PerturbationState,
+    TwoPhaseGridField,
+    apply_x2_multiplier,
+    inner_product_vector,
+)
+from khlab.evolution import apply_A, evolve_state
+from khlab.functionals import (
+    _r_energy,
+    check_growth_corollary,
+    check_proposition2,
+    compute_functionals,
+)
+
+
+def _r_vector(n_tan, n_ver, seed):
+    """A 3-vector with content at k2 = 0, a generic k2 and the top (Nyquist) k2.
+
+    The third component carries x3 * (1 - |x3|), which is exactly zero on
+    the interface and wall rows.
+    """
+    rng = np.random.default_rng(seed)
+    top = n_tan // 2
+    comps = []
+    for i in range(3):
+        c0, c1, c2, phase = rng.uniform(0.5, 1.5, 4)
+
+        def fn(x1, x2, x3, i=i, c0=c0, c1=c1, c2=c2, phase=phase):
+            values = (c0 * np.cos(x1) * (1.0 + x3)
+                      + c1 * np.cos(3 * x2 + phase) * (0.5 + x3 ** 2)
+                      + c2 * np.cos(top * x2) * np.sin(2 * x1 + phase) * (1.0 - x3))
+            return values * x3 * (1.0 - np.abs(x3)) if i == 2 else values
+
+        comps.append(TwoPhaseGridField.from_function(fn, n_tan, n_ver))
+    return tuple(comps)
+
+
+def _grid_r_energy(r, r_dot, a, b):
+    """Test-only reference: the weighted x2 multiplier on the grid, then quadrature."""
+    weighted = []
+    for comp in r:
+        d = apply_x2_multiplier(comp, np.abs)
+        weighted.append(TwoPhaseGridField(d.n_tan, d.n_ver, a * d.values_upper,
+                                          b * d.values_lower))
+    return inner_product_vector(weighted, weighted) + inner_product_vector(r_dot, r_dot)
+
+
+@pytest.mark.parametrize("n_tan", [16, 15])
+def test_parseval_energy_matches_grid_quadrature(n_tan):
+    n_ver, a, b = 6, 1.7, 0.4
+    r, r_dot = _r_vector(n_tan, n_ver, 1), _r_vector(n_tan, n_ver, 2)
+    state = PerturbationState(2, r=r, r_dot=r_dot)
+    expect = _grid_r_energy(r, r_dot, a, b)
+    assert _r_energy(state, a, b) == pytest.approx(expect, rel=1e-12, abs=0)
+    # each part on its own, so an error in one weight cannot hide in the sum
+    only_r = PerturbationState(2, r=r)
+    only_dot = PerturbationState(2, r_dot=r_dot)
+    assert _r_energy(only_r, a, b) == pytest.approx(
+        _grid_r_energy(r, [], a, b), rel=1e-12, abs=0)
+    assert _r_energy(only_dot, a, b) == pytest.approx(
+        inner_product_vector(r_dot, r_dot), rel=1e-12, abs=0)
+
+
+def test_r_stored_as_x2_spectrum_and_read_back_on_the_grid():
+    n_tan, n_ver = 16, 6
+    r = _r_vector(n_tan, n_ver, 3)
+    state = PerturbationState(2, r=r)
+    assert state.r_hat.shape == (3, 2, n_tan, n_tan // 2 + 1, n_ver + 1)
+    assert state.r_dot_hat is None and state.r_dot is None
+    for got, expect in zip(state.r, r):
+        assert isinstance(got, TwoPhaseGridField)
+        assert (got - expect).max_abs() < 1e-13
+    # the read view of the third component keeps exact zero rows
+    r3 = state.r[2]
+    for row in (r3.upper_interface_trace(), r3.upper_wall_trace(),
+                r3.lower_interface_trace(), r3.lower_wall_trace()):
+        assert np.all(row == 0.0)
+
+
+def test_r_rows_checked_on_grid_input():
+    n_tan, n_ver = 8, 4
+    r = list(_r_vector(n_tan, n_ver, 4))
+    bad = r[2].copy()
+    bad.values_lower[3, 1, 0] = 1e-300
+    with pytest.raises(ValueError):
+        PerturbationState(2, r=(r[0], r[1], bad))
+    with pytest.raises(ValueError):
+        PerturbationState(2, r_dot=(r[0], r[1]))
+    # states built internally from spectra are checked on the spectrum
+    spectrum = PerturbationState(2, r=tuple(r)).r_hat.copy()
+    spectrum[2, 0, 1, 2, -1] = 1e-300j
+    with pytest.raises(ValueError):
+        PerturbationState._from_spectra(2, {}, {}, {}, {}, {}, {}, spectrum, None)
+
+
+def test_hot_paths_run_no_fft(monkeypatch):
+    n_tan, n_ver = 16, 6
+    state = PerturbationState(3, P={4: 1.0 - 0.5j}, P_dot={4: 0.3}, g={2: 0.7},
+                              r=_r_vector(n_tan, n_ver, 5), r_dot=_r_vector(n_tan, n_ver, 6))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("FFT called on a hot path")
+
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    for stepper, dt in (("exact", None), ("rk4", 0.01)):
+        out = evolve_state(state, 0.9, 0.35, 0.5, stepper=stepper, dt=dt)
+        assert out.r_hat is not None and out.r_dot_hat is not None
+        rep = compute_functionals(out, [1.0, 1.5], 0.9, 0.35)
+        assert rep.F > 0.0
+    assert apply_A(state).r_hat is not None
+    assert compute_functionals(state, [1.0], 0.9, 0.35).F > 0.0
+
+
+def test_apply_A_multiplies_the_spectrum_by_k2_squared():
+    n_tan, n_ver = 16, 6
+    state = PerturbationState(2, r=_r_vector(n_tan, n_ver, 7))
+    k2 = np.arange(n_tan // 2 + 1)
+    expect = state.r_hat * (k2 ** 2)[:, None]
+    assert np.array_equal(apply_A(state).r_hat, expect)
+
+
+def test_checks_consume_a_stream_in_one_pass():
+    n = 4
+    state = PerturbationState(n, P={n: 1.0}, P_dot={n: float(n)})
+    times = [0.0, 0.25, 0.5]
+    pulled = []
+
+    def stream():
+        for t in times:
+            pulled.append(t)
+            yield t, evolve_state(state, 0.0, 0.0, t)
+
+    report = check_proposition2(stream(), n, 0.0, 0.0)
+    assert report.times == times and pulled == times
+    pulled.clear()
+    growth = check_growth_corollary(stream(), n)
+    assert growth.passed and growth.times == times and pulled == times
+
+    for check in (lambda s: check_proposition2(s, n, 0.0, 0.0),
+                  lambda s: check_growth_corollary(s, n)):
+        with pytest.raises(ValueError):
+            check(iter(()))
+        with pytest.raises(ValueError):
+            check((t, state) for t in (0.0, 0.5, 0.25))
+
+
+def test_overflowing_functionals_raise():
+    # E1+ ~ e^{2 n t} leaves the float range near n t = 355, before the
+    # propagator does at n t = 710
+    state = PerturbationState(50, P={50: 1.0}, P_dot={50: 50.0})
+    out = evolve_state(state, 0.0, 0.0, 8.0)
+    with pytest.raises(OverflowError):
+        compute_functionals(out, [1.0], 0.0, 0.0, t=8.0)
