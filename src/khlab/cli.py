@@ -413,12 +413,11 @@ def _cmd_map(cfg: RunConfig):
     a_vals = np.linspace(cfg.a_min, cfg.a_max, cfg.a_steps)
     b_vals = np.linspace(cfg.b_min, cfg.b_max, cfg.b_steps)
     table = stability_map(params, a_vals, b_vals, cfg.k)
-    rows = []
-    for a, row in zip(a_vals, table):
-        for b, cell in zip(b_vals, row):
-            rows.append((a, b, cell.gamma_squared, cell.growing,
-                         cell.syrovatskij_first, cell.syrovatskij_second,
-                         cell.strong_condition))
+    # each a and b value is formatted once, not once per cell
+    b_texts = [_fmt(b) for b in b_vals]
+    rows = [(a, b, cell.gamma_squared, cell.growing, cell.syrovatskij_first,
+             cell.syrovatskij_second, cell.strong_condition)
+            for a, row in zip(map(_fmt, a_vals), table) for b, cell in zip(b_texts, row)]
     header = ("a", "b", "gamma_squared", "growing", "syr1", "syr2", "strong")
     return 0, _csv_payload(cfg, header, rows)
 

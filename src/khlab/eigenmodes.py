@@ -24,7 +24,7 @@ upper phase and -t in the lower one.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,14 +195,3 @@ def verify_mode(mode: SpectralMode, sample_count: int = 1000) -> ResidualReport:
     wall = max(abs(complex(p3.eval_upper(1.0))), abs(complex(p3.eval_lower(-1.0))))
     continuity = abs(complex(p3.eval_upper(0.0)) - complex(p3.eval_lower(0.0)))
     return ResidualReport(harmonic, divergence, float(wall), float(continuity))
-
-
-def corrupt_profile(profile: VerticalProfile, delta: float = 0.1) -> VerticalProfile:
-    """Perturb the upper cosh coefficient; negative control for verify_mode."""
-    c_cosh, c_sinh = profile.upper
-    return VerticalProfile(profile.kappa, (c_cosh + delta, c_sinh), profile.lower)
-
-
-def corrupt_mode(mode: SpectralMode, delta: float = 0.1) -> SpectralMode:
-    return replace(mode, profiles=(mode.profiles[0], mode.profiles[1],
-                                   corrupt_profile(mode.profiles[2], delta)))

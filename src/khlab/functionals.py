@@ -460,9 +460,13 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
     wall-bounded velocity mode (V, 0, W) at streamwise frequency n.
     Its sup norm shrinks as n grows while the evolved high-order readout
     explodes, which is the ill-posedness signature this package checks.
+    n must lie below the grid's Nyquist frequency n_tan/2.
     """
     if n < 1:
         raise ValueError("mode frequency n must be >= 1")
+    if 2 * n >= n_tan:
+        raise AliasingError(f"mode n={n} is not below the Nyquist frequency "
+                            f"n_tan/2 of n_tan={n_tan}; refine the tangential grid")
     k = WaveVector(n, 0)
     W, V = build_wall_bounded_profiles(k)
     amp = scale * math.exp(-math.sqrt(n))

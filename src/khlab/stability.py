@@ -10,14 +10,11 @@ fields and streamwise wave vectors the tension terms vanish identically,
 so the sheet stays as unstable as the unmagnetized one.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from khlab.core import ShearParams, WaveVector
-
-FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -44,6 +41,33 @@ def _as_vec3(v, name):
     return arr
 
 
+# Kernels over the leading axes of (..., 3) fields, each cell equal to the scalar formula:
+# np.vecdot is BLAS dot as np.dot is, _square is Python's x ** 2 (libm pow, not x * x).
+def _square(x):
+    y = np.float_power(x, 2.0)
+    if np.any(np.isinf(y) & np.isfinite(x)):
+        raise OverflowError(34, "Numerical result out of range")  # as float.__pow__ does
+    return y
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gamma_squared(params, k, B1, B2):
+    n1, n2, m_i = params.n1, params.n2, params.m_i
+    drive = n1 * n2 / (n1 + n2) ** 2 * _square(np.vecdot(k, params.velocity_jump()))
+    return drive - (_square(np.vecdot(B1, k)) + _square(np.vecdot(B2, k))) \
+        / (4.0 * np.pi * (n1 + n2) * m_i)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _criteria(du, hp, hm):
+    cross_p, cross_m, cross_pm = (np.sqrt(np.vecdot(c, c)) for c in (
+        np.cross(du, hp), np.cross(du, hm), np.cross(hp, hm)))
+    first = np.vecdot(du, du) <= 2.0 * (np.vecdot(hp, hp) + np.vecdot(hm, hm))
+    second = _square(cross_p) + _square(cross_m) <= 2.0 * _square(cross_pm)
+    # Python's max(cross_p, cross_m), NaN order included
+    return first, second, np.where(cross_m > cross_p, cross_m, cross_p) <= cross_pm
+
+
 def sen_gamma_squared(params: ShearParams, k, B1, B2) -> float:
     """Squared growth rate of the sheet for wave vector k.
 
@@ -57,14 +81,7 @@ def sen_gamma_squared(params: ShearParams, k, B1, B2) -> float:
     k = _as_vec3(k, "k")
     if not np.any(k):
         raise ValueError("wave vector must be nonzero")
-    B1 = _as_vec3(B1, "B1")
-    B2 = _as_vec3(B2, "B2")
-    n1, n2, m_i = params.n1, params.n2, params.m_i
-    du = params.velocity_jump()
-    drive = n1 * n2 / (n1 + n2) ** 2 * float(np.dot(k, du)) ** 2
-    tension = (float(np.dot(k, B1)) ** 2 + float(np.dot(k, B2)) ** 2) \
-        / (FOUR_PI * (n1 + n2) * m_i)
-    return drive - tension
+    return float(_gamma_squared(params, k, _as_vec3(B1, "B1"), _as_vec3(B2, "B2")))
 
 
 def check_syrovatskij(jump_u, h_plus, h_minus) -> StabilityVerdict:
@@ -77,28 +94,15 @@ def check_syrovatskij(jump_u, h_plus, h_minus) -> StabilityVerdict:
         second  |[u] x h+|^2 + |[u] x h-|^2 <= 2 |h+ x h-|^2
         strong  max(|[u] x h+|, |[u] x h-|) <= |h+ x h-|
     """
-    du = _as_vec3(jump_u, "jump_u")
-    hp = _as_vec3(h_plus, "h_plus")
-    hm = _as_vec3(h_minus, "h_minus")
-    cross_p = float(np.linalg.norm(np.cross(du, hp)))
-    cross_m = float(np.linalg.norm(np.cross(du, hm)))
-    cross_pm = float(np.linalg.norm(np.cross(hp, hm)))
-    first = float(np.dot(du, du)) <= 2.0 * (float(np.dot(hp, hp)) + float(np.dot(hm, hm)))
-    second = cross_p ** 2 + cross_m ** 2 <= 2.0 * cross_pm ** 2
-    strong = max(cross_p, cross_m) <= cross_pm
-    return StabilityVerdict(float("nan"), False, bool(first), bool(second), bool(strong))
+    return StabilityVerdict(float("nan"), False, *map(bool, _criteria(
+        _as_vec3(jump_u, "jump_u"), _as_vec3(h_plus, "h_plus"), _as_vec3(h_minus, "h_minus"))))
 
 
 def evaluate_point(params: ShearParams, k: WaveVector, a: float, b: float) -> StabilityVerdict:
     """Full verdict for one (a, b) cell: growth rate plus criteria flags."""
-    B1 = np.array([0.0, a, 0.0])
-    B2 = np.array([0.0, b, 0.0])
+    B1, B2 = np.array([0.0, a, 0.0]), np.array([0.0, b, 0.0])
     g2 = sen_gamma_squared(params, k, B1, B2)
-    flags = check_syrovatskij(params.velocity_jump(), B1, B2)
-    return StabilityVerdict(g2, g2 > 0.0,
-                            flags.syrovatskij_first,
-                            flags.syrovatskij_second,
-                            flags.strong_condition)
+    return StabilityVerdict(g2, g2 > 0.0, *map(bool, _criteria(params.velocity_jump(), B1, B2)))
 
 
 def stability_map(params: ShearParams, a_range, b_range, k: WaveVector):
@@ -108,13 +112,17 @@ def stability_map(params: ShearParams, a_range, b_range, k: WaveVector):
     is a row-major list of rows, one row per a value, each cell equal to
     the pointwise evaluation at (a, b).
     """
-    a_range = np.atleast_1d(np.asarray(a_range, dtype=float))
-    b_range = np.atleast_1d(np.asarray(b_range, dtype=float))
+    a_range, b_range = (np.atleast_1d(np.asarray(r, dtype=float)) for r in (a_range, b_range))
     for name, rng in (("a_range", a_range), ("b_range", b_range)):
+        if rng.ndim != 1:
+            raise ValueError(f"{name} must be 1-D")
         if rng.size == 0:
             raise ValueError(f"{name} must be nonempty")
-        d = np.diff(rng)
-        if d.size and not (np.all(d > 0) or np.all(d < 0)):
+        if not (np.all(np.diff(rng) > 0) or np.all(np.diff(rng) < 0)):
             raise ValueError(f"{name} must be monotone")
-    k.require_nonzero()
-    return [[evaluate_point(params, k, a, b) for b in b_range] for a in a_range]
+    B1, B2 = np.zeros((a_range.size, 1, 3)), np.zeros((1, b_range.size, 3))
+    # fields (0, a, 0) above and (0, b, 0) below, a down the rows
+    B1[..., 1], B2[..., 1] = a_range[:, None], b_range[None, :]
+    g2 = _gamma_squared(params, k.require_nonzero().as_array3(), B1, B2)
+    columns = [c.tolist() for c in (g2, g2 > 0.0, *_criteria(params.velocity_jump(), B1, B2))]
+    return [[StabilityVerdict(*cell) for cell in zip(*row)] for row in zip(*columns)]

@@ -56,7 +56,7 @@ def test_unknown_key_rejected():
         parse_config("", ["--wibble", "3"])
 
 
-def test_malformed_value_rejected():
+def test_malformed_value_rejected(capsys):
     with pytest.raises(MalformedValueError):
         parse_config("command = dispersion\nk = banana\n")
     with pytest.raises(MalformedValueError):
@@ -74,6 +74,13 @@ def test_malformed_value_rejected():
         with pytest.raises(MalformedValueError):
             parse_config("", ["--command", "pressure"] + bad)
         assert main(["--command", "pressure"] + bad) == 2
+    # n = 50 >= n_tan/2 aliases onto mode 14 (50 = -14 mod 64): rows labelled
+    # n = 50 would describe another mode
+    capsys.readouterr()
+    assert main(["--command", "evolve", "--n", "50", "--t", "1", "--n_tan", "64",
+                 "--n_ver", "8", "--samples", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "Nyquist" in err
 
 
 def test_missing_required_key():

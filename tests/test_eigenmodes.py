@@ -1,22 +1,30 @@
 """Normal-mode construction and residual audit checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from khlab.core import WaveVector, inner_product_vector
+from khlab.core import VerticalProfile, WaveVector, inner_product_vector
 from khlab.eigenmodes import (
     build_harmonic_potentials,
     build_linearized_mode,
     build_wall_bounded_profiles,
-    corrupt_mode,
     potential_gradient_field,
     potential_gradient_norm_sq,
     verify_mode,
 )
 
 COTH2 = 1.0373147207275482  # coth(2), frozen from 1/tanh(2)
+
+
+def corrupt_mode(mode, delta: float = 0.1):
+    """Shift the upper cosh coefficient of W; negative control for verify_mode."""
+    W = mode.profiles[2]
+    c_cosh, c_sinh = W.upper
+    bad = VerticalProfile(W.kappa, (c_cosh + delta, c_sinh), W.lower)
+    return replace(mode, profiles=(*mode.profiles[:2], bad))
 
 
 def test_profiles_interface_value():

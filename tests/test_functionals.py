@@ -415,3 +415,8 @@ def test_perturbed_data_growth_factor():
 def test_perturbed_data_rejects_bad_frequency():
     with pytest.raises(ValueError):
         perturbed_initial_data(0)
+    # at or above n_tan/2 the mode e^{i n x1} aliases on the grid
+    for n, n_tan in ((16, 32), (17, 32), (50, 64), (8, 15)):
+        with pytest.raises(AliasingError):
+            perturbed_initial_data(n, n_tan=n_tan, n_ver=8)
+    perturbed_initial_data(7, n_tan=15, n_ver=8)

@@ -1,6 +1,7 @@
 """Growth-rate formula and stability criteria checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,3 +165,142 @@ def test_map_rejects_bad_ranges():
         stability_map(ShearParams(), [], [0.0], WaveVector(1, 0))
     with pytest.raises(ValueError):
         stability_map(ShearParams(), [0.0, 1.0, 0.5], [0.0], WaveVector(1, 0))
+    with pytest.raises(ValueError):
+        stability_map(ShearParams(), [[0.0, 1.0]], [0.0], WaveVector(1, 0))
+    with pytest.raises(ValueError):
+        stability_map(ShearParams(), [0.0], [[0.0, 1.0]], WaveVector(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the broadcast sweep against the per-cell formulas
+# ---------------------------------------------------------------------------
+
+def _reference_criteria(du, hp, hm):
+    """Test-only copy of the per-cell stability inequalities the sweep replaced."""
+    cross_p = float(np.linalg.norm(np.cross(du, hp)))
+    cross_m = float(np.linalg.norm(np.cross(du, hm)))
+    cross_pm = float(np.linalg.norm(np.cross(hp, hm)))
+    first = float(np.dot(du, du)) <= 2.0 * (float(np.dot(hp, hp)) + float(np.dot(hm, hm)))
+    second = cross_p ** 2 + cross_m ** 2 <= 2.0 * cross_pm ** 2
+    strong = max(cross_p, cross_m) <= cross_pm
+    return first, second, strong
+
+
+def _reference_verdict(params, k, a, b):
+    """Test-only copy of the per-cell growth rate and inequalities the sweep replaced."""
+    k3 = k.as_array3()
+    du = params.velocity_jump()
+    hp, hm = np.array([0.0, a, 0.0]), np.array([0.0, b, 0.0])
+    n1, n2, m_i = params.n1, params.n2, params.m_i
+    drive = n1 * n2 / (n1 + n2) ** 2 * float(np.dot(k3, du)) ** 2
+    tension = (float(np.dot(k3, hp)) ** 2 + float(np.dot(k3, hm)) ** 2) \
+        / (4.0 * math.pi * (n1 + n2) * m_i)
+    return (drive - tension, *_reference_criteria(du, hp, hm))
+
+
+def _grid(rng, size):
+    """A non-uniform monotone grid through 0, ascending or descending."""
+    values = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 5.0, size - 1))])
+    return values[::-1] if rng.random() < 0.5 else values
+
+
+def test_sweep_matches_scalar_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(32):
+        p = ShearParams(u_plus=tuple(rng.normal(0, 2, 3)), u_minus=tuple(rng.normal(0, 2, 3)),
+                        n1=rng.uniform(0.1, 5), n2=rng.uniform(0.1, 5), m_i=rng.uniform(0.1, 5))
+        while True:
+            k = WaveVector(*rng.integers(-64, 65, 2))
+            if 0 < k.kappa <= 64:
+                break
+        a_vals, b_vals = _grid(rng, rng.integers(1, 9)), _grid(rng, rng.integers(1, 9))
+        table = stability_map(p, a_vals, b_vals, k)
+        assert len(table) == a_vals.size
+        for a, row in zip(a_vals, table):
+            assert len(row) == b_vals.size
+            for b, cell in zip(b_vals, row):
+                g2, first, second, strong = _reference_verdict(p, k, a, b)
+                assert cell.gamma_squared == pytest.approx(g2, rel=1e-15, abs=0.0)
+                assert type(cell.growing) is bool and cell.growing == (g2 > 0.0)
+                assert (cell.syrovatskij_first, cell.syrovatskij_second,
+                        cell.strong_condition) == (first, second, strong)
+        assert evaluate_point(p, k, a_vals[-1], b_vals[0]) == table[-1][0]
+    # Python's x ** 2 is libm pow, which rounds these squares differently from
+    # x * x; the sweep follows it bit for bit, so CLI output stays the same
+    still, k = ShearParams(u_plus=(0.0, 0.0, 0.0), u_minus=(0.0, 0.0, 0.0)), WaveVector(0, 1)
+    a_vals = [3.670728948954113, 3.7529595021799986, 3.963117857672733]
+    assert [row[0].gamma_squared for row in stability_map(still, a_vals, [0.0], k)] == \
+        [_reference_verdict(still, k, a, 0.0)[0] for a in a_vals]
+    # Python's max(x, nan) is x and max(nan, x) is nan; infinite fields expose the order
+    for hp, hm in (((0.0, 1.0, 1.0), (np.inf, 0.0, 0.0)), ((np.inf, 0.0, 0.0), (0.0, 1.0, 1.0))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _reference_criteria(np.array([1.0, 0.0, 0.0]), np.array(hp), np.array(hm))
+        v = check_syrovatskij((1.0, 0.0, 0.0), hp, hm)
+        assert (v.syrovatskij_first, v.syrovatskij_second, v.strong_condition) == ref
+    # past |k.B| ~ 1.3e154 the reference's Python x ** 2 raises, and so does the sweep
+    k = WaveVector(1, 1)
+    with pytest.raises(OverflowError) as expected:
+        _reference_verdict(ShearParams(), k, 1e160, 0.0)
+    for call in (lambda: stability_map(ShearParams(), [0.0, 1e160], [0.0], k),
+                 lambda: evaluate_point(ShearParams(), k, 1e160, 0.0)):
+        with pytest.raises(OverflowError) as got:
+            call()
+        assert str(got.value) == str(expected.value)
+    # streamwise k at huge fields: the norms overflow to inf in both, silently in the sweep
+    with np.errstate(over="ignore"):
+        ref = _reference_verdict(ShearParams(), WaveVector(1, 0), 1e300, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cell = stability_map(ShearParams(), [0.0, 1e300], [1e300], WaveVector(1, 0))[1][0]
+    assert (cell.gamma_squared, cell.syrovatskij_first, cell.syrovatskij_second,
+            cell.strong_condition) == ref
+
+
+def test_sweep_does_no_per_cell_work(monkeypatch):
+    calls = []
+    cross = np.cross
+
+    def counting_cross(*args, **kwargs):
+        calls.append(1)
+        return cross(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cross", counting_cross)
+    counts = []
+    for steps in (10, 100):
+        calls.clear()
+        grid = np.linspace(0.0, 2.0, steps)
+        table = stability_map(ShearParams(), grid, grid, WaveVector(2, 3))
+        assert sum(map(len, table)) == steps * steps
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def test_streamwise_growth_ignores_transverse_field_property():
+    # the paper's claim: the fields (0, a, 0), (0, b, 0) leave gamma^2 of a
+    # streamwise mode untouched, while the parallel fields fail the second
+    # inequality whenever one of them is nonzero
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    strength = st.one_of(st.just(0.0), st.floats(1e-100, 1e100))
+    grid = st.lists(strength, min_size=1, max_size=6, unique=True)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(k1=st.integers(-64, 64).filter(bool), a=grid, b=grid,
+                      descending=st.booleans(),
+                      u=st.tuples(st.floats(-10, 10), st.floats(-10, 10)).filter(
+                          lambda u: abs(u[0] - u[1]) >= 1e-3),
+                      density=st.tuples(*[st.floats(0.1, 10)] * 3))
+    def check(k1, a, b, descending, u, density):
+        p = ShearParams(u_plus=(u[0], 0.0, 0.0), u_minus=(u[1], 0.0, 0.0),
+                        n1=density[0], n2=density[1], m_i=density[2])
+        k = WaveVector(k1, 0)
+        a_vals, b_vals = sorted(a, reverse=descending), sorted(b)
+        bare = evaluate_point(p, k, 0.0, 0.0).gamma_squared
+        table = stability_map(p, a_vals, b_vals, k)
+        for av, row in zip(a_vals, table):
+            for bv, cell in zip(b_vals, row):
+                assert cell.gamma_squared == bare
+                if av > 0.0 or bv > 0.0:
+                    assert cell.syrovatskij_second is False
+
+    check()
