@@ -6,7 +6,8 @@ values.  Outputs are CSV (metadata echo in ``#`` comment lines, then a
 single header row, 17-significant-digit numbers) or JSON validated
 against the shipped schema; files are written atomically.  Exit codes:
 0 success, 1 a requested check failed, 2 usage or validation error,
-3 numerical solver failure or overflow of the float range.
+3 numerical solver failure, overflow of the float range or an internal
+error.
 """
 
 import json
@@ -216,6 +217,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.command == "pressure":
         if not all(float(k).is_integer() for k in cfg.kappas):
             raise MalformedValueError("kappas must be integers: pressure studies k = (kappa, 0)")
+        if cfg.refinements < 2:
+            raise MalformedValueError("pressure needs refinements >= 2 to fit a convergence order")
         if cfg.n_tan >> (cfg.refinements - 1) < 16:
             raise MalformedValueError(
                 f"n_tan {cfg.n_tan} with {cfg.refinements} refinements puts the "
@@ -562,7 +565,8 @@ def run(cfg: RunConfig) -> int:
         sys.stderr.write(f"khlab: solver failure: {exc}\n")
         return 3
     except OverflowError as exc:
-        sys.stderr.write(f"khlab: numerical overflow: {exc}\n")
+        # the closed forms keep float pow's own text and name the square apart
+        sys.stderr.write(f"khlab: numerical overflow: {getattr(exc, 'detail', exc)}\n")
         return 3
     except FloatingPointError as exc:
         sys.stderr.write(f"khlab: {exc}\n")
@@ -570,6 +574,10 @@ def run(cfg: RunConfig) -> int:
     except ValueError as exc:
         sys.stderr.write(f"khlab: invalid input: {exc}\n")
         return 2
+    except Exception as exc:
+        # exit 1 is reserved for a failed check, so a defect must not reach it as a traceback
+        sys.stderr.write(f"khlab: internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     _emit(cfg, payload)
     return code
 

@@ -412,40 +412,6 @@ def _integer_frequencies(n_tan):
     return np.rint(np.fft.fftfreq(n_tan) * n_tan).astype(int)
 
 
-def tangential_transform(f: TwoPhaseGridField) -> dict:
-    """Discrete Fourier coefficients in (x1, x2) per vertical level.
-
-    Returns a map WaveVector -> (upper_coeffs, lower_coeffs) where each
-    entry is a complex array over the vertical levels of that phase.
-    Normalisation is 1/n_tan^2, so a single harmonic cos(3*x1) yields
-    coefficients 1/2 at k = (3, 0) and (-3, 0).
-    """
-    n = f.n_tan
-    up = np.fft.fft2(f.values_upper, axes=(0, 1)) / n ** 2
-    lo = np.fft.fft2(f.values_lower, axes=(0, 1)) / n ** 2
-    freqs = _integer_frequencies(n)
-    out = {}
-    for i1, k1 in enumerate(freqs):
-        for i2, k2 in enumerate(freqs):
-            out[WaveVector(k1, k2)] = (up[i1, i2, :].copy(), lo[i1, i2, :].copy())
-    return out
-
-
-def inverse_tangential_transform(modes: dict, n_tan: int, n_ver: int) -> TwoPhaseGridField:
-    """Rebuild a real grid field from tangential-mode columns."""
-    freqs = _integer_frequencies(n_tan)
-    index = {int(k): i for i, k in enumerate(freqs)}
-    up = np.zeros((n_tan, n_tan, n_ver + 1), dtype=complex)
-    lo = np.zeros_like(up)
-    for k, (cu, cl) in modes.items():
-        i1, i2 = index[k.k1], index[k.k2]
-        up[i1, i2, :] = cu
-        lo[i1, i2, :] = cl
-    vu = np.fft.ifft2(up * n_tan ** 2, axes=(0, 1))
-    vl = np.fft.ifft2(lo * n_tan ** 2, axes=(0, 1))
-    return TwoPhaseGridField(n_tan, n_ver, vu.real, vl.real)
-
-
 def trace_spectrum(trace: np.ndarray) -> np.ndarray:
     """2-D DFT of an interface trace with the 1/n^2 normalisation."""
     n = trace.shape[0]
@@ -482,10 +448,10 @@ def _r_spectrum(vec):
     return np.fft.rfft(values, axis=3)
 
 
-def _r_grid(spectrum):
-    """The grid 3-vector of an x2 spectrum (inverse of _r_spectrum)."""
+def _r_grid(spectrum, grid):
+    """The grid 3-vector of an x2 spectrum (inverse of _r_spectrum); zeros when absent."""
     if spectrum is None:
-        return None
+        return None if grid is None else vector_field_zeros(*grid)
     n_tan, n_ver = spectrum.shape[2], spectrum.shape[4] - 1
     values = np.fft.irfft(spectrum, n=n_tan, axis=3)
     return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
@@ -515,13 +481,19 @@ class PerturbationState:
     k2, x3).  The r= and r_dot= arguments take grid 3-vectors, transformed
     once; state.r and state.r_dot read back fresh grid fields.
 
+    grid = (n_tan, n_ver), when given, is the grid of the r block even
+    where it is absent (a decomposition that dropped a round-off r or
+    r_dot): an absent block then reads back as zero fields and its
+    frequencies still enter the rk4 stability rule.  Without a grid an
+    absent block reads None.
+
     Coefficients live in the co-moving tangential frame: materialising
     a field at time t multiplies mode j by exp(+i*j*t) in the upper
     phase and exp(-i*j*t) in the lower one.
     """
 
     def __init__(self, n_cutoff, P=None, P_dot=None, L=None, L_dot=None,
-                 g=None, g_dot=None, r=None, r_dot=None):
+                 g=None, g_dot=None, r=None, r_dot=None, grid=None):
         if n_cutoff < 1:
             raise ValueError("n_cutoff must be >= 1")
         self.n_cutoff = n_cutoff
@@ -537,11 +509,13 @@ class PerturbationState:
             if j < 1:
                 raise ValueError("g coefficients are indexed by j >= 1")
         self.r_hat, self.r_dot_hat = _r_spectrum(r), _r_spectrum(r_dot)
+        self.grid = grid
 
     @classmethod
-    def _from_spectra(cls, n_cutoff, P, P_dot, L, L_dot, g, g_dot, r_hat, r_dot_hat):
+    def _from_spectra(cls, n_cutoff, P, P_dot, L, L_dot, g, g_dot, r_hat, r_dot_hat,
+                      grid=None):
         """A state built straight from x2 spectra (checked, not transformed)."""
-        state = cls(n_cutoff, P, P_dot, L, L_dot, g, g_dot)
+        state = cls(n_cutoff, P, P_dot, L, L_dot, g, g_dot, grid=grid)
         for spectrum in (r_hat, r_dot_hat):
             _check_r_field(spectrum)
         state.r_hat, state.r_dot_hat = r_hat, r_dot_hat
@@ -549,8 +523,8 @@ class PerturbationState:
 
     @property
     def r(self):
-        return _r_grid(self.r_hat)
+        return _r_grid(self.r_hat, self.grid)
 
     @property
     def r_dot(self):
-        return _r_grid(self.r_dot_hat)
+        return _r_grid(self.r_dot_hat, self.grid)

@@ -160,7 +160,7 @@ def apply_A(state: PerturbationState) -> PerturbationState:
         scale(state.P), scale(state.P_dot),
         scale(state.L), scale(state.L_dot),
         scale(state.g), scale(state.g_dot),
-        on_r(state.r_hat), on_r(state.r_dot_hat),
+        on_r(state.r_hat), on_r(state.r_dot_hat), state.grid,
     )
 
 
@@ -177,7 +177,9 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     a*|k2| above and b*|k2| below the interface (x2-independent r
     content moves linearly in t).  All coefficients and every x2 mode
     of r go through one call of the propagator; rk4 is rejected when
-    max|omega| times the step taken exceeds RK4_STABILITY_LIMIT.
+    max|omega| times the step taken exceeds RK4_STABILITY_LIMIT.  An
+    absent r block on a known grid stays absent, but its frequencies
+    still enter that rule.
     """
     blocks = [(state.P, state.P_dot, 1.0), (state.L, state.L_dot, 1.0),
               (state.g, state.g_dot, -2.0)]
@@ -185,9 +187,10 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     lam_sq = np.array([sign * float(j * j) for (_, _, sign), js in zip(blocks, keys)
                        for j in js])
     r_hat, r_dot_hat = state.r_hat, state.r_dot_hat
-    has_r = r_hat is not None or r_dot_hat is not None
-    if has_r:
-        k2 = np.arange((r_dot_hat if r_hat is None else r_hat).shape[3], dtype=float)
+    spectrum = r_dot_hat if r_hat is None else r_hat
+    n_tan = spectrum.shape[2] if spectrum is not None else state.grid and state.grid[0]
+    if n_tan:
+        k2 = np.arange(n_tan // 2 + 1, dtype=float)
         lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
         lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
     C, S = _propagators(lam_sq, t, stepper, dt)
@@ -201,11 +204,12 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
         evolved.append(dict(zip(js, (c * C[sl] + d * S[sl]).tolist())))
         evolved.append(dict(zip(js, (c * lam_sq[sl] * S[sl] + d * C[sl]).tolist())))
 
-    if has_r:
+    if r_hat is not None or r_dot_hat is not None:
         shape = (1, 2, 1, k2.size, 1)
         Cr, Sr = C[i:].reshape(shape), S[i:].reshape(shape)
         y0 = 0.0 if r_hat is None else r_hat
         v0 = 0.0 if r_dot_hat is None else r_dot_hat
         r_hat, r_dot_hat = y0 * Cr + v0 * Sr, y0 * (lam_r.reshape(shape) * Sr) + v0 * Cr
 
-    return PerturbationState._from_spectra(state.n_cutoff, *evolved, r_hat, r_dot_hat)
+    return PerturbationState._from_spectra(state.n_cutoff, *evolved, r_hat, r_dot_hat,
+                                           state.grid)

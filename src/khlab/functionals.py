@@ -157,7 +157,8 @@ def _decompose_single(chi, tol):
     grad_h = _gradient_from_coefficients(odd, even, chi3.n_tan, chi3.n_ver)
     r = tuple(c - g for c, g in zip(chi, grad_h))
     r = (r[0], r[1], _snap_r_rows(r[2], max(tol, 1e-9 * _vector_scale(chi))))
-    return odd, even, r
+    # a round-off remainder is dropped by the rule that drops potential coefficients
+    return odd, even, (None if max(c.max_abs() for c in r) <= tol else r)
 
 
 def _vector_scale(vec):
@@ -175,7 +176,9 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
     into P (j >= n_cutoff) and L (j < n_cutoff).  The remainder
     r = chi - grad h has zero wall-normal trace on the interface and the
     walls (checked, then snapped exactly).  The same pipeline applied to
-    chi_dot fills the velocity partners.
+    chi_dot fills the velocity partners.  Like a potential coefficient,
+    an r or r_dot whose entries are all at or below tol is stored as
+    absent; the state keeps the grid, so it reads back as zero fields.
     """
     if n_cutoff < 1:
         raise ValueError("n_cutoff must be >= 1")
@@ -192,7 +195,7 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
     P, L = split(odd)
     P_dot, L_dot = split(odd_dot)
     return PerturbationState(n_cutoff, P, P_dot, L, L_dot, even, even_dot,
-                             r, r_dot)
+                             r, r_dot, grid=(chi[2].n_tan, chi[2].n_ver))
 
 
 def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
@@ -204,9 +207,9 @@ def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
     odd_dot.update(state.P_dot)
     chi = _gradient_from_coefficients(odd, state.g, n_tan, n_ver, t)
     chi_dot = _gradient_from_coefficients(odd_dot, state.g_dot, n_tan, n_ver, t)
-    if state.r is not None:
+    if state.r_hat is not None:
         chi = tuple(c + rc for c, rc in zip(chi, state.r))
-    if state.r_dot is not None:
+    if state.r_dot_hat is not None:
         chi_dot = tuple(c + rc for c, rc in zip(chi_dot, state.r_dot))
     return chi, chi_dot
 

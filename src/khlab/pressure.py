@@ -348,6 +348,8 @@ def mode_solver_fd_error(k: WaveVector, flux_amplitude: float,
 def fitted_convergence_order(errors, factors=2.0):
     """Least-squares slope of log(error) against log(h) refinements."""
     errors = np.asarray(errors, dtype=float)
+    if errors.size < 2:
+        raise ValueError("fitting an order needs at least two errors")
     if np.any(errors <= 0):
         raise ValueError("errors must be positive to fit an order")
     n = errors.size

@@ -41,20 +41,30 @@ def _as_vec3(v, name):
     return arr
 
 
+class SquareOverflowError(OverflowError):
+    """float.__pow__'s OverflowError, same args and text; detail names the square and its inputs."""
+
+    def __init__(self, detail):
+        super().__init__(34, "Numerical result out of range")
+        self.detail = detail
+
+
 # Kernels over the leading axes of (..., 3) fields, each cell equal to the scalar formula:
 # np.vecdot is BLAS dot as np.dot is, _square is Python's x ** 2 (libm pow, not x * x).
-def _square(x):
+def _square(x, name="a squared cross product", inputs="the fields or the velocity jump"):
     y = np.float_power(x, 2.0)
     if np.any(np.isinf(y) & np.isfinite(x)):
-        raise OverflowError(34, "Numerical result out of range")  # as float.__pow__ does
+        raise SquareOverflowError(f"{name} leaves the float range; lower {inputs}")
     return y
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _gamma_squared(params, k, B1, B2):
     n1, n2, m_i = params.n1, params.n2, params.m_i
-    drive = n1 * n2 / (n1 + n2) ** 2 * _square(np.vecdot(k, params.velocity_jump()))
-    return drive - (_square(np.vecdot(B1, k)) + _square(np.vecdot(B2, k))) \
+    drive = n1 * n2 / (n1 + n2) ** 2 * _square(
+        np.vecdot(k, params.velocity_jump()), "(k.[u])^2", "|k| or u_plus - u_minus")
+    return drive - (_square(np.vecdot(B1, k), "(k.B)^2 above the interface", "a or |k|")
+                    + _square(np.vecdot(B2, k), "(k.B)^2 below the interface", "b or |k|")) \
         / (4.0 * np.pi * (n1 + n2) * m_i)
 
 

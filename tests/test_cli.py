@@ -17,6 +17,7 @@ from khlab.cli import (
     parse_config,
     validate_report,
 )
+from khlab.pressure import fitted_convergence_order
 
 
 def run_cli(capsys, args):
@@ -74,6 +75,15 @@ def test_malformed_value_rejected(capsys):
         with pytest.raises(MalformedValueError):
             parse_config("", ["--command", "pressure"] + bad)
         assert main(["--command", "pressure"] + bad) == 2
+    # one refinement level has no convergence order to fit
+    for fmt in ("csv", "json"):
+        capsys.readouterr()
+        assert main(["--command", "pressure", "--kappas", "1", "--n_tan", "16",
+                     "--refinements", "1", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "refinements" in err
+    with pytest.raises(ValueError):
+        fitted_convergence_order([1e-3])
     # n = 50 >= n_tan/2 aliases onto mode 14 (50 = -14 mod 64): rows labelled
     # n = 50 would describe another mode
     capsys.readouterr()
@@ -250,6 +260,14 @@ def test_rk4_default_dt_covers_r_block(capsys):
     rc = main(["--command", "evolve", "--n", "8", "--stepper", "rk4", "--a", "10",
                "--n_tan", "64", "--n_ver", "8", "--samples", "2"])
     assert rc == 0
+    # an explicit dt is checked against the r block's frequencies even though
+    # the decomposition drops that round-off block
+    capsys.readouterr()
+    rc = main(["--command", "evolve", "--n", "8", "--stepper", "rk4", "--a", "10",
+               "--dt", "0.02", "--n_tan", "64", "--n_ver", "8", "--samples", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "exceeds the limit" in err
 
 
 def test_overflow_exit_code(capsys):
@@ -261,6 +279,28 @@ def test_overflow_exit_code(capsys):
     assert captured.out == ""
     assert captured.err.startswith("khlab: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_closed_form_overflow_names_the_square(capsys):
+    for args in (["--command", "dispersion", "--k", "1,1", "--a", "1e160"],
+                 ["--command", "map", "--k", "1,1", "--a_max", "1e160"]):
+        assert main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "(k.B)^2" in err and "lower a" in err and "Numerical result" not in err
+
+
+def test_unmapped_exception_is_an_internal_error(monkeypatch, capsys):
+    import khlab.cli as cli_mod
+
+    def boom(cfg):
+        raise RuntimeError("synthetic defect")
+
+    monkeypatch.setitem(cli_mod._HANDLERS, "dispersion", boom)
+    assert main(["--command", "dispersion", "--k", "1,0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "khlab: internal error: RuntimeError: synthetic defect\n"
 
 
 def test_solver_failure_exit_code(monkeypatch):

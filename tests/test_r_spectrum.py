@@ -9,12 +9,15 @@ from khlab.core import (
     apply_x2_multiplier,
     inner_product_vector,
 )
-from khlab.evolution import apply_A, evolve_state
+from khlab.evolution import StabilityError, apply_A, evolve_state
 from khlab.functionals import (
     _r_energy,
     check_growth_corollary,
     check_proposition2,
     compute_functionals,
+    decompose_perturbation,
+    perturbed_initial_data,
+    reconstruct_perturbation,
 )
 
 
@@ -157,3 +160,51 @@ def test_overflowing_functionals_raise():
     out = evolve_state(state, 0.0, 0.0, 8.0)
     with pytest.raises(OverflowError):
         compute_functionals(out, [1.0], 0.0, 0.0, t=8.0)
+
+
+def test_round_off_r_block_is_dropped_and_reads_as_zeros():
+    n, n_tan, n_ver = 6, 32, 8
+    state = decompose_perturbation(*perturbed_initial_data(n, n_tan=n_tan, n_ver=n_ver), n)
+    assert state.r_hat is None and state.r_dot_hat is None
+    assert state.grid == (n_tan, n_ver)
+    for view in (state.r, state.r_dot):
+        assert len(view) == 3
+        for comp in view:
+            assert isinstance(comp, TwoPhaseGridField)
+            assert (comp.n_tan, comp.n_ver) == (n_tan, n_ver)
+            assert comp.values_upper.shape == (n_tan, n_tan, n_ver + 1)
+            assert np.all(comp.values_upper == 0.0) and np.all(comp.values_lower == 0.0)
+    assert compute_functionals(state, [1.0], 0.7, 1.3).F == 0.0
+    # a state built directly, without a grid, still reads an absent block as None
+    assert PerturbationState(n).r is None and PerturbationState(n).r_dot is None
+
+
+def test_drop_threshold_is_the_decomposition_tolerance():
+    n_tan, n_ver, tol = 16, 6, 1e-12
+    r = _r_vector(n_tan, n_ver, 8)
+    unit = (1.0 / max(c.max_abs() for c in r)) * tol
+    zero = tuple(TwoPhaseGridField.zeros(n_tan, n_ver) for _ in range(3))
+    kept = tuple(10.0 * unit * c for c in r)
+    state = decompose_perturbation(kept, zero, 2, tol=tol)
+    assert state.r_hat is not None and state.r_dot_hat is None
+    chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
+    for got, expect in zip(chi, kept):
+        assert (got - expect).max_abs() <= 1e-9 * 10.0 * tol
+    assert max(c.max_abs() for c in chi_dot) == 0.0
+    # below the tolerance the block is round-off and goes
+    state = decompose_perturbation(zero, tuple(0.5 * unit * c for c in r), 2, tol=tol)
+    assert state.r_hat is None and state.r_dot_hat is None and state.grid == (n_tan, n_ver)
+
+
+def test_absent_r_block_stays_absent_and_keeps_its_grid():
+    n, n_tan, n_ver = 4, 32, 8
+    state = decompose_perturbation(*perturbed_initial_data(n, n_tan=n_tan, n_ver=n_ver), n)
+    outs = [evolve_state(state, 0.7, 1.3, 0.5),
+            evolve_state(state, 0.7, 1.3, 0.5, stepper="rk4", dt=0.01), apply_A(state)]
+    for out in outs:
+        assert out.r_hat is None and out.r_dot_hat is None
+        assert out.grid == (n_tan, n_ver)
+        assert compute_functionals(out, [1.0], 0.7, 1.3).F == 0.0
+    # the absent block's frequencies a * n_tan/2 = 160 still bound the rk4 step
+    with pytest.raises(StabilityError):
+        evolve_state(state, 10.0, 0.0, 0.5, stepper="rk4", dt=0.02)
