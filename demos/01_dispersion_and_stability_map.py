@@ -28,16 +28,17 @@ params = ShearParams()   # u = (+-1, 0, 0), densities 1
 for k in (WaveVector(1, 0), WaveVector(0, 1)):
     a_vals = np.linspace(0.0, 2.0, 5)
     b_vals = np.linspace(0.0, 2.0, 5)
-    table = stability_map(params, a_vals, b_vals, k)
+    # one row of the printed grid per a value: the columns run b fastest
+    gamma_squared = stability_map(params, a_vals, b_vals, k)["gamma_squared"]
     print(f"\nwave vector k = ({k.k1}, {k.k2}):   gamma^2 over the (a, b) grid")
     header = "   a\\b " + "".join(f"{b:10.2f}" for b in b_vals)
     print(header)
-    for a, row in zip(a_vals, table):
-        cells = "".join(f"{cell.gamma_squared:10.4f}" for cell in row)
+    for a, row in zip(a_vals, gamma_squared.reshape(a_vals.size, b_vals.size)):
+        cells = "".join(f"{g2:10.4f}" for g2 in row)
         print(f"{a:7.2f}{cells}")
 
 print("\ncondition flags at a = b = 1 (transverse configuration):")
-cell = stability_map(params, [1.0], [1.0], WaveVector(1, 0))[0][0]
-print(f"  syrovatskij first  : {cell.syrovatskij_first}")
-print(f"  syrovatskij second : {cell.syrovatskij_second}   <- parallel fields fail here")
-print(f"  strong condition   : {cell.strong_condition}")
+flags = stability_map(params, [1.0], [1.0], WaveVector(1, 0))
+print(f"  syrovatskij first  : {flags['syrovatskij_first'][0]}")
+print(f"  syrovatskij second : {flags['syrovatskij_second'][0]}   <- parallel fields fail here")
+print(f"  strong condition   : {flags['strong_condition'][0]}")

@@ -15,8 +15,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,9 +38,6 @@ from khlab.pressure import (
     mode_solver_fd_error,
 )
 from khlab.stability import evaluate_point, stability_map
-
-COMMANDS = ("dispersion", "map", "modes", "pressure", "evolve",
-            "functionals", "illposedness", "verify")
 
 RESIDUAL_GATE = 1e-9
 GROWTH_TOL = 1e-6
@@ -112,111 +110,105 @@ def _parse_choice(options):
     return parse
 
 
-def _parse_str(text):
-    return str(text).strip()
+# One row per command: the keys it requires, every key its output depends on (the
+# echo lists these) and the formats it writes, the default first.
+_Command = namedtuple("_Command", "required reads formats")
+
+_SHEAR = ("u_plus", "u_minus", "n1", "n2", "m_i")
+_EVOLUTION = ("n", "n_cutoff", "scale", "n_tan", "n_ver", "a", "b", "t", "samples",
+              "stepper", "dt")
+
+_COMMANDS = {
+    "dispersion": _Command(("k",), ("k", "a", "b") + _SHEAR, ("csv", "json")),
+    "map": _Command(("k",), ("k", "a_min", "a_max", "a_steps", "b_min", "b_max",
+                             "b_steps") + _SHEAR, ("csv",)),
+    "modes": _Command(("k",), ("k", "n_ver"), ("csv",)),
+    "pressure": _Command((), ("kappas", "refinements", "n_tan", "source_sign"),
+                         ("csv", "json")),
+    "evolve": _Command(("n",), _EVOLUTION, ("csv",)),
+    "functionals": _Command(("n",), _EVOLUTION, ("json",)),
+    "illposedness": _Command(("n",), _EVOLUTION, ("json",)),
+    "verify": _Command(("k",), ("k",), ("json",)),
+}
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration with documented defaults."""
+# One row per key: its parser, its default (None: required by a command, or unset)
+# and its bound, a pair (holds(value, cfg), what the value must be).
+_Key = namedtuple("_Key", "parse default bound", defaults=(None, None))
+_POSITIVE = (lambda v, cfg: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v, cfg: v >= 0, "must be >= 0")
+_COUNT = (lambda v, cfg: v >= 1, "must be >= 1")
+_GRID = (lambda v, cfg: v >= 4, "must be at least 4")
 
-    command: str = None
-    k: WaveVector = None
-    a: float = 0.0
-    b: float = 0.0
-    n1: float = 1.0
-    n2: float = 1.0
-    m_i: float = 1.0
-    u_plus: tuple = (1.0, 0.0, 0.0)
-    u_minus: tuple = (-1.0, 0.0, 0.0)
-    n_tan: int = 64
-    n_ver: int = 64
-    t: float = 1.0
-    dt: float = None          # default chosen by the stability rule
-    stepper: str = "exact"
-    n_cutoff: int = None      # defaults to n
-    n: int = None
-    scale: float = 1.0
-    samples: int = 9
-    a_min: float = 0.0
-    a_max: float = 2.0
-    a_steps: int = 10
-    b_min: float = 0.0
-    b_max: float = 2.0
-    b_steps: int = 10
-    kappas: tuple = (1.0, 2.0, 4.0)
-    refinements: int = 3
-    source_sign: float = 1.0
-    out: str = None
-    format: str = None        # csv or json; per-command default
+
+def _kappas_fit(kappas, cfg):
+    # pressure solves k = (kappa, 0) on every level, so kappa must stay below the
+    # coarsest level's Nyquist frequency, the rule perturbed_initial_data applies to n;
+    # a repeated kappa would label one ladder's orders across two
+    coarsest = cfg.n_tan >> (cfg.refinements - 1)
+    return len(set(kappas)) == len(kappas) and all(
+        kappa.is_integer() and 1 <= kappa < coarsest / 2 for kappa in kappas)
+
+
+# A bound may read the keys above it, which are checked first.
+_KEYS = {
+    "command": _Key(_parse_choice(tuple(_COMMANDS))),
+    "k": _Key(_parse_int_pair),
+    "a": _Key(_parse_float, 0.0, _NON_NEGATIVE),
+    "b": _Key(_parse_float, 0.0, _NON_NEGATIVE),
+    "n1": _Key(_parse_float, 1.0, _POSITIVE),
+    "n2": _Key(_parse_float, 1.0, _POSITIVE),
+    "m_i": _Key(_parse_float, 1.0, _POSITIVE),
+    "u_plus": _Key(_parse_vec3, (1.0, 0.0, 0.0)),
+    "u_minus": _Key(_parse_vec3, (-1.0, 0.0, 0.0)),
+    "n_tan": _Key(_parse_int, 64, _GRID),
+    "n_ver": _Key(_parse_int, 64, _GRID),
+    "t": _Key(_parse_float, 1.0, _NON_NEGATIVE),
+    "dt": _Key(_parse_float, None, _POSITIVE),    # unset: the rk4 stability rule
+    "stepper": _Key(_parse_choice(("exact", "rk4")), "exact"),
+    "n": _Key(_parse_int, None, _COUNT),
+    "n_cutoff": _Key(_parse_int, None, _COUNT),   # unset: n
+    "scale": _Key(_parse_float, 1.0, _POSITIVE),
+    "samples": _Key(_parse_int, 9, _COUNT),
+    "a_min": _Key(_parse_float, 0.0),
+    "a_max": _Key(_parse_float, 2.0),
+    "a_steps": _Key(_parse_int, 10, _COUNT),
+    "b_min": _Key(_parse_float, 0.0),
+    "b_max": _Key(_parse_float, 2.0),
+    "b_steps": _Key(_parse_int, 10, _COUNT),
+    "refinements": _Key(_parse_int, 3, _COUNT),
+    "kappas": _Key(_parse_float_list, (1.0, 2.0, 4.0), (
+        _kappas_fit, "must be distinct integers with 1 <= kappa < (n_tan >> (refinements-1))/2")),
+    "source_sign": _Key(_parse_float, 1.0, (lambda v, cfg: v in (1.0, -1.0), "must be 1 or -1")),
+    "out": _Key(str.strip),
+    "format": _Key(_parse_choice(("csv", "json"))),   # unset: the command's first format
+}
+
+
+class RunConfig(SimpleNamespace):
+    """Validated run configuration: one attribute per key of ``_KEYS``."""
 
     def params(self) -> ShearParams:
-        return ShearParams(self.u_plus, self.u_minus, self.a, self.b,
-                           self.n1, self.n2, self.m_i)
+        return ShearParams(self.u_plus, self.u_minus, n1=self.n1, n2=self.n2, m_i=self.m_i)
 
 
-_PARSERS = {
-    "command": _parse_choice(COMMANDS),
-    "k": _parse_int_pair,
-    "a": _parse_float, "b": _parse_float,
-    "n1": _parse_float, "n2": _parse_float, "m_i": _parse_float,
-    "u_plus": _parse_vec3, "u_minus": _parse_vec3,
-    "n_tan": _parse_int, "n_ver": _parse_int,
-    "t": _parse_float, "dt": _parse_float,
-    "stepper": _parse_choice(("exact", "rk4")),
-    "n_cutoff": _parse_int, "n": _parse_int,
-    "scale": _parse_float, "samples": _parse_int,
-    "a_min": _parse_float, "a_max": _parse_float, "a_steps": _parse_int,
-    "b_min": _parse_float, "b_max": _parse_float, "b_steps": _parse_int,
-    "kappas": _parse_float_list, "refinements": _parse_int,
-    "source_sign": _parse_float,
-    "out": _parse_str,
-    "format": _parse_choice(("csv", "json")),
-}
-
-_REQUIRED = {
-    "dispersion": ("k",),
-    "map": ("k",),
-    "modes": ("k",),
-    "verify": ("k",),
-    "evolve": ("n",),
-    "functionals": ("n",),
-    "illposedness": ("n",),
-    "pressure": (),
-}
-
-
-def _validate(cfg: RunConfig) -> RunConfig:
+def _validate(given: dict) -> RunConfig:
+    cfg = RunConfig(**{key: given.get(key, spec.default) for key, spec in _KEYS.items()})
     if cfg.command is None:
         raise MissingKeyError("no command given (key 'command' or --command)")
-    for key in _REQUIRED[cfg.command]:
+    command = _COMMANDS[cfg.command]
+    for key in command.required:
         if getattr(cfg, key) is None:
             raise MissingKeyError(f"command {cfg.command!r} requires key {key!r}")
-    for key in ("n1", "n2", "m_i", "scale"):
-        if getattr(cfg, key) <= 0:
-            raise MalformedValueError(f"{key} must be positive")
-    for key in ("a", "b"):
-        if getattr(cfg, key) < 0:
-            raise MalformedValueError(f"{key} must be >= 0")
-    if cfg.t < 0:
-        raise MalformedValueError("t must be >= 0")
-    if cfg.dt is not None and cfg.dt <= 0:
-        raise MalformedValueError("dt must be positive")
-    if cfg.n_tan < 4 or cfg.n_ver < 4:
-        raise MalformedValueError("grid sizes must be at least 4")
-    if cfg.samples < 1:
-        raise MalformedValueError("samples must be >= 1")
-    if cfg.n is not None and cfg.n < 1:
-        raise MalformedValueError("n must be >= 1")
-    if cfg.n_cutoff is not None and cfg.n_cutoff < 1:
-        raise MalformedValueError("n_cutoff must be >= 1")
-    if cfg.a_steps < 1 or cfg.b_steps < 1 or cfg.refinements < 1:
-        raise MalformedValueError("steps and refinements must be >= 1")
-    if cfg.source_sign not in (1.0, -1.0):
-        raise MalformedValueError("source_sign must be 1 or -1")
+    for key, spec in _KEYS.items():
+        if key in given and spec.bound is not None and not spec.bound[0](given[key], cfg):
+            raise MalformedValueError(f"{key} {spec.bound[1]}")
+    if cfg.format is None:
+        cfg.format = command.formats[0]
+    elif cfg.format not in command.formats:
+        raise MalformedValueError(
+            f"command {cfg.command!r} writes {' or '.join(command.formats)}, not {cfg.format}")
     if cfg.command == "pressure":
-        if not all(float(k).is_integer() for k in cfg.kappas):
-            raise MalformedValueError("kappas must be integers: pressure studies k = (kappa, 0)")
         if cfg.refinements < 2:
             raise MalformedValueError("pressure needs refinements >= 2 to fit a convergence order")
         if cfg.n_tan >> (cfg.refinements - 1) < 16:
@@ -242,56 +234,49 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             raise MalformedValueError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _PARSERS[key](val)
+        values[key] = _KEYS[key].parse(val)
 
     overrides = list(overrides)
-    i = 0
-    while i < len(overrides):
+    for i in range(0, len(overrides), 2):
         flag = overrides[i]
         if not flag.startswith("--"):
             raise MalformedValueError(f"expected --key, got {flag!r}")
         key = flag[2:]
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise UnknownKeyError(f"unknown flag --{key}")
         if i + 1 >= len(overrides):
             raise MalformedValueError(f"flag --{key} needs a value")
-        values[key] = _PARSERS[key](overrides[i + 1])
-        i += 2
+        values[key] = _KEYS[key].parse(overrides[i + 1])
 
-    return _validate(RunConfig(**values))
+    return _validate(values)
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
+def _column_text(column):
+    """The text of every value in a column, by one formatter its dtype picks."""
+    values = np.asarray(column)
+    if values.dtype.kind == "b":
+        return ["true" if v else "false" for v in values.tolist()]
+    if values.dtype.kind == "f":
+        return [format(v, ".17g") for v in values.tolist()]
+    return [str(v) for v in values.tolist()]       # integers and text
 
 
-_ECHO_EXCLUDED = {"out"}   # execution details, not run physics
+def _echo_text(value):
+    if isinstance(value, WaveVector):
+        return f"{value.k1},{value.k2}"
+    return ",".join(_column_text(value if isinstance(value, tuple) else [value]))
 
 
 def _config_echo(cfg: RunConfig):
-    echo = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if v is None or f.name in _ECHO_EXCLUDED:
-            continue
-        if isinstance(v, WaveVector):
-            v = f"{v.k1},{v.k2}"
-        elif isinstance(v, tuple):
-            v = ",".join(_fmt(c) for c in v)
-        echo[f.name] = v if isinstance(v, str) else v
-    return dict(sorted(echo.items()))
+    """The command and the set keys it reads, sorted; out and format are not physics."""
+    keys = sorted(("command",) + _COMMANDS[cfg.command].reads)
+    return {key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None}
 
 
 def _write_atomic(path: str, payload: str):
@@ -314,19 +299,18 @@ def _emit(cfg: RunConfig, payload: str):
         _write_atomic(cfg.out, payload)
 
 
-def _csv_payload(cfg: RunConfig, header, rows):
+def _csv_payload(cfg: RunConfig, columns: dict):
+    """The config echo in '#' lines, a header row of the column names, then the rows."""
     lines = [f"# khlab {cfg.command}"]
-    for key, val in _config_echo(cfg).items():
-        lines.append(f"# {key} = {_fmt(val)}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [f"# {key} = {_echo_text(val)}" for key, val in _config_echo(cfg).items()]
+    lines.append(",".join(columns))
+    lines += map(",".join, zip(*map(_column_text, columns.values())))
     return "\n".join(lines) + "\n"
 
 
 def _json_payload(cfg: RunConfig, data):
     doc = {"command": cfg.command,
-           "config": {k: _fmt(v) if not isinstance(v, (int, float, str)) else v
+           "config": {k: v if isinstance(v, (int, float, str)) else _echo_text(v)
                       for k, v in _config_echo(cfg).items()},
            "data": data}
     validate_report(doc)
@@ -387,42 +371,31 @@ def _validate_node(node, schema, path):
 # commands
 # ---------------------------------------------------------------------------
 
-def _default_dt(omega_max: float) -> float:
-    return min(1e-2, 0.25 / max(omega_max, 1.0))
+# the CSV headers of the three criteria flags
+_FLAG_HEADERS = {"syrovatskij_first": "syr1", "syrovatskij_second": "syr2",
+                 "strong_condition": "strong"}
 
 
 def _cmd_dispersion(cfg: RunConfig):
-    params = cfg.params()
-    point = evaluate_point(params, cfg.k, cfg.a, cfg.b)
-    lam_sq = boundary_dispersion(cfg.k, cfg.a, cfg.b)
-    if (cfg.format or "csv") == "json":
-        data = {"k1": cfg.k.k1, "k2": cfg.k.k2,
-                "gamma_squared": point.gamma_squared,
-                "lambda_squared": lam_sq, "growing": point.growing,
-                "syrovatskij_first": point.syrovatskij_first,
-                "syrovatskij_second": point.syrovatskij_second,
-                "strong_condition": point.strong_condition}
-        return 0, _json_payload(cfg, data)
-    header = ("k1", "k2", "a", "b", "gamma_squared", "lambda_squared",
-              "growing", "syr1", "syr2", "strong")
-    row = (cfg.k.k1, cfg.k.k2, cfg.a, cfg.b, point.gamma_squared, lam_sq,
-           point.growing, point.syrovatskij_first, point.syrovatskij_second,
-           point.strong_condition)
-    return 0, _csv_payload(cfg, header, [row])
+    point = evaluate_point(cfg.params(), cfg.k, cfg.a, cfg.b)
+    verdict = {"gamma_squared": point.gamma_squared,
+               "lambda_squared": boundary_dispersion(cfg.k, cfg.a, cfg.b),
+               "growing": point.growing,
+               "syrovatskij_first": point.syrovatskij_first,
+               "syrovatskij_second": point.syrovatskij_second,
+               "strong_condition": point.strong_condition}
+    if cfg.format == "json":
+        return 0, _json_payload(cfg, {"k1": cfg.k.k1, "k2": cfg.k.k2, **verdict})
+    row = {"k1": cfg.k.k1, "k2": cfg.k.k2, "a": cfg.a, "b": cfg.b, **verdict}
+    return 0, _csv_payload(cfg, {_FLAG_HEADERS.get(name, name): [value]
+                                 for name, value in row.items()})
 
 
 def _cmd_map(cfg: RunConfig):
-    params = cfg.params()
-    a_vals = np.linspace(cfg.a_min, cfg.a_max, cfg.a_steps)
-    b_vals = np.linspace(cfg.b_min, cfg.b_max, cfg.b_steps)
-    table = stability_map(params, a_vals, b_vals, cfg.k)
-    # each a and b value is formatted once, not once per cell
-    b_texts = [_fmt(b) for b in b_vals]
-    rows = [(a, b, cell.gamma_squared, cell.growing, cell.syrovatskij_first,
-             cell.syrovatskij_second, cell.strong_condition)
-            for a, row in zip(map(_fmt, a_vals), table) for b, cell in zip(b_texts, row)]
-    header = ("a", "b", "gamma_squared", "growing", "syr1", "syr2", "strong")
-    return 0, _csv_payload(cfg, header, rows)
+    columns = stability_map(cfg.params(), np.linspace(cfg.a_min, cfg.a_max, cfg.a_steps),
+                            np.linspace(cfg.b_min, cfg.b_max, cfg.b_steps), cfg.k)
+    return 0, _csv_payload(cfg, {_FLAG_HEADERS.get(name, name): column
+                                 for name, column in columns.items()})
 
 
 def _cmd_modes(cfg: RunConfig):
@@ -432,34 +405,27 @@ def _cmd_modes(cfg: RunConfig):
             for x3 in zu]
     rows += [(x3, "lower", complex(W.eval_lower(x3)).real, complex(V.eval_lower(x3)).imag)
              for x3 in zl]
-    return 0, _csv_payload(cfg, ("x3", "phase", "W_re", "V_im"), rows)
+    return 0, _csv_payload(cfg, dict(zip(("x3", "phase", "W_re", "V_im"), zip(*rows))))
 
 
 def _cmd_pressure(cfg: RunConfig):
-    per_kappa = {}
-    for kappa in cfg.kappas:
-        for level in range(cfg.refinements):
-            n = cfg.n_tan >> (cfg.refinements - 1 - level)
-            err = mode_solver_fd_error(WaveVector(int(kappa), 0), cfg.source_sign, n, n)
-            per_kappa.setdefault(kappa, []).append((n, err))
-    rows = []
-    for kappa, series in per_kappa.items():
-        prev = None
-        for n, err in series:
-            order = math.log2(prev / err) if prev is not None else float("nan")
-            rows.append((kappa, n, 1.0 / n, err, order))
-            prev = err
-    if (cfg.format or "csv") == "json":
-        data = {"errors": [{"kappa": r[0], "n_ver": r[1], "h": r[2],
-                            "max_error": r[3],
-                            "observed_order": None if math.isnan(r[4]) else r[4]}
-                           for r in rows],
-                "fitted_orders": {str(k): fitted_convergence_order(
-                    [e for _, e in series])
-                    for k, series in per_kappa.items()}}
-        return 0, _json_payload(cfg, data)
-    header = ("kappa", "n_ver", "h", "max_error", "observed_order")
-    return 0, _csv_payload(cfg, header, rows)
+    levels = [cfg.n_tan >> (cfg.refinements - 1 - level) for level in range(cfg.refinements)]
+    errors = {kappa: [mode_solver_fd_error(WaveVector(int(kappa), 0), cfg.source_sign, n, n)
+                      for n in levels] for kappa in cfg.kappas}
+    columns = {"kappa": [kappa for kappa in errors for _ in levels],
+               "n_ver": levels * len(errors),
+               "h": [1.0 / n for n in levels] * len(errors),
+               "max_error": [err for errs in errors.values() for err in errs],
+               "observed_order": [order for errs in errors.values() for order in [math.nan] + [
+                   math.log2(prev / err) for prev, err in zip(errs, errs[1:])]]}
+    if cfg.format == "csv":
+        return 0, _csv_payload(cfg, columns)
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    for row in rows:
+        if math.isnan(row["observed_order"]):
+            row["observed_order"] = None      # the first level has no order; JSON has no NaN
+    return 0, _json_payload(cfg, {"errors": rows, "fitted_orders": {
+        str(kappa): fitted_convergence_order(errs) for kappa, errs in errors.items()}})
 
 
 def _evolve_series(cfg: RunConfig):
@@ -472,7 +438,7 @@ def _evolve_series(cfg: RunConfig):
     if cfg.stepper == "rk4" and dt is None:
         omega_max = max(math.sqrt(2.0) * max([n] + list(state.P) + list(state.g) + [1]),
                         max(cfg.a, cfg.b) * (cfg.n_tan // 2))
-        dt = _default_dt(omega_max)
+        dt = min(1e-2, 0.25 / max(omega_max, 1.0))
     samples = ((float(t), evolve_state(state, cfg.a, cfg.b, float(t), stepper=cfg.stepper,
                                        dt=dt if cfg.stepper == "rk4" else None))
                for t in np.linspace(0.0, cfg.t, cfg.samples))
@@ -487,7 +453,7 @@ def _cmd_evolve(cfg: RunConfig):
         rows.append((t, rep.E_plus[1.0], rep.E_minus[1.0], rep.G, rep.F,
                      h2_readout(state)))
     header = ("t", "E1_plus", "E1_minus", "G", "F", "norm_P_H2")
-    return 0, _csv_payload(cfg, header, rows)
+    return 0, _csv_payload(cfg, dict(zip(header, zip(*rows))))
 
 
 def _cmd_functionals(cfg: RunConfig):
@@ -543,16 +509,7 @@ def _cmd_verify(cfg: RunConfig):
     return (0 if data["passed"] else 1), _json_payload(cfg, data)
 
 
-_HANDLERS = {
-    "dispersion": _cmd_dispersion,
-    "map": _cmd_map,
-    "modes": _cmd_modes,
-    "pressure": _cmd_pressure,
-    "evolve": _cmd_evolve,
-    "functionals": _cmd_functionals,
-    "illposedness": _cmd_illposedness,
-    "verify": _cmd_verify,
-}
+_HANDLERS = {name: globals()[f"_cmd_{name}"] for name in _COMMANDS}
 
 
 def run(cfg: RunConfig) -> int:

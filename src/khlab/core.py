@@ -87,12 +87,6 @@ class ShearParams:
     def velocity_jump(self) -> np.ndarray:
         return np.asarray(self.u_plus) - np.asarray(self.u_minus)
 
-    def field_upper(self) -> np.ndarray:
-        return np.array([0.0, self.a, 0.0])
-
-    def field_lower(self) -> np.ndarray:
-        return np.array([0.0, self.b, 0.0])
-
 
 @dataclass(frozen=True, order=True)
 class WaveVector:
@@ -416,21 +410,6 @@ def trace_spectrum(trace: np.ndarray) -> np.ndarray:
     """2-D DFT of an interface trace with the 1/n^2 normalisation."""
     n = trace.shape[0]
     return np.fft.fft2(trace) / n ** 2
-
-
-def apply_x2_multiplier(f: TwoPhaseGridField, multiplier) -> TwoPhaseGridField:
-    """Apply a real Fourier multiplier in x2: multiplier(|k2|) acts per mode.
-
-    multiplier is a callable on the frequencies 0..n_tan//2 of the real
-    transform; the result is the real field of the multiplier extended
-    evenly in k2.
-    """
-    n = f.n_tan
-    k2 = np.arange(n // 2 + 1)
-    m = np.asarray(multiplier(k2), dtype=float)[None, :, None]
-    up = np.fft.irfft(np.fft.rfft(f.values_upper, axis=1) * m, n=n, axis=1)
-    lo = np.fft.irfft(np.fft.rfft(f.values_lower, axis=1) * m, n=n, axis=1)
-    return TwoPhaseGridField(f.n_tan, f.n_ver, up, lo)
 
 
 # ---------------------------------------------------------------------------

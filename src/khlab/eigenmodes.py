@@ -90,7 +90,6 @@ class HarmonicPotential:
 
     j: int
     profile: VerticalProfile
-    parity: str   # "odd" or "even"
 
     def gradient_profiles(self):
         """Vertical profiles of (d/dx1, d/dx2, d/dx3) applied to the mode."""
@@ -112,8 +111,8 @@ def build_harmonic_potentials(j: int):
     ep, em = _exp_weights(float(j))
     odd = VerticalProfile.from_exponential(float(j), (-ep, -em), (em, ep))
     even = VerticalProfile.from_exponential(float(j), (ep, em), (em, ep))
-    return (HarmonicPotential(j, odd, "odd"),
-            HarmonicPotential(j, even, "even"))
+    return (HarmonicPotential(j, odd),
+            HarmonicPotential(j, even))
 
 
 def potential_gradient_norm_sq(j: int) -> float:

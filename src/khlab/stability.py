@@ -115,12 +115,14 @@ def evaluate_point(params: ShearParams, k: WaveVector, a: float, b: float) -> St
     return StabilityVerdict(g2, g2 > 0.0, *map(bool, _criteria(params.velocity_jump(), B1, B2)))
 
 
-def stability_map(params: ShearParams, a_range, b_range, k: WaveVector):
-    """Sweep transverse field strengths into a table of verdicts.
+def stability_map(params: ShearParams, a_range, b_range, k: WaveVector) -> dict:
+    """Sweep transverse field strengths into columns.
 
     a_range and b_range must be nonempty monotone 1-D grids.  The result
-    is a row-major list of rows, one row per a value, each cell equal to
-    the pointwise evaluation at (a, b).
+    maps a, b, gamma_squared, growing, syrovatskij_first,
+    syrovatskij_second and strong_condition to 1-D arrays in row-major
+    order (a slow, b fast); each entry equals the pointwise evaluation at
+    its (a, b).
     """
     a_range, b_range = (np.atleast_1d(np.asarray(r, dtype=float)) for r in (a_range, b_range))
     for name, rng in (("a_range", a_range), ("b_range", b_range)):
@@ -133,6 +135,10 @@ def stability_map(params: ShearParams, a_range, b_range, k: WaveVector):
     B1, B2 = np.zeros((a_range.size, 1, 3)), np.zeros((1, b_range.size, 3))
     # fields (0, a, 0) above and (0, b, 0) below, a down the rows
     B1[..., 1], B2[..., 1] = a_range[:, None], b_range[None, :]
+    a, b = np.meshgrid(a_range, b_range, indexing="ij")
     g2 = _gamma_squared(params, k.require_nonzero().as_array3(), B1, B2)
-    columns = [c.tolist() for c in (g2, g2 > 0.0, *_criteria(params.velocity_jump(), B1, B2))]
-    return [[StabilityVerdict(*cell) for cell in zip(*row)] for row in zip(*columns)]
+    first, second, strong = _criteria(params.velocity_jump(), B1, B2)
+    columns = {"a": a, "b": b, "gamma_squared": g2, "growing": g2 > 0.0,
+               "syrovatskij_first": first, "syrovatskij_second": second,
+               "strong_condition": strong}
+    return {name: column.ravel() for name, column in columns.items()}

@@ -84,6 +84,36 @@ def test_malformed_value_rejected(capsys):
         assert out == "" and len(err.splitlines()) == 1 and "refinements" in err
     with pytest.raises(ValueError):
         fitted_convergence_order([1e-3])
+    # kappa must be a distinct integer in [1, n_min/2) with n_min = n_tan >> (refinements-1):
+    # -1 labelled rows kappa = -1 for |k| = 1, and 8 or 12 lie at or above the
+    # 16-point level's Nyquist frequency
+    for bad in (["--kappas", "-1"], ["--kappas", "0"], ["--kappas", "8"], ["--kappas", "12"],
+                ["--kappas", "1,1"], ["--kappas", "8", "--n_tan", "128", "--refinements", "4"]):
+        with pytest.raises(MalformedValueError):
+            parse_config("", ["--command", "pressure"] + bad)
+        capsys.readouterr()
+        assert main(["--command", "pressure"] + bad) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "kappas" in err
+    # every key given is bounded, read or not
+    with pytest.raises(MalformedValueError):
+        parse_config("", ["--command", "map", "--k", "1,0", "--kappas", "12"])
+    assert parse_config("", ["--command", "pressure", "--kappas", "7,1"]).kappas == (7.0, 1.0)
+    # a format the command cannot write
+    for command, required, fmt in (("map", ["--k", "1,0"], "json"),
+                                   ("modes", ["--k", "1,0"], "json"),
+                                   ("evolve", ["--n", "4"], "json"),
+                                   ("verify", ["--k", "1,0"], "csv"),
+                                   ("functionals", ["--n", "4"], "csv"),
+                                   ("illposedness", ["--n", "4"], "csv")):
+        args = ["--command", command, *required, "--format", fmt]
+        with pytest.raises(MalformedValueError):
+            parse_config("", args)
+        capsys.readouterr()
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("khlab: ") and len(err.splitlines()) == 1
+        assert fmt in err
     # n = 50 >= n_tan/2 aliases onto mode 14 (50 = -14 mod 64): rows labelled
     # n = 50 would describe another mode
     capsys.readouterr()
@@ -382,3 +412,202 @@ def test_sample_series_memory_does_not_grow_with_samples(capsys):
         return peak_bytes
 
     assert peak(9) <= 1.5 * peak(2)
+
+
+# ---------------------------------------------------------------------------
+# the key and command tables
+# ---------------------------------------------------------------------------
+
+def test_every_default_is_within_its_bound():
+    import khlab.cli as cli_mod
+
+    for command, spec in cli_mod._COMMANDS.items():
+        required = {"k": "1,0", "n": "4"}
+        cfg = parse_config("", ["--command", command] + [
+            arg for key in spec.required for arg in ("--" + key, required[key])])
+        assert cfg.format == spec.formats[0]
+        assert set(spec.required) <= set(spec.reads) <= set(cli_mod._KEYS)
+        for key, row in cli_mod._KEYS.items():
+            if row.default is not None and row.bound is not None:
+                assert row.bound[0](row.default, cfg), key
+
+
+def test_echo_lists_exactly_the_keys_each_command_reads(monkeypatch, capsys):
+    # a configuration that records every key the handler looks at, with the
+    # payload writers (which read the echo) stubbed out
+    import khlab.cli as cli_mod
+
+    seen = set()
+
+    class Recording(cli_mod.RunConfig):
+        def __getattribute__(self, name):
+            if name in cli_mod._KEYS:
+                seen.add(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(cli_mod, "_csv_payload", lambda cfg, columns: "")
+    monkeypatch.setattr(cli_mod, "_json_payload", lambda cfg, data: "")
+    small = ["--n", "2", "--n_tan", "8", "--n_ver", "4", "--samples", "2"]
+    flags = {"dispersion": ["--k", "1,1"],
+             "map": ["--k", "1,1", "--a_steps", "2", "--b_steps", "2"],
+             "modes": ["--k", "1,1", "--n_ver", "4"],
+             "pressure": ["--kappas", "1", "--n_tan", "32", "--refinements", "2"],
+             "evolve": small + ["--stepper", "rk4"],
+             "functionals": small,
+             "illposedness": small,
+             "verify": ["--k", "1,1"]}
+    assert set(flags) == set(cli_mod._COMMANDS)
+    for command, args in flags.items():
+        cfg = Recording(**vars(parse_config("", ["--command", command] + args)))
+        seen.clear()
+        assert cli_mod.run(cfg) in (0, 1)
+        reads = cli_mod._COMMANDS[command].reads
+        assert seen - {"command", "format", "out"} == set(reads), command
+        assert list(cli_mod._config_echo(parse_config("", ["--command", command] + args))) \
+            == sorted({"command", *reads} - {"dt", "n_cutoff"}), command
+    capsys.readouterr()
+
+
+def test_echo_drops_keys_the_command_does_not_read(capsys):
+    rc, out = run_cli(capsys, ["--command", "map", "--k", "1,0", "--a_steps", "2",
+                               "--b_steps", "2", "--a", "0.5", "--out", "-"])
+    assert rc == 0
+    echo = [line.split(" = ")[0][2:] for line in out.splitlines()[1:] if line.startswith("#")]
+    assert echo == ["a_max", "a_min", "a_steps", "b_max", "b_min", "b_steps", "command",
+                    "k", "m_i", "n1", "n2", "u_minus", "u_plus"]
+    rc, out = run_cli(capsys, ["--command", "dispersion", "--k", "1,0", "--format", "json"])
+    assert rc == 0
+    assert json.loads(out)["config"] == {
+        "a": 0.0, "b": 0.0, "command": "dispersion", "k": "1,0", "m_i": 1.0, "n1": 1.0,
+        "n2": 1.0, "u_minus": "-1,0,0", "u_plus": "1,0,0"}
+
+
+def test_parse_config_raises_only_config_errors_property():
+    # any flag text for any key, alone or with others, gives a RunConfig or a
+    # ConfigError, never another exception
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import khlab.cli as cli_mod
+
+    numberish = st.one_of(
+        st.integers(-3, 70).map(str), st.integers(-10 ** 6, 10 ** 6).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.lists(st.integers(-20, 20).map(str), min_size=1, max_size=4).map(",".join),
+        st.lists(st.floats().map(repr), min_size=1, max_size=4).map(",".join))
+    text = st.one_of(numberish, st.text(max_size=20), st.sampled_from(
+        ["csv", "json", "exact", "rk4", "", " ", "1,0", "0,0", "10**400", "9" * 5000]))
+    # the pressure keys bound one another, so they are drawn more often
+    key = st.one_of(st.sampled_from(sorted(cli_mod._KEYS)),
+                    st.sampled_from(["kappas", "n_tan", "refinements"]))
+    flag = st.tuples(key, text)
+
+    @hypothesis.settings(max_examples=600, deadline=None)
+    @hypothesis.given(command=st.sampled_from(sorted(cli_mod._COMMANDS)),
+                      pairs=st.lists(flag, min_size=1, max_size=4))
+    def check(command, pairs):
+        args = ["--command", command, "--k", "1,0", "--n", "4"]
+        for key, value in pairs:
+            args += ["--" + key, value]
+        try:
+            cfg = parse_config("", args)
+        except cli_mod.ConfigError:
+            return
+        assert isinstance(cfg, cli_mod.RunConfig)
+
+    check()
+
+
+def _json_reports(capsys):
+    """One report of each JSON command, at small sizes."""
+    small = ["--n", "3", "--n_tan", "16", "--n_ver", "8", "--samples", "3"]
+    reports = []
+    for args in (["--command", "dispersion", "--k", "2,1", "--format", "json"],
+                 ["--command", "pressure", "--kappas", "1,2", "--n_tan", "32",
+                  "--refinements", "2", "--format", "json"],
+                 ["--command", "functionals"] + small,
+                 ["--command", "illposedness"] + small,
+                 ["--command", "verify", "--k", "3,1"]):
+        rc, out = run_cli(capsys, args)
+        assert rc == 0, args
+        reports.append(json.loads(out))
+    return reports
+
+
+def _mutations(node):
+    """Copies of a report with one key deleted or one value replaced.
+
+    No replacement is an integral float such as 2.0: JSON Schema counts it as
+    an integer, the hand-rolled validator does not, and no report writes one.
+    """
+    import copy
+
+    def paths(value, path=()):
+        if isinstance(value, dict):
+            for key, child in value.items():
+                yield path + (key,)
+                yield from paths(child, path + (key,))
+        elif isinstance(value, list):
+            for i, child in enumerate(value[:2]):
+                yield path + (i,)
+                yield from paths(child, path + (i,))
+
+    for path in paths(node):
+        for replacement in ("text", None, True, [], {}, 1.5, -3, "delete"):
+            doc = copy.deepcopy(node)
+            parent = doc
+            for step in path[:-1]:
+                parent = parent[step]
+            if replacement == "delete":
+                if isinstance(parent, dict):
+                    del parent[path[-1]]
+            else:
+                parent[path[-1]] = replacement
+            yield doc
+    extra = copy.deepcopy(node)
+    extra["unexpected"] = 1
+    yield extra
+    wrong = copy.deepcopy(node)
+    wrong["command"] = "nope"
+    yield wrong
+
+
+def test_hand_rolled_validator_agrees_with_jsonschema(capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    from khlab.cli import _validate_node
+
+    schema = load_report_schema()
+    validator = jsonschema.validators.validator_for(schema)(schema)
+
+    def hand_rolled_ok(doc):
+        try:
+            _validate_node(doc, schema, "$")
+        except ValueError:
+            return False
+        return True
+
+    rejected = 0
+    for report in _json_reports(capsys):
+        assert validator.is_valid(report) and hand_rolled_ok(report)
+        for doc in _mutations(report):
+            assert hand_rolled_ok(doc) == validator.is_valid(doc), doc
+            rejected += not validator.is_valid(doc)
+    assert rejected > 100   # the mutations reach the schema's constraints
+
+
+def test_readme_command_table_matches_the_command_table():
+    import re
+
+    import khlab.cli as cli_mod
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("### Commands", 1)[1].split("###", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("| `")]
+    table = {}
+    for cells in rows:
+        command, required, reads, formats = (re.findall(r"`([^`]+)`", c) for c in cells[:4])
+        table[command[0]] = cli_mod._Command(tuple(required), tuple(reads), tuple(formats))
+    assert table == cli_mod._COMMANDS

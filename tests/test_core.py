@@ -12,7 +12,6 @@ from khlab.core import (
     VerticalProfile,
     WaveVector,
     _integer_frequencies,
-    apply_x2_multiplier,
     coth,
     inner_product_L2,
     vertical_levels,
@@ -40,7 +39,6 @@ def test_shear_params_validation():
 def test_shear_params_canonical_jump():
     p = ShearParams()
     assert np.allclose(p.velocity_jump(), [2.0, 0.0, 0.0])
-    assert np.allclose(ShearParams(a=1.5).field_upper(), [0.0, 1.5, 0.0])
 
 
 def test_wave_vector_kappa():
@@ -290,9 +288,3 @@ def test_transform_parseval():
         spectral += np.sum((np.abs(cu) ** 2 + np.abs(cl) ** 2) * w)
     spectral *= TWO_PI ** 2
     assert spectral == pytest.approx(inner_product_L2(f, f), rel=1e-10)
-
-
-def test_x2_multiplier_single_mode():
-    f = TwoPhaseGridField.from_function(lambda x1, x2, x3: np.cos(4 * x2) + 0 * x3, 16, 4)
-    out = apply_x2_multiplier(f, lambda k2: k2 ** 2)
-    assert (out - 16.0 * f).max_abs() < 1e-10

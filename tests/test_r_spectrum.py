@@ -6,7 +6,6 @@ import pytest
 from khlab.core import (
     PerturbationState,
     TwoPhaseGridField,
-    apply_x2_multiplier,
     inner_product_vector,
 )
 from khlab.evolution import StabilityError, apply_A, evolve_state
@@ -19,6 +18,26 @@ from khlab.functionals import (
     perturbed_initial_data,
     reconstruct_perturbation,
 )
+
+
+def apply_x2_multiplier(f: TwoPhaseGridField, multiplier) -> TwoPhaseGridField:
+    """Test-only grid reference: a real Fourier multiplier in x2, multiplier(|k2|) per mode.
+
+    multiplier is a callable on the frequencies 0..n_tan//2 of the real
+    transform; the result is the real field of the multiplier extended
+    evenly in k2.
+    """
+    n = f.n_tan
+    m = np.asarray(multiplier(np.arange(n // 2 + 1)), dtype=float)[None, :, None]
+    up = np.fft.irfft(np.fft.rfft(f.values_upper, axis=1) * m, n=n, axis=1)
+    lo = np.fft.irfft(np.fft.rfft(f.values_lower, axis=1) * m, n=n, axis=1)
+    return TwoPhaseGridField(f.n_tan, f.n_ver, up, lo)
+
+
+def test_x2_multiplier_single_mode():
+    f = TwoPhaseGridField.from_function(lambda x1, x2, x3: np.cos(4 * x2) + 0 * x3, 16, 4)
+    out = apply_x2_multiplier(f, lambda k2: k2 ** 2)
+    assert (out - 16.0 * f).max_abs() < 1e-10
 
 
 def _r_vector(n_tan, n_ver, seed):

@@ -8,6 +8,7 @@ import pytest
 
 from khlab.core import ShearParams, WaveVector
 from khlab.stability import (
+    StabilityVerdict,
     check_syrovatskij,
     evaluate_point,
     sen_gamma_squared,
@@ -128,36 +129,58 @@ def test_check_syrovatskij_carries_no_growth_rate():
 # parameter sweeps
 # ---------------------------------------------------------------------------
 
+def _verdict_at(columns, cell):
+    """The verdict of one cell of a sweep, with the column entries as Python scalars."""
+    return StabilityVerdict(*(columns[name][cell].item() for name in (
+        "gamma_squared", "growing", "syrovatskij_first", "syrovatskij_second",
+        "strong_condition")))
+
+
+def test_map_returns_columns_and_builds_no_verdict(monkeypatch):
+    import khlab.stability as stability
+
+    def no_verdict(*args):
+        raise AssertionError("stability_map built a StabilityVerdict")
+
+    monkeypatch.setattr(stability, "StabilityVerdict", no_verdict)
+    a_vals, b_vals = np.linspace(0.0, 2.0, 3), np.linspace(0.0, 1.0, 4)
+    columns = stability.stability_map(ShearParams(), a_vals, b_vals, WaveVector(1, 1))
+    assert list(columns) == ["a", "b", "gamma_squared", "growing", "syrovatskij_first",
+                             "syrovatskij_second", "strong_condition"]
+    for name, column in columns.items():
+        assert isinstance(column, np.ndarray) and column.shape == (12,)
+        assert column.dtype == (float if name in ("a", "b", "gamma_squared") else bool)
+    # row-major: a slow, b fast
+    assert columns["a"].tolist() == np.repeat(a_vals, 4).tolist()
+    assert columns["b"].tolist() == np.tile(b_vals, 3).tolist()
+
 def test_map_streamwise_invariance():
-    table = stability_map(ShearParams(), np.linspace(0, 2, 8),
-                          np.linspace(0, 2, 8), WaveVector(1, 0))
-    values = {cell.gamma_squared for row in table for cell in row}
+    columns = stability_map(ShearParams(), np.linspace(0, 2, 8),
+                            np.linspace(0, 2, 8), WaveVector(1, 0))
+    values = set(columns["gamma_squared"].tolist())
     assert len(values) == 1
     assert values.pop() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_map_single_cell_matches_pointwise():
     p = ShearParams()
-    table = stability_map(p, [0.7], [1.3], WaveVector(2, 1))
-    cell = table[0][0]
+    columns = stability_map(p, [0.7], [1.3], WaveVector(2, 1))
     point = evaluate_point(p, WaveVector(2, 1), 0.7, 1.3)
-    assert cell == point
+    assert _verdict_at(columns, 0) == point
 
 
 def test_map_monotone_in_field_for_spanwise_mode():
     p = ShearParams()
     a_vals = np.linspace(0.1, 2.0, 9)
-    table = stability_map(p, a_vals, [0.0], WaveVector(0, 1))
-    g2 = [row[0].gamma_squared for row in table]
+    g2 = stability_map(p, a_vals, [0.0], WaveVector(0, 1))["gamma_squared"].tolist()
     assert all(x > y for x, y in zip(g2, g2[1:]))
 
 
 def test_map_growing_flag_consistent():
-    table = stability_map(ShearParams(), np.linspace(0, 3, 5),
-                          np.linspace(0, 3, 5), WaveVector(1, 2))
-    for row in table:
-        for cell in row:
-            assert cell.growing == (cell.gamma_squared > 0)
+    columns = stability_map(ShearParams(), np.linspace(0, 3, 5),
+                            np.linspace(0, 3, 5), WaveVector(1, 2))
+    for cell in range(25):
+        assert columns["growing"][cell] == (columns["gamma_squared"][cell] > 0)
 
 
 def test_map_rejects_bad_ranges():
@@ -214,22 +237,25 @@ def test_sweep_matches_scalar_reference():
             if 0 < k.kappa <= 64:
                 break
         a_vals, b_vals = _grid(rng, rng.integers(1, 9)), _grid(rng, rng.integers(1, 9))
-        table = stability_map(p, a_vals, b_vals, k)
-        assert len(table) == a_vals.size
-        for a, row in zip(a_vals, table):
-            assert len(row) == b_vals.size
-            for b, cell in zip(b_vals, row):
+        columns = stability_map(p, a_vals, b_vals, k)
+        assert all(c.shape == (a_vals.size * b_vals.size,) for c in columns.values())
+        for i, a in enumerate(a_vals):
+            for j, b in enumerate(b_vals):
+                cell = _verdict_at(columns, i * b_vals.size + j)
+                assert (columns["a"][i * b_vals.size + j], columns["b"][i * b_vals.size + j]) \
+                    == (a, b)
                 g2, first, second, strong = _reference_verdict(p, k, a, b)
                 assert cell.gamma_squared == pytest.approx(g2, rel=1e-15, abs=0.0)
                 assert type(cell.growing) is bool and cell.growing == (g2 > 0.0)
                 assert (cell.syrovatskij_first, cell.syrovatskij_second,
                         cell.strong_condition) == (first, second, strong)
-        assert evaluate_point(p, k, a_vals[-1], b_vals[0]) == table[-1][0]
+        last_row_first = (a_vals.size - 1) * b_vals.size
+        assert evaluate_point(p, k, a_vals[-1], b_vals[0]) == _verdict_at(columns, last_row_first)
     # Python's x ** 2 is libm pow, which rounds these squares differently from
     # x * x; the sweep follows it bit for bit, so CLI output stays the same
     still, k = ShearParams(u_plus=(0.0, 0.0, 0.0), u_minus=(0.0, 0.0, 0.0)), WaveVector(0, 1)
     a_vals = [3.670728948954113, 3.7529595021799986, 3.963117857672733]
-    assert [row[0].gamma_squared for row in stability_map(still, a_vals, [0.0], k)] == \
+    assert stability_map(still, a_vals, [0.0], k)["gamma_squared"].tolist() == \
         [_reference_verdict(still, k, a, 0.0)[0] for a in a_vals]
     # Python's max(x, nan) is x and max(nan, x) is nan; infinite fields expose the order
     for hp, hm in (((0.0, 1.0, 1.0), (np.inf, 0.0, 0.0)), ((np.inf, 0.0, 0.0), (0.0, 1.0, 1.0))):
@@ -251,7 +277,8 @@ def test_sweep_matches_scalar_reference():
         ref = _reference_verdict(ShearParams(), WaveVector(1, 0), 1e300, 1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cell = stability_map(ShearParams(), [0.0, 1e300], [1e300], WaveVector(1, 0))[1][0]
+        cell = _verdict_at(stability_map(ShearParams(), [0.0, 1e300], [1e300],
+                                         WaveVector(1, 0)), 1)
     assert (cell.gamma_squared, cell.syrovatskij_first, cell.syrovatskij_second,
             cell.strong_condition) == ref
 
@@ -269,8 +296,8 @@ def test_sweep_does_no_per_cell_work(monkeypatch):
     for steps in (10, 100):
         calls.clear()
         grid = np.linspace(0.0, 2.0, steps)
-        table = stability_map(ShearParams(), grid, grid, WaveVector(2, 3))
-        assert sum(map(len, table)) == steps * steps
+        columns = stability_map(ShearParams(), grid, grid, WaveVector(2, 3))
+        assert len(columns["gamma_squared"]) == steps * steps
         counts.append(len(calls))
     assert counts[0] > 0 and counts[0] == counts[1]
 
@@ -296,11 +323,10 @@ def test_streamwise_growth_ignores_transverse_field_property():
         k = WaveVector(k1, 0)
         a_vals, b_vals = sorted(a, reverse=descending), sorted(b)
         bare = evaluate_point(p, k, 0.0, 0.0).gamma_squared
-        table = stability_map(p, a_vals, b_vals, k)
-        for av, row in zip(a_vals, table):
-            for bv, cell in zip(b_vals, row):
-                assert cell.gamma_squared == bare
-                if av > 0.0 or bv > 0.0:
-                    assert cell.syrovatskij_second is False
+        columns = stability_map(p, a_vals, b_vals, k)
+        for cell in range(len(a_vals) * len(b_vals)):
+            assert columns["gamma_squared"][cell] == bare
+            if columns["a"][cell] > 0.0 or columns["b"][cell] > 0.0:
+                assert _verdict_at(columns, cell).syrovatskij_second is False
 
     check()
