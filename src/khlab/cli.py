@@ -341,7 +341,9 @@ def _validate_node(node, schema, path):
         if t == "number":
             ok = isinstance(node, (int, float)) and not isinstance(node, bool)
         elif t == "integer":
-            ok = isinstance(node, int) and not isinstance(node, bool)
+            # as in JSON Schema, an integral float such as 2.0 is an integer
+            ok = (isinstance(node, int) and not isinstance(node, bool)
+                  or isinstance(node, float) and node.is_integer())
         else:
             ok = isinstance(node, _TYPES[t])
         if not ok:

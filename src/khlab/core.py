@@ -17,6 +17,9 @@ Geometry and conventions (used by every module in the package):
   accurate for large kappa instead of cancelling catastrophically.
 * All quantities are dimensionless; default densities and ion mass
   are one.
+* Array code on a grid 3-vector uses one stacked layout, axes
+  (component, phase, x1, x2, x3) with the upper phase first; _stack and
+  _unstack convert, and a length-1 x2 axis holds an x2-constant plane.
 
 Everything here is a plain value object: construct, then treat as
 immutable.  Operations are pure functions, safe to run concurrently.
@@ -39,6 +42,13 @@ def inv_expm1(y: float) -> float:
     if y > 700.0:
         return 0.0
     return 1.0 / math.expm1(y)
+
+
+def exp_weights(kappa: float):
+    """(e^-k, e^k) / (2 sinh k) evaluated without overflow or cancellation."""
+    small = inv_expm1(2.0 * kappa)          # e^-k / (2 sinh k)
+    large = -1.0 / math.expm1(-2.0 * kappa)  # e^+k / (2 sinh k)
+    return small, large
 
 
 def coth(x: float) -> float:
@@ -161,10 +171,6 @@ class VerticalProfile:
         up = (upper_exp[0] + upper_exp[1], upper_exp[0] - upper_exp[1])
         lo = (lower_exp[0] + lower_exp[1], lower_exp[0] - lower_exp[1])
         return cls(kappa, up, lo, upper_exp=tuple(upper_exp), lower_exp=tuple(lower_exp))
-
-    @classmethod
-    def zero(cls, kappa):
-        return cls(kappa, (0.0, 0.0), (0.0, 0.0))
 
     def _eval_exp(self, coeffs, x3):
         a_plus, a_minus = coeffs
@@ -295,20 +301,6 @@ class TwoPhaseGridField:
     def same_grid(self, other) -> bool:
         return self.n_tan == other.n_tan and self.n_ver == other.n_ver
 
-    # -- traces ---------------------------------------------------------
-
-    def upper_interface_trace(self):
-        return self.values_upper[:, :, 0]
-
-    def lower_interface_trace(self):
-        return self.values_lower[:, :, -1]
-
-    def upper_wall_trace(self):
-        return self.values_upper[:, :, -1]
-
-    def lower_wall_trace(self):
-        return self.values_lower[:, :, 0]
-
     # -- arithmetic ------------------------------------------------------
 
     def copy(self):
@@ -357,22 +349,36 @@ def vector_field_zeros(n_tan, n_ver):
     return tuple(TwoPhaseGridField.zeros(n_tan, n_ver) for _ in range(3))
 
 
-def row_profile_field(row_up, row_lo, profile, n_tan, n_ver):
-    """Re(row(x1) * profile(x3)) per phase on the grid, constant in x2."""
+def row_profile_plane(row_up, row_lo, profile, n_ver):
+    """Re(row(x1) * profile(x3)) per phase, constant in x2: axes (phase, x1, 1, x3)."""
     zu, zl = vertical_levels(n_ver)
-    shape = (n_tan, n_tan, n_ver + 1)
-    up = np.real(row_up[:, None, None] * profile.eval_upper(zu)[None, None, :])
-    lo = np.real(row_lo[:, None, None] * profile.eval_lower(zl)[None, None, :])
-    return TwoPhaseGridField(n_tan, n_ver, np.broadcast_to(up, shape).copy(),
-                             np.broadcast_to(lo, shape).copy())
+    return np.real(np.stack([row_up[:, None] * profile.eval_upper(zu),
+                             row_lo[:, None] * profile.eval_lower(zl)]))[:, :, None, :]
+
+
+def _stack(vec):
+    """A grid 3-vector as one array, axes (component, phase, x1, x2, x3), upper phase first."""
+    if len(vec) != 3:
+        raise ValueError("expected a 3-vector of grid fields")
+    if not all(c.same_grid(vec[0]) for c in vec):
+        raise GridMismatchError("the components of a 3-vector live on different grids")
+    return np.array([(c.values_upper, c.values_lower) for c in vec], dtype=float)
+
+
+def _unstack(values):
+    """The grid 3-vector of a stacked array, sharing its memory; a length-1 x2 axis broadcasts."""
+    n_tan, n_ver = values.shape[2], values.shape[4] - 1
+    if values.shape[3] == 1:
+        values = np.repeat(values, n_tan, axis=3)
+    return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _vertical_weights(n_ver, h_ver):
-    w = np.full(n_ver + 1, h_ver)
+def _vertical_weights(n_ver):
+    w = np.full(n_ver + 1, 1.0 / n_ver)
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
@@ -387,7 +393,7 @@ def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
     """
     if not f.same_grid(g):
         raise GridMismatchError("inner product requires identical grids")
-    w = _vertical_weights(f.n_ver, f.h_ver)
+    w = _vertical_weights(f.n_ver)
     s = np.sum(f.values_upper * g.values_upper * w)
     s += np.sum(f.values_lower * g.values_lower * w)
     return float(s * f.h_tan ** 2)
@@ -416,24 +422,20 @@ def trace_spectrum(trace: np.ndarray) -> np.ndarray:
 # perturbation state
 # ---------------------------------------------------------------------------
 
-def _r_spectrum(vec):
-    """x2 rfft of a grid 3-vector, axes (component, phase, x1, k2, x3); None stays None."""
-    if vec is None:
-        return None
-    if len(vec) != 3:
-        raise ValueError("r must be a 3-vector of grid fields")
-    values = np.stack([(c.values_upper, c.values_lower) for c in vec])
+def _r_frequencies(n_tan):
+    """The k2 = 0, 1, ..., n_tan//2 of the stored x2 spectrum of r, as floats."""
+    return np.arange(n_tan // 2 + 1, dtype=float)
+
+
+def _r_spectrum(values):
+    """x2 rfft of a stacked grid 3-vector: axes (component, phase, x1, k2, x3)."""
     _check_r_field(values)
     return np.fft.rfft(values, axis=3)
 
 
-def _r_grid(spectrum, grid):
-    """The grid 3-vector of an x2 spectrum (inverse of _r_spectrum); zeros when absent."""
-    if spectrum is None:
-        return None if grid is None else vector_field_zeros(*grid)
-    n_tan, n_ver = spectrum.shape[2], spectrum.shape[4] - 1
-    values = np.fft.irfft(spectrum, n=n_tan, axis=3)
-    return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
+def _r_grid(spectrum):
+    """The stacked grid 3-vector of an x2 spectrum (inverse of _r_spectrum)."""
+    return np.fft.irfft(spectrum, n=spectrum.shape[2], axis=3)
 
 
 def _check_r_field(values):
@@ -487,7 +489,8 @@ class PerturbationState:
         for j in list(self.g) + list(self.g_dot):
             if j < 1:
                 raise ValueError("g coefficients are indexed by j >= 1")
-        self.r_hat, self.r_dot_hat = _r_spectrum(r), _r_spectrum(r_dot)
+        self.r_hat, self.r_dot_hat = (None if v is None else _r_spectrum(_stack(v))
+                                      for v in (r, r_dot))
         self.grid = grid
 
     @classmethod
@@ -500,10 +503,16 @@ class PerturbationState:
         state.r_hat, state.r_dot_hat = r_hat, r_dot_hat
         return state
 
+    def _fields(self, spectrum):
+        """Grid 3-vector of a stored spectrum; zero fields for an absent block on a known grid."""
+        if spectrum is not None:
+            return _unstack(_r_grid(spectrum))
+        return None if self.grid is None else vector_field_zeros(*self.grid)
+
     @property
     def r(self):
-        return _r_grid(self.r_hat, self.grid)
+        return self._fields(self.r_hat)
 
     @property
     def r_dot(self):
-        return _r_grid(self.r_dot_hat, self.grid)
+        return self._fields(self.r_dot_hat)

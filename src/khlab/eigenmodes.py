@@ -31,21 +31,14 @@ import numpy as np
 from khlab.core import (
     TWO_PI,
     SpectralMode,
-    TwoPhaseGridField,
     VerticalProfile,
     WaveVector,
+    _unstack,
     coth,
-    inv_expm1,
-    row_profile_field,
+    exp_weights,
+    row_profile_plane,
     tangential_grid,
 )
-
-
-def _exp_weights(kappa: float):
-    """(e^-k, e^k) / (2 sinh k) evaluated without overflow or cancellation."""
-    small = inv_expm1(2.0 * kappa)          # e^-k / (2 sinh k)
-    large = -1.0 / math.expm1(-2.0 * kappa)  # e^+k / (2 sinh k)
-    return small, large
 
 
 def build_wall_bounded_profiles(k: WaveVector):
@@ -59,7 +52,7 @@ def build_wall_bounded_profiles(k: WaveVector):
     kappa = k.kappa
     if kappa == 0.0:
         raise ValueError("wall-bounded profiles need kappa > 0 (coth singular)")
-    ep, em = _exp_weights(kappa)
+    ep, em = exp_weights(kappa)
     W = VerticalProfile.from_exponential(kappa, (-ep, em), (em, -ep))
     V = W.derivative().scaled(1j / kappa)
     return W, V
@@ -91,12 +84,6 @@ class HarmonicPotential:
     j: int
     profile: VerticalProfile
 
-    def gradient_profiles(self):
-        """Vertical profiles of (d/dx1, d/dx2, d/dx3) applied to the mode."""
-        return (self.profile.scaled(1j * self.j),
-                VerticalProfile.zero(self.profile.kappa),
-                self.profile.derivative())
-
 
 def build_harmonic_potentials(j: int):
     """The odd/even harmonic potential pair at streamwise frequency j.
@@ -108,7 +95,7 @@ def build_harmonic_potentials(j: int):
     """
     if j < 1:
         raise ValueError("potential frequency j must be >= 1")
-    ep, em = _exp_weights(float(j))
+    ep, em = exp_weights(float(j))
     odd = VerticalProfile.from_exponential(float(j), (-ep, -em), (em, ep))
     even = VerticalProfile.from_exponential(float(j), (ep, em), (em, ep))
     return (HarmonicPotential(j, odd),
@@ -126,16 +113,27 @@ def potential_gradient_norm_sq(j: int) -> float:
     return 4.0 * math.pi ** 2 * j * coth(float(j))
 
 
+def potential_gradient_plane(terms, n_tan: int, n_ver: int, t: float = 0.0):
+    """Re(sum of coeff * grad potential) over (potential, coeff) terms, added in order.
+
+    The potentials are constant in x2, so the result is the stacked
+    x2-constant plane with axes (component, phase, x1, 1, x3).
+    """
+    x1, _ = tangential_grid(n_tan)
+    plane = np.zeros((3, 2, n_tan, 1, n_ver + 1))
+    for pot, coeff in terms:
+        row_up = coeff * np.exp(1j * pot.j * (x1 + t))
+        row_lo = coeff * np.exp(1j * pot.j * (x1 - t))
+        # the gradient's vertical profiles are (i j profile, 0, d profile/dx3)
+        plane[0] += row_profile_plane(row_up, row_lo, pot.profile.scaled(1j * pot.j), n_ver)
+        plane[2] += row_profile_plane(row_up, row_lo, pot.profile.derivative(), n_ver)
+    return plane
+
+
 def potential_gradient_field(pot: HarmonicPotential, coeff, n_tan: int, n_ver: int,
                              t: float = 0.0):
     """Materialise Re(coeff * grad potential) on a two-phase grid."""
-    gx1, _, gx3 = pot.gradient_profiles()
-    x1, _ = tangential_grid(n_tan)
-    row_up = coeff * np.exp(1j * pot.j * (x1 + t))
-    row_lo = coeff * np.exp(1j * pot.j * (x1 - t))
-    return (row_profile_field(row_up, row_lo, gx1, n_tan, n_ver),
-            TwoPhaseGridField.zeros(n_tan, n_ver),
-            row_profile_field(row_up, row_lo, gx3, n_tan, n_ver))
+    return _unstack(potential_gradient_plane([(pot, coeff)], n_tan, n_ver, t))
 
 
 # ---------------------------------------------------------------------------

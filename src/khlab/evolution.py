@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from khlab.core import PerturbationState, WaveVector
+from khlab.core import PerturbationState, WaveVector, _r_frequencies
 
 RK4_STABILITY_LIMIT = 2.8   # max |omega| * h for the oscillatory blocks
 
@@ -153,7 +153,7 @@ def apply_A(state: PerturbationState) -> PerturbationState:
     def on_r(spectrum):
         if spectrum is None:
             return None
-        return spectrum * (np.arange(spectrum.shape[3], dtype=float) ** 2)[:, None]
+        return spectrum * (_r_frequencies(spectrum.shape[2]) ** 2)[:, None]
 
     return PerturbationState._from_spectra(
         state.n_cutoff,
@@ -190,7 +190,7 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     spectrum = r_dot_hat if r_hat is None else r_hat
     n_tan = spectrum.shape[2] if spectrum is not None else state.grid and state.grid[0]
     if n_tan:
-        k2 = np.arange(n_tan // 2 + 1, dtype=float)
+        k2 = _r_frequencies(n_tan)
         lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
         lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
     C, S = _propagators(lam_sq, t, stepper, dt)

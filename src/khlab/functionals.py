@@ -7,6 +7,11 @@ component vanishes on the interface and the walls.  The potential is
 determined per tangential mode by its interface Neumann data; its odd
 part expands in the streamwise family f_j (split at the cutoff n into
 high frequencies P and low frequencies L) and its even part in g_j.
+Both families are constant in x2, so grad h is built once on the
+(x1, x3) plane and broadcast along x2: the decomposition subtracts it
+in place from a stacked copy of chi (core's component, phase, x1, x2,
+x3 layout), and the reconstruction adds it to the inverse x2 transform
+of r.
 
 Growth is measured by quadratic functionals built from the block
 operator A (the j^2 multiplier on potential coefficients, k2^2 on r):
@@ -33,11 +38,15 @@ import numpy as np
 
 from khlab.core import (
     PerturbationState,
-    TwoPhaseGridField,
     WaveVector,
     _integer_frequencies,
+    _r_frequencies,
+    _r_grid,
+    _r_spectrum,
+    _stack,
+    _unstack,
     _vertical_weights,
-    row_profile_field,
+    row_profile_plane,
     tangential_grid,
     trace_spectrum,
     vector_field_zeros,
@@ -45,8 +54,8 @@ from khlab.core import (
 from khlab.eigenmodes import (
     build_harmonic_potentials,
     build_wall_bounded_profiles,
-    potential_gradient_field,
     potential_gradient_norm_sq,
+    potential_gradient_plane,
 )
 
 
@@ -58,18 +67,16 @@ class AliasingError(ValueError):
 # decomposition
 # ---------------------------------------------------------------------------
 
-def _streamwise_trace_coefficients(trace_up, trace_lo, tol):
-    """One-sided streamwise mode coefficients of the two interface traces.
+def _potential_split(trace_up, trace_lo, tol):
+    """Odd/even potential coefficients from the two interface flux traces.
 
-    Returns {j: (C_up, C_lo)} for j >= 1 such that the trace equals
-    sum_j Re(C * exp(i j x1)).  Rejects content off the k2 = 0 line,
-    a nonzero mean (incompatible with Neumann side conditions) and
-    energy at the Nyquist band.
+    Each trace must equal sum_j Re(C * exp(i j x1)) over j >= 1: content
+    off the k2 = 0 line, a nonzero mean (incompatible with Neumann side
+    conditions) and energy at the Nyquist band are rejected.
     """
     n = trace_up.shape[0]
     su = trace_spectrum(trace_up)
     sl = trace_spectrum(trace_lo)
-    freqs = _integer_frequencies(n)
 
     # column 0 is k2 = 0, the streamwise line
     off_line = max(float(np.max(np.abs(su[:, 1:]))), float(np.max(np.abs(sl[:, 1:]))))
@@ -92,23 +99,14 @@ def _streamwise_trace_coefficients(trace_up, trace_lo, tol):
                 f"trace energy {nyq_amp:.3e} at the Nyquist mode j={n // 2} "
                 f"of n_tan={n}; refine the tangential grid")
 
-    coeffs = {}
-    for i1, j in enumerate(freqs):
+    odd, even = {}, {}
+    for i1, j in enumerate(_integer_frequencies(n)):
         if j < 1:
             continue
         cu = complex(2.0 * su[i1, 0])
         cl = complex(2.0 * sl[i1, 0])
         if max(abs(cu), abs(cl)) <= tol:
             continue
-        coeffs[j] = (cu, cl)
-    return coeffs
-
-
-def _potential_split(chi3_up_trace, chi3_lo_trace, tol):
-    """Odd/even potential coefficients from the two interface flux traces."""
-    traces = _streamwise_trace_coefficients(chi3_up_trace, chi3_lo_trace, tol)
-    odd, even = {}, {}
-    for j, (cu, cl) in traces.items():
         # per-phase cosh(j(x3 -/+ 1)) amplitudes of the Neumann solution
         # combine into the odd/even family coefficients
         c_f = complex((cu + cl) / (2.0 * j))
@@ -120,49 +118,37 @@ def _potential_split(chi3_up_trace, chi3_lo_trace, tol):
     return odd, even
 
 
-def _gradient_from_coefficients(odd, even, n_tan, n_ver, t=0.0):
-    grad = vector_field_zeros(n_tan, n_ver)
+def _gradient_plane(odd, even, n_tan, n_ver, t=0.0):
+    """The stacked x2-constant plane of grad h: odd then even potential per j, j ascending."""
+    terms = []
     for j in sorted(set(odd) | set(even)):
-        f_pot, g_pot = build_harmonic_potentials(j)
-        if j in odd:
-            part = potential_gradient_field(f_pot, odd[j], n_tan, n_ver, t)
-            grad = tuple(gc + pc for gc, pc in zip(grad, part))
-        if j in even:
-            part = potential_gradient_field(g_pot, even[j], n_tan, n_ver, t)
-            grad = tuple(gc + pc for gc, pc in zip(grad, part))
-    return grad
+        for pot, coeffs in zip(build_harmonic_potentials(j), (odd, even)):
+            if j in coeffs:
+                terms.append((pot, coeffs[j]))
+    return potential_gradient_plane(terms, n_tan, n_ver, t)
 
 
-def _snap_r_rows(r3: TwoPhaseGridField, tol):
-    up, lo = r3.values_upper.copy(), r3.values_lower.copy()
-    worst = max(float(np.max(np.abs(v[:, :, [0, -1]]))) for v in (up, lo))
-    if worst > tol:
-        raise ValueError(
-            f"remainder field keeps a wall-normal trace of {worst:.3e}; "
-            "decomposition failed to absorb the interface motion")
-    up[:, :, [0, -1]] = lo[:, :, [0, -1]] = 0.0
-    return TwoPhaseGridField(r3.n_tan, r3.n_ver, up, lo)
-
-
-def _decompose_single(chi, tol):
-    chi3 = chi[2]
-    wall = max(float(np.max(np.abs(chi3.upper_wall_trace()))),
-               float(np.max(np.abs(chi3.lower_wall_trace()))))
+def _decompose_single(chi, tol, scale):
+    """(odd, even, r_hat) of one grid 3-vector whose largest entry is at most scale."""
+    values = _stack(chi)
+    n_tan, n_ver = values.shape[2], values.shape[4] - 1
+    up3, lo3 = values[2]
+    wall = max(float(np.max(np.abs(up3[:, :, -1]))), float(np.max(np.abs(lo3[:, :, 0]))))
     if wall > tol:
         raise ValueError(
             f"wall-normal velocity {wall:.3e} at the walls; data outside "
             "the admissible class")
-    odd, even = _potential_split(chi3.upper_interface_trace(),
-                                 chi3.lower_interface_trace(), tol)
-    grad_h = _gradient_from_coefficients(odd, even, chi3.n_tan, chi3.n_ver)
-    r = tuple(c - g for c, g in zip(chi, grad_h))
-    r = (r[0], r[1], _snap_r_rows(r[2], max(tol, 1e-9 * _vector_scale(chi))))
+    odd, even = _potential_split(up3[:, :, 0], lo3[:, :, -1], tol)
+    values -= _gradient_plane(odd, even, n_tan, n_ver)
+    # r3 must vanish on the interface and wall rows: checked, then snapped exactly
+    worst = float(np.max(np.abs(values[2][..., [0, -1]])))
+    if worst > max(tol, 1e-9 * scale):
+        raise ValueError(
+            f"remainder field keeps a wall-normal trace of {worst:.3e}; "
+            "decomposition failed to absorb the interface motion")
+    values[2][..., [0, -1]] = 0.0
     # a round-off remainder is dropped by the rule that drops potential coefficients
-    return odd, even, (None if max(c.max_abs() for c in r) <= tol else r)
-
-
-def _vector_scale(vec):
-    return max(1.0, max(c.max_abs() for c in vec))
+    return odd, even, (None if np.max(np.abs(values)) <= tol else _r_spectrum(values))
 
 
 def decompose_perturbation(chi, chi_dot, n_cutoff: int,
@@ -182,10 +168,12 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
     """
     if n_cutoff < 1:
         raise ValueError("n_cutoff must be >= 1")
+    scales = [max(1.0, *(c.max_abs() for c in vec)) for vec in (chi, chi_dot)]
     if tol is None:
-        tol = 1e-12 * max(_vector_scale(chi), _vector_scale(chi_dot))
-    odd, even, r = _decompose_single(chi, tol)
-    odd_dot, even_dot, r_dot = _decompose_single(chi_dot, tol)
+        tol = 1e-12 * max(scales)
+    # one vector at a time, so only one stacked copy is alive
+    odd, even, r_hat = _decompose_single(chi, tol, scales[0])
+    odd_dot, even_dot, r_dot_hat = _decompose_single(chi_dot, tol, scales[1])
 
     def split(coeffs):
         P = {j: c for j, c in coeffs.items() if j >= n_cutoff}
@@ -194,24 +182,23 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
 
     P, L = split(odd)
     P_dot, L_dot = split(odd_dot)
-    return PerturbationState(n_cutoff, P, P_dot, L, L_dot, even, even_dot,
-                             r, r_dot, grid=(chi[2].n_tan, chi[2].n_ver))
+    return PerturbationState._from_spectra(n_cutoff, P, P_dot, L, L_dot, even, even_dot,
+                                           r_hat, r_dot_hat, grid=(chi[2].n_tan, chi[2].n_ver))
 
 
 def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
                              t: float = 0.0):
     """Materialise (chi, chi_dot) grid fields from a decomposed state."""
-    odd = dict(state.L)
-    odd.update(state.P)
-    odd_dot = dict(state.L_dot)
-    odd_dot.update(state.P_dot)
-    chi = _gradient_from_coefficients(odd, state.g, n_tan, n_ver, t)
-    chi_dot = _gradient_from_coefficients(odd_dot, state.g_dot, n_tan, n_ver, t)
-    if state.r_hat is not None:
-        chi = tuple(c + rc for c, rc in zip(chi, state.r))
-    if state.r_dot_hat is not None:
-        chi_dot = tuple(c + rc for c, rc in zip(chi_dot, state.r_dot))
-    return chi, chi_dot
+    def fields(low, high, even, r_hat):
+        plane = _gradient_plane({**low, **high}, even, n_tan, n_ver, t)
+        if r_hat is None:
+            return _unstack(plane)
+        values = _r_grid(r_hat)
+        values += plane   # in place, so one full-grid array is alive
+        return _unstack(values)
+
+    return (fields(state.L, state.P, state.g, state.r_hat),
+            fields(state.L_dot, state.P_dot, state.g_dot, state.r_dot_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +248,18 @@ def _r_energy(state: PerturbationState, a: float, b: float):
     """
     def parseval(spectrum, m):
         n_tan, n_ver = spectrum.shape[2], spectrum.shape[4] - 1
-        k2 = np.arange(spectrum.shape[3])
+        k2 = _r_frequencies(n_tan)
         c = np.where((k2 == 0) | (2 * k2 == n_tan), 1.0, 2.0)
         power = sum(np.einsum("cpikz,cpikz->pkz", part, part)
                     for part in (spectrum.real, spectrum.imag))
-        w = _vertical_weights(n_ver, 1.0 / n_ver) * (2.0 * math.pi / n_tan) ** 2 / n_tan
+        w = _vertical_weights(n_ver) * (2.0 * math.pi / n_tan) ** 2 / n_tan
         return float(np.einsum("pkz,pk,z->", power, m * c, w))
 
     total = 0.0
     if state.r_dot_hat is not None:
         total += parseval(state.r_dot_hat, np.ones((2, 1)))
     if state.r_hat is not None:
-        k2 = np.arange(state.r_hat.shape[3], dtype=float)
+        k2 = _r_frequencies(state.r_hat.shape[2])
         total += parseval(state.r_hat, (np.array([[a], [b]]) * k2) ** 2)
     return total
 
@@ -475,8 +462,7 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
     amp = scale * math.exp(-math.sqrt(n))
     x1, _ = tangential_grid(n_tan)
     row = amp * np.exp(1j * n * x1)
-    chi = vector_field_zeros(n_tan, n_ver)
-    chi_dot = (row_profile_field(row, row, V, n_tan, n_ver),
-               TwoPhaseGridField.zeros(n_tan, n_ver),
-               row_profile_field(row, row, W, n_tan, n_ver))
-    return chi, chi_dot
+    plane = np.zeros((3, 2, n_tan, 1, n_ver + 1))
+    plane[0] = row_profile_plane(row, row, V, n_ver)
+    plane[2] = row_profile_plane(row, row, W, n_ver)
+    return vector_field_zeros(n_tan, n_ver), _unstack(plane)

@@ -40,7 +40,7 @@ from khlab.core import (
     WaveVector,
     _integer_frequencies,
     _vertical_weights,
-    inv_expm1,
+    exp_weights,
     tangential_grid,
     vertical_levels,
 )
@@ -78,8 +78,7 @@ class InterfaceData:
 
 def _stable_ratios(kappa: float):
     """e^{-k}/(2 sinh k), e^{k}/(2 sinh k), e^{-k}/(2 cosh k), e^{k}/(2 cosh k)."""
-    sp = inv_expm1(2.0 * kappa)
-    sm = -1.0 / math.expm1(-2.0 * kappa)
+    sp, sm = exp_weights(kappa)
     e2 = math.exp(-2.0 * kappa)
     cp = e2 / (1.0 + e2)
     cm = 1.0 / (1.0 + e2)
@@ -213,7 +212,7 @@ def _solve_nonzero_modes(b, h, lam, phi):
 def _solve_zero_mode(h, rhs):
     M = rhs.shape[0]
     A = _apply_mode_rows(np.eye(M), h, 0.0, 1.0)
-    w = _vertical_weights(M // 2 - 1, h)
+    w = _vertical_weights(M // 2 - 1)
     aug = np.vstack([A, np.concatenate([w, w])[None, :]])
     b = np.concatenate([rhs, [0.0]])
     z, *_ = np.linalg.lstsq(aug, b, rcond=None)
@@ -293,7 +292,7 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
 
 
 def _subtract_volume_mean(f: TwoPhaseGridField) -> TwoPhaseGridField:
-    w = _vertical_weights(f.n_ver, f.h_ver)
+    w = _vertical_weights(f.n_ver)
     total = (np.sum(f.values_upper * w) + np.sum(f.values_lower * w)) / f.n_tan ** 2
     mean = total / 2.0   # vertical extent of each phase is 1, total volume 2
     return TwoPhaseGridField(f.n_tan, f.n_ver,

@@ -536,8 +536,9 @@ def _json_reports(capsys):
 def _mutations(node):
     """Copies of a report with one key deleted or one value replaced.
 
-    No replacement is an integral float such as 2.0: JSON Schema counts it as
-    an integer, the hand-rolled validator does not, and no report writes one.
+    The integral float 2.0 is among the replacements: JSON Schema counts it
+    as an integer and as a number, so the validator must accept it where
+    either is expected.
     """
     import copy
 
@@ -552,7 +553,7 @@ def _mutations(node):
                 yield from paths(child, path + (i,))
 
     for path in paths(node):
-        for replacement in ("text", None, True, [], {}, 1.5, -3, "delete"):
+        for replacement in ("text", None, True, [], {}, 1.5, 2.0, -3, "delete"):
             doc = copy.deepcopy(node)
             parent = doc
             for step in path[:-1]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from khlab.core import (
+    GridMismatchError,
     PerturbationState,
     TwoPhaseGridField,
     inner_product_vector,
@@ -130,6 +131,76 @@ def test_decompose_reconstruct_round_trip():
         assert (got - expect).max_abs() < 1e-9
 
 
+def test_decompose_reconstruct_round_trip_property():
+    # on random admissible states, decompose undoes reconstruct, and a
+    # second reconstruct gives the same fields
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def cases(draw):
+        n_tan = draw(st.sampled_from([8, 11, 16]))
+        n_ver = draw(st.integers(2, 6))
+        top = (n_tan - 1) // 2   # every j stays below n_tan/2
+        n_cutoff = draw(st.integers(1, top + 1))
+
+        def block(lo, hi):
+            if lo > hi:
+                return {}
+            return draw(st.dictionaries(st.integers(lo, hi), coeff, max_size=3))
+
+        def r_block():
+            if not draw(st.booleans()):
+                return None
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            values = rng.standard_normal((3, 2, n_tan, n_tan, n_ver + 1))
+            values[2][..., [0, -1]] = 0.0   # r3 vanishes on interface and walls
+            return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
+
+        state = PerturbationState(
+            n_cutoff, P=block(n_cutoff, top), P_dot=block(n_cutoff, top),
+            L=block(1, n_cutoff - 1), L_dot=block(1, n_cutoff - 1),
+            g=block(1, top), g_dot=block(1, top), r=r_block(), r_dot=r_block(),
+            grid=(n_tan, n_ver))
+        return state, n_tan, n_ver
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        state, n_tan, n_ver = case
+        chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
+        back = decompose_perturbation(chi, chi_dot, state.n_cutoff)
+        for name in ("P", "P_dot", "L", "L_dot", "g", "g_dot"):
+            got, expect = getattr(back, name), getattr(state, name)
+            # a coefficient at or below the tolerance is dropped, so it reads 0
+            for j in set(got) | set(expect):
+                assert got.get(j, 0.0) == pytest.approx(expect.get(j, 0.0), abs=1e-10)
+        for got, expect in ((back.r, state.r), (back.r_dot, state.r_dot)):
+            for g_c, e_c in zip(got, expect):
+                assert (g_c - e_c).max_abs() < 1e-9
+        again = reconstruct_perturbation(back, n_tan, n_ver)
+        for got, expect in zip((*again[0], *again[1]), (*chi, *chi_dot)):
+            assert (got - expect).max_abs() < 1e-9
+
+    check()
+
+
+def test_decompose_memory_peak_holds_one_stacked_copy():
+    import tracemalloc
+
+    chi, chi_dot = perturbed_initial_data(7, 1.0, 64, 64)
+    tracemalloc.start()
+    try:
+        decompose_perturbation(chi, chi_dot, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one stacked 64x64 vector is 12.8 MB and its max|r| scan as much again;
+    # stacking both vectors at once, or full-grid gradient tuples, pass 38 MB
+    assert peak < 32e6
+
+
 def test_decompose_rejects_wall_violation():
     n_tan, n_ver = 16, 8
     bad3 = TwoPhaseGridField.from_function(
@@ -138,6 +209,12 @@ def test_decompose_rejects_wall_violation():
     with pytest.raises(ValueError, match="wall"):
         decompose_perturbation((zero, zero, bad3),
                                vector_field_zeros(n_tan, n_ver), 2)
+
+
+def test_decompose_rejects_components_on_different_grids():
+    zero = vector_field_zeros(16, 8)
+    with pytest.raises(GridMismatchError):
+        decompose_perturbation((zero[0], TwoPhaseGridField.zeros(16, 6), zero[2]), zero, 2)
 
 
 def test_decompose_rejects_spanwise_interface_content():

@@ -97,11 +97,10 @@ def test_r_stored_as_x2_spectrum_and_read_back_on_the_grid():
     for got, expect in zip(state.r, r):
         assert isinstance(got, TwoPhaseGridField)
         assert (got - expect).max_abs() < 1e-13
-    # the read view of the third component keeps exact zero rows
+    # the read view of the third component keeps exact zero interface and wall rows
     r3 = state.r[2]
-    for row in (r3.upper_interface_trace(), r3.upper_wall_trace(),
-                r3.lower_interface_trace(), r3.lower_wall_trace()):
-        assert np.all(row == 0.0)
+    for values in (r3.values_upper, r3.values_lower):
+        assert np.all(values[:, :, [0, -1]] == 0.0)
 
 
 def test_r_rows_checked_on_grid_input():
@@ -137,6 +136,25 @@ def test_hot_paths_run_no_fft(monkeypatch):
         assert rep.F > 0.0
     assert apply_A(state).r_hat is not None
     assert compute_functionals(state, [1.0], 0.9, 0.35).F > 0.0
+
+
+def test_decompose_and_reconstruct_run_no_grid_field_arithmetic(monkeypatch):
+    n_tan, n_ver = 16, 6
+    state = PerturbationState(3, P={4: 1.0 - 0.5j}, P_dot={4: 0.3}, L={1: 0.2j}, g={2: 0.7},
+                              r=_r_vector(n_tan, n_ver, 5), r_dot=_r_vector(n_tan, n_ver, 6))
+    initial = perturbed_initial_data(4, n_tan=n_tan, n_ver=n_ver)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("TwoPhaseGridField arithmetic in the decomposition")
+
+    monkeypatch.setattr(TwoPhaseGridField, "_binary", forbidden)
+    chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
+    back = decompose_perturbation(chi, chi_dot, 3)
+    assert back.r_hat is not None and back.r_dot_hat is not None
+    assert back.P[4] == pytest.approx(1.0 - 0.5j, abs=1e-10)
+    dropped = decompose_perturbation(*initial, 4)
+    assert dropped.r_hat is None and dropped.r_dot_hat is None
+    assert len(reconstruct_perturbation(dropped, n_tan, n_ver)[1]) == 3
 
 
 def test_apply_A_multiplies_the_spectrum_by_k2_squared():
