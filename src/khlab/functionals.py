@@ -147,8 +147,10 @@ def _decompose_single(chi, tol, scale):
             f"remainder field keeps a wall-normal trace of {worst:.3e}; "
             "decomposition failed to absorb the interface motion")
     values[2][..., [0, -1]] = 0.0
-    # a round-off remainder is dropped by the rule that drops potential coefficients
-    return odd, even, (None if np.max(np.abs(values)) <= tol else _r_spectrum(values))
+    # a round-off remainder is dropped by the rule that drops potential
+    # coefficients; max(max, -min) is max|r| without an |r| temporary
+    dropped = max(values.max(), -values.min()) <= tol
+    return odd, even, (None if dropped else _r_spectrum(values))
 
 
 def decompose_perturbation(chi, chi_dot, n_cutoff: int,

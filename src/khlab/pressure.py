@@ -16,13 +16,13 @@ provided and tested against each other:
   one-sided second-order wall Neumann rows, and a pair of coupling rows
   at the interface carrying the two jumps.  Tangential directions are
   diagonalised by the DFT with the discrete Laplacian symbol, which
-  reproduces the full 3-D centered discretization exactly.  The
-  per-mode systems reduce to tridiagonal ones, solved for all modes at
-  once by batched Thomas elimination.
-
-Pure-Neumann data fix the solution only up to a constant; the gauge is
-zero volume mean.  The slip shift enters mode-wise as the phase factor
-exp(i*k1*drift) on the lower trace.
+  reproduces the full 3-D centered discretization exactly.  The data
+  are real, so a real FFT over x1 keeps only the modes with k1 >= 0;
+  the rest are their complex conjugates.  Their tridiagonal systems
+  are solved at once by batched Thomas elimination, and the singular
+  zero mode by one direct solve bordered by the gauge, zero volume
+  mean.  The slip shift enters as the phase exp(i*k1*drift) on the
+  lower trace.
 
 The harmonic + particular-source decomposition (value jump zero, flux
 jump M for the harmonic part; interior source with zero jumps for the
@@ -210,12 +210,16 @@ def _solve_nonzero_modes(b, h, lam, phi):
 
 
 def _solve_zero_mode(h, rhs):
+    """Solve [[A, w], [w^T, 0]] [z, mu] = [rhs, 0], w the trapezoid weights.
+
+    z has zero volume mean; the multiplier mu takes up any incompatible
+    part of rhs, which the residual against A then exposes.
+    """
     M = rhs.shape[0]
     A = _apply_mode_rows(np.eye(M), h, 0.0, 1.0)
-    w = _vertical_weights(M // 2 - 1)
-    aug = np.vstack([A, np.concatenate([w, w])[None, :]])
-    b = np.concatenate([rhs, [0.0]])
-    z, *_ = np.linalg.lstsq(aug, b, rcond=None)
+    w = np.tile(_vertical_weights(M // 2 - 1), 2)
+    bordered = np.block([[A, w[:, None]], [w[None, :], np.zeros((1, 1))]])
+    z = np.linalg.solve(bordered, np.append(rhs, 0.0))[:M]
     residual = np.max(np.abs(A @ z - rhs))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if not residual <= RESIDUAL_TOL * scale:
@@ -239,12 +243,10 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     drift : float
         Tangential slip offset, applied as the mode phase e^{i k1 drift}.
 
-    Second-order accurate: centered interior stencils, one-sided
-    second-order Neumann walls and interface coupling rows.  All
-    nonzero tangential modes are solved at once by batched tridiagonal
-    elimination, the zero mode by a gauged (mean-zero) least-squares
-    solve, and every mode's residual is checked against the 1e-10
-    contract on the original rows.
+    Second-order accurate.  Only the k1 >= 0 half of the spectrum of the
+    real data is solved: the nonzero modes by batched tridiagonal
+    elimination, the zero mode by the gauge-bordered direct solve.  Each
+    solved mode's residual on the original rows must meet RESIDUAL_TOL.
     """
     n_tan, n_ver = source.n_tan, source.n_ver
     if n_tan < 8 or n_ver < 8:
@@ -258,21 +260,23 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
         raise ValueError("source, value_jump and flux_jump must be finite")
 
     # right-hand sides with the vertical rows first and the modes last:
-    # k = (freqs[i1], freqs[i2]) is column i1 * n_tan + i2, the zero mode column 0
+    # k = (freqs[i1], freqs[i2]) with i1 < n_half is column i1 * n_tan + i2,
+    # the zero mode column 0; x1 is the halved axis because phi depends on k1
     N = n_ver
-    n_modes = n_tan * n_tan
+    n_half = n_tan // 2 + 1
+    n_points = n_tan * n_tan
     b = np.zeros((2 * N + 2, n_tan, n_tan))
     b[1:N] = np.moveaxis(source.values_lower[:, :, 1:N], -1, 0)
     b[N] = vj
     b[N + 1] = fj
     b[N + 2:2 * N + 1] = np.moveaxis(source.values_upper[:, :, 1:N], -1, 0)
-    b = np.fft.fft2(b).reshape(2 * N + 2, n_modes) / n_modes
+    b = np.fft.rfft2(b, axes=(2, 1)).reshape(2 * N + 2, n_half * n_tan) / n_points
 
     freqs = _integer_frequencies(n_tan)
     h_tan = source.h_tan
     sym = -4.0 * np.sin(0.5 * freqs * h_tan) ** 2 / h_tan ** 2   # discrete d^2
-    lam = (sym[:, None] + sym[None, :]).ravel()
-    phi = np.repeat(np.exp(1j * freqs * drift), n_tan)
+    lam = (sym[:n_half, None] + sym[None, :]).ravel()
+    phi = np.repeat(np.exp(1j * freqs[:n_half] * drift), n_tan)
 
     z = np.empty_like(b)
     z[:, 0] = _solve_zero_mode(h, b[:, 0])
@@ -286,17 +290,9 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
             f"mode ({freqs[i1]},{freqs[i2]}) residual {residual[failed[0]]:.3e} "
             f"exceeds {RESIDUAL_TOL}")
 
-    vals = np.moveaxis(np.fft.ifft2(z.reshape(2 * N + 2, n_tan, n_tan) * n_modes).real, 0, -1)
-    out = TwoPhaseGridField(n_tan, n_ver, vals[:, :, N + 1:], vals[:, :, :N + 1])
-    return _subtract_volume_mean(out)
-
-
-def _subtract_volume_mean(f: TwoPhaseGridField) -> TwoPhaseGridField:
-    w = _vertical_weights(f.n_ver)
-    total = (np.sum(f.values_upper * w) + np.sum(f.values_lower * w)) / f.n_tan ** 2
-    mean = total / 2.0   # vertical extent of each phase is 1, total volume 2
-    return TwoPhaseGridField(f.n_tan, f.n_ver,
-                             f.values_upper - mean, f.values_lower - mean)
+    z = z.reshape(2 * N + 2, n_half, n_tan) * n_points
+    vals = np.moveaxis(np.fft.irfft2(z, s=(n_tan, n_tan), axes=(2, 1)), 0, -1)
+    return TwoPhaseGridField(n_tan, n_ver, vals[:, :, N + 1:], vals[:, :, :N + 1])
 
 
 def pressure_decomposition(source: TwoPhaseGridField, M_data=None,

@@ -285,9 +285,9 @@ def _reference_rk4_state(s, a, b, t, dt):
     return coeffs, r
 
 
-def test_rk4_propagator_matches_literal_stages():
-    n_tan, n_ver = 16, 6
-    rng = np.random.default_rng(3)
+def _mixed_state(seed, n_tan=16, n_ver=6):
+    """P, L, g and random r blocks; r3 zero on its interface and wall rows."""
+    rng = np.random.default_rng(seed)
 
     def field(zero_rows=False):
         up, lo = rng.standard_normal((2, n_tan, n_tan, n_ver + 1))
@@ -296,11 +296,50 @@ def test_rk4_propagator_matches_literal_stages():
             lo[:, :, [0, -1]] = 0.0
         return TwoPhaseGridField(n_tan, n_ver, up, lo)
 
-    s = PerturbationState(3, P={4: 1.0 - 0.5j, 6: 0.2j}, P_dot={4: 0.3, 5: -1.0},
-                          L={1: 0.7, 2: -0.1j}, L_dot={2: 0.4},
-                          g={1: 1.0, 3: 0.5 + 0.5j}, g_dot={3: -0.2, 5: 1.0j},
-                          r=(field(), field(), field(True)),
-                          r_dot=(field(), field(), field(True)))
+    return PerturbationState(3, P={4: 1.0 - 0.5j, 6: 0.2j}, P_dot={4: 0.3, 5: -1.0},
+                             L={1: 0.7, 2: -0.1j}, L_dot={2: 0.4},
+                             g={1: 1.0, 3: 0.5 + 0.5j}, g_dot={3: -0.2, 5: 1.0j},
+                             r=(field(), field(), field(True)),
+                             r_dot=(field(), field(), field(True)))
+
+
+def _block_values(state):
+    """Each block's coefficients, and r per phase (upper a, lower b), as arrays."""
+    out = {name: np.array([getattr(state, name)[j] for j in sorted(getattr(state, name))])
+           for name in ("P", "L", "g")}
+    out["r_upper"], out["r_lower"] = state.r_hat[:, 0], state.r_hat[:, 1]
+    return out
+
+
+def test_rk4_observed_order_on_mixed_state():
+    # every block, r above and below with a != b, converges at order 4 +/- 0.2
+    s = _mixed_state(11)
+    a, b, t = 0.9, 0.35, 0.8
+    exact = _block_values(evolve_state(s, a, b, t))
+    errs = [{k: np.max(np.abs(v - exact[k]))
+             for k, v in _block_values(evolve_state(s, a, b, t, stepper="rk4", dt=dt)).items()}
+            for dt in (0.02, 0.01, 0.005)]
+    for block in exact:
+        orders = [math.log2(coarse[block] / fine[block]) for coarse, fine in zip(errs, errs[1:])]
+        assert all(abs(p - 4.0) <= 0.2 for p in orders), (block, orders)
+
+
+def test_evolution_exponents_match_apply_A():
+    # y'' = sigma * A y along the exact trajectory: sigma = +1 on P and L,
+    # -2 on g, -a^2 on r above and -b^2 below (central difference in time)
+    s = _mixed_state(5)
+    a, b, t, dt = 0.9, 0.35, 0.6, 1e-3
+    before, now, after = (_block_values(evolve_state(s, a, b, t + k * dt)) for k in (-1, 0, 1))
+    A_now = _block_values(apply_A(evolve_state(s, a, b, t)))
+    sigma = {"P": 1.0, "L": 1.0, "g": -2.0, "r_upper": -a * a, "r_lower": -b * b}
+    for block, sig in sigma.items():
+        second = (before[block] - 2.0 * now[block] + after[block]) / dt ** 2
+        expect = sig * A_now[block]
+        assert np.max(np.abs(second - expect)) <= 1e-4 * np.max(np.abs(expect)), block
+
+
+def test_rk4_propagator_matches_literal_stages():
+    s = _mixed_state(3)
     a, b, t = 0.9, 0.35, 0.8
     for dt in (0.02, 0.007):
         got = evolve_state(s, a, b, t, stepper="rk4", dt=dt)

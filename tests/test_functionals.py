@@ -196,9 +196,10 @@ def test_decompose_memory_peak_holds_one_stacked_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one stacked 64x64 vector is 12.8 MB and its max|r| scan as much again;
-    # stacking both vectors at once, or full-grid gradient tuples, pass 38 MB
-    assert peak < 32e6
+    # one stacked 64x64 vector is 12.8 MB; an |r| temporary for the drop
+    # rule doubles that, and stacking both vectors at once, or full-grid
+    # gradient tuples, pass 38 MB
+    assert peak < 20e6
 
 
 def test_decompose_rejects_wall_violation():

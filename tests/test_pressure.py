@@ -298,8 +298,9 @@ def _dense_reference_fd(source, value_jump, flux_jump, drift):
 
 
 def test_fd_batched_solve_matches_dense_reference():
+    # odd n_tan has no Nyquist k1; even n_tan keeps its phase at k1 = -n/2
     rng = np.random.default_rng(7)
-    for n in (8, 16):
+    for n in (8, 9, 15, 16):
         shape = (n, n, n + 1)
         up = rng.standard_normal(shape)
         lo = rng.standard_normal(shape)
@@ -315,6 +316,31 @@ def test_fd_batched_solve_matches_dense_reference():
         err = max(np.max(np.abs(q.values_upper - ref_up)),
                   np.max(np.abs(q.values_lower - ref_lo)))
         assert err <= 1e-12 * max(1.0, q.max_abs()), (n, err)
+
+
+def test_fd_solves_half_the_spectrum_and_gauges_directly(monkeypatch):
+    n = 9
+    x = 2 * math.pi * np.arange(n) / n
+    fj = np.cos(x)[:, None] * np.cos(2 * x)[None, :]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full-spectrum transform or least-squares gauge called")
+
+    monkeypatch.setattr(np.fft, "fft2", forbidden)
+    monkeypatch.setattr(np.fft, "ifft2", forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    q = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, n), flux_jump=fj, drift=0.4)
+    assert q.max_abs() > 0.0
+
+
+def test_fd_zero_mode_value_jump_is_exact():
+    # a constant value jump c is solved by the constants -c/2 below and c/2
+    # above; the bordered gauge solve keeps that to round-off at N = 64
+    n, N = 8, 64
+    q = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, N),
+                                   value_jump=np.full((n, n), 0.7))
+    assert np.max(np.abs(q.values_upper - 0.35)) < 1e-13
+    assert np.max(np.abs(q.values_lower + 0.35)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
