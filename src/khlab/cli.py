@@ -23,7 +23,7 @@ import numpy as np
 
 from khlab.core import ShearParams, WaveVector, vertical_levels
 from khlab.eigenmodes import build_linearized_mode, build_wall_bounded_profiles, verify_mode
-from khlab.evolution import boundary_dispersion, evolve_state
+from khlab.evolution import boundary_dispersion, default_rk4_dt, evolve_state
 from khlab.functionals import (
     check_growth_corollary,
     check_proposition2,
@@ -438,11 +438,8 @@ def _evolve_series(cfg: RunConfig):
         *perturbed_initial_data(n, cfg.scale, cfg.n_tan, cfg.n_ver), cutoff)
     dt = cfg.dt
     if cfg.stepper == "rk4" and dt is None:
-        omega_max = max(math.sqrt(2.0) * max([n] + list(state.P) + list(state.g) + [1]),
-                        max(cfg.a, cfg.b) * (cfg.n_tan // 2))
-        dt = min(1e-2, 0.25 / max(omega_max, 1.0))
-    samples = ((float(t), evolve_state(state, cfg.a, cfg.b, float(t), stepper=cfg.stepper,
-                                       dt=dt if cfg.stepper == "rk4" else None))
+        dt = default_rk4_dt(state, cfg.a, cfg.b)
+    samples = ((float(t), evolve_state(state, cfg.a, cfg.b, float(t), cfg.stepper, dt))
                for t in np.linspace(0.0, cfg.t, cfg.samples))
     return cutoff, samples
 

@@ -216,21 +216,20 @@ class SpectralMode:
 
     profiles holds the VerticalProfile of each velocity component
     (v1, v2, v3).  The tangential factor is
-    exp(lambda*t) * exp(i*(k1*(x1 +/- phase_shift*t) + k2*x2)) with
-    drift +t in the upper phase and -t in the lower one.
+    exp(lambda*t) * exp(i*(k1*(x1 +/- t) + k2*x2)): the drift is +t in
+    the upper phase and -t in the lower one.
     """
 
     k: WaveVector
     profiles: tuple   # (VerticalProfile, VerticalProfile, VerticalProfile)
     lam: complex
-    phase_shift: float = 1.0
 
     def velocity(self, x1, x2, x3, t=0.0):
         """Velocity components at points (complex mode values)."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         x3 = np.asarray(x3, dtype=float)
-        drift = np.where(x3 >= 0.0, self.phase_shift * t, -self.phase_shift * t)
+        drift = np.where(x3 >= 0.0, t, -t)
         phase = np.exp(self.lam * t) * np.exp(
             1j * (self.k.k1 * (x1 + drift) + self.k.k2 * x2))
         return tuple(phase * p.eval(x3) for p in self.profiles)

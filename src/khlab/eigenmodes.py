@@ -74,7 +74,7 @@ def build_linearized_mode(k: WaveVector, branch: str = "+") -> SpectralMode:
     v1 = V.scaled(k.k1 / kappa)
     v2 = V.scaled(k.k2 / kappa)
     lam = kappa if branch == "+" else -kappa
-    return SpectralMode(k=k, profiles=(v1, v2, W), lam=complex(lam), phase_shift=1.0)
+    return SpectralMode(k=k, profiles=(v1, v2, W), lam=complex(lam))
 
 
 @dataclass(frozen=True)

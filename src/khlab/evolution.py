@@ -168,6 +168,25 @@ def apply_A(state: PerturbationState) -> PerturbationState:
 # full linear evolution
 # ---------------------------------------------------------------------------
 
+def _r_n_tan(state: PerturbationState):
+    """n_tan of the r block, from its spectrum or the state's grid; None without both."""
+    spectrum = state.r_dot_hat if state.r_hat is None else state.r_hat
+    return spectrum.shape[2] if spectrum is not None else state.grid and state.grid[0]
+
+
+def default_rk4_dt(state: PerturbationState, a: float, b: float) -> float:
+    """The rk4 step taken when none is given: min(0.01, 0.25/omega_max).
+
+    omega_max is the larger of sqrt(2) * max(j, 1) over the coefficients
+    of P, L and g, which bounds their rates j and sqrt(2)*j, and of the
+    r-block frequency max(a, b) * (n_tan // 2).  |omega| * dt then stays
+    at most 0.25, far inside RK4_STABILITY_LIMIT.
+    """
+    j_max = max([1, *state.P, *state.P_dot, *state.L, *state.L_dot, *state.g, *state.g_dot])
+    omega_max = max(math.sqrt(2.0) * j_max, max(a, b) * ((_r_n_tan(state) or 0) // 2))
+    return min(1e-2, 0.25 / omega_max)
+
+
 def evolve_state(state: PerturbationState, a: float, b: float, t: float,
                  stepper: str = "exact", dt: float = None) -> PerturbationState:
     """Advance a decomposed perturbation by time t.
@@ -187,8 +206,7 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     lam_sq = np.array([sign * float(j * j) for (_, _, sign), js in zip(blocks, keys)
                        for j in js])
     r_hat, r_dot_hat = state.r_hat, state.r_dot_hat
-    spectrum = r_dot_hat if r_hat is None else r_hat
-    n_tan = spectrum.shape[2] if spectrum is not None else state.grid and state.grid[0]
+    n_tan = _r_n_tan(state)
     if n_tan:
         k2 = _r_frequencies(n_tan)
         lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])

@@ -18,11 +18,11 @@ provided and tested against each other:
   diagonalised by the DFT with the discrete Laplacian symbol, which
   reproduces the full 3-D centered discretization exactly.  The data
   are real, so a real FFT over x1 keeps only the modes with k1 >= 0;
-  the rest are their complex conjugates.  Their tridiagonal systems
-  are solved at once by batched Thomas elimination, and the singular
-  zero mode by one direct solve bordered by the gauge, zero volume
-  mean.  The slip shift enters as the phase exp(i*k1*drift) on the
-  lower trace.
+  the rest are their complex conjugates.  Their tridiagonal systems,
+  the singular zero mode included, are solved at once by one batched
+  Thomas elimination, with no direct solve: the zero mode is pinned at
+  the upper wall and then shifted to the gauge, zero volume mean.  The
+  slip shift enters as the phase exp(i*k1*drift) on the lower trace.
 
 The harmonic + particular-source decomposition (value jump zero, flux
 jump M for the harmonic part; interior source with zero jumps for the
@@ -76,52 +76,26 @@ class InterfaceData:
                 raise ValueError(f"{name} must be finite")
 
 
-def _stable_ratios(kappa: float):
-    """e^{-k}/(2 sinh k), e^{k}/(2 sinh k), e^{-k}/(2 cosh k), e^{k}/(2 cosh k)."""
-    sp, sm = exp_weights(kappa)
-    e2 = math.exp(-2.0 * kappa)
-    cp = e2 / (1.0 + e2)
-    cm = 1.0 / (1.0 + e2)
-    return sp, sm, cp, cm
-
-
-def neumann_mode_profile(kappa: float, interface_flux, phase: str) -> VerticalProfile:
-    """Harmonic mode profile with a Neumann wall and prescribed interface flux.
-
-    Solves (d^2/dx3^2 - kappa^2) q = 0 on one phase with dq/dx3 = 0 at
-    the wall and dq/dx3 = interface_flux at x3 = 0.  The other phase of
-    the returned profile is zero.
-    """
-    if kappa <= 0.0:
-        raise SolvabilityError("kappa = 0: Neumann problem solvable only up to "
-                               "constants; no mode profile exists")
-    sp, sm, _, _ = _stable_ratios(kappa)
-    D = complex(interface_flux)
-    if phase == "upper":
-        # q = A cosh(kappa (x3 - 1)), A = -D / (kappa sinh kappa)
-        exp_up = (-(D / kappa) * sp, -(D / kappa) * sm)
-        return VerticalProfile.from_exponential(kappa, exp_up, (0.0, 0.0))
-    if phase == "lower":
-        exp_lo = ((D / kappa) * sm, (D / kappa) * sp)
-        return VerticalProfile.from_exponential(kappa, (0.0, 0.0), exp_lo)
-    raise ValueError("phase must be 'upper' or 'lower'")
-
-
 def solve_mode_interface_flux(data: InterfaceData, drift: float = 0.0):
     """Analytic per-mode solve of the jump-coupled two-phase Laplace problem.
 
     Returns (q_upper, q_lower) vertical profiles with homogeneous
     Neumann walls, the prescribed value and flux jumps at the interface
     and, for pure flux data, the reflection symmetry
-    q_lower(x3) = q_upper(-x3) up to the tangential shift.  drift is the
-    slip offset: the lower trace is matched at x1 + drift, contributing
-    the phase exp(-i*k1*drift) to the lower amplitude.
+    q_lower(x3) = q_upper(-x3) up to the tangential shift: each phase
+    then carries half of the flux jump as its own interface flux.  drift
+    is the slip offset: the lower trace is matched at x1 + drift,
+    contributing the phase exp(-i*k1*drift) to the lower amplitude.
     """
     kappa = data.k.kappa
     if kappa == 0.0:
         raise SolvabilityError("kappa = 0: pure-Neumann mode is solvable only "
                                "up to constants; fix the gauge in the grid solver")
-    sp, sm, cp, cm = _stable_ratios(kappa)
+    # e^{-k}/(2 sinh k), e^{k}/(2 sinh k), e^{-k}/(2 cosh k), e^{k}/(2 cosh k)
+    sp, sm = exp_weights(kappa)
+    e2 = math.exp(-2.0 * kappa)
+    cp = e2 / (1.0 + e2)
+    cm = 1.0 / (1.0 + e2)
     g1 = complex(data.value_jump)
     g2 = complex(data.flux_jump)
     # upper amplitude A and shifted lower amplitude B*phi solve
@@ -163,7 +137,7 @@ def _apply_mode_rows(z, h, lam, phi):
     return out
 
 
-def _solve_nonzero_modes(b, h, lam, phi):
+def _solve_modes(b, h, lam, phi):
     """Batched Thomas solve of the mode systems A z = b, modes on the last axis.
 
     Each wall Neumann row and the flux row are combined with their
@@ -172,24 +146,28 @@ def _solve_nonzero_modes(b, h, lam, phi):
     (lo[0..N], up[1..N]).  For -4 <= h^2 lam < 0 (n_tan up to about
     4.4 n_ver) it is diagonally dominant, and for smaller h^2 lam the
     interior rows dominate the pivots, so the elimination needs no
-    pivoting.  The zero mode (lam = 0) is singular here and must not be
-    passed in.
+    pivoting.  The zero mode (lam = 0) is singular, as constants solve
+    it: its upper wall row, which carries the compatibility condition of
+    the Neumann data, becomes the pin up[N] = 0, and after back
+    substitution the mode is shifted to the gauge, zero volume mean.
     """
     N = b.shape[0] // 2 - 1
     h2 = h * h
     c = 2.0 + h2 * lam
     d = h2 * lam - 2.0
+    zero = lam == 0.0
     # (sub, diag, super) of rows 1..2N; row 0 has diag -2 and super c
     rows = ([(1.0, d, 1.0)] * (N - 1)
             + [(phi * c, -4.0 * phi, c), (phi, d, 1.0)]
-            + [(1.0, d, 1.0)] * (N - 2) + [(-c, 2.0, 0.0)])
+            + [(1.0, d, 1.0)] * (N - 2)
+            + [(np.where(zero, 0.0, -c), np.where(zero, 1.0, 2.0), 0.0)])
     x = np.empty((2 * N + 1,) + b.shape[1:], dtype=complex)
     x[:N] = h2 * b[:N]
     x[0] = 2 * h * b[0] + h2 * b[1]
     x[N] = 2 * h * b[N + 1] + h2 * (b[N + 2] + phi * b[N - 1]) + 2.0 * b[N]
     x[N + 1:] = h2 * b[N + 2:]
     x[N + 1] -= b[N]
-    x[2 * N] = 2 * h * b[2 * N + 1] - h2 * b[2 * N]
+    x[2 * N] = np.where(zero, 0.0, 2 * h * b[2 * N + 1] - h2 * b[2 * N])
 
     # forward elimination, then back substitution in place
     sup_scaled = np.empty_like(x)
@@ -202,30 +180,8 @@ def _solve_nonzero_modes(b, h, lam, phi):
     for i in range(2 * N - 1, -1, -1):
         x[i] -= sup_scaled[i] * x[i + 1]
 
-    z = np.empty(b.shape, dtype=complex)
-    z[:N + 1] = x[:N + 1]
-    z[N + 1] = b[N] + phi * x[N]
-    z[N + 2:] = x[N + 1:]
-    return z
-
-
-def _solve_zero_mode(h, rhs):
-    """Solve [[A, w], [w^T, 0]] [z, mu] = [rhs, 0], w the trapezoid weights.
-
-    z has zero volume mean; the multiplier mu takes up any incompatible
-    part of rhs, which the residual against A then exposes.
-    """
-    M = rhs.shape[0]
-    A = _apply_mode_rows(np.eye(M), h, 0.0, 1.0)
-    w = np.tile(_vertical_weights(M // 2 - 1), 2)
-    bordered = np.block([[A, w[:, None]], [w[None, :], np.zeros((1, 1))]])
-    z = np.linalg.solve(bordered, np.append(rhs, 0.0))[:M]
-    residual = np.max(np.abs(A @ z - rhs))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if not residual <= RESIDUAL_TOL * scale:
-        raise SolvabilityError(
-            f"incompatible pure-Neumann data on the zero mode "
-            f"(residual {residual:.3e})")
+    z = np.insert(x, N + 1, b[N] + phi * x[N], axis=0)   # up[0] from the value row
+    z[:, zero] -= np.tile(_vertical_weights(N), 2) @ z[:, zero] / 2.0
     return z
 
 
@@ -244,9 +200,11 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
         Tangential slip offset, applied as the mode phase e^{i k1 drift}.
 
     Second-order accurate.  Only the k1 >= 0 half of the spectrum of the
-    real data is solved: the nonzero modes by batched tridiagonal
-    elimination, the zero mode by the gauge-bordered direct solve.  Each
-    solved mode's residual on the original rows must meet RESIDUAL_TOL.
+    real data is solved, every mode by one batched tridiagonal
+    elimination; the zero mode is pinned and then gauged to zero volume
+    mean.  Each solved mode's residual on the original rows must meet
+    RESIDUAL_TOL.  Raises SolvabilityError when the zero mode fails it
+    (incompatible Neumann data), PressureSolverError for any other mode.
     """
     n_tan, n_ver = source.n_tan, source.n_ver
     if n_tan < 8 or n_ver < 8:
@@ -278,12 +236,14 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     lam = (sym[:n_half, None] + sym[None, :]).ravel()
     phi = np.repeat(np.exp(1j * freqs[:n_half] * drift), n_tan)
 
-    z = np.empty_like(b)
-    z[:, 0] = _solve_zero_mode(h, b[:, 0])
-    z[:, 1:] = _solve_nonzero_modes(b[:, 1:], h, lam[1:], phi[1:])
+    z = _solve_modes(b, h, lam, phi)
     residual = np.max(np.abs(_apply_mode_rows(z, h, lam, phi) - b), axis=0)
     scale = np.maximum(1.0, np.max(np.abs(b), axis=0))
     failed = np.flatnonzero(~(residual <= RESIDUAL_TOL * scale))
+    if failed.size and failed[0] == 0:
+        raise SolvabilityError(
+            f"incompatible pure-Neumann data on the zero mode "
+            f"(residual {residual[0]:.3e})")
     if failed.size:
         i1, i2 = divmod(int(failed[0]), n_tan)
         raise PressureSolverError(
@@ -305,8 +265,7 @@ def pressure_decomposition(source: TwoPhaseGridField, M_data=None,
     the test suite).
     """
     zero_source = TwoPhaseGridField.zeros(source.n_tan, source.n_ver)
-    q1 = solve_two_phase_poisson_fd(zero_source, value_jump=None,
-                                    flux_jump=M_data, drift=drift)
+    q1 = solve_two_phase_poisson_fd(zero_source, flux_jump=M_data, drift=drift)
     q2 = solve_two_phase_poisson_fd(source, drift=drift)
     return q1, q2
 
@@ -335,19 +294,17 @@ def mode_solver_fd_error(k: WaveVector, flux_amplitude: float,
     fj = np.real(phase) * flux_amplitude
     zero_source = TwoPhaseGridField.zeros(n_tan, n_ver)
     fd = solve_two_phase_poisson_fd(zero_source, flux_jump=fj)
-    err = max(float(np.max(np.abs(fd.values_upper - exact_up))),
-              float(np.max(np.abs(fd.values_lower - exact_lo))))
-    return err
+    return max(float(np.max(np.abs(fd.values_upper - exact_up))),
+               float(np.max(np.abs(fd.values_lower - exact_lo))))
 
 
-def fitted_convergence_order(errors, factors=2.0):
-    """Least-squares slope of log(error) against log(h) refinements."""
+def fitted_convergence_order(errors):
+    """Least-squares slope of log(error) against log(h); each level halves h."""
     errors = np.asarray(errors, dtype=float)
     if errors.size < 2:
         raise ValueError("fitting an order needs at least two errors")
     if np.any(errors <= 0):
         raise ValueError("errors must be positive to fit an order")
-    n = errors.size
-    logs_h = -np.arange(n) * math.log(factors)
+    logs_h = -np.arange(errors.size) * math.log(2.0)
     slope = np.polyfit(logs_h, np.log(errors), 1)[0]
     return float(slope)

@@ -11,6 +11,7 @@ from khlab.evolution import (
     StabilityError,
     apply_A,
     boundary_dispersion,
+    default_rk4_dt,
     evolve_boundary_mode,
     evolve_state,
 )
@@ -309,6 +310,21 @@ def _block_values(state):
            for name in ("P", "L", "g")}
     out["r_upper"], out["r_lower"] = state.r_hat[:, 0], state.r_hat[:, 1]
     return out
+
+
+def test_default_rk4_dt_reads_every_block():
+    # sqrt(2) * j over the keys of P, L, g and their velocities; the r grid
+    # from the stored spectrum, else from grid=, else no r term
+    assert default_rk4_dt(PerturbationState(3, g_dot={30: 1.0}), 5.0, 0.0) == 0.25 / (
+        math.sqrt(2.0) * 30)
+    assert default_rk4_dt(PerturbationState(3, L={2: 1.0}), 0.0, 0.0) == 0.01
+    s = PerturbationState(3, P={20: 1.0}, grid=(16, 6))
+    assert default_rk4_dt(s, 0.0, 0.0) == 0.25 / (math.sqrt(2.0) * 20)
+    assert default_rk4_dt(s, 1.0, 5.0) == 0.25 / 40.0
+    mixed = _mixed_state(3)
+    dt = default_rk4_dt(mixed, 4.0, 1.0)
+    assert dt == 0.25 / 32.0
+    evolve_state(mixed, 4.0, 1.0, 0.7, stepper="rk4", dt=dt)   # within the stability limit
 
 
 def test_rk4_observed_order_on_mixed_state():

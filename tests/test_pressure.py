@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from khlab.core import TwoPhaseGridField, WaveVector
+from khlab import pressure
+from khlab.core import TwoPhaseGridField, WaveVector, _vertical_weights
 from khlab.pressure import (
     InterfaceData,
     SolvabilityError,
     _apply_mode_rows,
     fitted_convergence_order,
     mode_solver_fd_error,
-    neumann_mode_profile,
     pressure_decomposition,
     solve_mode_interface_flux,
     solve_two_phase_poisson_fd,
@@ -40,6 +40,8 @@ def test_unit_flux_interface_value():
     assert complex(q_up.eval_upper(0.0)).real == pytest.approx(-COTH1, rel=1e-14)
     d_up = q_up.derivative()
     assert complex(d_up.eval_upper(0.0)).real == pytest.approx(1.0, rel=1e-14)
+    # the lower phase carries the other half of the jump
+    assert complex(q_lo.derivative().eval_lower(0.0)).real == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_wall_neumann_built_into_ansatz():
@@ -101,17 +103,6 @@ def test_mode_solver_linearity():
 def test_kappa_zero_mode_is_solvability_error():
     with pytest.raises(SolvabilityError):
         solve_mode_interface_flux(InterfaceData(WaveVector(0, 0), flux_jump=1.0))
-    with pytest.raises(SolvabilityError):
-        neumann_mode_profile(0.0, 1.0, "upper")
-
-
-def test_neumann_mode_profile_flux():
-    prof = neumann_mode_profile(2.0, 1.7, "upper")
-    assert complex(prof.derivative().eval_upper(0.0)).real == pytest.approx(1.7, rel=1e-13)
-    assert abs(prof.derivative().eval_upper(1.0)) < 1e-14
-    lo = neumann_mode_profile(2.0, -0.9, "lower")
-    assert complex(lo.derivative().eval_lower(0.0)).real == pytest.approx(-0.9, rel=1e-13)
-    assert abs(lo.derivative().eval_lower(-1.0)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +232,11 @@ def test_fd_zero_mean_gauge():
 
 def test_fd_incompatible_neumann_data():
     # constant source with zero jumps violates the compatibility relation
-    n = 8
-    shape = (n, n, n + 1)
-    source = TwoPhaseGridField(n, n, np.ones(shape), np.ones(shape))
-    with pytest.raises(SolvabilityError):
-        solve_two_phase_poisson_fd(source)
+    for n, drift in ((8, 0.0), (9, 0.4)):
+        shape = (n, n, n + 1)
+        source = TwoPhaseGridField(n, n, np.ones(shape), np.ones(shape))
+        with pytest.raises(SolvabilityError, match="zero mode"):
+            solve_two_phase_poisson_fd(source, drift=drift)
 
 
 def test_fd_requires_minimum_resolution():
@@ -267,7 +258,12 @@ def test_fd_rejects_non_finite_data():
 
 
 def _dense_reference_fd(source, value_jump, flux_jump, drift):
-    """Per-mode np.linalg.solve on the dense operator; data must have no zero mode."""
+    """Per-mode np.linalg.solve on the dense operator.
+
+    The singular zero mode is solved with the operator bordered by the
+    trapezoid weights, [[A, w], [w^T, 0]], which imposes zero volume mean;
+    its data must be compatible.
+    """
     n, N = source.n_tan, source.n_ver
     h = source.h_ver
     up_hat = np.fft.fft2(source.values_upper, axes=(0, 1)) / n ** 2
@@ -279,10 +275,9 @@ def _dense_reference_fd(source, value_jump, flux_jump, drift):
     sym = -4.0 * np.sin(0.5 * freqs * h_tan) ** 2 / h_tan ** 2
     sol_up = np.zeros_like(up_hat)
     sol_lo = np.zeros_like(lo_hat)
+    w = np.tile(_vertical_weights(N), 2)
     for i1 in range(n):
         for i2 in range(n):
-            if i1 == i2 == 0:
-                continue
             A = _apply_mode_rows(np.eye(2 * N + 2), h, sym[i1] + sym[i2],
                                  np.exp(1j * freqs[i1] * drift))
             rhs = np.zeros(2 * N + 2, dtype=complex)
@@ -290,9 +285,12 @@ def _dense_reference_fd(source, value_jump, flux_jump, drift):
             rhs[N] = vj_hat[i1, i2]
             rhs[N + 1] = fj_hat[i1, i2]
             rhs[N + 2:2 * N + 1] = up_hat[i1, i2, 1:N]
+            if i1 == i2 == 0:
+                A = np.block([[A, w[:, None]], [w[None, :], np.zeros((1, 1))]])
+                rhs = np.append(rhs, 0.0)
             z = np.linalg.solve(A, rhs)
             sol_lo[i1, i2] = z[:N + 1]
-            sol_up[i1, i2] = z[N + 1:]
+            sol_up[i1, i2] = z[N + 1:2 * N + 2]
     return (np.fft.ifft2(sol_up * n ** 2, axes=(0, 1)).real,
             np.fft.ifft2(sol_lo * n ** 2, axes=(0, 1)).real)
 
@@ -304,11 +302,12 @@ def test_fd_batched_solve_matches_dense_reference():
         shape = (n, n, n + 1)
         up = rng.standard_normal(shape)
         lo = rng.standard_normal(shape)
-        up -= up.mean(axis=(0, 1))   # zero tangential mean: no zero-mode data
+        # zero tangential mean of source and flux jump keeps the zero-mode
+        # data compatible; the value jump keeps its mean
+        up -= up.mean(axis=(0, 1))
         lo -= lo.mean(axis=(0, 1))
         vj = rng.standard_normal((n, n))
         fj = rng.standard_normal((n, n))
-        vj -= vj.mean()
         fj -= fj.mean()
         source = TwoPhaseGridField(n, n, up, lo)
         q = solve_two_phase_poisson_fd(source, value_jump=vj, flux_jump=fj, drift=0.37)
@@ -319,23 +318,38 @@ def test_fd_batched_solve_matches_dense_reference():
 
 
 def test_fd_solves_half_the_spectrum_and_gauges_directly(monkeypatch):
+    # one batched elimination takes every k1 >= 0 mode, the zero mode
+    # included; no full-spectrum transform and no np.linalg call
     n = 9
     x = 2 * math.pi * np.arange(n) / n
     fj = np.cos(x)[:, None] * np.cos(2 * x)[None, :]
+    vj = np.full((n, n), 0.3)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("full-spectrum transform or least-squares gauge called")
+        raise AssertionError("full-spectrum transform or np.linalg called")
 
     monkeypatch.setattr(np.fft, "fft2", forbidden)
     monkeypatch.setattr(np.fft, "ifft2", forbidden)
-    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
-    q = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, n), flux_jump=fj, drift=0.4)
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    solved = []
+    solve_modes = pressure._solve_modes
+
+    def counted(b, h, lam, phi):
+        solved.append(b.shape[1:])
+        return solve_modes(b, h, lam, phi)
+
+    monkeypatch.setattr(pressure, "_solve_modes", counted)
+    q = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, n), value_jump=vj,
+                                   flux_jump=fj, drift=0.4)
+    assert solved == [((n // 2 + 1) * n,)]
     assert q.max_abs() > 0.0
 
 
 def test_fd_zero_mode_value_jump_is_exact():
     # a constant value jump c is solved by the constants -c/2 below and c/2
-    # above; the bordered gauge solve keeps that to round-off at N = 64
+    # above; the pinned and gauged elimination keeps that to round-off at N = 64
     n, N = 8, 64
     q = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, N),
                                    value_jump=np.full((n, n), 0.7))
