@@ -175,7 +175,12 @@ class VerticalProfile:
     def _eval_exp(self, coeffs, x3):
         a_plus, a_minus = coeffs
         x3 = np.asarray(x3, dtype=float)
-        return a_plus * np.exp(self.kappa * x3) + a_minus * np.exp(-self.kappa * x3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = a_plus * np.exp(self.kappa * x3) + a_minus * np.exp(-self.kappa * x3)
+        if not np.isfinite(out).all():   # e^kappa passes the float range near kappa = 709.78
+            raise OverflowError(f"profile at kappa = {self.kappa:g} leaves the float range "
+                                f"(max {np.finfo(float).max:.3g})")
+        return out
 
     def eval_upper(self, x3):
         return self._eval_exp(self.upper_exp, x3)
@@ -249,20 +254,22 @@ class TwoPhaseGridField:
         upper levels  x3 = 0, h, ..., 1      (index 0 is the interface)
         lower levels  x3 = -1, ..., -h, 0    (index -1 is the interface)
 
-    Values are float arrays of shape (n_tan, n_tan, n_ver + 1) with
-    axes (x1, x2, x3).
+    Values are float arrays of shape (n_tan, n_x2, n_ver + 1) with axes
+    (x1, x2, x3), where the x2 extent n_x2 is n_tan, or 1 for a plane
+    meaning "constant in x2".  The extent is read from the arrays and is
+    part of the grid: a plane and a full field do not combine.
     """
 
     __slots__ = ("n_tan", "n_ver", "values_upper", "values_lower")
 
     def __init__(self, n_tan, n_ver, values_upper, values_lower):
-        shape = (n_tan, n_tan, n_ver + 1)
         values_upper = np.asarray(values_upper, dtype=float)
         values_lower = np.asarray(values_lower, dtype=float)
-        if values_upper.shape != shape or values_lower.shape != shape:
+        if (values_upper.shape not in ((n_tan, n_tan, n_ver + 1), (n_tan, 1, n_ver + 1))
+                or values_lower.shape != values_upper.shape):
             raise GridMismatchError(
-                f"value arrays must have shape {shape}, got "
-                f"{values_upper.shape} and {values_lower.shape}")
+                f"value arrays must have shape {(n_tan, n_tan, n_ver + 1)} or "
+                f"{(n_tan, 1, n_ver + 1)}, got {values_upper.shape} and {values_lower.shape}")
         self.n_tan = int(n_tan)
         self.n_ver = int(n_ver)
         self.values_upper = values_upper
@@ -271,8 +278,8 @@ class TwoPhaseGridField:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zeros(cls, n_tan, n_ver):
-        shape = (n_tan, n_tan, n_ver + 1)
+    def zeros(cls, n_tan, n_ver, n_x2=None):
+        shape = (n_tan, n_tan if n_x2 is None else n_x2, n_ver + 1)
         return cls(n_tan, n_ver, np.zeros(shape), np.zeros(shape))
 
     @classmethod
@@ -297,8 +304,12 @@ class TwoPhaseGridField:
     def h_ver(self) -> float:
         return 1.0 / self.n_ver
 
+    @property
+    def n_x2(self) -> int:
+        return self.values_upper.shape[1]
+
     def same_grid(self, other) -> bool:
-        return self.n_tan == other.n_tan and self.n_ver == other.n_ver
+        return self.values_upper.shape == other.values_upper.shape
 
     # -- arithmetic ------------------------------------------------------
 
@@ -395,7 +406,7 @@ def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
     w = _vertical_weights(f.n_ver)
     s = np.sum(f.values_upper * g.values_upper * w)
     s += np.sum(f.values_lower * g.values_lower * w)
-    return float(s * f.h_tan ** 2)
+    return float(s * f.h_tan ** 2 * (f.n_tan // f.n_x2))   # a plane stands for n_tan columns
 
 
 def inner_product_vector(fs, gs) -> float:

@@ -32,7 +32,7 @@ state at a later time applies the co-moving drift phases.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -178,9 +178,8 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
     odd_dot, even_dot, r_dot_hat = _decompose_single(chi_dot, tol, scales[1])
 
     def split(coeffs):
-        P = {j: c for j, c in coeffs.items() if j >= n_cutoff}
-        L = {j: c for j, c in coeffs.items() if j < n_cutoff}
-        return P, L
+        return ({j: c for j, c in coeffs.items() if j >= n_cutoff},
+                {j: c for j, c in coeffs.items() if j < n_cutoff})
 
     P, L = split(odd)
     P_dot, L_dot = split(odd_dot)
@@ -294,10 +293,8 @@ def h2_readout(state: PerturbationState) -> float:
     the A-multiplier-consistent stand-in for a second-order Sobolev norm
     of the growing component.
     """
-    total = 0.0
-    for j, c in state.P.items():
-        total += (j ** 4) * abs(c) ** 2 * potential_gradient_norm_sq(j)
-    return math.sqrt(total)
+    return math.sqrt(sum((j ** 4) * abs(c) ** 2 * potential_gradient_norm_sq(j)
+                         for j, c in state.P.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +325,7 @@ class Proposition2Report:
     aux_low_frequency_bound_ok: bool = True
 
     def to_dict(self):
-        return {
-            "n_cutoff": self.n_cutoff,
-            "times": list(self.times),
-            "E1_plus": list(self.E1_plus),
-            "E1_minus": list(self.E1_minus),
-            "F": list(self.F),
-            "G": list(self.G),
-            "invariant": bool(self.invariant),
-            "first_violation_time": self.first_violation_time,
-            "aux_order_bound_ok": bool(self.aux_order_bound_ok),
-            "aux_low_frequency_bound_ok": bool(self.aux_low_frequency_bound_ok),
-        }
+        return asdict(self)
 
 
 def _aux_bounds_ok(state: PerturbationState, n: int, rel=1e-12):
@@ -351,12 +337,12 @@ def _aux_bounds_ok(state: PerturbationState, n: int, rel=1e-12):
     # roundoff and the minus-side bound is vacuous
     floor = 1e-24 * (E1p + E1m)
     minus_ok = (E1m <= floor) or (E32m >= n * E1m * (1 - rel))
-    order_ok = plus_ok and minus_ok
+    order_ok = bool(plus_ok and minus_ok)
     lhs = sum((j ** 4) * abs(c) ** 2 * potential_gradient_norm_sq(j)
               for j, c in state.L.items())
     rhs = (max(n - 1, 1) ** 4) * sum(abs(c) ** 2 * potential_gradient_norm_sq(j)
                                      for j, c in state.L.items())
-    low_ok = lhs <= rhs * (1 + rel)
+    low_ok = bool(lhs <= rhs * (1 + rel))
     return order_ok, low_ok
 
 
@@ -413,8 +399,7 @@ class GrowthReport:
     margins: list   # E1+(t) / (E1+(0) e^{n t})
 
     def to_dict(self):
-        return {"n_cutoff": self.n_cutoff, "passed": self.passed,
-                "times": list(self.times), "margins": list(self.margins)}
+        return asdict(self)
 
 
 def check_growth_corollary(trajectory, n_cutoff: int,

@@ -18,8 +18,10 @@ provided and tested against each other:
   diagonalised by the DFT with the discrete Laplacian symbol, which
   reproduces the full 3-D centered discretization exactly.  The data
   are real, so a real FFT over x1 keeps only the modes with k1 >= 0;
-  the rest are their complex conjugates.  Their tridiagonal systems,
-  the singular zero mode included, are solved at once by one batched
+  the rest are their complex conjugates.  Data constant in x2 come as a
+  plane (x2 extent 1) with only k2 = 0 modes, so a plane solves
+  n_tan//2 + 1 systems, not (n_tan//2 + 1)*n_tan.  The tridiagonal
+  systems, the singular zero mode included, are solved by one batched
   Thomas elimination, with no direct solve: the zero mode is pinned at
   the upper wall and then shifted to the gauge, zero volume mean.  The
   slip shift enters as the phase exp(i*k1*drift) on the lower trace.
@@ -193,48 +195,51 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     ----------
     source : TwoPhaseGridField
         Right-hand side of Laplacian q = source per phase.
-    value_jump, flux_jump : (n_tan, n_tan) real arrays or None
+    value_jump, flux_jump : (n_tan, n_x2) real arrays or None
         Interface jump data q_up - q_low and dq_up/dx3 - dq_low/dx3
-        (shifted lower trace when drift != 0); None means zero.
+        (shifted lower trace when drift != 0) on the source's x2 extent
+        n_x2; None means zero.
     drift : float
         Tangential slip offset, applied as the mode phase e^{i k1 drift}.
 
     Second-order accurate.  Only the k1 >= 0 half of the spectrum of the
     real data is solved, every mode by one batched tridiagonal
     elimination; the zero mode is pinned and then gauged to zero volume
-    mean.  Each solved mode's residual on the original rows must meet
+    mean.  A plane source (n_x2 = 1, constant in x2) has data only on
+    k2 = 0, so only those n_tan//2 + 1 modes are solved, into a plane.
+    Each solved mode's residual on the original rows must meet
     RESIDUAL_TOL.  Raises SolvabilityError when the zero mode fails it
     (incompatible Neumann data), PressureSolverError for any other mode.
     """
-    n_tan, n_ver = source.n_tan, source.n_ver
+    n_tan, n_ver, n2 = source.n_tan, source.n_ver, source.n_x2
     if n_tan < 8 or n_ver < 8:
         raise ValueError("grid must have at least 8 points per direction")
     h = source.h_ver
-    vj = np.zeros((n_tan, n_tan)) if value_jump is None else np.asarray(value_jump, dtype=float)
-    fj = np.zeros((n_tan, n_tan)) if flux_jump is None else np.asarray(flux_jump, dtype=float)
-    if vj.shape != (n_tan, n_tan) or fj.shape != (n_tan, n_tan):
-        raise ValueError("jump data must be (n_tan, n_tan) interface grids")
+    vj = np.zeros((n_tan, n2)) if value_jump is None else np.asarray(value_jump, dtype=float)
+    fj = np.zeros((n_tan, n2)) if flux_jump is None else np.asarray(flux_jump, dtype=float)
+    if vj.shape != (n_tan, n2) or fj.shape != (n_tan, n2):
+        raise ValueError(f"jump data must be {(n_tan, n2)} interface grids, the source's extent")
     if not all(np.isfinite(a).all() for a in (source.values_upper, source.values_lower, vj, fj)):
         raise ValueError("source, value_jump and flux_jump must be finite")
 
     # right-hand sides with the vertical rows first and the modes last:
-    # k = (freqs[i1], freqs[i2]) with i1 < n_half is column i1 * n_tan + i2,
+    # k = (freqs[i1], freqs[i2]) with i1 < n_half is column i1 * n2 + i2,
     # the zero mode column 0; x1 is the halved axis because phi depends on k1
     N = n_ver
     n_half = n_tan // 2 + 1
-    n_points = n_tan * n_tan
-    b = np.zeros((2 * N + 2, n_tan, n_tan))
+    n_points = n_tan * n2
+    b = np.zeros((2 * N + 2, n_tan, n2))
     b[1:N] = np.moveaxis(source.values_lower[:, :, 1:N], -1, 0)
     b[N] = vj
     b[N + 1] = fj
     b[N + 2:2 * N + 1] = np.moveaxis(source.values_upper[:, :, 1:N], -1, 0)
-    b = np.fft.rfft2(b, axes=(2, 1)).reshape(2 * N + 2, n_half * n_tan) / n_points
+    b = np.fft.rfft2(b, axes=(2, 1)).reshape(2 * N + 2, n_half * n2) / n_points
 
     freqs = _integer_frequencies(n_tan)
     h_tan = source.h_tan
     sym = -4.0 * np.sin(0.5 * freqs * h_tan) ** 2 / h_tan ** 2   # discrete d^2
-    lam = (sym[:n_half, None] + sym[None, :]).ravel()
-    phi = np.repeat(np.exp(1j * freqs[:n_half] * drift), n_tan)
+    lam = (sym[:n_half, None] + sym[None, :n2]).ravel()
+    phi = np.repeat(np.exp(1j * freqs[:n_half] * drift), n2)
 
     z = _solve_modes(b, h, lam, phi)
     residual = np.max(np.abs(_apply_mode_rows(z, h, lam, phi) - b), axis=0)
@@ -245,13 +250,13 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
             f"incompatible pure-Neumann data on the zero mode "
             f"(residual {residual[0]:.3e})")
     if failed.size:
-        i1, i2 = divmod(int(failed[0]), n_tan)
+        i1, i2 = divmod(int(failed[0]), n2)
         raise PressureSolverError(
             f"mode ({freqs[i1]},{freqs[i2]}) residual {residual[failed[0]]:.3e} "
             f"exceeds {RESIDUAL_TOL}")
 
-    z = z.reshape(2 * N + 2, n_half, n_tan) * n_points
-    vals = np.moveaxis(np.fft.irfft2(z, s=(n_tan, n_tan), axes=(2, 1)), 0, -1)
+    z = z.reshape(2 * N + 2, n_half, n2) * n_points
+    vals = np.moveaxis(np.fft.irfft2(z, s=(n2, n_tan), axes=(2, 1)), 0, -1)
     return TwoPhaseGridField(n_tan, n_ver, vals[:, :, N + 1:], vals[:, :, :N + 1])
 
 
@@ -264,7 +269,7 @@ def pressure_decomposition(source: TwoPhaseGridField, M_data=None,
     jumps.  Their sum solves the combined problem (verified directly in
     the test suite).
     """
-    zero_source = TwoPhaseGridField.zeros(source.n_tan, source.n_ver)
+    zero_source = TwoPhaseGridField.zeros(source.n_tan, source.n_ver, source.n_x2)
     q1 = solve_two_phase_poisson_fd(zero_source, flux_jump=M_data, drift=drift)
     q2 = solve_two_phase_poisson_fd(source, drift=drift)
     return q1, q2
@@ -280,22 +285,23 @@ def mode_solver_fd_error(k: WaveVector, flux_amplitude: float,
 
     Builds single-mode flux-jump data cos(k.x) * flux_amplitude, solves
     with the grid oracle and compares to the analytic per-mode profile
-    evaluated at the grid points.
+    evaluated at the grid points.  For k2 = 0 the data, the solve and the
+    comparison stay on the x2 = 0 plane, since every x2 column is alike.
     """
     k.require_nonzero()
     q_up, q_lo = solve_mode_interface_flux(
         InterfaceData(k, value_jump=0.0, flux_jump=flux_amplitude))
     x1, x2 = tangential_grid(n_tan)
+    x2 = x2[:1] if k.k2 == 0 else x2
     phase = np.exp(1j * (k.k1 * x1[:, None] + k.k2 * x2[None, :]))
     zu, zl = vertical_levels(n_ver)
     exact_up = np.real(phase[:, :, None] * q_up.eval_upper(zu)[None, None, :])
     exact_lo = np.real(phase[:, :, None] * q_lo.eval_lower(zl)[None, None, :])
 
     fj = np.real(phase) * flux_amplitude
-    zero_source = TwoPhaseGridField.zeros(n_tan, n_ver)
+    zero_source = TwoPhaseGridField.zeros(n_tan, n_ver, x2.size)
     fd = solve_two_phase_poisson_fd(zero_source, flux_jump=fj)
-    return max(float(np.max(np.abs(fd.values_upper - exact_up))),
-               float(np.max(np.abs(fd.values_lower - exact_lo))))
+    return (fd - TwoPhaseGridField(n_tan, n_ver, exact_up, exact_lo)).max_abs()
 
 
 def fitted_convergence_order(errors):

@@ -320,6 +320,32 @@ def test_closed_form_overflow_names_the_square(capsys):
         assert "(k.B)^2" in err and "lower a" in err and "Numerical result" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_profile_overflow_exit_code(capsys):
+    # past kappa = 709.78 the profiles leave the float range: modes used to print
+    # nan wall rows and verify to write numpy warnings before its message
+    for command in ("modes", "verify"):
+        assert main(["--command", command, "--k", "710,0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("khlab: numerical overflow: profile at kappa = 710 ")
+        assert "float range" in err
+
+
+def test_profile_overflow_writes_one_stderr_line():
+    # in a fresh process with the default warning filters, nothing else reaches stderr
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for command in ("modes", "verify"):
+        proc = subprocess.run([sys.executable, "-m", "khlab.cli", "--command", command,
+                               "--k", "710,0"], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("khlab: numerical overflow: profile at kappa = 710 ")
+        assert len(proc.stderr.splitlines()) == 1
+
+
 def test_unmapped_exception_is_an_internal_error(monkeypatch, capsys):
     import khlab.cli as cli_mod
 

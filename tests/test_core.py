@@ -124,6 +124,19 @@ def test_profile_requires_positive_kappa():
         VerticalProfile(0.0, (1.0, 0.0), (1.0, 0.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_profile_past_the_float_range_raises_overflow():
+    # e^kappa leaves the float range near kappa = 709.78; the wall rows used to
+    # read 0*inf = nan with a RuntimeWarning
+    wall = VerticalProfile.from_exponential(710.0, (0.0, 1.0), (1.0, 0.0))
+    with pytest.raises(OverflowError, match=r"kappa = 710 leaves the float range"):
+        wall.eval_upper(np.linspace(0.0, 1.0, 5))
+    with pytest.raises(OverflowError, match=r"kappa = 710"):
+        wall.eval(-1.0)
+    near = VerticalProfile.from_exponential(709.0, (0.0, 1.0), (1.0, 0.0))
+    assert np.isfinite(near.eval(np.linspace(-1.0, 1.0, 9))).all()
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -167,6 +180,26 @@ def test_inner_product_grid_mismatch():
     g = TwoPhaseGridField.zeros(8, 5)
     with pytest.raises(GridMismatchError):
         inner_product_L2(f, g)
+
+
+def test_plane_is_a_grid_of_its_own():
+    # an x2 extent of 1 means "constant in x2"; it never broadcasts against a full field
+    rng = np.random.default_rng(3)
+    up, lo = rng.standard_normal((2, 8, 1, 5))
+    plane = TwoPhaseGridField(8, 4, up, lo)
+    full = TwoPhaseGridField(8, 4, np.repeat(up, 8, axis=1), np.repeat(lo, 8, axis=1))
+    assert plane.n_x2 == 1 and full.n_x2 == 8
+    assert TwoPhaseGridField.zeros(8, 4, 1).same_grid(plane)
+    assert not plane.same_grid(full) and not full.same_grid(plane)
+    for combine in (lambda: plane + full, lambda: full - plane,
+                    lambda: inner_product_L2(plane, full)):
+        with pytest.raises(GridMismatchError):
+            combine()
+    assert inner_product_L2(plane, plane) == pytest.approx(inner_product_L2(full, full),
+                                                           rel=1e-13)
+    for shape in ((8, 2, 5), (8, 7, 5), (8, 8, 4)):
+        with pytest.raises(GridMismatchError):
+            TwoPhaseGridField(8, 4, np.zeros(shape), np.zeros(shape))
 
 
 def test_harmonic_gradient_orthogonal_to_tangential_field():

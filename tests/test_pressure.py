@@ -1,12 +1,13 @@
 """Two-phase pressure solver checks: analytic mode solve vs FD oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from khlab import pressure
-from khlab.core import TwoPhaseGridField, WaveVector, _vertical_weights
+from khlab.core import GridMismatchError, TwoPhaseGridField, WaveVector, _vertical_weights
 from khlab.pressure import (
     InterfaceData,
     SolvabilityError,
@@ -357,6 +358,93 @@ def test_fd_zero_mode_value_jump_is_exact():
     assert np.max(np.abs(q.values_lower + 0.35)) < 1e-13
 
 
+def _plane_data(rng, n, N):
+    """Random x2-constant source and jumps whose zero-mode data are compatible."""
+    up = rng.standard_normal((n, 1, N + 1))
+    lo = rng.standard_normal((n, 1, N + 1))
+    up -= up.mean(axis=(0, 1))
+    lo -= lo.mean(axis=(0, 1))
+    vj = rng.standard_normal((n, 1))
+    fj = rng.standard_normal((n, 1))
+    fj -= fj.mean()
+    return TwoPhaseGridField(n, N, up, lo), vj, fj
+
+
+@pytest.mark.parametrize("n", (8, 9, 15, 16))
+def test_fd_plane_solve_matches_full_grid_solve(n):
+    # a plane solves only its k2 = 0 modes; the full-grid solve of the
+    # same data broadcast along x2 must agree with it in every x2 column
+    rng = np.random.default_rng(n)
+    for N in (8, 13):
+        for drift in (0.0, 0.37, 1.3):
+            source, vj, fj = _plane_data(rng, n, N)
+            plane = solve_two_phase_poisson_fd(source, value_jump=vj, flux_jump=fj, drift=drift)
+            full_source = TwoPhaseGridField(n, N, np.repeat(source.values_upper, n, axis=1),
+                                            np.repeat(source.values_lower, n, axis=1))
+            full = solve_two_phase_poisson_fd(full_source, value_jump=np.repeat(vj, n, axis=1),
+                                              flux_jump=np.repeat(fj, n, axis=1), drift=drift)
+            assert plane.values_upper.shape == (n, 1, N + 1) and plane.n_x2 == 1
+            err = max(np.max(np.abs(plane.values_upper - full.values_upper)),
+                      np.max(np.abs(plane.values_lower - full.values_lower)))
+            assert err <= 1e-12 * max(1.0, full.max_abs()), (n, N, drift, err)
+
+
+def test_fd_plane_with_nonzero_mean_flux_is_solvability_error():
+    n = 9
+    fj = np.full((n, 1), 0.2) + np.cos(2 * math.pi * np.arange(n) / n)[:, None]
+    with pytest.raises(SolvabilityError, match="zero mode"):
+        solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, 8, 1), flux_jump=fj)
+
+
+def test_fd_plane_zero_mode_value_jump_is_exact():
+    n, N = 8, 64
+    q = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, N, 1),
+                                   value_jump=np.full((n, 1), 0.7))
+    assert q.n_x2 == 1
+    assert np.max(np.abs(q.values_upper - 0.35)) < 1e-13
+    assert np.max(np.abs(q.values_lower + 0.35)) < 1e-13
+
+
+def test_fd_rejects_other_x2_extents_and_mismatched_jumps():
+    n, N = 8, 8
+    with pytest.raises(GridMismatchError):
+        TwoPhaseGridField(n, N, np.zeros((n, 2, N + 1)), np.zeros((n, 2, N + 1)))
+    with pytest.raises(GridMismatchError):
+        TwoPhaseGridField(n, N, np.zeros((n, 1, N + 1)), np.zeros((n, n, N + 1)))
+    for source, jump in ((TwoPhaseGridField.zeros(n, N, 1), np.zeros((n, n))),
+                         (TwoPhaseGridField.zeros(n, N), np.zeros((n, 1)))):
+        for key in ("value_jump", "flux_jump"):
+            with pytest.raises(ValueError, match="jump data must be"):
+                solve_two_phase_poisson_fd(source, **{key: jump})
+
+
+def test_mode_error_solves_k2_zero_data_on_one_plane(monkeypatch):
+    # the ladder's data cos(k1 x1) are x2-constant: one elimination over the
+    # n_tan//2 + 1 columns with k2 = 0, in a small fraction of a full grid's memory
+    solved = []
+    solve_modes = pressure._solve_modes
+
+    def counted(b, h, lam, phi):
+        solved.append(b.shape[1:])
+        return solve_modes(b, h, lam, phi)
+
+    monkeypatch.setattr(pressure, "_solve_modes", counted)
+    tracemalloc.start()
+    try:
+        err = mode_solver_fd_error(WaveVector(5, 0), 1.0, 64, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solved == [(33,)]
+    assert peak < 2 * 2 ** 20, peak
+    assert err == pytest.approx(0.0012278104497267517, rel=1e-12)
+    # data with k2 != 0 still fill the grid and solve every k1 >= 0 column
+    solved.clear()
+    err = mode_solver_fd_error(WaveVector(2, 1), 1.0, 16, 16)
+    assert solved == [(9 * 16,)]
+    assert err == pytest.approx(0.007125562771267552, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # harmonic + source decomposition
 # ---------------------------------------------------------------------------
@@ -400,3 +488,21 @@ def test_decomposition_zero_jump():
     q1, q2 = pressure_decomposition(source, None)
     assert q1.max_abs() < 1e-12
     assert q2.max_abs() > 1e-4
+
+
+def test_decomposition_superposition_on_planes():
+    # x2-constant data decompose into planes that match the full-grid parts
+    n = 16
+    source, M = _random_smooth_data(n, 3)
+    plane_source = TwoPhaseGridField(n, n, source.values_upper[:, :1], source.values_lower[:, :1])
+    plane_M = np.cos(2 * math.pi * np.arange(n) / n)[:, None] * 0.8
+    q1, q2 = pressure_decomposition(plane_source, plane_M)
+    assert q1.n_x2 == q2.n_x2 == 1
+    combined = solve_two_phase_poisson_fd(plane_source, flux_jump=plane_M)
+    assert ((q1 + q2) - combined).max_abs() < 1e-9
+    full_source = TwoPhaseGridField(n, n, np.repeat(plane_source.values_upper, n, axis=1),
+                                    np.repeat(plane_source.values_lower, n, axis=1))
+    f1, f2 = pressure_decomposition(full_source, np.repeat(plane_M, n, axis=1))
+    for plane, full in ((q1, f1), (q2, f2)):
+        assert np.max(np.abs(plane.values_upper - full.values_upper)) < 1e-12
+        assert np.max(np.abs(plane.values_lower - full.values_lower)) < 1e-12
