@@ -19,7 +19,10 @@ Geometry and conventions (used by every module in the package):
   are one.
 * Array code on a grid 3-vector uses one stacked layout, axes
   (component, phase, x1, x2, x3) with the upper phase first; _stack and
-  _unstack convert, and a length-1 x2 axis holds an x2-constant plane.
+  _unstack convert.  A length-1 x2 axis means "constant in x2"
+  everywhere: such a plane stays a plane through decomposition and
+  reconstruction, and only the x2 spectrum of r, which keeps the one
+  shape of the full grid, broadcasts it.
 
 Everything here is a plain value object: construct, then treat as
 immutable.  Operations are pure functions, safe to run concurrently.
@@ -208,12 +211,6 @@ class VerticalProfile:
         lo = (factor * self.lower_exp[0], factor * self.lower_exp[1])
         return VerticalProfile.from_exponential(self.kappa, up, lo)
 
-    def mirrored(self) -> "VerticalProfile":
-        """Reflection x3 -> -x3 (upper and lower swap roles)."""
-        up = (self.lower_exp[1], self.lower_exp[0])
-        lo = (self.upper_exp[1], self.upper_exp[0])
-        return VerticalProfile.from_exponential(self.kappa, up, lo)
-
 
 @dataclass(frozen=True)
 class SpectralMode:
@@ -313,11 +310,6 @@ class TwoPhaseGridField:
 
     # -- arithmetic ------------------------------------------------------
 
-    def copy(self):
-        return TwoPhaseGridField(self.n_tan, self.n_ver,
-                                 self.values_upper.copy(),
-                                 self.values_lower.copy())
-
     def _binary(self, other, op):
         if not self.same_grid(other):
             raise GridMismatchError("fields live on different grids")
@@ -330,13 +322,6 @@ class TwoPhaseGridField:
 
     def __sub__(self, other):
         return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return TwoPhaseGridField(self.n_tan, self.n_ver,
-                                 s * self.values_upper, s * self.values_lower)
-
-    __rmul__ = __mul__
 
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(self.values_upper))),
@@ -376,10 +361,8 @@ def _stack(vec):
 
 
 def _unstack(values):
-    """The grid 3-vector of a stacked array, sharing its memory; a length-1 x2 axis broadcasts."""
+    """The grid 3-vector of a stacked array, sharing its memory; a plane stays a plane."""
     n_tan, n_ver = values.shape[2], values.shape[4] - 1
-    if values.shape[3] == 1:
-        values = np.repeat(values, n_tan, axis=3)
     return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
 
 
@@ -423,9 +406,11 @@ def _integer_frequencies(n_tan):
 
 
 def trace_spectrum(trace: np.ndarray) -> np.ndarray:
-    """2-D DFT of an interface trace with the 1/n^2 normalisation."""
-    n = trace.shape[0]
-    return np.fft.fft2(trace) / n ** 2
+    """2-D DFT of an (n_tan, n_x2) interface trace, normalised by its size.
+
+    A plane (n_x2 = 1) gives the k2 = 0 column of its full-grid repeat.
+    """
+    return np.fft.fft2(trace) / trace.size
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +423,11 @@ def _r_frequencies(n_tan):
 
 
 def _r_spectrum(values):
-    """x2 rfft of a stacked grid 3-vector: axes (component, phase, x1, k2, x3)."""
+    """x2 rfft of a stacked grid 3-vector or plane: axes (component, phase, x1, k2, x3)."""
     _check_r_field(values)
-    return np.fft.rfft(values, axis=3)
+    n_tan = values.shape[2]
+    return np.fft.rfft(np.broadcast_to(values, (*values.shape[:3], n_tan, values.shape[4])),
+                       axis=3)
 
 
 def _r_grid(spectrum):
@@ -469,8 +456,9 @@ class PerturbationState:
     the x2 Fourier modes, so they are stored only as their x2 spectra
     r_hat and r_dot_hat: rfft(values, axis=x2), complex arrays of shape
     (3, 2, n_tan, n_tan//2 + 1, n_ver + 1), axes (component, phase, x1,
-    k2, x3).  The r= and r_dot= arguments take grid 3-vectors, transformed
-    once; state.r and state.r_dot read back fresh grid fields.
+    k2, x3).  The r= and r_dot= arguments take grid 3-vectors, full grids
+    or x2-constant planes, transformed once; state.r and state.r_dot read
+    back fresh full-grid fields.
 
     grid = (n_tan, n_ver), when given, is the grid of the r block even
     where it is absent (a decomposition that dropped a round-off r or

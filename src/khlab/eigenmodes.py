@@ -33,7 +33,6 @@ from khlab.core import (
     SpectralMode,
     VerticalProfile,
     WaveVector,
-    _unstack,
     coth,
     exp_weights,
     row_profile_plane,
@@ -128,12 +127,6 @@ def potential_gradient_plane(terms, n_tan: int, n_ver: int, t: float = 0.0):
         plane[0] += row_profile_plane(row_up, row_lo, pot.profile.scaled(1j * pot.j), n_ver)
         plane[2] += row_profile_plane(row_up, row_lo, pot.profile.derivative(), n_ver)
     return plane
-
-
-def potential_gradient_field(pot: HarmonicPotential, coeff, n_tan: int, n_ver: int,
-                             t: float = 0.0):
-    """Materialise Re(coeff * grad potential) on a two-phase grid."""
-    return _unstack(potential_gradient_plane([(pot, coeff)], n_tan, n_ver, t))
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,11 @@ def _propagators(lambda_sq, t, stepper, dt):
             raise StabilityError(
                 f"rk4 step h={h} (dt={dt}) unstable: |omega|*h = {omega_h:.3f} "
                 f"exceeds the limit {RK4_STABILITY_LIMIT}")
-        z = lam * h * h
-        c = 1.0 + z / 2.0 + z * z / 24.0
-        hs = h * (1.0 + z / 6.0)
         C, S = np.ones_like(lam), np.zeros_like(lam)
         with np.errstate(over="ignore", invalid="ignore"):
+            z = lam * h * h
+            c = 1.0 + z / 2.0 + z * z / 24.0
+            hs = h * (1.0 + z / 6.0)
             for _ in range(steps):
                 C, S = c * C + lam * hs * S, c * S + hs * C
     else:
@@ -97,7 +97,7 @@ def _propagators(lambda_sq, t, stepper, dt):
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(S))):
         raise OverflowError(
             f"propagator leaves the float range at t={t} "
-            f"(largest lambda^2 = {float(np.max(lam, initial=0.0)):.6g})")
+            f"(largest |lambda^2| = {float(np.max(np.abs(lam), initial=0.0)):.6g})")
     return C, S
 
 
@@ -209,7 +209,8 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     n_tan = _r_n_tan(state)
     if n_tan:
         k2 = _r_frequencies(n_tan)
-        lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
+        with np.errstate(over="ignore"):   # a field past 1e154 leaves the float range here
+            lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
         lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
     C, S = _propagators(lam_sq, t, stepper, dt)
 

@@ -11,7 +11,8 @@ Both families are constant in x2, so grad h is built once on the
 (x1, x3) plane and broadcast along x2: the decomposition subtracts it
 in place from a stacked copy of chi (core's component, phase, x1, x2,
 x3 layout), and the reconstruction adds it to the inverse x2 transform
-of r.
+of r.  x2-constant data (x2 extent 1) stay planes throughout; only the
+stored x2 spectrum of r has the full grid's shape.
 
 Growth is measured by quadratic functionals built from the block
 operator A (the j^2 multiplier on potential coefficients, k2^2 on r):
@@ -49,7 +50,6 @@ from khlab.core import (
     row_profile_plane,
     tangential_grid,
     trace_spectrum,
-    vector_field_zeros,
 )
 from khlab.eigenmodes import (
     build_harmonic_potentials,
@@ -78,8 +78,8 @@ def _potential_split(trace_up, trace_lo, tol):
     su = trace_spectrum(trace_up)
     sl = trace_spectrum(trace_lo)
 
-    # column 0 is k2 = 0, the streamwise line
-    off_line = max(float(np.max(np.abs(su[:, 1:]))), float(np.max(np.abs(sl[:, 1:]))))
+    # column 0 is k2 = 0, the streamwise line; a plane has no other column
+    off_line = max(float(np.max(np.abs(s[:, 1:]), initial=0.0)) for s in (su, sl))
     if off_line > tol:
         raise ValueError(
             "interface trace has tangential content off the streamwise "
@@ -189,7 +189,11 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
 
 def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
                              t: float = 0.0):
-    """Materialise (chi, chi_dot) grid fields from a decomposed state."""
+    """Materialise (chi, chi_dot) grid fields from a decomposed state.
+
+    A field without r content is the x2-constant plane of grad h; one
+    with r content is a full grid.
+    """
     def fields(low, high, even, r_hat):
         plane = _gradient_plane({**low, **high}, even, n_tan, n_ver, t)
         if r_hat is None:
@@ -434,7 +438,8 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
     """Initial pair (chi, chi_dot) that is tiny yet seeds e^{n t} growth.
 
     chi is identically zero; chi_dot is scale * e^{-sqrt(n)} times the
-    wall-bounded velocity mode (V, 0, W) at streamwise frequency n.
+    wall-bounded velocity mode (V, 0, W) at streamwise frequency n.  Both
+    are x2-constant planes (x2 extent 1), which decompose as planes.
     Its sup norm shrinks as n grows while the evolved high-order readout
     explodes, which is the ill-posedness signature this package checks.
     n must lie below the grid's Nyquist frequency n_tan/2.
@@ -452,4 +457,4 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
     plane = np.zeros((3, 2, n_tan, 1, n_ver + 1))
     plane[0] = row_profile_plane(row, row, V, n_ver)
     plane[2] = row_profile_plane(row, row, W, n_ver)
-    return vector_field_zeros(n_tan, n_ver), _unstack(plane)
+    return _unstack(np.zeros_like(plane)), _unstack(plane)

@@ -21,7 +21,6 @@ from khlab.core import (
 from khlab.eigenmodes import (
     build_harmonic_potentials,
     build_linearized_mode,
-    potential_gradient_field,
     verify_mode,
 )
 from khlab.evolution import (
@@ -45,6 +44,8 @@ from khlab.pressure import (
     solve_two_phase_poisson_fd,
 )
 from khlab.stability import check_syrovatskij, sen_gamma_squared
+
+from reference_fields import potential_gradient_field
 
 
 def _gate(num, name, fn):

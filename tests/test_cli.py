@@ -421,6 +421,19 @@ def test_functional_overflow_exit_code(capsys):
     assert captured.err.startswith("khlab: numerical overflow") and captured.err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stepper", ["exact", "rk4"])
+def test_r_block_overflow_names_the_infinite_rate(capsys, stepper):
+    # (a k2)^2 of the r block leaves the float range at a = 1e200: one line that
+    # names the infinite |lambda^2|, and no RuntimeWarning on the way
+    rc = main(["--command", "evolve", "--n", "3", "--n_tan", "16", "--n_ver", "8",
+               "--a", "1e200", "--samples", "2", "--stepper", stepper])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("khlab: numerical overflow: ") and "|lambda^2| = inf" in err
+
+
 def test_sample_series_memory_does_not_grow_with_samples(capsys):
     # the series is streamed: only the sample being checked is alive
     import tracemalloc

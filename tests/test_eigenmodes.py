@@ -11,10 +11,11 @@ from khlab.eigenmodes import (
     build_harmonic_potentials,
     build_linearized_mode,
     build_wall_bounded_profiles,
-    potential_gradient_field,
     potential_gradient_norm_sq,
     verify_mode,
 )
+
+from reference_fields import potential_gradient_field
 
 COTH2 = 1.0373147207275482  # coth(2), frozen from 1/tanh(2)
 

@@ -9,13 +9,16 @@ from khlab.core import (
     GridMismatchError,
     PerturbationState,
     TwoPhaseGridField,
+    _unstack,
     inner_product_vector,
+    tangential_grid,
     vector_field_zeros,
+    vertical_levels,
 )
 from khlab.eigenmodes import (
     build_harmonic_potentials,
-    potential_gradient_field,
     potential_gradient_norm_sq,
+    potential_gradient_plane,
 )
 from khlab.evolution import evolve_state
 from khlab.functionals import (
@@ -28,6 +31,8 @@ from khlab.functionals import (
     perturbed_initial_data,
     reconstruct_perturbation,
 )
+
+from reference_fields import full_grid, potential_gradient_field
 
 
 def _grad_f(j, coeff, n_tan, n_ver):
@@ -189,7 +194,7 @@ def test_decompose_reconstruct_round_trip_property():
 def test_decompose_memory_peak_holds_one_stacked_copy():
     import tracemalloc
 
-    chi, chi_dot = perturbed_initial_data(7, 1.0, 64, 64)
+    chi, chi_dot = (full_grid(vec) for vec in perturbed_initial_data(7, 1.0, 64, 64))
     tracemalloc.start()
     try:
         decompose_perturbation(chi, chi_dot, 7)
@@ -200,6 +205,89 @@ def test_decompose_memory_peak_holds_one_stacked_copy():
     # rule doubles that, and stacking both vectors at once, or full-grid
     # gradient tuples, pass 38 MB
     assert peak < 20e6
+
+
+def test_decompose_memory_peak_of_plane_data():
+    import tracemalloc
+
+    chi, chi_dot = perturbed_initial_data(7, 1.0, 64, 64)
+    tracemalloc.start()
+    try:
+        decompose_perturbation(chi, chi_dot, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x2-constant data stay planes: one stacked 64x1 plane is 0.2 MB, where
+    # expanding it to the 64x64 grid it stands for costs 13 MB
+    assert peak < 2e6
+
+
+def _plane_data(n_tan, n_ver, phase):
+    """x2-constant 3-vector with odd (j = 2), even (j = 3) and r content.
+
+    r3 carries x3 * (1 - |x3|), exactly zero on the interface and wall rows.
+    """
+    (f2, _), (_, g3) = build_harmonic_potentials(2), build_harmonic_potentials(3)
+    plane = potential_gradient_plane([(f2, 0.7 - 0.2j), (g3, 0.4j * phase)], n_tan, n_ver)
+    x1, _ = tangential_grid(n_tan)
+    for p, z in enumerate(vertical_levels(n_ver)):
+        plane[0, p, :, 0] += np.outer(np.cos(x1 + phase), 1.0 + z)
+        plane[1, p, :, 0] += np.outer(np.sin(2 * x1), 0.5 + z ** 2)
+        plane[2, p, :, 0] += np.outer(np.cos(3 * x1 + phase), z * (1.0 - np.abs(z)))
+    return _unstack(plane)
+
+
+@pytest.mark.parametrize("n_tan", [8, 12, 15, 16])
+def test_plane_and_full_grid_decompose_alike(n_tan):
+    n_ver, a, b, t = 6, 0.7, 1.3, 0.4
+    chi, chi_dot = _plane_data(n_tan, n_ver, 0.3), _plane_data(n_tan, n_ver, -1.1)
+    plane = decompose_perturbation(chi, chi_dot, 2)
+    full = decompose_perturbation(full_grid(chi), full_grid(chi_dot), 2)
+    # the trace spectra agree bitwise when n_tan is a power of two, else to roundoff
+    exact = n_tan & (n_tan - 1) == 0
+
+    def agree(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        if exact:
+            return np.array_equal(x, y)
+        return np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
+
+    def states_agree(p, f):
+        for name in ("P", "P_dot", "L", "L_dot", "g", "g_dot"):
+            cp, cf = getattr(p, name), getattr(f, name)
+            assert set(cp) == set(cf), name
+            assert all(agree(cp[j], cf[j]) for j in cf), name
+        assert agree(p.r_hat, f.r_hat) and agree(p.r_dot_hat, f.r_dot_hat)
+
+    assert set(full.P) == {2} and set(full.g_dot) == {3}
+    assert full.r_hat.shape == plane.r_hat.shape == (3, 2, n_tan, n_tan // 2 + 1, n_ver + 1)
+    states_agree(plane, full)
+    for stepper, dt in (("exact", None), ("rk4", 0.05)):
+        p_t, f_t = (evolve_state(s, a, b, t, stepper, dt) for s in (plane, full))
+        states_agree(p_t, f_t)
+        rep_p, rep_f = (compute_functionals(s, [1.0, 1.5], a, b, t) for s in (p_t, f_t))
+        for mu in (1.0, 1.5):
+            assert agree(rep_p.E_plus[mu], rep_f.E_plus[mu])
+            assert agree(rep_p.E_minus[mu], rep_f.E_minus[mu])
+        assert agree(rep_p.G, rep_f.G) and agree(rep_p.F, rep_f.F)
+
+
+def test_plane_chi_with_full_grid_chi_dot():
+    n_tan, n_ver = 16, 6
+    chi = _plane_data(n_tan, n_ver, 0.3)
+    # chi_dot gains x2-dependent remainder content, so it needs the full grid
+    spanwise = np.cos(2 * tangential_grid(n_tan)[1])[None, :, None]
+    chi_dot = tuple(TwoPhaseGridField(n_tan, n_ver, c.values_upper + w * spanwise,
+                                      c.values_lower + w * spanwise)
+                    for c, w in zip(full_grid(_plane_data(n_tan, n_ver, -1.1)), (0.5, 0.2, 0.0)))
+    state = decompose_perturbation(chi, chi_dot, 2)
+    reference = decompose_perturbation(full_grid(chi), chi_dot, 2)
+    assert set(state.P) == {2} and set(state.g) == {3} and set(state.g_dot) == {3}
+    assert np.array_equal(state.r_hat, reference.r_hat)
+    assert np.array_equal(state.r_dot_hat, reference.r_dot_hat)
+    back, back_dot = reconstruct_perturbation(state, n_tan, n_ver)
+    for got, expect in zip((*back, *back_dot), (*full_grid(chi), *chi_dot)):
+        assert (got - expect).max_abs() < 1e-12
 
 
 def test_decompose_rejects_wall_violation():
@@ -455,6 +543,9 @@ def test_growth_corollary_undefined_ratio():
 
 def test_perturbed_data_shapes_and_sizes():
     chi, chi_dot = perturbed_initial_data(9, scale=1.0, n_tan=32, n_ver=16)
+    # both are x2-constant planes; no full grid is allocated
+    for c in (*chi, *chi_dot):
+        assert c.values_upper.shape == c.values_lower.shape == (32, 1, 17)
     assert all(c.max_abs() == 0.0 for c in chi)
     amp = math.exp(-3.0)   # e^{-sqrt(9)}
     bound = amp * (1.0 / math.tanh(9.0) + 1e-9)

@@ -215,8 +215,13 @@ def test_fd_solution_linearity():
     m1, m2 = smooth_trace(), smooth_trace()
     q1 = solve_two_phase_poisson_fd(s1, flux_jump=m1)
     q2 = solve_two_phase_poisson_fd(s2, flux_jump=m2)
-    qc = solve_two_phase_poisson_fd(s1 + 0.5 * s2, flux_jump=m1 + 0.5 * m2)
-    diff = qc - (q1 + 0.5 * q2)
+
+    def combine(f, g):   # f + g/2, value by value
+        return TwoPhaseGridField(n, n, f.values_upper + 0.5 * g.values_upper,
+                                 f.values_lower + 0.5 * g.values_lower)
+
+    qc = solve_two_phase_poisson_fd(combine(s1, s2), flux_jump=m1 + 0.5 * m2)
+    diff = qc - combine(q1, q2)
     assert diff.max_abs() < 1e-10
 
 

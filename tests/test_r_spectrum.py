@@ -6,7 +6,9 @@ import pytest
 from khlab.core import (
     PerturbationState,
     TwoPhaseGridField,
+    _unstack,
     inner_product_vector,
+    tangential_grid,
 )
 from khlab.evolution import StabilityError, apply_A, evolve_state
 from khlab.functionals import (
@@ -18,6 +20,8 @@ from khlab.functionals import (
     perturbed_initial_data,
     reconstruct_perturbation,
 )
+
+from reference_fields import full_grid
 
 
 def apply_x2_multiplier(f: TwoPhaseGridField, multiplier) -> TwoPhaseGridField:
@@ -37,7 +41,9 @@ def apply_x2_multiplier(f: TwoPhaseGridField, multiplier) -> TwoPhaseGridField:
 def test_x2_multiplier_single_mode():
     f = TwoPhaseGridField.from_function(lambda x1, x2, x3: np.cos(4 * x2) + 0 * x3, 16, 4)
     out = apply_x2_multiplier(f, lambda k2: k2 ** 2)
-    assert (out - 16.0 * f).max_abs() < 1e-10
+    expect = TwoPhaseGridField.from_function(lambda x1, x2, x3: 16.0 * np.cos(4 * x2) + 0 * x3,
+                                             16, 4)
+    assert (out - expect).max_abs() < 1e-10
 
 
 def _r_vector(n_tan, n_ver, seed):
@@ -103,10 +109,45 @@ def test_r_stored_as_x2_spectrum_and_read_back_on_the_grid():
         assert np.all(values[:, :, [0, -1]] == 0.0)
 
 
+def _r_plane(n_tan, n_ver, c1, c3):
+    """x2-constant r: c1 cos x1 in r1, c3 sin 2x1 off the interface and wall rows in r3."""
+    x1, _ = tangential_grid(n_tan)
+    values = np.zeros((3, 2, n_tan, 1, n_ver + 1))
+    values[0] = c1 * np.cos(x1)[:, None, None]
+    values[2, :, :, 0, 1:-1] = c3 * np.sin(2 * x1)[:, None]
+    return _unstack(values)
+
+
+def test_state_from_plane_r_fields_matches_full_grid():
+    # a plane stands for its x2 repeat: the state stores the full grid's spectrum,
+    # so every r consumer reads the same numbers from either input
+    n_tan, n_ver, a, b, t = 16, 8, 0.7, 1.3, 0.6
+    r, r_dot = _r_plane(n_tan, n_ver, 1.0, 0.5), _r_plane(n_tan, n_ver, -0.3, 2.0)
+    on_plane = PerturbationState(2, r=r, r_dot=r_dot)
+    on_grid = PerturbationState(2, r=full_grid(r), r_dot=full_grid(r_dot))
+    assert on_plane.r_hat.shape == (3, 2, n_tan, n_tan // 2 + 1, n_ver + 1)
+    for got, same, expect in zip((*on_plane.r, *on_plane.r_dot), (*on_grid.r, *on_grid.r_dot),
+                                 (*full_grid(r), *full_grid(r_dot))):
+        assert (got - same).max_abs() == 0.0
+        assert (got - expect).max_abs() < 1e-13
+    pairs = [(on_plane, on_grid), (apply_A(on_plane), apply_A(on_grid))]
+    for stepper, dt in (("exact", None), ("rk4", 0.01)):
+        pairs.append(tuple(evolve_state(s, a, b, t, stepper, dt) for s in (on_plane, on_grid)))
+    for p, f in pairs:
+        assert np.array_equal(p.r_hat, f.r_hat) and np.array_equal(p.r_dot_hat, f.r_dot_hat)
+        assert compute_functionals(p, [1.0], a, b).F == compute_functionals(f, [1.0], a, b).F
+    # k2 = 0 has zero stiffness: r1 = cos x1 adds nothing to F, and as r_dot
+    # it adds ||cos x1||^2 = 4 pi^2 over the slab
+    cos_x1 = _r_plane(n_tan, n_ver, 1.0, 0.0)
+    assert compute_functionals(PerturbationState(2, r=cos_x1), [1.0], a, b).F == 0.0
+    F_dot = compute_functionals(PerturbationState(2, r_dot=cos_x1), [1.0], a, b).F
+    assert F_dot == pytest.approx(4 * np.pi ** 2, rel=1e-12)
+
+
 def test_r_rows_checked_on_grid_input():
     n_tan, n_ver = 8, 4
     r = list(_r_vector(n_tan, n_ver, 4))
-    bad = r[2].copy()
+    bad = TwoPhaseGridField(n_tan, n_ver, r[2].values_upper.copy(), r[2].values_lower.copy())
     bad.values_lower[3, 1, 0] = 1e-300
     with pytest.raises(ValueError):
         PerturbationState(2, r=(r[0], r[1], bad))
@@ -221,7 +262,12 @@ def test_drop_threshold_is_the_decomposition_tolerance():
     r = _r_vector(n_tan, n_ver, 8)
     unit = (1.0 / max(c.max_abs() for c in r)) * tol
     zero = tuple(TwoPhaseGridField.zeros(n_tan, n_ver) for _ in range(3))
-    kept = tuple(10.0 * unit * c for c in r)
+
+    def scaled(s):
+        return tuple(TwoPhaseGridField(n_tan, n_ver, s * c.values_upper, s * c.values_lower)
+                     for c in r)
+
+    kept = scaled(10.0 * unit)
     state = decompose_perturbation(kept, zero, 2, tol=tol)
     assert state.r_hat is not None and state.r_dot_hat is None
     chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
@@ -229,7 +275,7 @@ def test_drop_threshold_is_the_decomposition_tolerance():
         assert (got - expect).max_abs() <= 1e-9 * 10.0 * tol
     assert max(c.max_abs() for c in chi_dot) == 0.0
     # below the tolerance the block is round-off and goes
-    state = decompose_perturbation(zero, tuple(0.5 * unit * c for c in r), 2, tol=tol)
+    state = decompose_perturbation(zero, scaled(0.5 * unit), 2, tol=tol)
     assert state.r_hat is None and state.r_dot_hat is None and state.grid == (n_tan, n_ver)
 
 
