@@ -33,7 +33,7 @@ for k in (WaveVector(1, 0), WaveVector(0, 1)):
     print(f"\nwave vector k = ({k.k1}, {k.k2}):   gamma^2 over the (a, b) grid")
     header = "   a\\b " + "".join(f"{b:10.2f}" for b in b_vals)
     print(header)
-    for a, row in zip(a_vals, gamma_squared.reshape(a_vals.size, b_vals.size)):
+    for a, row in zip(a_vals, np.reshape(gamma_squared, (a_vals.size, b_vals.size))):
         cells = "".join(f"{g2:10.4f}" for g2 in row)
         print(f"{a:7.2f}{cells}")
 

@@ -15,7 +15,6 @@ from khlab.core import (
     TwoPhaseGridField,
     VerticalProfile,
     WaveVector,
-    inner_product_L2,
 )
 from khlab.stability import (
     StabilityVerdict,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PerturbationState", "ShearParams", "SpectralMode", "TwoPhaseGridField",
-    "VerticalProfile", "WaveVector", "inner_product_L2",
+    "VerticalProfile", "WaveVector",
     "StabilityVerdict", "check_syrovatskij", "sen_gamma_squared", "stability_map",
     "ResidualReport", "build_harmonic_potentials", "build_linearized_mode",
     "build_wall_bounded_profiles", "verify_mode",

@@ -16,12 +16,11 @@ import os
 import sys
 import tempfile
 from collections import namedtuple
+from dataclasses import asdict
 from importlib import resources
 from types import SimpleNamespace
 
-import numpy as np
-
-from khlab.core import ShearParams, WaveVector, vertical_levels
+from khlab.core import ShearParams, WaveVector, linspace, vertical_levels
 from khlab.eigenmodes import build_linearized_mode, build_wall_bounded_profiles, verify_mode
 from khlab.evolution import boundary_dispersion, default_rk4_dt, evolve_state
 from khlab.functionals import (
@@ -258,13 +257,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _column_text(column):
-    """The text of every value in a column, by one formatter its dtype picks."""
-    values = np.asarray(column)
-    if values.dtype.kind == "b":
-        return ["true" if v else "false" for v in values.tolist()]
-    if values.dtype.kind == "f":
-        return [format(v, ".17g") for v in values.tolist()]
-    return [str(v) for v in values.tolist()]       # integers and text
+    """The text of every value in a column (an array's via .tolist()), by its Python type."""
+    values = column.tolist() if hasattr(column, "tolist") else column
+    return [("true" if v else "false") if isinstance(v, bool)
+            else format(v, ".17g") if isinstance(v, float)
+            else str(v) for v in values]          # integers and text
 
 
 def _echo_text(value):
@@ -379,13 +376,9 @@ _FLAG_HEADERS = {"syrovatskij_first": "syr1", "syrovatskij_second": "syr2",
 
 
 def _cmd_dispersion(cfg: RunConfig):
-    point = evaluate_point(cfg.params(), cfg.k, cfg.a, cfg.b)
-    verdict = {"gamma_squared": point.gamma_squared,
-               "lambda_squared": boundary_dispersion(cfg.k, cfg.a, cfg.b),
-               "growing": point.growing,
-               "syrovatskij_first": point.syrovatskij_first,
-               "syrovatskij_second": point.syrovatskij_second,
-               "strong_condition": point.strong_condition}
+    point = asdict(evaluate_point(cfg.params(), cfg.k, cfg.a, cfg.b))
+    verdict = {"gamma_squared": point.pop("gamma_squared"),
+               "lambda_squared": boundary_dispersion(cfg.k, cfg.a, cfg.b), **point}
     if cfg.format == "json":
         return 0, _json_payload(cfg, {"k1": cfg.k.k1, "k2": cfg.k.k2, **verdict})
     row = {"k1": cfg.k.k1, "k2": cfg.k.k2, "a": cfg.a, "b": cfg.b, **verdict}
@@ -394,8 +387,8 @@ def _cmd_dispersion(cfg: RunConfig):
 
 
 def _cmd_map(cfg: RunConfig):
-    columns = stability_map(cfg.params(), np.linspace(cfg.a_min, cfg.a_max, cfg.a_steps),
-                            np.linspace(cfg.b_min, cfg.b_max, cfg.b_steps), cfg.k)
+    columns = stability_map(cfg.params(), linspace(cfg.a_min, cfg.a_max, cfg.a_steps),
+                            linspace(cfg.b_min, cfg.b_max, cfg.b_steps), cfg.k)
     return 0, _csv_payload(cfg, {_FLAG_HEADERS.get(name, name): column
                                  for name, column in columns.items()})
 
@@ -403,10 +396,8 @@ def _cmd_map(cfg: RunConfig):
 def _cmd_modes(cfg: RunConfig):
     W, V = build_wall_bounded_profiles(cfg.k)
     zu, zl = vertical_levels(cfg.n_ver)
-    rows = [(x3, "upper", complex(W.eval_upper(x3)).real, complex(V.eval_upper(x3)).imag)
-            for x3 in zu]
-    rows += [(x3, "lower", complex(W.eval_lower(x3)).real, complex(V.eval_lower(x3)).imag)
-             for x3 in zl]
+    rows = [(x3, "upper", W.eval_upper(x3).real, V.eval_upper(x3).imag) for x3 in zu]
+    rows += [(x3, "lower", W.eval_lower(x3).real, V.eval_lower(x3).imag) for x3 in zl]
     return 0, _csv_payload(cfg, dict(zip(("x3", "phase", "W_re", "V_im"), zip(*rows))))
 
 
@@ -439,8 +430,8 @@ def _evolve_series(cfg: RunConfig):
     dt = cfg.dt
     if cfg.stepper == "rk4" and dt is None:
         dt = default_rk4_dt(state, cfg.a, cfg.b)
-    samples = ((float(t), evolve_state(state, cfg.a, cfg.b, float(t), cfg.stepper, dt))
-               for t in np.linspace(0.0, cfg.t, cfg.samples))
+    samples = ((t, evolve_state(state, cfg.a, cfg.b, t, cfg.stepper, dt))
+               for t in linspace(0.0, cfg.t, cfg.samples))
     return cutoff, samples
 
 

@@ -28,10 +28,23 @@ Everything here is a plain value object: construct, then treat as
 immutable.  Operations are pure functions, safe to run concurrently.
 """
 
+import cmath
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
+
+# numpy is executed on its first attribute access (or an `import numpy`), not
+# here.  Every khlab module takes it from this handle, so the closed forms and
+# the parser, which touch no array, never pay its import.  Python 3.11's loader
+# takes no lock on that first access: import numpy before using threads.
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,8 +110,8 @@ class ShearParams:
         if self.n1 <= 0 or self.n2 <= 0 or self.m_i <= 0:
             raise ValueError("densities and ion mass must be positive")
 
-    def velocity_jump(self) -> np.ndarray:
-        return np.asarray(self.u_plus) - np.asarray(self.u_minus)
+    def velocity_jump(self) -> tuple:
+        return tuple(p - m for p, m in zip(self.u_plus, self.u_minus))
 
 
 @dataclass(frozen=True, order=True)
@@ -120,10 +133,6 @@ class WaveVector:
 
     def is_zero(self) -> bool:
         return self.k1 == 0 and self.k2 == 0
-
-    def as_array3(self) -> np.ndarray:
-        """The wave vector embedded in R^3 (no vertical component)."""
-        return np.array([float(self.k1), float(self.k2), 0.0])
 
     def require_nonzero(self):
         if self.is_zero():
@@ -176,13 +185,22 @@ class VerticalProfile:
         return cls(kappa, up, lo, upper_exp=tuple(upper_exp), lower_exp=tuple(lower_exp))
 
     def _eval_exp(self, coeffs, x3):
+        """a_plus e^{kappa x3} + a_minus e^{-kappa x3}: a number for a float x3, else an array."""
         a_plus, a_minus = coeffs
-        x3 = np.asarray(x3, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = a_plus * np.exp(self.kappa * x3) + a_minus * np.exp(-self.kappa * x3)
-        if not np.isfinite(out).all():   # e^kappa passes the float range near kappa = 709.78
+        if isinstance(x3, float):
+            try:
+                out = a_plus * math.exp(self.kappa * x3) + a_minus * math.exp(-self.kappa * x3)
+            except OverflowError:
+                out = math.inf
+            finite = cmath.isfinite(out)
+        else:
+            x3 = np.asarray(x3, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = a_plus * np.exp(self.kappa * x3) + a_minus * np.exp(-self.kappa * x3)
+            finite = np.isfinite(out).all()
+        if not finite:   # e^kappa passes the float range near kappa = 709.78
             raise OverflowError(f"profile at kappa = {self.kappa:g} leaves the float range "
-                                f"(max {np.finfo(float).max:.3g})")
+                                f"(max {sys.float_info.max:.3g})")
         return out
 
     def eval_upper(self, x3):
@@ -193,6 +211,8 @@ class VerticalProfile:
 
     def eval(self, x3):
         """Evaluate pointwise; x3 >= 0 selects the upper phase."""
+        if isinstance(x3, float):
+            return self.eval_upper(x3) if x3 >= 0.0 else self.eval_lower(x3)
         x3 = np.asarray(x3, dtype=float)
         up = self.eval_upper(np.maximum(x3, 0.0))
         lo = self.eval_lower(np.minimum(x3, 0.0))
@@ -283,7 +303,7 @@ class TwoPhaseGridField:
     def from_function(cls, fn, n_tan, n_ver):
         """Sample fn(x1, x2, x3) on both phases (broadcasting arrays)."""
         x1, x2 = tangential_grid(n_tan)
-        zu, zl = vertical_levels(n_ver)
+        zu, zl = map(np.asarray, vertical_levels(n_ver))
         up = fn(x1[:, None, None], x2[None, :, None], zu[None, None, :])
         lo = fn(x1[:, None, None], x2[None, :, None], zl[None, None, :])
         shape = (n_tan, n_tan, n_ver + 1)
@@ -333,11 +353,29 @@ def tangential_grid(n_tan):
     return x, x.copy()
 
 
+def linspace(start, stop, num):
+    """np.linspace(start, stop, num) bit for bit, as a list of floats."""
+    start, stop = float(start), float(stop)
+    delta, div = stop - start, num - 1
+    if div < 1:
+        return [0.0 * delta + start][:num]
+    step = delta / div
+    # numpy scales i/div by delta when the step underflows to zero
+    values = [(i / div * delta if step == 0 else i * step) + start for i in range(num)]
+    values[-1] = stop
+    return values
+
+
 def vertical_levels(n_ver):
-    """Level coordinates per phase, interface and wall rows included."""
-    upper = np.linspace(0.0, 1.0, n_ver + 1)
-    lower = np.linspace(-1.0, 0.0, n_ver + 1)
-    return upper, lower
+    """Level coordinates per phase, interface and wall rows included, as lists."""
+    return linspace(0.0, 1.0, n_ver + 1), linspace(-1.0, 0.0, n_ver + 1)
+
+
+def _vertical_weights(n_ver):
+    w = np.full(n_ver + 1, 1.0 / n_ver)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 def vector_field_zeros(n_tan, n_ver):
@@ -367,37 +405,6 @@ def _unstack(values):
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-def _vertical_weights(n_ver):
-    w = np.full(n_ver + 1, 1.0 / n_ver)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
-    """L2 inner product over both phases of the slab.
-
-    Tangential directions use the rectangle rule (exact for trigonometric
-    polynomials below the Nyquist frequency); the vertical uses the
-    trapezoidal rule per phase.  Symmetric and bilinear by construction.
-    """
-    if not f.same_grid(g):
-        raise GridMismatchError("inner product requires identical grids")
-    w = _vertical_weights(f.n_ver)
-    s = np.sum(f.values_upper * g.values_upper * w)
-    s += np.sum(f.values_lower * g.values_lower * w)
-    return float(s * f.h_tan ** 2 * (f.n_tan // f.n_x2))   # a plane stands for n_tan columns
-
-
-def inner_product_vector(fs, gs) -> float:
-    """Sum of component-wise L2 inner products of two 3-vector fields."""
-    return sum(inner_product_L2(f, g) for f, g in zip(fs, gs))
-
-
-# ---------------------------------------------------------------------------
 # tangential Fourier analysis
 # ---------------------------------------------------------------------------
 
@@ -405,7 +412,7 @@ def _integer_frequencies(n_tan):
     return np.rint(np.fft.fftfreq(n_tan) * n_tan).astype(int)
 
 
-def trace_spectrum(trace: np.ndarray) -> np.ndarray:
+def trace_spectrum(trace):
     """2-D DFT of an (n_tan, n_x2) interface trace, normalised by its size.
 
     A plane (n_x2 = 1) gives the k2 = 0 column of its full-grid repeat.

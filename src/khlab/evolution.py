@@ -30,9 +30,7 @@ stage-by-stage RK4 to roundoff.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from khlab.core import PerturbationState, WaveVector, _r_frequencies
+from khlab.core import PerturbationState, WaveVector, _r_frequencies, np
 
 RK4_STABILITY_LIMIT = 2.8   # max |omega| * h for the oscillatory blocks
 
@@ -49,51 +47,56 @@ def _propagators(lambda_sq, t, stepper, dt):
     """(C, S) arrays advancing y'' = lambda_sq * y by time t, per entry.
 
     exact: closed forms.  rk4: m = max(1, round(t/dt)) classical steps of
-    h = t/m.  For this system A^2 = lambda_sq * I, so one step is
-    c*I + h*s*A with z = lambda_sq*h^2, c = 1 + z/2 + z^2/24,
-    s = 1 + z/6, and its powers stay of the form C*I + S*A.  The step
-    taken must satisfy max|omega| * h <= RK4_STABILITY_LIMIT.  Raises
-    OverflowError when C or S leaves the float range.
+    h = t/m.  As A^2 = lambda_sq * I, one step is c*I + h*s*A with
+    z = lambda_sq*h^2, c = 1 + z/2 + z^2/24, s = 1 + z/6, and its m-th power
+    C*I + S*A follows from its eigenvalues mu+/- = c +/- h*s*sqrt(lambda_sq)
+    at a cost independent of m.  Both steppers give C = scale*cosh(beta),
+    S = scale*sinh(beta)/omega for lambda_sq = omega^2 > 0, C = scale*cos(theta),
+    S = scale*sin(theta)/omega for lambda_sq = -omega^2 < 0, and C = 1, S = t
+    at 0; rk4 has scale = |mu+/-|^m = exp((m/2) log1p(z^3 (8+z)/576)), the
+    exact mu+ mu- - 1, so mu never rounds to 1, beta = (m/2) log(mu+/mu-)
+    and theta = m arg(mu+).  The step taken must satisfy max|omega| * h <=
+    RK4_STABILITY_LIMIT.  Raises OverflowError when C or S leaves the float range.
     """
     if not t >= 0:
         raise ValueError("time must be nonnegative")
     lam = np.asarray(lambda_sq, dtype=float)
-    if stepper == "exact":
-        w = np.sqrt(np.abs(lam))
-        grow = lam > 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            wt = w * t
-            C = np.cos(wt)
-            S = np.where(w > 0, np.sin(wt) / np.where(w > 0, w, 1.0), t)
-            # libm cosh/sinh on the few growing entries: numpy's may differ by
-            # an ulp, which E_mu- (a difference of e^{jt}-sized terms) amplifies
-            try:
-                C[grow] = [math.cosh(x) for x in wt[grow]]
-                S[grow] = [math.sinh(x) for x in wt[grow]]
-            except OverflowError:
-                C[grow] = np.inf
-            S[grow] /= w[grow]
-    elif stepper == "rk4":
-        if dt is None:
-            raise ValueError("rk4 stepper requires dt")
-        if dt <= 0:
-            raise StabilityError("rk4 requires dt > 0")
-        steps = max(1, round(t / dt))
-        h = t / steps
-        omega_h = math.sqrt(float(np.max(np.abs(lam), initial=0.0))) * h
-        if omega_h > RK4_STABILITY_LIMIT:
-            raise StabilityError(
-                f"rk4 step h={h} (dt={dt}) unstable: |omega|*h = {omega_h:.3f} "
-                f"exceeds the limit {RK4_STABILITY_LIMIT}")
-        C, S = np.ones_like(lam), np.zeros_like(lam)
-        with np.errstate(over="ignore", invalid="ignore"):
+    w = np.sqrt(np.abs(lam))
+    grow = lam > 0
+    with np.errstate(all="ignore"):   # entries that np.where drops may divide by zero
+        if stepper == "exact":
+            scale, beta, theta = np.ones_like(lam), w * t, w * t
+        elif stepper == "rk4":
+            if dt is None:
+                raise ValueError("rk4 stepper requires dt")
+            if dt <= 0:
+                raise StabilityError("rk4 requires dt > 0")
+            steps = max(1, round(t / dt))
+            h = t / steps
+            omega_h = math.sqrt(float(np.max(np.abs(lam), initial=0.0))) * h
+            if omega_h > RK4_STABILITY_LIMIT:
+                raise StabilityError(
+                    f"rk4 step h={h} (dt={dt}) unstable: |omega|*h = {omega_h:.3f} "
+                    f"exceeds the limit {RK4_STABILITY_LIMIT}")
             z = lam * h * h
             c = 1.0 + z / 2.0 + z * z / 24.0
-            hs = h * (1.0 + z / 6.0)
-            for _ in range(steps):
-                C, S = c * C + lam * hs * S, c * S + hs * C
-    else:
-        raise ValueError(f"unknown stepper {stepper!r}")
+            hsw = h * (1.0 + z / 6.0) * w
+            scale = np.exp(0.5 * steps * np.log1p(z ** 3 * (8.0 + z) / 576.0))
+            beta = 0.5 * steps * np.log1p(2.0 * hsw / (c - hsw))
+            theta = steps * np.arctan2(hsw, c)
+        else:
+            raise ValueError(f"unknown stepper {stepper!r}")
+        C = scale * np.cos(theta)
+        S = np.where(w > 0, scale * np.sin(theta) / np.where(w > 0, w, 1.0), t)
+        # libm cosh/sinh on the few growing entries: numpy's may differ by
+        # an ulp, which E_mu- (a difference of e^{jt}-sized terms) amplifies
+        try:
+            C[grow] = [math.cosh(x) for x in beta[grow]]
+            S[grow] = [math.sinh(x) for x in beta[grow]]
+        except OverflowError:
+            C[grow] = np.inf
+        C[grow] *= scale[grow]
+        S[grow] = scale[grow] * S[grow] / w[grow]
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(S))):
         raise OverflowError(
             f"propagator leaves the float range at t={t} "

@@ -10,8 +10,7 @@ high frequencies P and low frequencies L) and its even part in g_j.
 Both families are constant in x2, so grad h is built once on the
 (x1, x3) plane and broadcast along x2: the decomposition subtracts it
 in place from a stacked copy of chi (core's component, phase, x1, x2,
-x3 layout), and the reconstruction adds it to the inverse x2 transform
-of r.  x2-constant data (x2 extent 1) stay planes throughout; only the
+x3 layout).  x2-constant data (x2 extent 1) stay planes throughout; only the
 stored x2 spectrum of r has the full grid's shape.
 
 Growth is measured by quadratic functionals built from the block
@@ -35,18 +34,16 @@ state at a later time applies the co-moving drift phases.
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from khlab.core import (
     PerturbationState,
     WaveVector,
     _integer_frequencies,
     _r_frequencies,
-    _r_grid,
     _r_spectrum,
     _stack,
     _unstack,
     _vertical_weights,
+    np,
     row_profile_plane,
     tangential_grid,
     trace_spectrum,
@@ -185,25 +182,6 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
     P_dot, L_dot = split(odd_dot)
     return PerturbationState._from_spectra(n_cutoff, P, P_dot, L, L_dot, even, even_dot,
                                            r_hat, r_dot_hat, grid=(chi[2].n_tan, chi[2].n_ver))
-
-
-def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
-                             t: float = 0.0):
-    """Materialise (chi, chi_dot) grid fields from a decomposed state.
-
-    A field without r content is the x2-constant plane of grad h; one
-    with r content is a full grid.
-    """
-    def fields(low, high, even, r_hat):
-        plane = _gradient_plane({**low, **high}, even, n_tan, n_ver, t)
-        if r_hat is None:
-            return _unstack(plane)
-        values = _r_grid(r_hat)
-        values += plane   # in place, so one full-grid array is alive
-        return _unstack(values)
-
-    return (fields(state.L, state.P, state.g, state.r_hat),
-            fields(state.L_dot, state.P_dot, state.g_dot, state.r_dot_hat))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,6 @@ rest) is a direct superposition of the two solvers.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from khlab.core import (
     TwoPhaseGridField,
     VerticalProfile,
@@ -43,6 +41,7 @@ from khlab.core import (
     _integer_frequencies,
     _vertical_weights,
     exp_weights,
+    np,
     tangential_grid,
     vertical_levels,
 )

@@ -10,9 +10,8 @@ fields and streamwise wave vectors the tension terms vanish identically,
 so the sheet stays as unstable as the unmagnetized one.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from khlab.core import ShearParams, WaveVector
 
@@ -34,11 +33,15 @@ class StabilityVerdict:
     strong_condition: bool
 
 
-def _as_vec3(v, name):
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector")
-    return arr
+def _floats(values, name, size=None):
+    """The entries of a flat sequence or 1-D array as floats; size checks their number."""
+    try:
+        vec = [float(v) for v in (values.tolist() if hasattr(values, "tolist") else values)]
+    except TypeError:
+        raise ValueError(f"{name} must be a flat sequence of numbers") from None
+    if size is not None and len(vec) != size:
+        raise ValueError(f"{name} must be a {size}-vector")
+    return vec
 
 
 class SquareOverflowError(OverflowError):
@@ -49,33 +52,69 @@ class SquareOverflowError(OverflowError):
         self.detail = detail
 
 
-# Kernels over the leading axes of (..., 3) fields, each cell equal to the scalar formula:
-# np.vecdot is BLAS dot as np.dot is, _square is Python's x ** 2 (libm pow, not x * x).
+# Scalar kernels.  A product added to an accumulator rounds once, as a fused
+# multiply-add: _dot rounds as the BLAS dot behind np.dot does on FMA hardware.
+# _square is Python's x ** 2 (libm pow, not x * x).
+
+def _fma(x, y, z):
+    """x * y + z rounded once; with a zero term, or past the float range, the plain sum stands."""
+    if x and y and z and math.isfinite(x * y + z):
+        from fractions import Fraction
+        return float(Fraction(x) * Fraction(y) + Fraction(z))
+    return x * y + z
+
+
+def _dot(u, v):
+    return _fma(u[2], v[2], _fma(u[1], v[1], u[0] * v[0]))
+
+
+def _cross_norm(u, v):
+    """|u x v|."""
+    c = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    return math.sqrt(_dot(c, c))
+
+
 def _square(x, name="a squared cross product", inputs="the fields or the velocity jump"):
-    y = np.float_power(x, 2.0)
-    if np.any(np.isinf(y) & np.isfinite(x)):
-        raise SquareOverflowError(f"{name} leaves the float range; lower {inputs}")
-    return y
+    try:
+        return x ** 2
+    except OverflowError:
+        raise SquareOverflowError(f"{name} leaves the float range; lower {inputs}") from None
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _gamma_squared(params, k, B1, B2):
+# The two kernels take a list of fields per side and return one entry per
+# (above, below) pair, above slow: the terms of each field are computed once.
+
+def _gamma_squared(params, k, above, below):
     n1, n2, m_i = params.n1, params.n2, params.m_i
     drive = n1 * n2 / (n1 + n2) ** 2 * _square(
-        np.vecdot(k, params.velocity_jump()), "(k.[u])^2", "|k| or u_plus - u_minus")
-    return drive - (_square(np.vecdot(B1, k), "(k.B)^2 above the interface", "a or |k|")
-                    + _square(np.vecdot(B2, k), "(k.B)^2 below the interface", "b or |k|")) \
-        / (4.0 * np.pi * (n1 + n2) * m_i)
+        _dot(k, params.velocity_jump()), "(k.[u])^2", "|k| or u_plus - u_minus")
+    t1 = [_square(_dot(B, k), "(k.B)^2 above the interface", "a or |k|") for B in above]
+    t2 = [_square(_dot(B, k), "(k.B)^2 below the interface", "b or |k|") for B in below]
+    tension_scale = 4.0 * math.pi * (n1 + n2) * m_i
+    return [drive - (x + y) / tension_scale for x in t1 for y in t2]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _criteria(du, hp, hm):
-    cross_p, cross_m, cross_pm = (np.sqrt(np.vecdot(c, c)) for c in (
-        np.cross(du, hp), np.cross(du, hm), np.cross(hp, hm)))
-    first = np.vecdot(du, du) <= 2.0 * (np.vecdot(hp, hp) + np.vecdot(hm, hm))
-    second = _square(cross_p) + _square(cross_m) <= 2.0 * _square(cross_pm)
-    # Python's max(cross_p, cross_m), NaN order included
-    return first, second, np.where(cross_m > cross_p, cross_m, cross_p) <= cross_pm
+def _criteria(du, above, below):
+    """(first, second, strong) per pair; Python's max(cross_p, cross_m), NaN order included."""
+    def terms(h):
+        cross = _cross_norm(du, h)
+        return h, _dot(h, h), cross, _square(cross)
+
+    du_sq, plus, minus = _dot(du, du), [terms(h) for h in above], [terms(h) for h in below]
+    cells = []
+    for hp, hp_sq, cross_p, cross_p_sq in plus:
+        for hm, hm_sq, cross_m, cross_m_sq in minus:
+            cross_pm = _cross_norm(hp, hm)
+            cells.append((du_sq <= 2.0 * (hp_sq + hm_sq),
+                          cross_p_sq + cross_m_sq <= 2.0 * _square(cross_pm),
+                          max(cross_p, cross_m) <= cross_pm))
+    return cells
+
+
+def _wave_vec3(k):
+    if isinstance(k, WaveVector):
+        return (float(k.require_nonzero().k1), float(k.k2), 0.0)
+    return _floats(k, "k", 3)
 
 
 def sen_gamma_squared(params: ShearParams, k, B1, B2) -> float:
@@ -86,12 +125,10 @@ def sen_gamma_squared(params: ShearParams, k, B1, B2) -> float:
     The Gaussian 1/(4*pi) factor is kept verbatim; m_i can absorb
     alternative unit choices.
     """
-    if isinstance(k, WaveVector):
-        k = k.require_nonzero().as_array3()
-    k = _as_vec3(k, "k")
-    if not np.any(k):
+    k = _wave_vec3(k)
+    if not any(k):
         raise ValueError("wave vector must be nonzero")
-    return float(_gamma_squared(params, k, _as_vec3(B1, "B1"), _as_vec3(B2, "B2")))
+    return _gamma_squared(params, k, [_floats(B1, "B1", 3)], [_floats(B2, "B2", 3)])[0]
 
 
 def check_syrovatskij(jump_u, h_plus, h_minus) -> StabilityVerdict:
@@ -104,41 +141,39 @@ def check_syrovatskij(jump_u, h_plus, h_minus) -> StabilityVerdict:
         second  |[u] x h+|^2 + |[u] x h-|^2 <= 2 |h+ x h-|^2
         strong  max(|[u] x h+|, |[u] x h-|) <= |h+ x h-|
     """
-    return StabilityVerdict(float("nan"), False, *map(bool, _criteria(
-        _as_vec3(jump_u, "jump_u"), _as_vec3(h_plus, "h_plus"), _as_vec3(h_minus, "h_minus"))))
+    (flags,) = _criteria(_floats(jump_u, "jump_u", 3), [_floats(h_plus, "h_plus", 3)],
+                         [_floats(h_minus, "h_minus", 3)])
+    return StabilityVerdict(float("nan"), False, *flags)
 
 
 def evaluate_point(params: ShearParams, k: WaveVector, a: float, b: float) -> StabilityVerdict:
     """Full verdict for one (a, b) cell: growth rate plus criteria flags."""
-    B1, B2 = np.array([0.0, a, 0.0]), np.array([0.0, b, 0.0])
-    g2 = sen_gamma_squared(params, k, B1, B2)
-    return StabilityVerdict(g2, g2 > 0.0, *map(bool, _criteria(params.velocity_jump(), B1, B2)))
+    _, _, *verdict = stability_map(params, [a], [b], k).values()
+    return StabilityVerdict(*(column[0] for column in verdict))
 
 
 def stability_map(params: ShearParams, a_range, b_range, k: WaveVector) -> dict:
     """Sweep transverse field strengths into columns.
 
-    a_range and b_range must be nonempty monotone 1-D grids.  The result
-    maps a, b, gamma_squared, growing, syrovatskij_first,
-    syrovatskij_second and strong_condition to 1-D arrays in row-major
-    order (a slow, b fast); each entry equals the pointwise evaluation at
-    its (a, b).
+    a_range and b_range must be nonempty monotone flat sequences (lists
+    or 1-D arrays).  The result maps a, b, gamma_squared, growing,
+    syrovatskij_first, syrovatskij_second and strong_condition to lists
+    of Python floats and bools in row-major order (a slow, b fast).  The
+    terms of the fields (0, a, 0) above and (0, b, 0) below are computed
+    once per a and once per b, and each cell equals evaluate_point.
     """
-    a_range, b_range = (np.atleast_1d(np.asarray(r, dtype=float)) for r in (a_range, b_range))
-    for name, rng in (("a_range", a_range), ("b_range", b_range)):
-        if rng.ndim != 1:
-            raise ValueError(f"{name} must be 1-D")
-        if rng.size == 0:
-            raise ValueError(f"{name} must be nonempty")
-        if not (np.all(np.diff(rng) > 0) or np.all(np.diff(rng) < 0)):
-            raise ValueError(f"{name} must be monotone")
-    B1, B2 = np.zeros((a_range.size, 1, 3)), np.zeros((1, b_range.size, 3))
-    # fields (0, a, 0) above and (0, b, 0) below, a down the rows
-    B1[..., 1], B2[..., 1] = a_range[:, None], b_range[None, :]
-    a, b = np.meshgrid(a_range, b_range, indexing="ij")
-    g2 = _gamma_squared(params, k.require_nonzero().as_array3(), B1, B2)
-    first, second, strong = _criteria(params.velocity_jump(), B1, B2)
-    columns = {"a": a, "b": b, "gamma_squared": g2, "growing": g2 > 0.0,
-               "syrovatskij_first": first, "syrovatskij_second": second,
-               "strong_condition": strong}
-    return {name: column.ravel() for name, column in columns.items()}
+    a_vals, b_vals = _sweep_axis(a_range, "a_range"), _sweep_axis(b_range, "b_range")
+    above, below = ([(0.0, v, 0.0) for v in vals] for vals in (a_vals, b_vals))
+    g2 = _gamma_squared(params, _wave_vec3(k), above, below)
+    flags = map(list, zip(*_criteria(params.velocity_jump(), above, below)))
+    return {"a": [a for a in a_vals for _ in b_vals], "b": b_vals * len(a_vals),
+            "gamma_squared": g2, "growing": [g > 0.0 for g in g2],
+            **dict(zip(("syrovatskij_first", "syrovatskij_second", "strong_condition"), flags))}
+
+
+def _sweep_axis(values, name):
+    axis = _floats(values, name)
+    steps = list(zip(axis, axis[1:]))
+    if not axis or not (all(y > x for x, y in steps) or all(y < x for x, y in steps)):
+        raise ValueError(f"{name} must be nonempty and monotone")
+    return axis

@@ -1,14 +1,24 @@
-"""Full-grid reference fields: x2-constant planes repeated along x2.
+"""Reference fields and quadrature the tests check the package against.
 
 The package keeps x2-constant data as planes (x2 extent 1); tests that
 mix them with x2-dependent fields, or compare a plane against the grid
-it stands for, build the full grid here.
+it stands for, build the full grid here.  The grid L2 inner product and
+the reconstruction of grid fields from a decomposed state serve only as
+references, so they live here too.
 """
 
 import numpy as np
 
-from khlab.core import TwoPhaseGridField, _unstack
+from khlab.core import (
+    GridMismatchError,
+    PerturbationState,
+    TwoPhaseGridField,
+    _r_grid,
+    _unstack,
+    _vertical_weights,
+)
 from khlab.eigenmodes import potential_gradient_plane
+from khlab.functionals import _gradient_plane
 
 
 def full_grid(vec):
@@ -22,3 +32,42 @@ def potential_gradient_field(pot, coeff, n_tan, n_ver, t=0.0):
     """Re(coeff * grad potential) on the full two-phase grid."""
     plane = potential_gradient_plane([(pot, coeff)], n_tan, n_ver, t)
     return _unstack(np.repeat(plane, n_tan, axis=3))
+
+
+def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
+    """L2 inner product over both phases of the slab.
+
+    Tangential directions use the rectangle rule (exact for trigonometric
+    polynomials below the Nyquist frequency); the vertical uses the
+    trapezoidal rule per phase.  Symmetric and bilinear by construction.
+    """
+    if not f.same_grid(g):
+        raise GridMismatchError("inner product requires identical grids")
+    w = _vertical_weights(f.n_ver)
+    s = np.sum(f.values_upper * g.values_upper * w)
+    s += np.sum(f.values_lower * g.values_lower * w)
+    return float(s * f.h_tan ** 2 * (f.n_tan // f.n_x2))   # a plane stands for n_tan columns
+
+
+def inner_product_vector(fs, gs) -> float:
+    """Sum of component-wise L2 inner products of two 3-vector fields."""
+    return sum(inner_product_L2(f, g) for f, g in zip(fs, gs))
+
+
+def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
+                             t: float = 0.0):
+    """Materialise (chi, chi_dot) grid fields from a decomposed state.
+
+    A field without r content is the x2-constant plane of grad h; one
+    with r content is a full grid.
+    """
+    def fields(low, high, even, r_hat):
+        plane = _gradient_plane({**low, **high}, even, n_tan, n_ver, t)
+        if r_hat is None:
+            return _unstack(plane)
+        values = _r_grid(r_hat)
+        values += plane   # in place, so one full-grid array is alive
+        return _unstack(values)
+
+    return (fields(state.L, state.P, state.g, state.r_hat),
+            fields(state.L_dot, state.P_dot, state.g_dot, state.r_dot_hat))

@@ -15,7 +15,6 @@ from khlab.core import (
     ShearParams,
     TwoPhaseGridField,
     WaveVector,
-    inner_product_vector,
     vector_field_zeros,
 )
 from khlab.eigenmodes import (
@@ -45,7 +44,7 @@ from khlab.pressure import (
 )
 from khlab.stability import check_syrovatskij, sen_gamma_squared
 
-from reference_fields import potential_gradient_field
+from reference_fields import inner_product_vector, potential_gradient_field
 
 
 def _gate(num, name, fn):

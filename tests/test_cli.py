@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -143,12 +144,54 @@ def test_threads_key_removed():
     assert main(["--command", "pressure", "--threads", "2"]) == 2
 
 
-def test_import_does_not_load_scipy():
+def _fresh_python(code):
+    """Run code in a fresh interpreter on this checkout's source."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, khlab.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+
+
+def test_import_does_not_load_scipy():
+    assert _fresh_python("import sys, khlab.cli; sys.exit('scipy' in sys.modules)").returncode == 0
+
+
+# The closed-form commands and the parser touch no array: numpy's module is
+# registered lazily and must never execute (numpy._core is its first import).
+_NUMPY_GUARD = """
+import contextlib, io, sys
+from khlab.cli import _COMMANDS, main, parse_config
+required = {"k": "3,4", "n": "4"}
+for command, spec in _COMMANDS.items():
+    parse_config("", ["--command", command, *[x for key in spec.required
+                                              for x in ("--" + key, required[key])]])
+codes = []
+for argv in %s:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(codes, "numpy._core" in sys.modules)
+"""
+
+
+def test_closed_forms_never_execute_numpy():
+    runs = [["--command", "dispersion", "--k", "3,4", "--a", "1.5", "--b", "0.5"],
+            ["--command", "dispersion", "--k", "3,4", "--format", "json"],
+            ["--command", "map", "--k", "2,4", "--a_steps", "7", "--b_steps", "5"],
+            ["--command", "modes", "--k", "3,1", "--n_ver", "16"],
+            ["--command", "verify", "--k", "5,-2"],
+            ["--command", "verify", "--k", "710,0"],
+            ["--command", "map", "--k", "1,1", "--a_min", "1", "--a_max", "1", "--a_steps", "3"]]
+    proc = _fresh_python(_NUMPY_GUARD % runs)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "3,", "2]", "False"]
+
+
+def test_numpy_guard_sees_an_array_command():
+    proc = _fresh_python(_NUMPY_GUARD % [["--command", "pressure", "--n_tan", "32",
+                                          "--refinements", "2"]])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0]", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +341,25 @@ def test_rk4_default_dt_covers_r_block(capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1 and "exceeds the limit" in err
+
+
+def test_rk4_step_count_does_not_set_the_cost(capsys):
+    # a = 1e150 makes the default dt about 3e-152, so about 3e151 steps: their
+    # power comes in closed form, not one step at a time
+    start = time.perf_counter()
+    rc = main(["--command", "evolve", "--n", "3", "--n_tan", "16", "--n_ver", "8",
+               "--a", "1e150", "--samples", "2", "--stepper", "rk4"])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    rows = out.splitlines()[-2:]
+    exact = main(["--command", "evolve", "--n", "3", "--n_tan", "16", "--n_ver", "8",
+                  "--a", "1e150", "--samples", "2"])
+    assert exact == 0
+    for got, want in zip(rows, capsys.readouterr().out.splitlines()[-2:]):
+        # E1_minus cancels e^{3t}-sized terms, so it gets an absolute bound
+        for x, y in zip(map(float, got.split(",")), map(float, want.split(","))):
+            assert abs(x - y) <= 1e-8 * max(float(v) for v in want.split(","))
 
 
 def test_overflow_exit_code(capsys):

@@ -13,9 +13,11 @@ from khlab.core import (
     WaveVector,
     _integer_frequencies,
     coth,
-    inner_product_L2,
+    linspace,
     vertical_levels,
 )
+
+from reference_fields import inner_product_L2
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,6 +129,58 @@ def test_profile_past_the_float_range_raises_overflow():
         wall.eval(-1.0)
     near = VerticalProfile.from_exponential(709.0, (0.0, 1.0), (1.0, 0.0))
     assert np.isfinite(near.eval(np.linspace(-1.0, 1.0, 9))).all()
+
+
+def test_profile_float_and_array_paths_agree():
+    # a float x3 is evaluated with math.exp, an array with np.exp: the two agree
+    # to 1e-15 of the size of the two exponential terms, and past the float
+    # range both raise the same message
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(st.floats(-1.0, 1.0), st.complex_numbers(max_magnitude=1.0))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(kappa=st.floats(1e-3, 700.0), x3=st.floats(-1.0, 1.0),
+                      upper=st.tuples(coeff, coeff), lower=st.tuples(coeff, coeff))
+    def check(kappa, x3, upper, lower):
+        profile = VerticalProfile.from_exponential(kappa, upper, lower)
+        a_plus, a_minus = upper if x3 >= 0.0 else lower
+        size = abs(a_plus) * math.exp(kappa * x3) + abs(a_minus) * math.exp(-kappa * x3)
+        assert abs(profile.eval(x3) - profile.eval(np.array([x3]))[0]) <= 1e-15 * size
+
+    check()
+    wall = VerticalProfile.from_exponential(710.0, (0.0, 1.0), (1.0, 0.0))
+    for x3 in (1.0, -1.0):
+        messages = []
+        for arg in (x3, np.array([x3])):
+            with pytest.raises(OverflowError) as raised:
+                wall.eval(arg)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+
+def test_linspace_and_levels_match_numpy_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ends = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([0.0, -0.0, 5e-324, 1.0]))
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(start=ends, stop=ends, num=st.integers(1, 40), same=st.booleans())
+    def check(start, stop, num, same):
+        stop = start if same else stop           # a_min == a_max
+        with np.errstate(all="ignore"):          # a range past the float range
+            want = np.linspace(start, stop, num)
+        assert bits(linspace(start, stop, num)) == bits(want)
+
+    check()
+    for n_ver in range(1, 70):
+        zu, zl = vertical_levels(n_ver)
+        assert bits(zu) == bits(np.linspace(0.0, 1.0, n_ver + 1))
+        assert bits(zl) == bits(np.linspace(-1.0, 0.0, n_ver + 1))
 
 
 # ---------------------------------------------------------------------------

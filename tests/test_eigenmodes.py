@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from khlab.core import VerticalProfile, WaveVector, inner_product_vector
+from khlab.core import VerticalProfile, WaveVector
 from khlab.eigenmodes import (
     build_harmonic_potentials,
     build_linearized_mode,
@@ -15,7 +15,7 @@ from khlab.eigenmodes import (
     verify_mode,
 )
 
-from reference_fields import potential_gradient_field
+from reference_fields import inner_product_vector, potential_gradient_field
 
 COTH2 = 1.0373147207275482  # coth(2), frozen from 1/tanh(2)
 

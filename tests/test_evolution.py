@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from khlab.core import PerturbationState, TwoPhaseGridField, WaveVector, inner_product_L2
+from khlab.core import PerturbationState, TwoPhaseGridField, WaveVector
 from khlab.evolution import (
     BoundaryModeState,
     StabilityError,
+    _propagators,
     apply_A,
     boundary_dispersion,
     default_rk4_dt,
@@ -16,6 +17,8 @@ from khlab.evolution import (
     evolve_state,
 )
 from khlab.functionals import _r_energy
+
+from reference_fields import inner_product_L2
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +371,31 @@ def test_rk4_propagator_matches_literal_stages():
         for (i, phase), (y, v) in r.items():
             assert np.max(np.abs(getattr(got.r[i], phase) - y)) <= 1e-12 * np.max(np.abs(y))
             assert np.max(np.abs(getattr(got.r_dot[i], phase) - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_rk4_power_matches_high_precision():
+    # the closed-form m-th power of the one-step matrix against the same power
+    # from its eigenvalues in 50-digit arithmetic, for growing, neutral,
+    # nearly neutral and oscillating modes
+    mpmath = pytest.importorskip("mpmath")
+    lams, t = [25.0, 4.0, 1e-12, 0.0, -1e-12, -2.0, -30.0], 0.5
+    for m in (1, 100, 10 ** 4, 10 ** 6):
+        C, S = _propagators(lams, t, "rk4", t / m)
+        with mpmath.workdps(50):
+            h = mpmath.mpf(t / m)
+            for lam, c_got, s_got in zip(lams, C, S):
+                z = lam * h * h
+                c, hs = 1 + z / 2 + z * z / 24, h * (1 + z / 6)
+                root = mpmath.sqrt(mpmath.mpc(lam))
+                mu_plus, mu_minus = c + hs * root, c - hs * root
+                if lam == 0.0:
+                    C_ref, S_ref = mpmath.mpf(1), m * h
+                else:
+                    C_ref = mpmath.re((mu_plus ** m + mu_minus ** m) / 2)
+                    S_ref = mpmath.re((mu_plus ** m - mu_minus ** m) / (2 * root))
+                size = max(abs(mu_plus), abs(mu_minus)) ** m
+                assert abs(c_got - C_ref) <= 1e-14 * size, (m, lam)
+                assert abs(s_got - S_ref) <= 1e-14 * size * t, (m, lam)
 
 
 def test_propagator_overflow_raises():

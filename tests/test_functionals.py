@@ -10,7 +10,6 @@ from khlab.core import (
     PerturbationState,
     TwoPhaseGridField,
     _unstack,
-    inner_product_vector,
     tangential_grid,
     vector_field_zeros,
     vertical_levels,
@@ -29,10 +28,14 @@ from khlab.functionals import (
     decompose_perturbation,
     h2_readout,
     perturbed_initial_data,
-    reconstruct_perturbation,
 )
 
-from reference_fields import full_grid, potential_gradient_field
+from reference_fields import (
+    full_grid,
+    inner_product_vector,
+    potential_gradient_field,
+    reconstruct_perturbation,
+)
 
 
 def _grad_f(j, coeff, n_tan, n_ver):
@@ -230,7 +233,7 @@ def _plane_data(n_tan, n_ver, phase):
     (f2, _), (_, g3) = build_harmonic_potentials(2), build_harmonic_potentials(3)
     plane = potential_gradient_plane([(f2, 0.7 - 0.2j), (g3, 0.4j * phase)], n_tan, n_ver)
     x1, _ = tangential_grid(n_tan)
-    for p, z in enumerate(vertical_levels(n_ver)):
+    for p, z in enumerate(map(np.asarray, vertical_levels(n_ver))):
         plane[0, p, :, 0] += np.outer(np.cos(x1 + phase), 1.0 + z)
         plane[1, p, :, 0] += np.outer(np.sin(2 * x1), 0.5 + z ** 2)
         plane[2, p, :, 0] += np.outer(np.cos(3 * x1 + phase), z * (1.0 - np.abs(z)))

@@ -7,7 +7,6 @@ from khlab.core import (
     PerturbationState,
     TwoPhaseGridField,
     _unstack,
-    inner_product_vector,
     tangential_grid,
 )
 from khlab.evolution import StabilityError, apply_A, evolve_state
@@ -18,10 +17,9 @@ from khlab.functionals import (
     compute_functionals,
     decompose_perturbation,
     perturbed_initial_data,
-    reconstruct_perturbation,
 )
 
-from reference_fields import full_grid
+from reference_fields import full_grid, inner_product_vector, reconstruct_perturbation
 
 
 def apply_x2_multiplier(f: TwoPhaseGridField, multiplier) -> TwoPhaseGridField:

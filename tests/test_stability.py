@@ -130,8 +130,8 @@ def test_check_syrovatskij_carries_no_growth_rate():
 # ---------------------------------------------------------------------------
 
 def _verdict_at(columns, cell):
-    """The verdict of one cell of a sweep, with the column entries as Python scalars."""
-    return StabilityVerdict(*(columns[name][cell].item() for name in (
+    """The verdict of one cell of a sweep."""
+    return StabilityVerdict(*(columns[name][cell] for name in (
         "gamma_squared", "growing", "syrovatskij_first", "syrovatskij_second",
         "strong_condition")))
 
@@ -148,16 +148,17 @@ def test_map_returns_columns_and_builds_no_verdict(monkeypatch):
     assert list(columns) == ["a", "b", "gamma_squared", "growing", "syrovatskij_first",
                              "syrovatskij_second", "strong_condition"]
     for name, column in columns.items():
-        assert isinstance(column, np.ndarray) and column.shape == (12,)
-        assert column.dtype == (float if name in ("a", "b", "gamma_squared") else bool)
+        assert isinstance(column, list) and len(column) == 12
+        assert all(type(v) is (float if name in ("a", "b", "gamma_squared") else bool)
+                   for v in column)
     # row-major: a slow, b fast
-    assert columns["a"].tolist() == np.repeat(a_vals, 4).tolist()
-    assert columns["b"].tolist() == np.tile(b_vals, 3).tolist()
+    assert columns["a"] == np.repeat(a_vals, 4).tolist()
+    assert columns["b"] == np.tile(b_vals, 3).tolist()
 
 def test_map_streamwise_invariance():
     columns = stability_map(ShearParams(), np.linspace(0, 2, 8),
                             np.linspace(0, 2, 8), WaveVector(1, 0))
-    values = set(columns["gamma_squared"].tolist())
+    values = set(columns["gamma_squared"])
     assert len(values) == 1
     assert values.pop() == pytest.approx(1.0, abs=1e-15)
 
@@ -172,7 +173,7 @@ def test_map_single_cell_matches_pointwise():
 def test_map_monotone_in_field_for_spanwise_mode():
     p = ShearParams()
     a_vals = np.linspace(0.1, 2.0, 9)
-    g2 = stability_map(p, a_vals, [0.0], WaveVector(0, 1))["gamma_squared"].tolist()
+    g2 = stability_map(p, a_vals, [0.0], WaveVector(0, 1))["gamma_squared"]
     assert all(x > y for x, y in zip(g2, g2[1:]))
 
 
@@ -211,7 +212,7 @@ def _reference_criteria(du, hp, hm):
 
 def _reference_verdict(params, k, a, b):
     """Test-only copy of the per-cell growth rate and inequalities the sweep replaced."""
-    k3 = k.as_array3()
+    k3 = np.array([float(k.k1), float(k.k2), 0.0])
     du = params.velocity_jump()
     hp, hm = np.array([0.0, a, 0.0]), np.array([0.0, b, 0.0])
     n1, n2, m_i = params.n1, params.n2, params.m_i
@@ -238,7 +239,7 @@ def test_sweep_matches_scalar_reference():
                 break
         a_vals, b_vals = _grid(rng, rng.integers(1, 9)), _grid(rng, rng.integers(1, 9))
         columns = stability_map(p, a_vals, b_vals, k)
-        assert all(c.shape == (a_vals.size * b_vals.size,) for c in columns.values())
+        assert all(len(c) == a_vals.size * b_vals.size for c in columns.values())
         for i, a in enumerate(a_vals):
             for j, b in enumerate(b_vals):
                 cell = _verdict_at(columns, i * b_vals.size + j)
@@ -255,7 +256,7 @@ def test_sweep_matches_scalar_reference():
     # x * x; the sweep follows it bit for bit, so CLI output stays the same
     still, k = ShearParams(u_plus=(0.0, 0.0, 0.0), u_minus=(0.0, 0.0, 0.0)), WaveVector(0, 1)
     a_vals = [3.670728948954113, 3.7529595021799986, 3.963117857672733]
-    assert stability_map(still, a_vals, [0.0], k)["gamma_squared"].tolist() == \
+    assert stability_map(still, a_vals, [0.0], k)["gamma_squared"] == \
         [_reference_verdict(still, k, a, 0.0)[0] for a in a_vals]
     # Python's max(x, nan) is x and max(nan, x) is nan; infinite fields expose the order
     for hp, hm in (((0.0, 1.0, 1.0), (np.inf, 0.0, 0.0)), ((np.inf, 0.0, 0.0), (0.0, 1.0, 1.0))):
@@ -284,22 +285,30 @@ def test_sweep_matches_scalar_reference():
 
 
 def test_sweep_does_no_per_cell_work(monkeypatch):
-    calls = []
-    cross = np.cross
+    # the terms of each field, (k.B)^2 and |[u] x B|, are computed once per a
+    # and once per b; only |B1 x B2| and the combination are per cell
+    import khlab.stability as stability
 
-    def counting_cross(*args, **kwargs):
-        calls.append(1)
-        return cross(*args, **kwargs)
+    k, du = [2.0, 3.0, 0.0], ShearParams().velocity_jump()
+    field_terms = []
+    dot, cross_norm = stability._dot, stability._cross_norm
 
-    monkeypatch.setattr(np, "cross", counting_cross)
-    counts = []
+    def counting_dot(u, v):
+        field_terms.append(list(v) == k)
+        return dot(u, v)
+
+    def counting_cross_norm(u, v):
+        field_terms.append(tuple(u) == du)
+        return cross_norm(u, v)
+
+    monkeypatch.setattr(stability, "_dot", counting_dot)
+    monkeypatch.setattr(stability, "_cross_norm", counting_cross_norm)
     for steps in (10, 100):
-        calls.clear()
+        field_terms.clear()
         grid = np.linspace(0.0, 2.0, steps)
         columns = stability_map(ShearParams(), grid, grid, WaveVector(2, 3))
         assert len(columns["gamma_squared"]) == steps * steps
-        counts.append(len(calls))
-    assert counts[0] > 0 and counts[0] == counts[1]
+        assert sum(field_terms) == 4 * steps
 
 
 def test_streamwise_growth_ignores_transverse_field_property():
@@ -330,3 +339,48 @@ def test_streamwise_growth_ignores_transverse_field_property():
                 assert _verdict_at(columns, cell).syrovatskij_second is False
 
     check()
+
+
+def test_map_cells_equal_evaluate_point_bit_for_bit():
+    # each cell combines its a-row and b-column terms in the kernel's order,
+    # so it is exactly the one-point evaluation at its (a, b)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    velocity = st.tuples(*[st.floats(-10.0, 10.0)] * 3)
+    grid = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5, unique=True)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(u_plus=velocity, u_minus=velocity,
+                      density=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+                      k=st.tuples(st.integers(-64, 64), st.integers(-64, 64)).filter(any),
+                      a=grid, b=grid, descending=st.booleans())
+    def check(u_plus, u_minus, density, k, a, b, descending):
+        p = ShearParams(u_plus=u_plus, u_minus=u_minus, n1=density[0], n2=density[1],
+                        m_i=density[2])
+        k = WaveVector(*k)
+        a_vals, b_vals = sorted(a, reverse=descending), sorted(b)
+        columns = stability_map(p, a_vals, b_vals, k)
+        for cell in range(len(a_vals) * len(b_vals)):
+            a_cell, b_cell = columns["a"][cell], columns["b"][cell]
+            assert (a_cell, b_cell) == (a_vals[cell // len(b_vals)], b_vals[cell % len(b_vals)])
+            got, want = _verdict_at(columns, cell), evaluate_point(p, k, a_cell, b_cell)
+            assert got == want and got.gamma_squared.hex() == want.gamma_squared.hex()
+
+    check()
+
+
+def test_map_axes_match_numpy_linspace(capsys):
+    # the CLI's a and b axes, decreasing, single-step and a_min == a_max included
+    from khlab.cli import main
+
+    for a_min, a_max, a_steps, b_min, b_max, b_steps in (
+            (0.0, 2.0, 10, 0.0, 2.0, 10), (3.7, 0.1, 9, 0.3, 0.3, 1),
+            (1e-3, 7.0, 1, 2.5, -1.5, 13)):
+        assert main(["--command", "map", "--k", "2,3", "--a_min", str(a_min),
+                     "--a_max", str(a_max), "--a_steps", str(a_steps), "--b_min", str(b_min),
+                     "--b_max", str(b_max), "--b_steps", str(b_steps)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")][1:]
+        a_col, b_col = ([float(row[i]) for row in rows] for i in (0, 1))
+        assert a_col == np.repeat(np.linspace(a_min, a_max, a_steps), b_steps).tolist()
+        assert b_col == np.tile(np.linspace(b_min, b_max, b_steps), a_steps).tolist()
