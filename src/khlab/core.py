@@ -430,11 +430,18 @@ def _r_frequencies(n_tan):
 
 
 def _r_spectrum(values):
-    """x2 rfft of a stacked grid 3-vector or plane: axes (component, phase, x1, k2, x3)."""
+    """x2 rfft of a stacked grid 3-vector or plane: axes (component, phase, x1, k2, x3).
+
+    A plane's spectrum is written directly: n_tan times the plane at k2 = 0
+    and exact zeros at k2 != 0, so x2-constant content stays recognisable.
+    """
     _check_r_field(values)
     n_tan = values.shape[2]
-    return np.fft.rfft(np.broadcast_to(values, (*values.shape[:3], n_tan, values.shape[4])),
-                       axis=3)
+    if values.shape[3] == n_tan:
+        return np.fft.rfft(values, axis=3)
+    spectrum = np.zeros((*values.shape[:3], n_tan // 2 + 1, values.shape[4]), dtype=complex)
+    spectrum[:, :, :, :1] = n_tan * values
+    return spectrum
 
 
 def _r_grid(spectrum):

@@ -194,6 +194,24 @@ def test_decompose_reconstruct_round_trip_property():
     check()
 
 
+def test_sub_tolerance_coefficient_leaves_a_plane_remainder():
+    # a full-grid chi_dot of size ~4 raises the tolerance above g's 1e-12
+    # coefficient: it is dropped, its gradient stays in r, and r is x2-constant
+    n_tan, n_ver = 8, 2
+    values = np.random.default_rng(3).standard_normal((3, 2, n_tan, n_tan, n_ver + 1))
+    values[2][..., [0, -1]] = 0.0
+    r_dot = tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
+    state = PerturbationState(1, g={3: 1e-12 + 1e-12j}, r_dot=r_dot, grid=(n_tan, n_ver))
+    chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
+    assert chi[0].n_x2 == 1
+    back = decompose_perturbation(chi, chi_dot, 1)
+    assert back.g == {} and back.r_hat is not None
+    assert not back.r_hat[:, :, :, 1:].any()
+    again, _ = reconstruct_perturbation(back, n_tan, n_ver)
+    for got, expect in zip(again, chi):
+        assert (got - expect).max_abs() < 1e-9
+
+
 def test_decompose_memory_peak_holds_one_stacked_copy():
     import tracemalloc
 
@@ -288,8 +306,9 @@ def test_plane_chi_with_full_grid_chi_dot():
     assert set(state.P) == {2} and set(state.g) == {3} and set(state.g_dot) == {3}
     assert np.array_equal(state.r_hat, reference.r_hat)
     assert np.array_equal(state.r_dot_hat, reference.r_dot_hat)
+    # chi's remainder is x2-constant, so it reconstructs as the plane it came from
     back, back_dot = reconstruct_perturbation(state, n_tan, n_ver)
-    for got, expect in zip((*back, *back_dot), (*full_grid(chi), *chi_dot)):
+    for got, expect in zip((*back, *back_dot), (*chi, *chi_dot)):
         assert (got - expect).max_abs() < 1e-12
 
 
