@@ -31,11 +31,7 @@ from khlab.functionals import (
     h2_readout,
     perturbed_initial_data,
 )
-from khlab.pressure import (
-    PressureSolverError,
-    fitted_convergence_order,
-    mode_solver_fd_error,
-)
+from khlab.pressure import PressureSolverError, fitted_convergence_order, mode_solver_fd_error
 from khlab.stability import evaluate_point, stability_map
 
 RESIDUAL_GATE = 1e-9
@@ -260,7 +256,7 @@ def _column_text(column):
     """The text of every value in a column (an array's via .tolist()), by its Python type."""
     values = column.tolist() if hasattr(column, "tolist") else column
     return [("true" if v else "false") if isinstance(v, bool)
-            else format(v, ".17g") if isinstance(v, float)
+            else "%.17g" % v if isinstance(v, float)
             else str(v) for v in values]          # integers and text
 
 

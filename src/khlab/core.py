@@ -29,22 +29,22 @@ immutable.  Operations are pure functions, safe to run concurrently.
 """
 
 import cmath
-import importlib.util
 import math
 import sys
 from dataclasses import dataclass, field
 
 
-# numpy is executed on its first attribute access (or an `import numpy`), not
-# here.  Every khlab module takes it from this handle, so the closed forms and
-# the parser, which touch no array, never pay its import.  Python 3.11's loader
-# takes no lock on that first access: import numpy before using threads.
-np = sys.modules.get("numpy")
-if np is None:
-    _spec = importlib.util.find_spec("numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(np)
+class _Numpy:
+    """numpy for every khlab module, imported (import-locked) on the first read of a name."""
+
+    def __getattr__(self, name):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 TWO_PI = 2.0 * math.pi
 
@@ -430,18 +430,11 @@ def _r_frequencies(n_tan):
 
 
 def _r_spectrum(values):
-    """x2 rfft of a stacked grid 3-vector or plane: axes (component, phase, x1, k2, x3).
-
-    A plane's spectrum is written directly: n_tan times the plane at k2 = 0
-    and exact zeros at k2 != 0, so x2-constant content stays recognisable.
-    """
+    """x2 rfft of a stacked grid 3-vector or plane: axes (component, phase, x1, k2, x3)."""
     _check_r_field(values)
     n_tan = values.shape[2]
-    if values.shape[3] == n_tan:
-        return np.fft.rfft(values, axis=3)
-    spectrum = np.zeros((*values.shape[:3], n_tan // 2 + 1, values.shape[4]), dtype=complex)
-    spectrum[:, :, :, :1] = n_tan * values
-    return spectrum
+    return np.fft.rfft(np.broadcast_to(values, (*values.shape[:3], n_tan, values.shape[4])),
+                       axis=3)
 
 
 def _r_grid(spectrum):

@@ -46,17 +46,15 @@ class StabilityError(ValueError):
 def _propagators(lambda_sq, t, stepper, dt):
     """(C, S) arrays advancing y'' = lambda_sq * y by time t, per entry.
 
-    exact: closed forms.  rk4: m = max(1, round(t/dt)) classical steps of
-    h = t/m.  As A^2 = lambda_sq * I, one step is c*I + h*s*A with
-    z = lambda_sq*h^2, c = 1 + z/2 + z^2/24, s = 1 + z/6, and its m-th power
-    C*I + S*A follows from its eigenvalues mu+/- = c +/- h*s*sqrt(lambda_sq)
-    at a cost independent of m.  Both steppers give C = scale*cosh(beta),
-    S = scale*sinh(beta)/omega for lambda_sq = omega^2 > 0, C = scale*cos(theta),
-    S = scale*sin(theta)/omega for lambda_sq = -omega^2 < 0, and C = 1, S = t
-    at 0; rk4 has scale = |mu+/-|^m = exp((m/2) log1p(z^3 (8+z)/576)), the
-    exact mu+ mu- - 1, so mu never rounds to 1, beta = (m/2) log(mu+/mu-)
-    and theta = m arg(mu+).  The step taken must satisfy max|omega| * h <=
-    RK4_STABILITY_LIMIT.  Raises OverflowError when C or S leaves the float range.
+    exact: closed forms.  rk4: m = max(1, round(t/dt)) classical steps of h = t/m.
+    As A^2 = lambda_sq * I, one step is c*I + h*s*A with z = lambda_sq*h^2,
+    c = 1 + z/2 + z^2/24, s = 1 + z/6; its m-th power C*I + S*A comes from the
+    eigenvalues mu+/- = c +/- h*s*sqrt(lambda_sq), at a cost independent of m:
+    C = scale*cosh(beta), S = scale*sinh(beta)/omega for lambda_sq = omega^2 > 0
+    (cos, sin of theta for -omega^2 < 0; C = 1, S = t at 0), scale = |mu|^m =
+    exp((m/2) log1p(z^3 (8+z)/576)) from the exact mu+ mu- - 1, beta = (m/2)
+    log(mu+/mu-), theta = m arg(mu+); exact has scale 1, beta = theta = omega t.
+    Needs max|omega| * h <= RK4_STABILITY_LIMIT; raises OverflowError if C or S overflows.
     """
     if not t >= 0:
         raise ValueError("time must be nonnegative")

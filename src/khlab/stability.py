@@ -52,9 +52,9 @@ class SquareOverflowError(OverflowError):
         self.detail = detail
 
 
-# Scalar kernels.  A product added to an accumulator rounds once, as a fused
-# multiply-add: _dot rounds as the BLAS dot behind np.dot does on FMA hardware.
-# _square is Python's x ** 2 (libm pow, not x * x).
+# Scalar kernels.  _dot adds each product with one rounding, a fused multiply-add,
+# as the BLAS dot behind np.dot does on FMA hardware (test_dot_rounds_as_numpy_dot
+# checks it).  _square is Python's x ** 2 (libm pow, not x * x).
 
 def _fma(x, y, z):
     """x * y + z rounded once; with a zero term, or past the float range, the plain sum stands."""
@@ -69,7 +69,6 @@ def _dot(u, v):
 
 
 def _cross_norm(u, v):
-    """|u x v|."""
     c = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
     return math.sqrt(_dot(c, c))
 
@@ -81,8 +80,8 @@ def _square(x, name="a squared cross product", inputs="the fields or the velocit
         raise SquareOverflowError(f"{name} leaves the float range; lower {inputs}") from None
 
 
-# The two kernels take a list of fields per side and return one entry per
-# (above, below) pair, above slow: the terms of each field are computed once.
+# The two kernels take a list of fields per side and return columns over the (above,
+# below) pairs, above slow: each field's terms are computed once, combined per pair.
 
 def _gamma_squared(params, k, above, below):
     n1, n2, m_i = params.n1, params.n2, params.m_i
@@ -94,21 +93,23 @@ def _gamma_squared(params, k, above, below):
     return [drive - (x + y) / tension_scale for x in t1 for y in t2]
 
 
-def _criteria(du, above, below):
-    """(first, second, strong) per pair; Python's max(cross_p, cross_m), NaN order included."""
+def _criteria(du, above, below, pair_cross):
+    """first, second, strong columns; pair_cross(hp) gives |hp x hm|, 2 |hp x hm|^2 per hm."""
     def terms(h):
         cross = _cross_norm(du, h)
-        return h, _dot(h, h), cross, _square(cross)
+        return _dot(h, h), cross, _square(cross)
 
-    du_sq, plus, minus = _dot(du, du), [terms(h) for h in above], [terms(h) for h in below]
-    cells = []
-    for hp, hp_sq, cross_p, cross_p_sq in plus:
-        for hm, hm_sq, cross_m, cross_m_sq in minus:
-            cross_pm = _cross_norm(hp, hm)
-            cells.append((du_sq <= 2.0 * (hp_sq + hm_sq),
-                          cross_p_sq + cross_m_sq <= 2.0 * _square(cross_pm),
-                          max(cross_p, cross_m) <= cross_pm))
-    return cells
+    du_sq = _dot(du, du)
+    hm_sq, cross_m, cross_m_sq = zip(*map(terms, below))
+    first, second, strong = [], [], []
+    for hp in above:
+        hp_sq, cross_p, cross_p_sq = terms(hp)
+        cross_pm, twice_pm_sq = pair_cross(hp)
+        first += [du_sq <= 2.0 * (hp_sq + y) for y in hm_sq]
+        second += [cross_p_sq + y <= z for y, z in zip(cross_m_sq, twice_pm_sq)]
+        # Python's max(cross_p, cross_m), NaN order included
+        strong += [(y if y > cross_p else cross_p) <= z for y, z in zip(cross_m, cross_pm)]
+    return first, second, strong
 
 
 def _wave_vec3(k):
@@ -141,9 +142,11 @@ def check_syrovatskij(jump_u, h_plus, h_minus) -> StabilityVerdict:
         second  |[u] x h+|^2 + |[u] x h-|^2 <= 2 |h+ x h-|^2
         strong  max(|[u] x h+|, |[u] x h-|) <= |h+ x h-|
     """
-    (flags,) = _criteria(_floats(jump_u, "jump_u", 3), [_floats(h_plus, "h_plus", 3)],
-                         [_floats(h_minus, "h_minus", 3)])
-    return StabilityVerdict(float("nan"), False, *flags)
+    hp, hm = _floats(h_plus, "h_plus", 3), _floats(h_minus, "h_minus", 3)
+    cross = _cross_norm(hp, hm)
+    flags = _criteria(_floats(jump_u, "jump_u", 3), [hp], [hm],
+                      lambda _: ([cross], [2.0 * _square(cross)]))
+    return StabilityVerdict(float("nan"), False, *(column[0] for column in flags))
 
 
 def evaluate_point(params: ShearParams, k: WaveVector, a: float, b: float) -> StabilityVerdict:
@@ -165,7 +168,10 @@ def stability_map(params: ShearParams, a_range, b_range, k: WaveVector) -> dict:
     a_vals, b_vals = _sweep_axis(a_range, "a_range"), _sweep_axis(b_range, "b_range")
     above, below = ([(0.0, v, 0.0) for v in vals] for vals in (a_vals, b_vals))
     g2 = _gamma_squared(params, _wave_vec3(k), above, below)
-    flags = map(list, zip(*_criteria(params.velocity_jump(), above, below)))
+    # parallel fields: |h+ x h-| is 0 where a and b are finite, NaN (0 * inf) elsewhere
+    cross = [0.0 if math.isfinite(b) else math.nan for b in b_vals]
+    rows = {True: (cross, cross), False: ([math.nan] * len(cross),) * 2}
+    flags = _criteria(params.velocity_jump(), above, below, lambda hp: rows[math.isfinite(hp[1])])
     return {"a": [a for a in a_vals for _ in b_vals], "b": b_vals * len(a_vals),
             "gamma_squared": g2, "growing": [g > 0.0 for g in g2],
             **dict(zip(("syrovatskij_first", "syrovatskij_second", "strong_condition"), flags))}

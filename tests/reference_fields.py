@@ -58,17 +58,16 @@ def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
                              t: float = 0.0):
     """Materialise (chi, chi_dot) grid fields from a decomposed state.
 
-    A field whose r is absent or x2-constant (no k2 != 0 content) is a
-    plane, as the data it was decomposed from; any other is a full grid.
+    A field whose r is absent, or constant in x2 to round-off, is a plane,
+    as the data it was decomposed from; any other is a full grid.
     """
     def fields(low, high, even, r_hat):
         plane = _gradient_plane({**low, **high}, even, n_tan, n_ver, t)
         if r_hat is None:
             return _unstack(plane)
-        if not r_hat[:, :, :, 1:].any():
-            plane += r_hat[:, :, :, :1].real / n_tan   # the inverse x2 transform of k2 = 0
-            return _unstack(plane)
         values = _r_grid(r_hat)
+        if np.ptp(values, axis=3).max() <= 1e-14 * np.abs(values).max():
+            values = values[:, :, :, :1]
         values += plane   # in place, so one full-grid array is alive
         return _unstack(values)
 

@@ -286,7 +286,7 @@ def test_sweep_matches_scalar_reference():
 
 def test_sweep_does_no_per_cell_work(monkeypatch):
     # the terms of each field, (k.B)^2 and |[u] x B|, are computed once per a
-    # and once per b; only |B1 x B2| and the combination are per cell
+    # and once per b; only their combination is per cell
     import khlab.stability as stability
 
     k, du = [2.0, 3.0, 0.0], ShearParams().velocity_jump()
@@ -309,6 +309,35 @@ def test_sweep_does_no_per_cell_work(monkeypatch):
         columns = stability_map(ShearParams(), grid, grid, WaveVector(2, 3))
         assert len(columns["gamma_squared"]) == steps * steps
         assert sum(field_terms) == 4 * steps
+        # with k.[u], |[u]|^2 and |B|^2 and |[u] x B|'s own dot: no call per cell
+        assert len(field_terms) == 8 * steps + 2
+
+
+def test_dot_rounds_as_numpy_dot():
+    # the kernel's dot adds each product to its accumulator with one rounding,
+    # as the BLAS dot behind np.dot does on FMA hardware, so map and dispersion
+    # print the numpy formula's bits; a BLAS that rounds otherwise fails here
+    import khlab.stability as stability
+
+    rng = np.random.default_rng(5)
+    u, v = rng.normal(0.0, 2.0, (2, 20000, 3))
+    v[::2, 2] = 0.0                     # wave vectors (k1, k2, 0)
+    v[1::4] = np.round(30.0 * v[1::4])  # integer entries
+    for x, y in zip(u, v):
+        assert stability._dot(tuple(x.tolist()), tuple(y.tolist())) == float(np.dot(x, y))
+
+
+def test_map_cells_skip_the_pair_cross_product():
+    # the map's fields (0, a, 0) and (0, b, 0) are parallel: |h+ x h-| is 0 for
+    # finite a and b and NaN (0 * inf) otherwise, as the general kernel finds
+    params = ShearParams(u_plus=(1.0, 0.5, -0.2), u_minus=(-1.0, 0.3, 0.4))
+    values = (0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan)
+    for a in values:
+        for b in values:
+            cell = evaluate_point(params, WaveVector(1, 0), a, b)
+            ref = check_syrovatskij(params.velocity_jump(), (0.0, a, 0.0), (0.0, b, 0.0))
+            assert (cell.syrovatskij_first, cell.syrovatskij_second, cell.strong_condition) \
+                == (ref.syrovatskij_first, ref.syrovatskij_second, ref.strong_condition)
 
 
 def test_streamwise_growth_ignores_transverse_field_property():
