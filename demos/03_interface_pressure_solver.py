@@ -22,12 +22,11 @@ from khlab.pressure import (
     mode_solver_fd_error,
     pressure_decomposition,
     solve_mode_interface_flux,
-    InterfaceData,
     solve_two_phase_poisson_fd,
 )
 
 print("analytic mode solution, kappa = 1, unit per-phase interface flux:")
-q_up, q_lo = solve_mode_interface_flux(InterfaceData(WaveVector(1, 0), flux_jump=2.0))
+q_up, q_lo = solve_mode_interface_flux(WaveVector(1, 0), flux_jump=2.0)
 print(f"  q(0+) = {complex(q_up.eval_upper(0.0)).real:+.6f}   "
       f"(-coth 1 = {-1 / math.tanh(1):+.6f})")
 print(f"  dq/dx3 at the upper wall: {abs(q_up.derivative().eval_upper(1.0)):.2e}")

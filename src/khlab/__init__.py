@@ -30,7 +30,6 @@ from khlab.eigenmodes import (
     verify_mode,
 )
 from khlab.pressure import (
-    InterfaceData,
     pressure_decomposition,
     solve_mode_interface_flux,
     solve_two_phase_poisson_fd,
@@ -59,8 +58,7 @@ __all__ = [
     "StabilityVerdict", "check_syrovatskij", "sen_gamma_squared", "stability_map",
     "ResidualReport", "build_harmonic_potentials", "build_linearized_mode",
     "build_wall_bounded_profiles", "verify_mode",
-    "InterfaceData", "pressure_decomposition", "solve_mode_interface_flux",
-    "solve_two_phase_poisson_fd",
+    "pressure_decomposition", "solve_mode_interface_flux", "solve_two_phase_poisson_fd",
     "BoundaryModeState", "apply_A", "boundary_dispersion", "evolve_boundary_mode",
     "evolve_state",
     "FunctionalReport", "check_growth_corollary", "check_proposition2",

@@ -210,6 +210,12 @@ def _validate(given: dict) -> RunConfig:
             raise MalformedValueError(
                 f"n_tan {cfg.n_tan} with {cfg.refinements} refinements puts the "
                 f"coarsest pressure level below 16")
+    if cfg.command == "map":
+        for axis in ("a", "b"):
+            low, high, steps = (getattr(cfg, f"{axis}_{end}") for end in ("min", "max", "steps"))
+            if steps > 1 and low == high:
+                raise MalformedValueError(
+                    f"{axis}_min and {axis}_max must differ when {axis}_steps > 1")
     return cfg
 
 
@@ -383,8 +389,13 @@ def _cmd_dispersion(cfg: RunConfig):
 
 
 def _cmd_map(cfg: RunConfig):
-    columns = stability_map(cfg.params(), linspace(cfg.a_min, cfg.a_max, cfg.a_steps),
-                            linspace(cfg.b_min, cfg.b_max, cfg.b_steps), cfg.k)
+    a_axis = linspace(cfg.a_min, cfg.a_max, cfg.a_steps)
+    b_axis = linspace(cfg.b_min, cfg.b_max, cfg.b_steps)
+    columns = stability_map(cfg.params(), a_axis, b_axis, cfg.k)
+    # each axis value is formatted once and its text repeated (a slow, b fast)
+    a_text, b_text = _column_text(a_axis), _column_text(b_axis)
+    columns["a"] = [text for text in a_text for _ in b_text]
+    columns["b"] = b_text * len(a_text)
     return 0, _csv_payload(cfg, {_FLAG_HEADERS.get(name, name): column
                                  for name, column in columns.items()})
 
@@ -447,7 +458,7 @@ def _cmd_functionals(cfg: RunConfig):
     prop = check_proposition2(samples, cutoff, cfg.a, cfg.b)
     series = [{"t": t, "E1_plus": E1p, "E1_minus": E1m, "F": F, "G": G} for t, E1p, E1m, F, G
               in zip(prop.times, prop.E1_plus, prop.E1_minus, prop.F, prop.G)]
-    data = {"series": series, "proposition2": prop.to_dict(),
+    data = {"series": series, "proposition2": asdict(prop),
             "passed": prop.invariant}
     return (0 if prop.invariant else 1), _json_payload(cfg, data)
 
@@ -474,7 +485,7 @@ def _cmd_illposedness(cfg: RunConfig):
         "required_factor": math.exp(cutoff * t_final) * (1.0 - GROWTH_TOL),
         "initial_sup_norm": cfg.scale * math.exp(-math.sqrt(cfg.n)),
         "h2_readout_final": h2_readout(final_state),
-        "growth": growth.to_dict(),
+        "growth": asdict(growth),
         "passed": growth.passed,
     }
     return (0 if growth.passed else 1), _json_payload(cfg, data)

@@ -10,11 +10,10 @@ Geometry and conventions (used by every module in the package):
   phase (0, 1) and a lower phase (-1, 0).  Discrete fields keep a
   separate interface row per phase so that jumps are representable.
 * Vertical structure is hyperbolic: every analytic profile in the
-  package is c_cosh*cosh(kappa*x3) + c_sinh*sinh(kappa*x3) per phase.
-  Evaluation goes through the exponential split
-  a_plus*exp(kappa*x3) + a_minus*exp(-kappa*x3) so that wall-bounded
-  combinations like cosh(kappa*x3) - coth(kappa)*sinh(kappa*x3) stay
-  accurate for large kappa instead of cancelling catastrophically.
+  package is a_plus*exp(kappa*x3) + a_minus*exp(-kappa*x3) per phase,
+  stored as that exponential pair so that wall-bounded combinations
+  like cosh(kappa*x3) - coth(kappa)*sinh(kappa*x3) stay accurate for
+  large kappa instead of cancelling catastrophically.
 * All quantities are dimensionless; default densities and ion mass
   are one.
 * Array code on a grid 3-vector uses one stacked layout, axes
@@ -31,7 +30,7 @@ immutable.  Operations are pure functions, safe to run concurrently.
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class _Numpy:
@@ -85,17 +84,15 @@ class ShearParams:
     """Background configuration of the two streaming fluids.
 
     u_plus / u_minus are the constant velocities of the upper and lower
-    fluid, a and b the transverse magnetic field strengths (fields
-    (0, a, 0) above, (0, b, 0) below), n1/n2 the number densities and
-    m_i the ion mass.  The canonical shear is u_plus=(1,0,0),
-    u_minus=(-1,0,0); general vectors are accepted for the stability
-    criteria.
+    fluid, n1/n2 the number densities and m_i the ion mass.  The
+    transverse field strengths a and b (fields (0, a, 0) above,
+    (0, b, 0) below) are arguments of the functions that use them.  The
+    canonical shear is u_plus=(1,0,0), u_minus=(-1,0,0); general vectors
+    are accepted for the stability criteria.
     """
 
     u_plus: tuple = (1.0, 0.0, 0.0)
     u_minus: tuple = (-1.0, 0.0, 0.0)
-    a: float = 0.0
-    b: float = 0.0
     n1: float = 1.0
     n2: float = 1.0
     m_i: float = 1.0
@@ -105,8 +102,6 @@ class ShearParams:
             raise ValueError("velocities must be 3-vectors")
         object.__setattr__(self, "u_plus", tuple(float(c) for c in self.u_plus))
         object.__setattr__(self, "u_minus", tuple(float(c) for c in self.u_minus))
-        if self.a < 0 or self.b < 0:
-            raise ValueError("field strengths a, b must be >= 0")
         if self.n1 <= 0 or self.n2 <= 0 or self.m_i <= 0:
             raise ValueError("densities and ion mass must be positive")
 
@@ -144,45 +139,27 @@ class WaveVector:
 # closed-form vertical profiles
 # ---------------------------------------------------------------------------
 
-def _exp_from_hyperbolic(c_cosh, c_sinh):
-    return 0.5 * (c_cosh + c_sinh), 0.5 * (c_cosh - c_sinh)
-
-
 @dataclass(frozen=True)
 class VerticalProfile:
     """Per-phase hyperbolic profile on x3 in [-1, 1].
 
-    Each phase carries coefficients (c_cosh, c_sinh) of
-    c_cosh*cosh(kappa*x3) + c_sinh*sinh(kappa*x3).  Coefficients may be
+    Each phase carries the exponential coefficients (a_plus, a_minus) of
+    a_plus*e^{kappa*x3} + a_minus*e^{-kappa*x3}; the pair of
+    c_cosh*cosh(kappa*x3) + c_sinh*sinh(kappa*x3) is
+    ((c_cosh + c_sinh)/2, (c_cosh - c_sinh)/2).  Coefficients may be
     complex (profiles paired with tangential phases often are).
-    Evaluation uses the exponential coefficients a_plus, a_minus of
-    a_plus*e^{kappa*x3} + a_minus*e^{-kappa*x3}; constructors that know
-    those exactly (wall-adapted profiles) should use from_exponential
-    to avoid the cosh/sinh cancellation at large kappa.
 
     x3 >= 0 evaluates the upper phase, x3 < 0 the lower one; the two
     interface limits at x3 = 0 are exposed separately.
     """
 
     kappa: float
-    upper: tuple   # (c_cosh, c_sinh)
+    upper: tuple   # (a_plus, a_minus)
     lower: tuple
-    upper_exp: tuple = field(default=None, repr=False)
-    lower_exp: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if self.upper_exp is None:
-            object.__setattr__(self, "upper_exp", _exp_from_hyperbolic(*self.upper))
-        if self.lower_exp is None:
-            object.__setattr__(self, "lower_exp", _exp_from_hyperbolic(*self.lower))
-
-    @classmethod
-    def from_exponential(cls, kappa, upper_exp, lower_exp):
-        up = (upper_exp[0] + upper_exp[1], upper_exp[0] - upper_exp[1])
-        lo = (lower_exp[0] + lower_exp[1], lower_exp[0] - lower_exp[1])
-        return cls(kappa, up, lo, upper_exp=tuple(upper_exp), lower_exp=tuple(lower_exp))
 
     def _eval_exp(self, coeffs, x3):
         """a_plus e^{kappa x3} + a_minus e^{-kappa x3}: a number for a float x3, else an array."""
@@ -204,10 +181,10 @@ class VerticalProfile:
         return out
 
     def eval_upper(self, x3):
-        return self._eval_exp(self.upper_exp, x3)
+        return self._eval_exp(self.upper, x3)
 
     def eval_lower(self, x3):
-        return self._eval_exp(self.lower_exp, x3)
+        return self._eval_exp(self.lower, x3)
 
     def eval(self, x3):
         """Evaluate pointwise; x3 >= 0 selects the upper phase."""
@@ -220,16 +197,14 @@ class VerticalProfile:
         return out if out.ndim else out[()]
 
     def derivative(self) -> "VerticalProfile":
-        """d/dx3, closed under the representation (swap and scale)."""
+        """d/dx3, closed under the representation: (a_plus, a_minus) -> kappa*(a_plus, -a_minus)."""
         k = self.kappa
-        dup = (k * self.upper_exp[0], -k * self.upper_exp[1])
-        dlo = (k * self.lower_exp[0], -k * self.lower_exp[1])
-        return VerticalProfile.from_exponential(k, dup, dlo)
+        return VerticalProfile(k, (k * self.upper[0], -k * self.upper[1]),
+                               (k * self.lower[0], -k * self.lower[1]))
 
     def scaled(self, factor) -> "VerticalProfile":
-        up = (factor * self.upper_exp[0], factor * self.upper_exp[1])
-        lo = (factor * self.lower_exp[0], factor * self.lower_exp[1])
-        return VerticalProfile.from_exponential(self.kappa, up, lo)
+        return VerticalProfile(self.kappa, (factor * self.upper[0], factor * self.upper[1]),
+                               (factor * self.lower[0], factor * self.lower[1]))
 
 
 @dataclass(frozen=True)
@@ -302,10 +277,10 @@ class TwoPhaseGridField:
     @classmethod
     def from_function(cls, fn, n_tan, n_ver):
         """Sample fn(x1, x2, x3) on both phases (broadcasting arrays)."""
-        x1, x2 = tangential_grid(n_tan)
+        x = tangential_grid(n_tan)
         zu, zl = map(np.asarray, vertical_levels(n_ver))
-        up = fn(x1[:, None, None], x2[None, :, None], zu[None, None, :])
-        lo = fn(x1[:, None, None], x2[None, :, None], zl[None, None, :])
+        up = fn(x[:, None, None], x[None, :, None], zu[None, None, :])
+        lo = fn(x[:, None, None], x[None, :, None], zl[None, None, :])
         shape = (n_tan, n_tan, n_ver + 1)
         return cls(n_tan, n_ver,
                    np.broadcast_to(up, shape).copy(),
@@ -349,8 +324,8 @@ class TwoPhaseGridField:
 
 
 def tangential_grid(n_tan):
-    x = TWO_PI * np.arange(n_tan) / n_tan
-    return x, x.copy()
+    """The n_tan equispaced points of [0, 2*pi), the same in x1 and x2."""
+    return TWO_PI * np.arange(n_tan) / n_tan
 
 
 def linspace(start, stop, num):
@@ -410,14 +385,6 @@ def _unstack(values):
 
 def _integer_frequencies(n_tan):
     return np.rint(np.fft.fftfreq(n_tan) * n_tan).astype(int)
-
-
-def trace_spectrum(trace):
-    """2-D DFT of an (n_tan, n_x2) interface trace, normalised by its size.
-
-    A plane (n_x2 = 1) gives the k2 = 0 column of its full-grid repeat.
-    """
-    return np.fft.fft2(trace) / trace.size
 
 
 # ---------------------------------------------------------------------------

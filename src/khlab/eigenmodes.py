@@ -50,7 +50,7 @@ def build_wall_bounded_profiles(k: WaveVector):
     if kappa == 0.0:
         raise ValueError("wall-bounded profiles need kappa > 0 (coth singular)")
     ep, em = exp_weights(kappa)
-    W = VerticalProfile.from_exponential(kappa, (-ep, em), (em, -ep))
+    W = VerticalProfile(kappa, (-ep, em), (em, -ep))
     V = W.derivative().scaled(1j / kappa)
     return W, V
 
@@ -74,17 +74,10 @@ def build_linearized_mode(k: WaveVector, branch: str = "+") -> SpectralMode:
     return SpectralMode(k=k, profiles=(v1, v2, W), lam=complex(lam))
 
 
-@dataclass(frozen=True)
-class HarmonicPotential:
-    """Harmonic potential e^{i j (x1 +/- t)} times a vertical profile."""
-
-    j: int
-    profile: VerticalProfile
-
-
 def build_harmonic_potentials(j: int):
-    """The odd/even harmonic potential pair at streamwise frequency j.
+    """The (odd, even) profiles of the harmonic potentials at streamwise frequency j.
 
+    Each potential is e^{i j (x1 +/- t)} times its profile, whose kappa is j.
     Odd profile: sinh(j*x3) - coth(j)*cosh(j*x3) above the interface and
     sinh(j*x3) + coth(j)*cosh(j*x3) below; the even profile flips the
     sign of the upper part.  Both are annihilated by d^2/dx3^2 - j^2,
@@ -93,10 +86,8 @@ def build_harmonic_potentials(j: int):
     if j < 1:
         raise ValueError("potential frequency j must be >= 1")
     ep, em = exp_weights(float(j))
-    odd = VerticalProfile.from_exponential(float(j), (-ep, -em), (em, ep))
-    even = VerticalProfile.from_exponential(float(j), (ep, em), (em, ep))
-    return (HarmonicPotential(j, odd),
-            HarmonicPotential(j, even))
+    return (VerticalProfile(float(j), (-ep, -em), (em, ep)),
+            VerticalProfile(float(j), (ep, em), (em, ep)))
 
 
 def potential_gradient_norm_sq(j: int) -> float:
@@ -111,19 +102,21 @@ def potential_gradient_norm_sq(j: int) -> float:
 
 
 def potential_gradient_plane(terms, n_tan: int, n_ver: int, t: float = 0.0):
-    """Re(sum of coeff * grad potential) over (potential, coeff) terms, added in order.
+    """Re(sum of coeff * grad potential) over (profile, coeff) terms, added in order.
 
-    The potentials are constant in x2, so the result is the stacked
-    x2-constant plane with axes (component, phase, x1, 1, x3).
+    Each profile is one of build_harmonic_potentials(j), whose frequency
+    j is profile.kappa.  The potentials are constant in x2, so the result
+    is the stacked x2-constant plane with axes (component, phase, x1, 1, x3).
     """
-    x1, _ = tangential_grid(n_tan)
+    x1 = tangential_grid(n_tan)
     plane = np.zeros((3, 2, n_tan, 1, n_ver + 1))
-    for pot, coeff in terms:
-        row_up = coeff * np.exp(1j * pot.j * (x1 + t))
-        row_lo = coeff * np.exp(1j * pot.j * (x1 - t))
+    for profile, coeff in terms:
+        j = profile.kappa
+        row_up = coeff * np.exp(1j * j * (x1 + t))
+        row_lo = coeff * np.exp(1j * j * (x1 - t))
         # the gradient's vertical profiles are (i j profile, 0, d profile/dx3)
-        plane[0] += row_profile_plane(row_up, row_lo, pot.profile.scaled(1j * pot.j), n_ver)
-        plane[2] += row_profile_plane(row_up, row_lo, pot.profile.derivative(), n_ver)
+        plane[0] += row_profile_plane(row_up, row_lo, profile.scaled(1j * j), n_ver)
+        plane[2] += row_profile_plane(row_up, row_lo, profile.derivative(), n_ver)
     return plane
 
 

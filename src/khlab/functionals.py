@@ -32,7 +32,7 @@ state at a later time applies the co-moving drift phases.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from khlab.core import (
     PerturbationState,
@@ -46,7 +46,6 @@ from khlab.core import (
     np,
     row_profile_plane,
     tangential_grid,
-    trace_spectrum,
 )
 from khlab.eigenmodes import (
     build_harmonic_potentials,
@@ -72,8 +71,9 @@ def _potential_split(trace_up, trace_lo, tol):
     conditions) and energy at the Nyquist band are rejected.
     """
     n = trace_up.shape[0]
-    su = trace_spectrum(trace_up)
-    sl = trace_spectrum(trace_lo)
+    # normalised by the size, so a plane (x2 extent 1) gives the k2 = 0
+    # column of its full-grid repeat
+    su, sl = (np.fft.fft2(trace) / trace.size for trace in (trace_up, trace_lo))
 
     # column 0 is k2 = 0, the streamwise line; a plane has no other column
     off_line = max(float(np.max(np.abs(s[:, 1:]), initial=0.0)) for s in (su, sl))
@@ -119,9 +119,9 @@ def _gradient_plane(odd, even, n_tan, n_ver, t=0.0):
     """The stacked x2-constant plane of grad h: odd then even potential per j, j ascending."""
     terms = []
     for j in sorted(set(odd) | set(even)):
-        for pot, coeffs in zip(build_harmonic_potentials(j), (odd, even)):
+        for profile, coeffs in zip(build_harmonic_potentials(j), (odd, even)):
             if j in coeffs:
-                terms.append((pot, coeffs[j]))
+                terms.append((profile, coeffs[j]))
     return potential_gradient_plane(terms, n_tan, n_ver, t)
 
 
@@ -306,9 +306,6 @@ class Proposition2Report:
     aux_order_bound_ok: bool = True
     aux_low_frequency_bound_ok: bool = True
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def _aux_bounds_ok(state: PerturbationState, n: int, rel=1e-12):
     E32p, E32m = _E_mu(state, 1.5)
@@ -380,9 +377,6 @@ class GrowthReport:
     times: list
     margins: list   # E1+(t) / (E1+(0) e^{n t})
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def check_growth_corollary(trajectory, n_cutoff: int,
                            tol: float = 1e-8) -> GrowthReport:
@@ -430,7 +424,7 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
     k = WaveVector(n, 0)
     W, V = build_wall_bounded_profiles(k)
     amp = scale * math.exp(-math.sqrt(n))
-    x1, _ = tangential_grid(n_tan)
+    x1 = tangential_grid(n_tan)
     row = amp * np.exp(1j * n * x1)
     plane = np.zeros((3, 2, n_tan, 1, n_ver + 1))
     plane[0] = row_profile_plane(row, row, V, n_ver)

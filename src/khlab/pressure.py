@@ -32,7 +32,6 @@ rest) is a direct superposition of the two solvers.
 """
 
 import math
-from dataclasses import dataclass
 
 from khlab.core import (
     TwoPhaseGridField,
@@ -57,38 +56,26 @@ class SolvabilityError(PressureSolverError):
     """The boundary data admit no solution (incompatible Neumann data)."""
 
 
-@dataclass(frozen=True)
-class InterfaceData:
-    """Jump data of one tangential pressure mode.
+def solve_mode_interface_flux(k: WaveVector, value_jump=0.0, flux_jump=0.0,
+                              drift: float = 0.0):
+    """Analytic per-mode solve of the jump-coupled two-phase Laplace problem.
 
     value_jump is the Dirichlet jump of the mode across the interface,
     flux_jump the jump of its normal derivative (upper minus shifted
-    lower in both cases).
+    lower in both cases); both must be finite.  Returns (q_upper,
+    q_lower) vertical profiles with homogeneous Neumann walls, the
+    prescribed value and flux jumps at the interface and, for pure flux
+    data, the reflection symmetry q_lower(x3) = q_upper(-x3) up to the
+    tangential shift: each phase then carries half of the flux jump as
+    its own interface flux.  drift is the slip offset: the lower trace
+    is matched at x1 + drift, contributing the phase exp(-i*k1*drift)
+    to the lower amplitude.
     """
-
-    k: WaveVector
-    value_jump: complex = 0.0
-    flux_jump: complex = 0.0
-
-    def __post_init__(self):
-        for name, v in (("value_jump", self.value_jump), ("flux_jump", self.flux_jump)):
-            c = complex(v)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"{name} must be finite")
-
-
-def solve_mode_interface_flux(data: InterfaceData, drift: float = 0.0):
-    """Analytic per-mode solve of the jump-coupled two-phase Laplace problem.
-
-    Returns (q_upper, q_lower) vertical profiles with homogeneous
-    Neumann walls, the prescribed value and flux jumps at the interface
-    and, for pure flux data, the reflection symmetry
-    q_lower(x3) = q_upper(-x3) up to the tangential shift: each phase
-    then carries half of the flux jump as its own interface flux.  drift
-    is the slip offset: the lower trace is matched at x1 + drift,
-    contributing the phase exp(-i*k1*drift) to the lower amplitude.
-    """
-    kappa = data.k.kappa
+    g1, g2 = complex(value_jump), complex(flux_jump)
+    for name, c in (("value_jump", g1), ("flux_jump", g2)):
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"{name} must be finite")
+    kappa = k.kappa
     if kappa == 0.0:
         raise SolvabilityError("kappa = 0: pure-Neumann mode is solvable only "
                                "up to constants; fix the gauge in the grid solver")
@@ -97,19 +84,16 @@ def solve_mode_interface_flux(data: InterfaceData, drift: float = 0.0):
     e2 = math.exp(-2.0 * kappa)
     cp = e2 / (1.0 + e2)
     cm = 1.0 / (1.0 + e2)
-    g1 = complex(data.value_jump)
-    g2 = complex(data.flux_jump)
     # upper amplitude A and shifted lower amplitude B*phi solve
     #   A - B*phi = g1 / cosh(kappa),  A + B*phi = -g2 / (kappa sinh kappa)
     upper_exp = (0.5 * (g1 * cp - g2 * sp / kappa),
                  0.5 * (g1 * cm - g2 * sm / kappa))
     lower_scaled = (0.5 * (-g1 * cm - g2 * sm / kappa),
                     0.5 * (-g1 * cp - g2 * sp / kappa))
-    phase = complex(np.exp(-1j * data.k.k1 * drift))
+    phase = complex(np.exp(-1j * k.k1 * drift))
     lower_exp = (phase * lower_scaled[0], phase * lower_scaled[1])
-    q_upper = VerticalProfile.from_exponential(kappa, upper_exp, (0.0, 0.0))
-    q_lower = VerticalProfile.from_exponential(kappa, (0.0, 0.0), lower_exp)
-    return q_upper, q_lower
+    return (VerticalProfile(kappa, upper_exp, (0.0, 0.0)),
+            VerticalProfile(kappa, (0.0, 0.0), lower_exp))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +272,9 @@ def mode_solver_fd_error(k: WaveVector, flux_amplitude: float,
     comparison stay on the x2 = 0 plane, since every x2 column is alike.
     """
     k.require_nonzero()
-    q_up, q_lo = solve_mode_interface_flux(
-        InterfaceData(k, value_jump=0.0, flux_jump=flux_amplitude))
-    x1, x2 = tangential_grid(n_tan)
-    x2 = x2[:1] if k.k2 == 0 else x2
+    q_up, q_lo = solve_mode_interface_flux(k, value_jump=0.0, flux_jump=flux_amplitude)
+    x1 = tangential_grid(n_tan)
+    x2 = x1[:1] if k.k2 == 0 else x1
     phase = np.exp(1j * (k.k1 * x1[:, None] + k.k2 * x2[None, :]))
     zu, zl = vertical_levels(n_ver)
     exact_up = np.real(phase[:, :, None] * q_up.eval_upper(zu)[None, None, :])

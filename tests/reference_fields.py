@@ -28,9 +28,9 @@ def full_grid(vec):
                                    np.repeat(c.values_lower, c.n_tan, axis=1)) for c in vec)
 
 
-def potential_gradient_field(pot, coeff, n_tan, n_ver, t=0.0):
-    """Re(coeff * grad potential) on the full two-phase grid."""
-    plane = potential_gradient_plane([(pot, coeff)], n_tan, n_ver, t)
+def potential_gradient_field(profile, coeff, n_tan, n_ver, t=0.0):
+    """Re(coeff * grad potential) of one harmonic-potential profile on the full two-phase grid."""
+    plane = potential_gradient_plane([(profile, coeff)], n_tan, n_ver, t)
     return _unstack(np.repeat(plane, n_tan, axis=3))
 
 

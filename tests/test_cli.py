@@ -214,6 +214,37 @@ def test_map_csv_schema(capsys):
     assert gammas == {"1"}
 
 
+@pytest.mark.parametrize("axis", ["a", "b"])
+def test_degenerate_map_axis_names_its_keys(capsys, axis):
+    args = ["--command", "map", "--k", "1,1", f"--{axis}_min", "1", f"--{axis}_max", "1"]
+    message = f"{axis}_min and {axis}_max must differ when {axis}_steps > 1"
+    with pytest.raises(MalformedValueError, match=message):
+        parse_config("", args)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"khlab: {message}\n")
+    # a single step needs no span
+    rc, out = run_cli(capsys, args + [f"--{axis}_steps", "1"])
+    assert rc == 0 and len(_data_lines(out)) == 1 + 10
+
+
+def test_map_axis_text_matches_per_cell_formatting(capsys):
+    # the a and b columns are formatted once per axis value and repeated; the text
+    # must equal "%.17g" of each cell of the library's own columns
+    from khlab.core import ShearParams, WaveVector, linspace
+    from khlab.stability import stability_map
+
+    rc, out = run_cli(capsys, ["--command", "map", "--k", "2,1", "--a_min", "3", "--a_max",
+                               "-2.3", "--a_steps", "7", "--b_min", "-0.1", "--b_max", "-5",
+                               "--b_steps", "6"])
+    assert rc == 0
+    rows = [line.split(",") for line in _data_lines(out)[1:]]
+    columns = stability_map(ShearParams(), linspace(3.0, -2.3, 7), linspace(-0.1, -5.0, 6),
+                            WaveVector(2, 1))
+    assert [row[0] for row in rows] == ["%.17g" % a for a in columns["a"]]
+    assert [row[1] for row in rows] == ["%.17g" % b for b in columns["b"]]
+
+
 def test_dispersion_json_round_trip(capsys):
     rc, out = run_cli(capsys, ["--command", "dispersion", "--k", "0,2",
                                "--a", "1.0", "--b", "1.0", "--format", "json"])

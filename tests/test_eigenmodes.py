@@ -21,10 +21,13 @@ COTH2 = 1.0373147207275482  # coth(2), frozen from 1/tanh(2)
 
 
 def corrupt_mode(mode, delta: float = 0.1):
-    """Shift the upper cosh coefficient of W; negative control for verify_mode."""
+    """Shift the upper cosh coefficient of W by delta; negative control for verify_mode.
+
+    cosh = (e^{kappa x3} + e^{-kappa x3})/2, so both exponential coefficients move by delta/2.
+    """
     W = mode.profiles[2]
-    c_cosh, c_sinh = W.upper
-    bad = VerticalProfile(W.kappa, (c_cosh + delta, c_sinh), W.lower)
+    a_plus, a_minus = W.upper
+    bad = VerticalProfile(W.kappa, (a_plus + delta / 2, a_minus + delta / 2), W.lower)
     return replace(mode, profiles=(*mode.profiles[:2], bad))
 
 
@@ -133,8 +136,7 @@ def test_potentials_are_harmonic():
     for j in (1, 2, 8, 33):
         f, g = build_harmonic_potentials(j)
         x3 = rng.uniform(-1, 1, 200)
-        for pot in (f, g):
-            prof = pot.profile
+        for prof in (f, g):
             lap = prof.derivative().derivative().eval(x3) - j ** 2 * prof.eval(x3)
             assert np.max(np.abs(lap)) < 1e-10
 
@@ -142,8 +144,8 @@ def test_potentials_are_harmonic():
 def test_potentials_neumann_walls():
     for j in (1, 5, 20):
         f, g = build_harmonic_potentials(j)
-        for pot in (f, g):
-            d = pot.profile.derivative()
+        for prof in (f, g):
+            d = prof.derivative()
             assert abs(d.eval_upper(1.0)) < 1e-12
             assert abs(d.eval_lower(-1.0)) < 1e-12
 
@@ -151,10 +153,10 @@ def test_potentials_neumann_walls():
 def test_potential_parities_at_interface():
     f, g = build_harmonic_potentials(4)
     # even part continuous, odd part flips sign
-    assert g.profile.eval_upper(0.0) == pytest.approx(g.profile.eval_lower(0.0), rel=1e-14)
-    assert f.profile.eval_upper(0.0) == pytest.approx(-f.profile.eval_lower(0.0), rel=1e-14)
+    assert g.eval_upper(0.0) == pytest.approx(g.eval_lower(0.0), rel=1e-14)
+    assert f.eval_upper(0.0) == pytest.approx(-f.eval_lower(0.0), rel=1e-14)
     # odd family keeps the normal derivative continuous
-    df = f.profile.derivative()
+    df = f.derivative()
     assert df.eval_upper(0.0) == pytest.approx(df.eval_lower(0.0), rel=1e-14)
 
 

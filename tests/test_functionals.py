@@ -250,7 +250,7 @@ def _plane_data(n_tan, n_ver, phase):
     """
     (f2, _), (_, g3) = build_harmonic_potentials(2), build_harmonic_potentials(3)
     plane = potential_gradient_plane([(f2, 0.7 - 0.2j), (g3, 0.4j * phase)], n_tan, n_ver)
-    x1, _ = tangential_grid(n_tan)
+    x1 = tangential_grid(n_tan)
     for p, z in enumerate(map(np.asarray, vertical_levels(n_ver))):
         plane[0, p, :, 0] += np.outer(np.cos(x1 + phase), 1.0 + z)
         plane[1, p, :, 0] += np.outer(np.sin(2 * x1), 0.5 + z ** 2)
@@ -297,7 +297,7 @@ def test_plane_chi_with_full_grid_chi_dot():
     n_tan, n_ver = 16, 6
     chi = _plane_data(n_tan, n_ver, 0.3)
     # chi_dot gains x2-dependent remainder content, so it needs the full grid
-    spanwise = np.cos(2 * tangential_grid(n_tan)[1])[None, :, None]
+    spanwise = np.cos(2 * tangential_grid(n_tan))[None, :, None]
     chi_dot = tuple(TwoPhaseGridField(n_tan, n_ver, c.values_upper + w * spanwise,
                                       c.values_lower + w * spanwise)
                     for c, w in zip(full_grid(_plane_data(n_tan, n_ver, -1.1)), (0.5, 0.2, 0.0)))

@@ -9,7 +9,6 @@ import pytest
 from khlab import pressure
 from khlab.core import GridMismatchError, TwoPhaseGridField, WaveVector, _vertical_weights
 from khlab.pressure import (
-    InterfaceData,
     SolvabilityError,
     _apply_mode_rows,
     fitted_convergence_order,
@@ -27,7 +26,7 @@ COTH1 = 1.3130352854993312  # coth(1)
 # ---------------------------------------------------------------------------
 
 def test_zero_data_zero_solution():
-    q_up, q_lo = solve_mode_interface_flux(InterfaceData(WaveVector(2, 0)))
+    q_up, q_lo = solve_mode_interface_flux(WaveVector(2, 0))
     x = np.linspace(-1, 1, 21)
     assert np.max(np.abs(q_up.eval(np.abs(x)))) == 0.0
     assert np.max(np.abs(q_lo.eval(-np.abs(x)))) == 0.0
@@ -36,8 +35,7 @@ def test_zero_data_zero_solution():
 def test_unit_flux_interface_value():
     # per-phase flux D = 1 corresponds to a full jump of 2; then
     # q+(0) = -cosh(1)/sinh(1)
-    data = InterfaceData(WaveVector(1, 0), value_jump=0.0, flux_jump=2.0)
-    q_up, q_lo = solve_mode_interface_flux(data)
+    q_up, q_lo = solve_mode_interface_flux(WaveVector(1, 0), value_jump=0.0, flux_jump=2.0)
     assert complex(q_up.eval_upper(0.0)).real == pytest.approx(-COTH1, rel=1e-14)
     d_up = q_up.derivative()
     assert complex(d_up.eval_upper(0.0)).real == pytest.approx(1.0, rel=1e-14)
@@ -47,15 +45,13 @@ def test_unit_flux_interface_value():
 
 def test_wall_neumann_built_into_ansatz():
     for kappa_k in (WaveVector(1, 0), WaveVector(4, 3), WaveVector(30, 0)):
-        data = InterfaceData(kappa_k, value_jump=0.4, flux_jump=-2.3)
-        q_up, q_lo = solve_mode_interface_flux(data)
+        q_up, q_lo = solve_mode_interface_flux(kappa_k, value_jump=0.4, flux_jump=-2.3)
         assert abs(q_up.derivative().eval_upper(1.0)) < 1e-13
         assert abs(q_lo.derivative().eval_lower(-1.0)) < 1e-13
 
 
 def test_prescribed_jumps_are_met():
-    data = InterfaceData(WaveVector(3, 0), value_jump=1.25, flux_jump=-0.75)
-    q_up, q_lo = solve_mode_interface_flux(data)
+    q_up, q_lo = solve_mode_interface_flux(WaveVector(3, 0), value_jump=1.25, flux_jump=-0.75)
     val_jump = complex(q_up.eval_upper(0.0)) - complex(q_lo.eval_lower(0.0))
     flux_jump = (complex(q_up.derivative().eval_upper(0.0))
                  - complex(q_lo.derivative().eval_lower(0.0)))
@@ -65,8 +61,7 @@ def test_prescribed_jumps_are_met():
 
 def test_reflection_symmetry_pure_flux():
     # q_lower(x3) = q_upper(-x3) for flux-only data without drift
-    data = InterfaceData(WaveVector(2, 0), flux_jump=3.0)
-    q_up, q_lo = solve_mode_interface_flux(data)
+    q_up, q_lo = solve_mode_interface_flux(WaveVector(2, 0), flux_jump=3.0)
     x = np.linspace(0.0, 1.0, 13)
     assert np.allclose(q_lo.eval_lower(-x), q_up.eval_upper(x), rtol=1e-14)
 
@@ -76,9 +71,8 @@ def test_reflection_with_slip_shift():
     # amplitude carries exp(-i k1 drift)
     k = WaveVector(2, 0)
     drift = 0.37
-    q_up0, q_lo0 = solve_mode_interface_flux(InterfaceData(k, flux_jump=3.0))
-    q_up, q_lo = solve_mode_interface_flux(InterfaceData(k, flux_jump=3.0),
-                                           drift=drift)
+    q_up0, q_lo0 = solve_mode_interface_flux(k, flux_jump=3.0)
+    q_up, q_lo = solve_mode_interface_flux(k, flux_jump=3.0, drift=drift)
     x = np.linspace(0.0, 1.0, 7)
     shift = np.exp(1j * k.k1 * drift)
     assert np.allclose(q_lo.eval_lower(-x) * shift, q_up.eval_upper(x), rtol=1e-13)
@@ -88,13 +82,10 @@ def test_reflection_with_slip_shift():
 
 def test_mode_solver_linearity():
     k = WaveVector(2, 0)
-    d1 = InterfaceData(k, value_jump=0.5, flux_jump=1.0)
-    d2 = InterfaceData(k, value_jump=-1.0, flux_jump=2.5)
-    combo = InterfaceData(k, value_jump=0.5 + 2 * -1.0, flux_jump=1.0 + 2 * 2.5)
     x = np.linspace(-1, 1, 9)
-    q1 = solve_mode_interface_flux(d1)
-    q2 = solve_mode_interface_flux(d2)
-    qc = solve_mode_interface_flux(combo)
+    q1 = solve_mode_interface_flux(k, value_jump=0.5, flux_jump=1.0)
+    q2 = solve_mode_interface_flux(k, value_jump=-1.0, flux_jump=2.5)
+    qc = solve_mode_interface_flux(k, value_jump=0.5 + 2 * -1.0, flux_jump=1.0 + 2 * 2.5)
     for i, side in ((0, 1.0), (1, -1.0)):
         got = qc[i].eval(side * np.abs(x))
         expect = q1[i].eval(side * np.abs(x)) + 2 * q2[i].eval(side * np.abs(x))
@@ -103,7 +94,14 @@ def test_mode_solver_linearity():
 
 def test_kappa_zero_mode_is_solvability_error():
     with pytest.raises(SolvabilityError):
-        solve_mode_interface_flux(InterfaceData(WaveVector(0, 0), flux_jump=1.0))
+        solve_mode_interface_flux(WaveVector(0, 0), flux_jump=1.0)
+
+
+def test_mode_solver_rejects_non_finite_jumps():
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 0.0)):
+        for name in ("value_jump", "flux_jump"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                solve_mode_interface_flux(WaveVector(1, 0), **{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +170,7 @@ def test_fd_with_slip_shift_matches_analytic():
     # both routes couple the interface at x1 + drift via the same phase
     k = WaveVector(2, 0)
     drift = 0.4
-    q_up, q_lo = solve_mode_interface_flux(InterfaceData(k, flux_jump=1.0),
-                                           drift=drift)
+    q_up, q_lo = solve_mode_interface_flux(k, flux_jump=1.0, drift=drift)
     n = 32
     x = 2 * math.pi * np.arange(n) / n
     phase = np.exp(1j * k.k1 * x)[:, None, None]

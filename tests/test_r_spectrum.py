@@ -109,7 +109,7 @@ def test_r_stored_as_x2_spectrum_and_read_back_on_the_grid():
 
 def _r_plane(n_tan, n_ver, c1, c3):
     """x2-constant r: c1 cos x1 in r1, c3 sin 2x1 off the interface and wall rows in r3."""
-    x1, _ = tangential_grid(n_tan)
+    x1 = tangential_grid(n_tan)
     values = np.zeros((3, 2, n_tan, 1, n_ver + 1))
     values[0] = c1 * np.cos(x1)[:, None, None]
     values[2, :, :, 0, 1:-1] = c3 * np.sin(2 * x1)[:, None]
