@@ -16,11 +16,10 @@ import os
 import sys
 import tempfile
 from collections import namedtuple
-from dataclasses import asdict
 from importlib import resources
 from types import SimpleNamespace
 
-from khlab.core import ShearParams, WaveVector, linspace, vertical_levels
+from khlab.core import ShearParams, WaveVector, linspace, strictly_monotone, vertical_levels
 from khlab.eigenmodes import build_linearized_mode, build_wall_bounded_profiles, verify_mode
 from khlab.evolution import boundary_dispersion, default_rk4_dt, evolve_state
 from khlab.functionals import (
@@ -212,10 +211,11 @@ def _validate(given: dict) -> RunConfig:
                 f"coarsest pressure level below 16")
     if cfg.command == "map":
         for axis in ("a", "b"):
-            low, high, steps = (getattr(cfg, f"{axis}_{end}") for end in ("min", "max", "steps"))
-            if steps > 1 and low == high:
-                raise MalformedValueError(
-                    f"{axis}_min and {axis}_max must differ when {axis}_steps > 1")
+            # equal ends, a step rounding to repeats and a span past the float range (NaN) fail
+            values = linspace(*(getattr(cfg, f"{axis}_{end}") for end in ("min", "max", "steps")))
+            if not (strictly_monotone(values) and all(map(math.isfinite, values))):
+                raise MalformedValueError(f"{axis}_min, {axis}_max and {axis}_steps must "
+                                          f"give distinct finite {axis} values")
     return cfg
 
 
@@ -267,8 +267,7 @@ def _column_text(column):
 
 
 def _echo_text(value):
-    if isinstance(value, WaveVector):
-        return f"{value.k1},{value.k2}"
+    """A config value as text; a tuple, a WaveVector's (k1, k2) included, joins with commas."""
     return ",".join(_column_text(value if isinstance(value, tuple) else [value]))
 
 
@@ -278,12 +277,12 @@ def _config_echo(cfg: RunConfig):
     return {key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None}
 
 
-def _write_atomic(path: str, payload: str):
+def _write_atomic(path: str, chunks):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".khlab-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -291,20 +290,32 @@ def _write_atomic(path: str, payload: str):
         raise
 
 
-def _emit(cfg: RunConfig, payload: str):
+def _emit(cfg: RunConfig, chunks):
+    """Write the output, an iterable of text chunks, to stdout or atomically to cfg.out."""
     if cfg.out is None or cfg.out == "-":
-        sys.stdout.write(payload)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
-        _write_atomic(cfg.out, payload)
+        _write_atomic(cfg.out, chunks)
+
+
+_CSV_BLOCK_ROWS = 4096   # a map row is at most about 120 bytes: a block stays near 0.5 MB
 
 
 def _csv_payload(cfg: RunConfig, columns: dict):
-    """The config echo in '#' lines, a header row of the column names, then the rows."""
+    """The config echo in '#' lines, a header row of the column names, then the rows.
+
+    Yields the text a block of _CSV_BLOCK_ROWS rows at a time, so little is held at once.
+    """
     lines = [f"# khlab {cfg.command}"]
     lines += [f"# {key} = {_echo_text(val)}" for key, val in _config_echo(cfg).items()]
     lines.append(",".join(columns))
-    lines += map(",".join, zip(*map(_column_text, columns.values())))
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    rows = min(map(len, columns.values()))
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        block = (_column_text(column[start:start + _CSV_BLOCK_ROWS])
+                 for column in columns.values())
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 def _json_payload(cfg: RunConfig, data):
@@ -314,7 +325,7 @@ def _json_payload(cfg: RunConfig, data):
            "data": data}
     validate_report(doc)
     try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"]
     except ValueError as exc:
         raise FloatingPointError(f"non-finite value in the report: {exc}") from None
 
@@ -378,7 +389,7 @@ _FLAG_HEADERS = {"syrovatskij_first": "syr1", "syrovatskij_second": "syr2",
 
 
 def _cmd_dispersion(cfg: RunConfig):
-    point = asdict(evaluate_point(cfg.params(), cfg.k, cfg.a, cfg.b))
+    point = evaluate_point(cfg.params(), cfg.k, cfg.a, cfg.b)._asdict()
     verdict = {"gamma_squared": point.pop("gamma_squared"),
                "lambda_squared": boundary_dispersion(cfg.k, cfg.a, cfg.b), **point}
     if cfg.format == "json":
@@ -458,7 +469,7 @@ def _cmd_functionals(cfg: RunConfig):
     prop = check_proposition2(samples, cutoff, cfg.a, cfg.b)
     series = [{"t": t, "E1_plus": E1p, "E1_minus": E1m, "F": F, "G": G} for t, E1p, E1m, F, G
               in zip(prop.times, prop.E1_plus, prop.E1_minus, prop.F, prop.G)]
-    data = {"series": series, "proposition2": asdict(prop),
+    data = {"series": series, "proposition2": prop._asdict(),
             "passed": prop.invariant}
     return (0 if prop.invariant else 1), _json_payload(cfg, data)
 
@@ -485,7 +496,7 @@ def _cmd_illposedness(cfg: RunConfig):
         "required_factor": math.exp(cutoff * t_final) * (1.0 - GROWTH_TOL),
         "initial_sup_norm": cfg.scale * math.exp(-math.sqrt(cfg.n)),
         "h2_readout_final": h2_readout(final_state),
-        "growth": asdict(growth),
+        "growth": growth._asdict(),
         "passed": growth.passed,
     }
     return (0 if growth.passed else 1), _json_payload(cfg, data)
@@ -493,12 +504,7 @@ def _cmd_illposedness(cfg: RunConfig):
 
 def _cmd_verify(cfg: RunConfig):
     report = verify_mode(build_linearized_mode(cfg.k, "+"), 1000)
-    data = {"k1": cfg.k.k1, "k2": cfg.k.k2,
-            "max_harmonic_residual": report.max_harmonic_residual,
-            "max_divergence_residual": report.max_divergence_residual,
-            "wall_bc_residual": report.wall_bc_residual,
-            "interface_continuity_residual": report.interface_continuity_residual,
-            "gate": RESIDUAL_GATE,
+    data = {**cfg.k._asdict(), **report._asdict(), "gate": RESIDUAL_GATE,
             "passed": report.max_residual() < RESIDUAL_GATE}
     return (0 if data["passed"] else 1), _json_payload(cfg, data)
 

@@ -30,7 +30,8 @@ immutable.  Operations are pure functions, safe to run concurrently.
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 
 class _Numpy:
@@ -75,12 +76,16 @@ def coth(x: float) -> float:
     return -coth(-x)
 
 
+def _make_validated(cls, fields):
+    """namedtuple's _make, which _replace calls, through a validating constructor."""
+    return cls(*fields)
+
+
 # ---------------------------------------------------------------------------
 # physical configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShearParams:
+class ShearParams(namedtuple("ShearParams", "u_plus u_minus n1 n2 m_i")):
     """Background configuration of the two streaming fluids.
 
     u_plus / u_minus are the constant velocities of the upper and lower
@@ -91,36 +96,33 @@ class ShearParams:
     are accepted for the stability criteria.
     """
 
-    u_plus: tuple = (1.0, 0.0, 0.0)
-    u_minus: tuple = (-1.0, 0.0, 0.0)
-    n1: float = 1.0
-    n2: float = 1.0
-    m_i: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.u_plus) != 3 or len(self.u_minus) != 3:
+    def __new__(cls, u_plus=(1.0, 0.0, 0.0), u_minus=(-1.0, 0.0, 0.0), n1=1.0, n2=1.0, m_i=1.0):
+        if len(u_plus) != 3 or len(u_minus) != 3:
             raise ValueError("velocities must be 3-vectors")
-        object.__setattr__(self, "u_plus", tuple(float(c) for c in self.u_plus))
-        object.__setattr__(self, "u_minus", tuple(float(c) for c in self.u_minus))
-        if self.n1 <= 0 or self.n2 <= 0 or self.m_i <= 0:
+        u_plus, u_minus = tuple(float(c) for c in u_plus), tuple(float(c) for c in u_minus)
+        if n1 <= 0 or n2 <= 0 or m_i <= 0:
             raise ValueError("densities and ion mass must be positive")
+        return super().__new__(cls, u_plus, u_minus, n1, n2, m_i)
+
+    _make = classmethod(_make_validated)
 
     def velocity_jump(self) -> tuple:
         return tuple(p - m for p, m in zip(self.u_plus, self.u_minus))
 
 
-@dataclass(frozen=True, order=True)
-class WaveVector:
+class WaveVector(namedtuple("WaveVector", "k1 k2")):
     """Integer tangential frequency pair on the torus."""
 
-    k1: int
-    k2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k1 != int(self.k1) or self.k2 != int(self.k2):
+    def __new__(cls, k1, k2):
+        if k1 != int(k1) or k2 != int(k2):
             raise ValueError("wave vector components must be integers")
-        object.__setattr__(self, "k1", int(self.k1))
-        object.__setattr__(self, "k2", int(self.k2))
+        return super().__new__(cls, int(k1), int(k2))
+
+    _make = classmethod(_make_validated)
 
     @property
     def kappa(self) -> float:
@@ -139,8 +141,7 @@ class WaveVector:
 # closed-form vertical profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerticalProfile:
+class VerticalProfile(namedtuple("VerticalProfile", "kappa upper lower")):
     """Per-phase hyperbolic profile on x3 in [-1, 1].
 
     Each phase carries the exponential coefficients (a_plus, a_minus) of
@@ -153,13 +154,14 @@ class VerticalProfile:
     interface limits at x3 = 0 are exposed separately.
     """
 
-    kappa: float
-    upper: tuple   # (a_plus, a_minus)
-    lower: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.kappa > 0:
+    def __new__(cls, kappa, upper, lower):   # upper, lower: (a_plus, a_minus)
+        if not kappa > 0:
             raise ValueError("kappa must be positive")
+        return super().__new__(cls, kappa, upper, lower)
+
+    _make = classmethod(_make_validated)
 
     def _eval_exp(self, coeffs, x3):
         """a_plus e^{kappa x3} + a_minus e^{-kappa x3}: a number for a float x3, else an array."""
@@ -207,8 +209,7 @@ class VerticalProfile:
                                (factor * self.lower[0], factor * self.lower[1]))
 
 
-@dataclass(frozen=True)
-class SpectralMode:
+class SpectralMode(NamedTuple):
     """One normal mode: wave vector, velocity profiles and growth exponent.
 
     profiles holds the VerticalProfile of each velocity component
@@ -339,6 +340,12 @@ def linspace(start, stop, num):
     values = [(i / div * delta if step == 0 else i * step) + start for i in range(num)]
     values[-1] = stop
     return values
+
+
+def strictly_monotone(values):
+    """True iff a sequence strictly increases or strictly decreases; NaN fails both."""
+    steps = list(zip(values, values[1:]))
+    return all(y > x for x, y in steps) or all(y < x for x, y in steps)
 
 
 def vertical_levels(n_ver):

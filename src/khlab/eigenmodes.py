@@ -24,7 +24,7 @@ upper phase and -t in the lower one.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from khlab.core import (
     SpectralMode,
@@ -124,8 +124,7 @@ def potential_gradient_plane(terms, n_tan: int, n_ver: int, t: float = 0.0):
 # numerical audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Worst-case defect of a mode against its defining conditions."""
 
     max_harmonic_residual: float
@@ -134,8 +133,7 @@ class ResidualReport:
     interface_continuity_residual: float
 
     def max_residual(self) -> float:
-        return max(self.max_harmonic_residual, self.max_divergence_residual,
-                   self.wall_bc_residual, self.interface_continuity_residual)
+        return max(self)
 
 
 def verify_mode(mode: SpectralMode, sample_count: int = 1000) -> ResidualReport:

@@ -28,7 +28,7 @@ stage-by-stage RK4 to roundoff.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from khlab.core import PerturbationState, WaveVector, _r_frequencies, np
 
@@ -106,8 +106,7 @@ def _propagators(lambda_sq, t, stepper, dt):
 # boundary modes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryModeState:
+class BoundaryModeState(NamedTuple):
     """Amplitude and amplitude velocity of one interface mode."""
 
     k: WaveVector

@@ -32,7 +32,7 @@ state at a later time applies the co-moving drift phases.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from khlab.core import (
     PerturbationState,
@@ -188,8 +188,7 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
 # functionals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(NamedTuple):
     """Growth functional values of one state at one time."""
 
     t: float
@@ -283,8 +282,7 @@ def h2_readout(state: PerturbationState) -> float:
 # trajectory checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Proposition2Report:
+class Proposition2Report(NamedTuple):
     """Invariant-region audit of a trajectory.
 
     The region is {E1+ >= E1-, E1+ >= n^3 F, E1+ >= n^3 G}.  The report
@@ -296,15 +294,15 @@ class Proposition2Report:
     """
 
     n_cutoff: int
-    times: list = field(default_factory=list)
-    E1_plus: list = field(default_factory=list)
-    E1_minus: list = field(default_factory=list)
-    F: list = field(default_factory=list)
-    G: list = field(default_factory=list)
-    invariant: bool = True
-    first_violation_time: float = None
-    aux_order_bound_ok: bool = True
-    aux_low_frequency_bound_ok: bool = True
+    times: list
+    E1_plus: list
+    E1_minus: list
+    F: list
+    G: list
+    invariant: bool
+    first_violation_time: float
+    aux_order_bound_ok: bool
+    aux_low_frequency_bound_ok: bool
 
 
 def _aux_bounds_ok(state: PerturbationState, n: int, rel=1e-12):
@@ -345,7 +343,8 @@ def check_proposition2(trajectory, n_cutoff: int, a: float, b: float) -> Proposi
     states with mismatched cutoffs are rejected.  a and b enter only
     through the r part of F.
     """
-    report = Proposition2Report(n_cutoff=n_cutoff)
+    series, bounds = [], []   # (t, E1+, E1-, F, G) and the two side-bound flags per sample
+    first_violation_time = None
     n3 = float(n_cutoff) ** 3
     for t, state in _time_ordered(trajectory):
         if state.n_cutoff != n_cutoff:
@@ -353,23 +352,16 @@ def check_proposition2(trajectory, n_cutoff: int, a: float, b: float) -> Proposi
         rep = compute_functionals(state, [1.0], a, b, t=t)
         E1p = rep.E_plus[1.0]
         E1m = rep.E_minus[1.0]
-        report.times.append(t)
-        report.E1_plus.append(E1p)
-        report.E1_minus.append(E1m)
-        report.F.append(rep.F)
-        report.G.append(rep.G)
+        series.append((t, E1p, E1m, rep.F, rep.G))
         inside = (E1p >= E1m) and (E1p >= n3 * rep.F) and (E1p >= n3 * rep.G)
-        if not inside and report.invariant:
-            report.invariant = False
-            report.first_violation_time = t
-        order_ok, low_ok = _aux_bounds_ok(state, n_cutoff)
-        report.aux_order_bound_ok &= order_ok
-        report.aux_low_frequency_bound_ok &= low_ok
-    return report
+        if not inside and first_violation_time is None:
+            first_violation_time = t
+        bounds.append(_aux_bounds_ok(state, n_cutoff))
+    return Proposition2Report(n_cutoff, *map(list, zip(*series)), first_violation_time is None,
+                              first_violation_time, *map(all, zip(*bounds)))
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Exponential-growth audit: E1+(t) against E1+(0) * e^(n t)."""
 
     n_cutoff: int

@@ -11,13 +11,12 @@ so the sheet stays as unstable as the unmagnetized one.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from khlab.core import ShearParams, WaveVector
+from khlab.core import ShearParams, WaveVector, strictly_monotone
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Pointwise stability assessment of one configuration.
 
     gamma_squared is the squared normal-mode growth rate (NaN when only
@@ -179,7 +178,6 @@ def stability_map(params: ShearParams, a_range, b_range, k: WaveVector) -> dict:
 
 def _sweep_axis(values, name):
     axis = _floats(values, name)
-    steps = list(zip(axis, axis[1:]))
-    if not axis or not (all(y > x for x, y in steps) or all(y < x for x, y in steps)):
+    if not axis or not strictly_monotone(axis):
         raise ValueError(f"{name} must be nonempty and monotone")
     return axis

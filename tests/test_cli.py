@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -154,11 +155,16 @@ def _fresh_python(code):
 
 
 def test_import_does_not_load_scipy():
-    assert _fresh_python("import sys, khlab.cli; sys.exit('scipy' in sys.modules)").returncode == 0
+    # nor dataclasses, inspect or numpy's modules: the import is start-up cost of every command
+    proc = _fresh_python("import sys, khlab.cli; print([m for m in ('scipy', 'dataclasses', "
+                         "'inspect', 'numpy._core') if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # The closed-form commands and the parser touch no array: numpy's module is
 # registered lazily and must never execute (numpy._core is its first import).
+# They load neither dataclasses nor inspect either; numpy itself imports inspect.
 _NUMPY_GUARD = """
 import contextlib, io, sys
 from khlab.cli import _COMMANDS, main, parse_config
@@ -170,7 +176,7 @@ codes = []
 for argv in %s:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
-print(codes, "numpy._core" in sys.modules)
+print(codes, *(name in sys.modules for name in ("numpy._core", "dataclasses", "inspect")))
 """
 
 
@@ -184,14 +190,15 @@ def test_closed_forms_never_execute_numpy():
             ["--command", "map", "--k", "1,1", "--a_min", "1", "--a_max", "1", "--a_steps", "3"]]
     proc = _fresh_python(_NUMPY_GUARD % runs)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "3,", "2]", "False"]
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "3,", "2]", "False", "False",
+                                   "False"]
 
 
 def test_numpy_guard_sees_an_array_command():
     proc = _fresh_python(_NUMPY_GUARD % [["--command", "pressure", "--n_tan", "32",
                                           "--refinements", "2"]])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0]", "True"]
+    assert proc.stdout.split() == ["[0]", "True", "False", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +223,21 @@ def test_map_csv_schema(capsys):
 
 @pytest.mark.parametrize("axis", ["a", "b"])
 def test_degenerate_map_axis_names_its_keys(capsys, axis):
-    args = ["--command", "map", "--k", "1,1", f"--{axis}_min", "1", f"--{axis}_max", "1"]
-    message = f"{axis}_min and {axis}_max must differ when {axis}_steps > 1"
-    with pytest.raises(MalformedValueError, match=message):
-        parse_config("", args)
-    capsys.readouterr()
-    assert main(args) == 2
-    assert capsys.readouterr() == ("", f"khlab: {message}\n")
+    message = f"{axis}_min, {axis}_max and {axis}_steps must give distinct finite {axis} values"
+    # equal ends; a step that rounds to repeated values; a span past the float range
+    # (NaN values), also in a single step
+    for low, high, steps in [("1", "1", "10"), ("1", "1.0000000000000002", "100"),
+                             ("-1e308", "1e308", "3"), ("-1e308", "1e308", "1")]:
+        args = ["--command", "map", "--k", "1,1", f"--{axis}_min", low, f"--{axis}_max", high,
+                f"--{axis}_steps", steps]
+        with pytest.raises(MalformedValueError, match=message):
+            parse_config("", args)
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"khlab: {message}\n")
     # a single step needs no span
-    rc, out = run_cli(capsys, args + [f"--{axis}_steps", "1"])
+    rc, out = run_cli(capsys, ["--command", "map", "--k", "1,1", f"--{axis}_min", "1",
+                               f"--{axis}_max", "1", f"--{axis}_steps", "1"])
     assert rc == 0 and len(_data_lines(out)) == 1 + 10
 
 
@@ -243,6 +256,26 @@ def test_map_axis_text_matches_per_cell_formatting(capsys):
                             WaveVector(2, 1))
     assert [row[0] for row in rows] == ["%.17g" % a for a in columns["a"]]
     assert [row[1] for row in rows] == ["%.17g" % b for b in columns["b"]]
+
+
+def test_map_csv_is_written_in_bounded_blocks(monkeypatch):
+    # a 300 x 300 map is about 7 MB of CSV: it is formatted and written a block at a
+    # time, and the blocks join to the per-cell "%.17g" text of the library's columns
+    from khlab.core import ShearParams, WaveVector, linspace
+    from khlab.stability import stability_map
+
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["--command", "map", "--k", "3,1", "--a_steps", "300", "--b_steps", "300"]) == 0
+    monkeypatch.undo()
+    assert len(writes) > 1 and max(map(len, writes)) <= 10 ** 6
+    axis = linspace(0.0, 2.0, 300)
+    columns = stability_map(ShearParams(), axis, axis, WaveVector(3, 1))
+    cells = zip(*(["%.17g" % v if isinstance(v, float) else str(v).lower() for v in column]
+                  for column in columns.values()))
+    head, header, body = "".join(writes).partition("\na,b,gamma_squared,growing,syr1,syr2,strong\n")
+    assert head.startswith("# khlab map\n") and header
+    assert body == "".join(",".join(row) + "\n" for row in cells)
 
 
 def test_dispersion_json_round_trip(capsys):

@@ -41,6 +41,35 @@ def test_shear_params_validation():
         ShearParams(u_plus=(1.0, 0.0))
 
 
+def test_value_types_reject_field_assignment():
+    # each record type that was a frozen dataclass stays immutable as a named tuple
+    from khlab import BoundaryModeState, FunctionalReport, ResidualReport, SpectralMode
+    from khlab import StabilityVerdict
+
+    profile = VerticalProfile(1.0, (1.0, 0.0), (0.0, 1.0))
+    records = {"u_plus": ShearParams(), "k1": WaveVector(1, 2), "kappa": profile,
+               "lam": SpectralMode(WaveVector(1, 0), (profile,) * 3, 1.0),
+               "growing": StabilityVerdict(1.0, True, False, False, False),
+               "wall_bc_residual": ResidualReport(0.0, 0.0, 0.0, 0.0),
+               "amplitude": BoundaryModeState(WaveVector(1, 0), 1.0, 0.0),
+               "G": FunctionalReport(0.0, {}, {}, 0.0, 0.0)}
+    for name, record in records.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
+
+
+def test_replace_validates_like_the_constructor():
+    assert ShearParams()._replace(u_plus=[2, 0, 0]).u_plus == (2.0, 0.0, 0.0)
+    wave = WaveVector(1, 2)._replace(k2=3.0)
+    assert wave == (1, 3) and type(wave.k2) is int
+    with pytest.raises(ValueError):
+        ShearParams()._replace(n2=0.0)
+    with pytest.raises(ValueError):
+        WaveVector(1, 2)._replace(k1=1.5)
+    with pytest.raises(ValueError):
+        VerticalProfile(1.0, (1.0, 0.0), (0.0, 1.0))._replace(kappa=0.0)
+
+
 def test_package_exports_exist():
     import khlab
 

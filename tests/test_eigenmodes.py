@@ -1,7 +1,6 @@
 """Normal-mode construction and residual audit checks."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ def corrupt_mode(mode, delta: float = 0.1):
     W = mode.profiles[2]
     a_plus, a_minus = W.upper
     bad = VerticalProfile(W.kappa, (a_plus + delta / 2, a_minus + delta / 2), W.lower)
-    return replace(mode, profiles=(*mode.profiles[:2], bad))
+    return mode._replace(profiles=(*mode.profiles[:2], bad))
 
 
 def test_profiles_interface_value():
