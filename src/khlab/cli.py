@@ -5,9 +5,11 @@ Configuration comes from an optional UTF-8 file of ``key = value`` lines
 values.  Outputs are CSV (metadata echo in ``#`` comment lines, then a
 single header row, 17-significant-digit numbers) or JSON validated
 against the shipped schema; files are written atomically.  Exit codes:
-0 success, 1 a requested check failed, 2 usage or validation error,
-3 numerical solver failure, overflow of the float range or an internal
-error.
+0 success, 1 a requested check failed, 2 usage or validation error or
+output that cannot be written (after a write to a closed stdout fails,
+its descriptor points at os.devnull so that the flush at exit prints
+nothing), 3 numerical solver failure, overflow of the float range or an
+internal error.
 """
 
 import json
@@ -535,7 +537,16 @@ def run(cfg: RunConfig) -> int:
         # exit 1 is reserved for a failed check, so a defect must not reach it as a traceback
         sys.stderr.write(f"khlab: internal error: {type(exc).__name__}: {exc}\n")
         return 3
-    _emit(cfg, payload)
+    try:
+        _emit(cfg, payload)
+    except OSError as exc:
+        target = repr(cfg.out) if cfg.out not in (None, "-") else "stdout"
+        if target == "stdout":
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        sys.stderr.write(f"khlab: cannot write output: {target}: {exc.strerror or exc}\n")
+        return 2
     return code
 
 

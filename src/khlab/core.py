@@ -16,12 +16,12 @@ Geometry and conventions (used by every module in the package):
   large kappa instead of cancelling catastrophically.
 * All quantities are dimensionless; default densities and ion mass
   are one.
-* Array code on a grid 3-vector uses one stacked layout, axes
-  (component, phase, x1, x2, x3) with the upper phase first; _stack and
-  _unstack convert.  A length-1 x2 axis means "constant in x2"
-  everywhere: such a plane stays a plane through decomposition and
-  reconstruction, and only the x2 spectrum of r, which keeps the one
-  shape of the full grid, broadcasts it.
+* A grid field is one array, axes (phase, x1, x2, x3) with the upper
+  phase first, and a grid 3-vector stacks three of them, axes
+  (component, phase, x1, x2, x3); _stack and _unstack convert.  A
+  length-1 x2 axis means "constant in x2" everywhere: such a plane
+  stays a plane through decomposition, reconstruction and the x2
+  spectrum of r, which keeps the x2 extent of its data.
 
 Everything here is a plain value object: construct, then treat as
 immutable.  Operations are pure functions, safe to run concurrently.
@@ -247,45 +247,40 @@ class TwoPhaseGridField:
         upper levels  x3 = 0, h, ..., 1      (index 0 is the interface)
         lower levels  x3 = -1, ..., -h, 0    (index -1 is the interface)
 
-    Values are float arrays of shape (n_tan, n_x2, n_ver + 1) with axes
-    (x1, x2, x3), where the x2 extent n_x2 is n_tan, or 1 for a plane
-    meaning "constant in x2".  The extent is read from the arrays and is
-    part of the grid: a plane and a full field do not combine.
+    values is one float array of shape (2, n_tan, n_x2, n_ver + 1) with
+    axes (phase, x1, x2, x3), upper phase first: one component of the
+    stacked layout.  The x2 extent n_x2 is n_tan, or 1 for a plane
+    meaning "constant in x2".  n_tan, n_x2 and n_ver are read from the
+    shape, so a plane and a full field live on different grids.
+    Arithmetic is numpy's, on .values.
     """
 
-    __slots__ = ("n_tan", "n_ver", "values_upper", "values_lower")
+    __slots__ = ("values",)
+    n_tan = property(lambda self: self.values.shape[1])
+    n_x2 = property(lambda self: self.values.shape[2])
+    n_ver = property(lambda self: self.values.shape[3] - 1)
 
-    def __init__(self, n_tan, n_ver, values_upper, values_lower):
-        values_upper = np.asarray(values_upper, dtype=float)
-        values_lower = np.asarray(values_lower, dtype=float)
-        if (values_upper.shape not in ((n_tan, n_tan, n_ver + 1), (n_tan, 1, n_ver + 1))
-                or values_lower.shape != values_upper.shape):
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float)
+        if (values.ndim != 4 or values.shape[0] != 2 or values.shape[3] < 2
+                or values.shape[2] not in (values.shape[1], 1)):
             raise GridMismatchError(
-                f"value arrays must have shape {(n_tan, n_tan, n_ver + 1)} or "
-                f"{(n_tan, 1, n_ver + 1)}, got {values_upper.shape} and {values_lower.shape}")
-        self.n_tan = int(n_tan)
-        self.n_ver = int(n_ver)
-        self.values_upper = values_upper
-        self.values_lower = values_lower
+                f"values must have shape (2, n_tan, n_tan or 1, n_ver + 1), got {values.shape}")
+        self.values = values
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def zeros(cls, n_tan, n_ver, n_x2=None):
-        shape = (n_tan, n_tan if n_x2 is None else n_x2, n_ver + 1)
-        return cls(n_tan, n_ver, np.zeros(shape), np.zeros(shape))
+        return cls(np.zeros((2, n_tan, n_tan if n_x2 is None else n_x2, n_ver + 1)))
 
     @classmethod
     def from_function(cls, fn, n_tan, n_ver):
         """Sample fn(x1, x2, x3) on both phases (broadcasting arrays)."""
         x = tangential_grid(n_tan)
-        zu, zl = map(np.asarray, vertical_levels(n_ver))
-        up = fn(x[:, None, None], x[None, :, None], zu[None, None, :])
-        lo = fn(x[:, None, None], x[None, :, None], zl[None, None, :])
-        shape = (n_tan, n_tan, n_ver + 1)
-        return cls(n_tan, n_ver,
-                   np.broadcast_to(up, shape).copy(),
-                   np.broadcast_to(lo, shape).copy())
+        z = np.array(vertical_levels(n_ver))
+        values = fn(x[None, :, None, None], x[None, None, :, None], z[:, None, None, :])
+        return cls(np.broadcast_to(values, (2, n_tan, n_tan, n_ver + 1)).copy())
 
     # -- geometry ------------------------------------------------------
 
@@ -297,31 +292,8 @@ class TwoPhaseGridField:
     def h_ver(self) -> float:
         return 1.0 / self.n_ver
 
-    @property
-    def n_x2(self) -> int:
-        return self.values_upper.shape[1]
-
-    def same_grid(self, other) -> bool:
-        return self.values_upper.shape == other.values_upper.shape
-
-    # -- arithmetic ------------------------------------------------------
-
-    def _binary(self, other, op):
-        if not self.same_grid(other):
-            raise GridMismatchError("fields live on different grids")
-        return TwoPhaseGridField(self.n_tan, self.n_ver,
-                                 op(self.values_upper, other.values_upper),
-                                 op(self.values_lower, other.values_lower))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(self.values_upper))),
-                   float(np.max(np.abs(self.values_lower))))
+        return float(np.max(np.abs(self.values)))
 
 
 def tangential_grid(n_tan):
@@ -360,10 +332,6 @@ def _vertical_weights(n_ver):
     return w
 
 
-def vector_field_zeros(n_tan, n_ver):
-    return tuple(TwoPhaseGridField.zeros(n_tan, n_ver) for _ in range(3))
-
-
 def row_profile_plane(row_up, row_lo, profile, n_ver):
     """Re(row(x1) * profile(x3)) per phase, constant in x2: axes (phase, x1, 1, x3)."""
     zu, zl = vertical_levels(n_ver)
@@ -375,15 +343,14 @@ def _stack(vec):
     """A grid 3-vector as one array, axes (component, phase, x1, x2, x3), upper phase first."""
     if len(vec) != 3:
         raise ValueError("expected a 3-vector of grid fields")
-    if not all(c.same_grid(vec[0]) for c in vec):
+    if len({c.values.shape for c in vec}) != 1:
         raise GridMismatchError("the components of a 3-vector live on different grids")
-    return np.array([(c.values_upper, c.values_lower) for c in vec], dtype=float)
+    return np.array([c.values for c in vec])
 
 
 def _unstack(values):
     """The grid 3-vector of a stacked array, sharing its memory; a plane stays a plane."""
-    n_tan, n_ver = values.shape[2], values.shape[4] - 1
-    return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
+    return tuple(map(TwoPhaseGridField, values))
 
 
 # ---------------------------------------------------------------------------
@@ -398,29 +365,20 @@ def _integer_frequencies(n_tan):
 # perturbation state
 # ---------------------------------------------------------------------------
 
-def _r_frequencies(n_tan):
-    """The k2 = 0, 1, ..., n_tan//2 of the stored x2 spectrum of r, as floats."""
-    return np.arange(n_tan // 2 + 1, dtype=float)
+def _r_frequencies(spectrum):
+    """The k2 of a stored x2 spectrum of r as floats: 0, ..., n_tan//2, or 0 alone for a plane."""
+    return np.arange(spectrum.shape[3], dtype=float)
 
 
 def _r_spectrum(values):
     """x2 rfft of a stacked grid 3-vector or plane: axes (component, phase, x1, k2, x3)."""
-    _check_r_field(values)
-    n_tan = values.shape[2]
-    return np.fft.rfft(np.broadcast_to(values, (*values.shape[:3], n_tan, values.shape[4])),
-                       axis=3)
+    return np.fft.rfft(values, axis=3)
 
 
 def _r_grid(spectrum):
-    """The stacked grid 3-vector of an x2 spectrum (inverse of _r_spectrum)."""
-    return np.fft.irfft(spectrum, n=spectrum.shape[2], axis=3)
-
-
-def _check_r_field(values):
-    """r3 must vanish exactly on interface and wall rows, in grid values or x2 spectrum."""
-    if values is not None and np.any(values[2][..., [0, -1]] != 0.0):
-        raise ValueError("third component of r must vanish exactly on "
-                         "the interface and the walls")
+    """The stacked grid 3-vector or plane of an x2 spectrum (inverse of _r_spectrum)."""
+    n_x2 = 1 if spectrum.shape[3] == 1 else spectrum.shape[2]
+    return np.fft.irfft(spectrum, n=n_x2, axis=3)
 
 
 class PerturbationState:
@@ -435,17 +393,21 @@ class PerturbationState:
     r and r_dot are optional 3-vector fields whose third component
     vanishes on the interface and the walls.  The r block is diagonal in
     the x2 Fourier modes, so they are stored only as their x2 spectra
-    r_hat and r_dot_hat: rfft(values, axis=x2), complex arrays of shape
-    (3, 2, n_tan, n_tan//2 + 1, n_ver + 1), axes (component, phase, x1,
-    k2, x3).  The r= and r_dot= arguments take grid 3-vectors, full grids
-    or x2-constant planes, transformed once; state.r and state.r_dot read
-    back fresh full-grid fields.
+    r_hat and r_dot_hat: rfft(values, axis=x2), complex arrays with axes
+    (component, phase, x1, k2, x3).  r keeps the x2 extent of its data:
+    a full grid stores the shape (3, 2, n_tan, n_tan//2 + 1, n_ver + 1),
+    an x2-constant plane k2 = 0 only, (3, 2, n_tan, 1, n_ver + 1).  A
+    state has one extent, so a plane beside a full grid is promoted to
+    the spectrum of its x2 repeat.  The r= and r_dot= arguments take grid
+    3-vectors, full grids or planes, transformed once; state.r and
+    state.r_dot read back fresh fields of the stored extent.
 
     grid = (n_tan, n_ver), when given, is the grid of the r block even
     where it is absent (a decomposition that dropped a round-off r or
-    r_dot): an absent block then reads back as zero fields and its
-    frequencies still enter the rk4 stability rule.  Without a grid an
-    absent block reads None.
+    r_dot): an absent block then reads back as full-grid zero fields and
+    its frequencies still enter the rk4 stability rule, as do the grid's
+    k2 frequencies for a plane.  Without a grid an absent block reads
+    None.
 
     Coefficients live in the co-moving tangential frame: materialising
     a field at time t multiplies mode j by exp(+i*j*t) in the upper
@@ -468,25 +430,39 @@ class PerturbationState:
         for j in list(self.g) + list(self.g_dot):
             if j < 1:
                 raise ValueError("g coefficients are indexed by j >= 1")
-        self.r_hat, self.r_dot_hat = (None if v is None else _r_spectrum(_stack(v))
-                                      for v in (r, r_dot))
         self.grid = grid
+        self._set_r(*(None if v is None else _r_spectrum(_stack(v)) for v in (r, r_dot)))
 
     @classmethod
     def _from_spectra(cls, n_cutoff, P, P_dot, L, L_dot, g, g_dot, r_hat, r_dot_hat,
                       grid=None):
         """A state built straight from x2 spectra (checked, not transformed)."""
         state = cls(n_cutoff, P, P_dot, L, L_dot, g, g_dot, grid=grid)
-        for spectrum in (r_hat, r_dot_hat):
-            _check_r_field(spectrum)
-        state.r_hat, state.r_dot_hat = r_hat, r_dot_hat
+        state._set_r(r_hat, r_dot_hat)
         return state
+
+    def _set_r(self, r_hat, r_dot_hat):
+        """Check and store the r spectra on one x2 extent: a plane beside a full grid
+        becomes the spectrum of its x2 repeat, n_tan times it at k2 = 0, zero elsewhere."""
+        spectra = [s for s in (r_hat, r_dot_hat) if s is not None]
+        for spectrum in spectra:   # r3 on the interface and wall rows, exactly
+            if np.any(spectrum[2][..., [0, -1]] != 0.0):
+                raise ValueError("third component of r must vanish exactly on "
+                                 "the interface and the walls")
+        n_k2 = max([s.shape[3] for s in spectra], default=1)
+        self.r_hat, self.r_dot_hat = (
+            s if s is None or s.shape[3] == n_k2
+            else np.pad(s.shape[2] * s, [(0, 0)] * 3 + [(0, n_k2 - 1), (0, 0)])
+            for s in (r_hat, r_dot_hat))
+        if len({s.shape for s in (self.r_hat, self.r_dot_hat) if s is not None}) > 1:
+            raise GridMismatchError("r and r_dot live on different grids")
 
     def _fields(self, spectrum):
         """Grid 3-vector of a stored spectrum; zero fields for an absent block on a known grid."""
         if spectrum is not None:
             return _unstack(_r_grid(spectrum))
-        return None if self.grid is None else vector_field_zeros(*self.grid)
+        return None if self.grid is None else tuple(
+            TwoPhaseGridField.zeros(*self.grid) for _ in range(3))
 
     @property
     def r(self):

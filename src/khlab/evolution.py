@@ -153,7 +153,7 @@ def apply_A(state: PerturbationState) -> PerturbationState:
     def on_r(spectrum):
         if spectrum is None:
             return None
-        return spectrum * (_r_frequencies(spectrum.shape[2]) ** 2)[:, None]
+        return spectrum * (_r_frequencies(spectrum) ** 2)[:, None]
 
     return PerturbationState._from_spectra(
         state.n_cutoff,
@@ -195,10 +195,10 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     and decay at rate j, g oscillates at sqrt(2)*j, r oscillates at
     a*|k2| above and b*|k2| below the interface (x2-independent r
     content moves linearly in t).  All coefficients and every x2 mode
-    of r go through one call of the propagator; rk4 is rejected when
-    max|omega| times the step taken exceeds RK4_STABILITY_LIMIT.  An
-    absent r block on a known grid stays absent, but its frequencies
-    still enter that rule.
+    of the grid go through one call of the propagator; rk4 is rejected
+    when max|omega| times the step taken exceeds RK4_STABILITY_LIMIT.
+    An absent r block on a known grid stays absent, and a plane r stays
+    a plane, but the grid's k2 frequencies still enter that rule.
     """
     blocks = [(state.P, state.P_dot, 1.0), (state.L, state.L_dot, 1.0),
               (state.g, state.g_dot, -2.0)]
@@ -208,7 +208,7 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     r_hat, r_dot_hat = state.r_hat, state.r_dot_hat
     n_tan = _r_n_tan(state)
     if n_tan:
-        k2 = _r_frequencies(n_tan)
+        k2 = np.arange(n_tan // 2 + 1, dtype=float)   # the grid's, whatever r stores
         with np.errstate(over="ignore"):   # a field past 1e154 leaves the float range here
             lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
         lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
@@ -224,11 +224,13 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
         evolved.append(dict(zip(js, (c * lam_sq[sl] * S[sl] + d * C[sl]).tolist())))
 
     if r_hat is not None or r_dot_hat is not None:
-        shape = (1, 2, 1, k2.size, 1)
-        Cr, Sr = C[i:].reshape(shape), S[i:].reshape(shape)
+        # the stored k2 lead the grid's: all of them, or k2 = 0 alone for a plane
+        n_k2 = (r_dot_hat if r_hat is None else r_hat).shape[3]
+        Cr, Sr, lam = (x.reshape(1, 2, 1, k2.size, 1)[:, :, :, :n_k2]
+                       for x in (C[i:], S[i:], lam_r))
         y0 = 0.0 if r_hat is None else r_hat
         v0 = 0.0 if r_dot_hat is None else r_dot_hat
-        r_hat, r_dot_hat = y0 * Cr + v0 * Sr, y0 * (lam_r.reshape(shape) * Sr) + v0 * Cr
+        r_hat, r_dot_hat = y0 * Cr + v0 * Sr, y0 * (lam * Sr) + v0 * Cr
 
     return PerturbationState._from_spectra(state.n_cutoff, *evolved, r_hat, r_dot_hat,
                                            state.grid)

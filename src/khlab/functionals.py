@@ -10,8 +10,8 @@ high frequencies P and low frequencies L) and its even part in g_j.
 Both families are constant in x2, so grad h is built once on the
 (x1, x3) plane and broadcast along x2: the decomposition subtracts it
 in place from a stacked copy of chi (core's component, phase, x1, x2,
-x3 layout).  x2-constant data (x2 extent 1) stay planes throughout; only the
-stored x2 spectrum of r has the full grid's shape.
+x3 layout).  x2-constant data (x2 extent 1) stay planes throughout, the
+stored x2 spectrum of r included.
 
 Growth is measured by quadratic functionals built from the block
 operator A (the j^2 multiplier on potential coefficients, k2^2 on r):
@@ -125,9 +125,12 @@ def _gradient_plane(odd, even, n_tan, n_ver, t=0.0):
     return potential_gradient_plane(terms, n_tan, n_ver, t)
 
 
-def _decompose_single(chi, tol, scale):
-    """(odd, even, r_hat) of one grid 3-vector whose largest entry is at most scale."""
+def _decompose_single(chi, tol):
+    """(odd, even, r_hat) of one grid 3-vector; tol None is 1e-12 times its own sup norm."""
     values = _stack(chi)
+    scale = float(max(values.max(), -values.min()))   # sup|chi|
+    if tol is None:
+        tol = 1e-12 * scale
     n_tan, n_ver = values.shape[2], values.shape[4] - 1
     up3, lo3 = values[2]
     wall = max(float(np.max(np.abs(up3[:, :, -1]))), float(np.max(np.abs(lo3[:, :, 0]))))
@@ -164,15 +167,15 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
     chi_dot fills the velocity partners.  Like a potential coefficient,
     an r or r_dot whose entries are all at or below tol is stored as
     absent; the state keeps the grid, so it reads back as zero fields.
+    tol None gives each vector the tolerance 1e-12 * sup|vector| of its
+    own scale: scaling the data by a power of two scales the state
+    exactly, and all-zero data give an exact zero state.
     """
     if n_cutoff < 1:
         raise ValueError("n_cutoff must be >= 1")
-    scales = [max(1.0, *(c.max_abs() for c in vec)) for vec in (chi, chi_dot)]
-    if tol is None:
-        tol = 1e-12 * max(scales)
     # one vector at a time, so only one stacked copy is alive
-    odd, even, r_hat = _decompose_single(chi, tol, scales[0])
-    odd_dot, even_dot, r_dot_hat = _decompose_single(chi_dot, tol, scales[1])
+    odd, even, r_hat = _decompose_single(chi, tol)
+    odd_dot, even_dot, r_dot_hat = _decompose_single(chi_dot, tol)
 
     def split(coeffs):
         return ({j: c for j, c in coeffs.items() if j >= n_cutoff},
@@ -227,22 +230,24 @@ def _r_energy(state: PerturbationState, a: float, b: float):
     h_tan^2/n_tan * sum c_k m_k w_x3 |r_hat|^2: c_k = 1 at k2 = 0 and at the Nyquist
     mode of even n_tan, else 2 (the conjugates rfft omits); m_k = 1 for r_dot,
     (a*k2)^2 above and (b*k2)^2 below the interface for r; w_x3 trapezoid weights.
+    A plane's k2 = 0 alone stands for n_tan equal columns, so it weighs h_tan^2*n_tan.
+    Summing x3, then phase, then k2 adds a plane as its full-grid repeat, zero at k2 > 0.
     """
-    def parseval(spectrum, m):
+    def parseval(spectrum, stiff):
         n_tan, n_ver = spectrum.shape[2], spectrum.shape[4] - 1
-        k2 = _r_frequencies(n_tan)
+        k2 = _r_frequencies(spectrum)
         c = np.where((k2 == 0) | (2 * k2 == n_tan), 1.0, 2.0)
+        m = (np.array([[a], [b]]) * k2) ** 2 if stiff else 1.0
         power = sum(np.einsum("cpikz,cpikz->pkz", part, part)
                     for part in (spectrum.real, spectrum.imag))
-        w = _vertical_weights(n_ver) * (2.0 * math.pi / n_tan) ** 2 / n_tan
-        return float(np.einsum("pkz,pk,z->", power, m * c, w))
+        w = _vertical_weights(n_ver) * (2.0 * math.pi / n_tan) ** 2
+        w = w * n_tan if k2.size == 1 else w / n_tan
+        return float(((power * w).sum(axis=2) * (m * c)).sum(axis=0).sum())
 
     total = 0.0
-    if state.r_dot_hat is not None:
-        total += parseval(state.r_dot_hat, np.ones((2, 1)))
-    if state.r_hat is not None:
-        k2 = _r_frequencies(state.r_hat.shape[2])
-        total += parseval(state.r_hat, (np.array([[a], [b]]) * k2) ** 2)
+    for spectrum, stiff in ((state.r_dot_hat, False), (state.r_hat, True)):
+        if spectrum is not None:
+            total += parseval(spectrum, stiff)
     return total
 
 

@@ -202,21 +202,20 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     fj = np.zeros((n_tan, n2)) if flux_jump is None else np.asarray(flux_jump, dtype=float)
     if vj.shape != (n_tan, n2) or fj.shape != (n_tan, n2):
         raise ValueError(f"jump data must be {(n_tan, n2)} interface grids, the source's extent")
-    if not all(np.isfinite(a).all() for a in (source.values_upper, source.values_lower, vj, fj)):
+    if not all(np.isfinite(a).all() for a in (source.values, vj, fj)):
         raise ValueError("source, value_jump and flux_jump must be finite")
 
     # right-hand sides with the vertical rows first and the modes last:
     # k = (freqs[i1], freqs[i2]) with i1 < n_half is column i1 * n2 + i2,
-    # the zero mode column 0; x1 is the halved axis because phi depends on k1
+    # the zero mode column 0; x1 is the halved axis because phi depends on k1.
+    # The rows are the lower then the upper phase, with the jumps on the interface rows
     N = n_ver
     n_half = n_tan // 2 + 1
     n_points = n_tan * n2
-    b = np.zeros((2 * N + 2, n_tan, n2))
-    b[1:N] = np.moveaxis(source.values_lower[:, :, 1:N], -1, 0)
-    b[N] = vj
-    b[N + 1] = fj
-    b[N + 2:2 * N + 1] = np.moveaxis(source.values_upper[:, :, 1:N], -1, 0)
-    b = np.fft.rfft2(b, axes=(2, 1)).reshape(2 * N + 2, n_half * n2) / n_points
+    b = np.zeros((2, N + 1, n_tan, n2))
+    b[:, 1:N] = np.moveaxis(source.values[::-1, :, :, 1:N], -1, 1)
+    b[0, N], b[1, 0] = vj, fj
+    b = np.fft.rfft2(b, axes=(3, 2)).reshape(2 * N + 2, n_half * n2) / n_points
 
     freqs = _integer_frequencies(n_tan)
     h_tan = source.h_tan
@@ -239,8 +238,9 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
             f"exceeds {RESIDUAL_TOL}")
 
     z = z.reshape(2 * N + 2, n_half, n2) * n_points
-    vals = np.moveaxis(np.fft.irfft2(z, s=(n2, n_tan), axes=(2, 1)), 0, -1)
-    return TwoPhaseGridField(n_tan, n_ver, vals[:, :, N + 1:], vals[:, :, :N + 1])
+    vals = np.fft.irfft2(z, s=(n2, n_tan), axes=(2, 1)).reshape(2, N + 1, n_tan, n2)
+    # rows are lower then upper phase: a view with the phases reversed, x3 last
+    return TwoPhaseGridField(np.moveaxis(vals[::-1], 1, -1))
 
 
 def pressure_decomposition(source: TwoPhaseGridField, M_data=None,
@@ -277,13 +277,13 @@ def mode_solver_fd_error(k: WaveVector, flux_amplitude: float,
     x2 = x1[:1] if k.k2 == 0 else x1
     phase = np.exp(1j * (k.k1 * x1[:, None] + k.k2 * x2[None, :]))
     zu, zl = vertical_levels(n_ver)
-    exact_up = np.real(phase[:, :, None] * q_up.eval_upper(zu)[None, None, :])
-    exact_lo = np.real(phase[:, :, None] * q_lo.eval_lower(zl)[None, None, :])
+    profiles = np.array([q_up.eval_upper(zu), q_lo.eval_lower(zl)])
+    exact = np.real(phase[None, :, :, None] * profiles[:, None, None, :])
 
     fj = np.real(phase) * flux_amplitude
     zero_source = TwoPhaseGridField.zeros(n_tan, n_ver, x2.size)
     fd = solve_two_phase_poisson_fd(zero_source, flux_jump=fj)
-    return (fd - TwoPhaseGridField(n_tan, n_ver, exact_up, exact_lo)).max_abs()
+    return float(np.max(np.abs(fd.values - exact)))
 
 
 def fitted_convergence_order(errors):

@@ -149,22 +149,27 @@ def check_syrovatskij(jump_u, h_plus, h_minus) -> StabilityVerdict:
 
 
 def evaluate_point(params: ShearParams, k: WaveVector, a: float, b: float) -> StabilityVerdict:
-    """Full verdict for one (a, b) cell: growth rate plus criteria flags."""
-    _, _, *verdict = stability_map(params, [a], [b], k).values()
+    """Full verdict for one (a, b) cell: growth rate plus criteria flags; a, b may be infinite."""
+    _, _, *verdict = _sweep(params, _floats([a], "a_range"), _floats([b], "b_range"), k).values()
     return StabilityVerdict(*(column[0] for column in verdict))
 
 
 def stability_map(params: ShearParams, a_range, b_range, k: WaveVector) -> dict:
     """Sweep transverse field strengths into columns.
 
-    a_range and b_range must be nonempty monotone flat sequences (lists
-    or 1-D arrays).  The result maps a, b, gamma_squared, growing,
-    syrovatskij_first, syrovatskij_second and strong_condition to lists
-    of Python floats and bools in row-major order (a slow, b fast).  The
-    terms of the fields (0, a, 0) above and (0, b, 0) below are computed
-    once per a and once per b, and each cell equals evaluate_point.
+    a_range and b_range must be nonempty, finite and monotone flat
+    sequences (lists or 1-D arrays).  The result maps a, b,
+    gamma_squared, growing, syrovatskij_first, syrovatskij_second and
+    strong_condition to lists of Python floats and bools in row-major
+    order (a slow, b fast).  The terms of the fields (0, a, 0) above and
+    (0, b, 0) below are computed once per a and once per b, and each
+    cell equals evaluate_point.
     """
-    a_vals, b_vals = _sweep_axis(a_range, "a_range"), _sweep_axis(b_range, "b_range")
+    return _sweep(params, _sweep_axis(a_range, "a_range"), _sweep_axis(b_range, "b_range"), k)
+
+
+def _sweep(params, a_vals, b_vals, k):
+    """The columns of stability_map over two lists of floats, which are not checked."""
     above, below = ([(0.0, v, 0.0) for v in vals] for vals in (a_vals, b_vals))
     g2 = _gamma_squared(params, _wave_vec3(k), above, below)
     # parallel fields: |h+ x h-| is 0 where a and b are finite, NaN (0 * inf) elsewhere
@@ -178,6 +183,6 @@ def stability_map(params: ShearParams, a_range, b_range, k: WaveVector) -> dict:
 
 def _sweep_axis(values, name):
     axis = _floats(values, name)
-    if not axis or not strictly_monotone(axis):
-        raise ValueError(f"{name} must be nonempty and monotone")
+    if not (axis and strictly_monotone(axis) and all(map(math.isfinite, axis))):
+        raise ValueError(f"{name} must be nonempty, finite and monotone")
     return axis

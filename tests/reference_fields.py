@@ -23,9 +23,18 @@ from khlab.functionals import _gradient_plane
 
 def full_grid(vec):
     """The full-grid repeat of a 3-vector of x2-constant planes."""
-    return tuple(TwoPhaseGridField(c.n_tan, c.n_ver,
-                                   np.repeat(c.values_upper, c.n_tan, axis=1),
-                                   np.repeat(c.values_lower, c.n_tan, axis=1)) for c in vec)
+    return tuple(TwoPhaseGridField(np.repeat(c.values, c.n_tan, axis=2)) for c in vec)
+
+
+def plane_spectrum_agrees(plane_hat, full_hat, rel=1e-14):
+    """Whether an x2 spectrum of a plane matches that of its full-grid repeat.
+
+    The plane keeps k2 = 0 alone, and the repeat holds n_tan times it there
+    and zero at every other k2; both to rel times the repeat's largest entry.
+    """
+    n_tan, scale = full_hat.shape[2], np.max(np.abs(full_hat))
+    return bool(np.max(np.abs(n_tan * plane_hat - full_hat[:, :, :, :1])) <= rel * scale
+                and np.max(np.abs(full_hat[:, :, :, 1:])) <= rel * scale)
 
 
 def potential_gradient_field(profile, coeff, n_tan, n_ver, t=0.0):
@@ -41,11 +50,11 @@ def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
     polynomials below the Nyquist frequency); the vertical uses the
     trapezoidal rule per phase.  Symmetric and bilinear by construction.
     """
-    if not f.same_grid(g):
+    if f.values.shape != g.values.shape:
         raise GridMismatchError("inner product requires identical grids")
     w = _vertical_weights(f.n_ver)
-    s = np.sum(f.values_upper * g.values_upper * w)
-    s += np.sum(f.values_lower * g.values_lower * w)
+    s = np.sum(f.values[0] * g.values[0] * w)
+    s += np.sum(f.values[1] * g.values[1] * w)
     return float(s * f.h_tan ** 2 * (f.n_tan // f.n_x2))   # a plane stands for n_tan columns
 
 

@@ -145,12 +145,17 @@ def test_threads_key_removed():
     assert main(["--command", "pressure", "--threads", "2"]) == 2
 
 
-def _fresh_python(code):
-    """Run code in a fresh interpreter on this checkout's source."""
+def _source_env():
+    """The environment of a fresh interpreter that imports this checkout's source."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+    return env
+
+
+def _fresh_python(code):
+    """Run code in a fresh interpreter on this checkout's source."""
+    return subprocess.run([sys.executable, "-c", code], env=_source_env(), timeout=60,
                           capture_output=True, text=True)
 
 
@@ -341,6 +346,35 @@ def test_illposedness_json_passes(capsys):
     assert data["growth_factor"] >= math.exp(8 * 2.0) * (1 - 1e-6)
 
 
+def test_illposedness_verdict_is_scale_equivariant(capsys):
+    # each vector's drop tolerance follows its own sup norm, so data scaled by 2^k
+    # decompose to exactly scaled coefficients: the same verdict and growth factor
+    verdicts = []
+    for k in (-400, -40, 0, 40, 400):
+        rc, out = run_cli(capsys, ["--command", "illposedness", "--n", "8", "--n_tan", "32",
+                                   "--n_ver", "16", "--scale", repr(2.0 ** k)])
+        data = json.loads(out)["data"]
+        verdicts.append((rc, data["passed"], data["growth_factor"].hex()))
+    assert verdicts[2][:2] == (0, True)
+    assert verdicts == [verdicts[2]] * 5
+
+
+def test_small_data_keep_their_series(capsys):
+    # at scale 1e-12 the data (sup norm 6e-14) were once below an absolute
+    # tolerance, and every row read zero
+    args = ["--command", "evolve", "--n", "8", "--n_tan", "32", "--n_ver", "16"]
+    rows = []
+    for scale in ("1", "1e-12"):
+        rc, out = run_cli(capsys, args + ["--scale", scale])
+        assert rc == 0
+        rows.append([list(map(float, l.split(","))) for l in _data_lines(out)[1:]])
+    # E1_minus, a difference of growing terms, is left out: it agrees only to its round-off
+    for (t, E1p, _, G, F, h2), small in zip(*rows):
+        assert small[1] > 0.0
+        assert [small[0], small[3], small[4]] == [t, G, F]
+        assert [small[1], small[5]] == pytest.approx([1e-24 * E1p, 1e-12 * h2], rel=1e-12, abs=0)
+
+
 def test_functionals_json(capsys):
     rc, out = run_cli(capsys, ["--command", "functionals", "--n", "5",
                                "--t", "1.0", "--samples", "5",
@@ -369,6 +403,59 @@ def test_atomic_write_creates_file(tmp_path):
     assert doc["command"] == "verify"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".khlab-")]
     assert leftovers == []
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle.fileno()))
+        rc = main(["--command", "map", "--k", "1,1", "--a_steps", "30", "--b_steps", "30"])
+        # stdout's descriptor now points at os.devnull: the flush at exit prints nothing
+        assert os.path.samestat(os.fstat(handle.fileno()), os.stat(os.devnull))
+    assert rc == 2
+    assert capsys.readouterr().err == "khlab: cannot write output: stdout: Broken pipe\n"
+
+
+def test_closed_stdout_pipe_in_a_process():
+    # as in `khlab --command map ... | head -1`, with the reader gone before the first byte;
+    # the output passes the buffer of stdout (buffered, the default for a pipe), so a write
+    # fails and what the buffer still holds goes to os.devnull at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "khlab.cli", "--command", "map", "--k", "1,1",
+                               "--a_steps", "100", "--b_steps", "100"], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b"khlab: cannot write output: stdout: Broken pipe\n"
+
+
+def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["--command", "verify", "--k", "1,0", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"khlab: cannot write output: {str(target)!r}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_config_file_input(tmp_path, capsys):

@@ -12,6 +12,7 @@ from khlab.core import (
     VerticalProfile,
     WaveVector,
     _integer_frequencies,
+    _stack,
     coth,
     linspace,
     vertical_levels,
@@ -251,13 +252,10 @@ def test_inner_product_exact_below_nyquist():
 def test_inner_product_symmetric_bilinear():
     rng = np.random.default_rng(7)
     def rand_field():
-        up = rng.standard_normal((8, 8, 5))
-        lo = rng.standard_normal((8, 8, 5))
-        return TwoPhaseGridField(8, 4, up, lo)
+        return TwoPhaseGridField(rng.standard_normal((2, 8, 8, 5)))
     f, g, h = rand_field(), rand_field(), rand_field()
     assert inner_product_L2(f, g) == pytest.approx(inner_product_L2(g, f), rel=1e-13)
-    f2g = TwoPhaseGridField(8, 4, f.values_upper + 2.0 * g.values_upper,
-                            f.values_lower + 2.0 * g.values_lower)
+    f2g = TwoPhaseGridField(f.values + 2.0 * g.values)
     lhs = inner_product_L2(f2g, h)
     rhs = inner_product_L2(f, h) + 2.0 * inner_product_L2(g, h)
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -271,23 +269,27 @@ def test_inner_product_grid_mismatch():
 
 
 def test_plane_is_a_grid_of_its_own():
-    # an x2 extent of 1 means "constant in x2"; it never broadcasts against a full field
+    # an x2 extent of 1 means "constant in x2": a 3-vector or an inner product never
+    # mixes it with a full field
     rng = np.random.default_rng(3)
-    up, lo = rng.standard_normal((2, 8, 1, 5))
-    plane = TwoPhaseGridField(8, 4, up, lo)
-    full = TwoPhaseGridField(8, 4, np.repeat(up, 8, axis=1), np.repeat(lo, 8, axis=1))
+    plane = TwoPhaseGridField(rng.standard_normal((2, 8, 1, 5)))
+    full = TwoPhaseGridField(np.repeat(plane.values, 8, axis=2))
     assert plane.n_x2 == 1 and full.n_x2 == 8
-    assert TwoPhaseGridField.zeros(8, 4, 1).same_grid(plane)
-    assert not plane.same_grid(full) and not full.same_grid(plane)
-    for combine in (lambda: plane + full, lambda: full - plane,
+    assert (plane.n_tan, plane.n_ver) == (full.n_tan, full.n_ver) == (8, 4)
+    # the extents are the shape's, so none of them can drift from values
+    for name in ("n_tan", "n_x2", "n_ver"):
+        with pytest.raises(AttributeError):
+            setattr(full, name, 4)
+    assert TwoPhaseGridField.zeros(8, 4, 1).values.shape == plane.values.shape
+    for combine in (lambda: _stack((plane, full, full)), lambda: _stack((full, full, plane)),
                     lambda: inner_product_L2(plane, full)):
         with pytest.raises(GridMismatchError):
             combine()
     assert inner_product_L2(plane, plane) == pytest.approx(inner_product_L2(full, full),
                                                            rel=1e-13)
-    for shape in ((8, 2, 5), (8, 7, 5), (8, 8, 4)):
+    for shape in ((2, 8, 2, 5), (2, 8, 7, 5), (3, 8, 8, 5), (2, 8, 8, 1), (8, 8, 5)):
         with pytest.raises(GridMismatchError):
-            TwoPhaseGridField(8, 4, np.zeros(shape), np.zeros(shape))
+            TwoPhaseGridField(np.zeros(shape))
 
 
 def test_harmonic_gradient_orthogonal_to_tangential_field():
@@ -306,8 +308,7 @@ def test_harmonic_gradient_orthogonal_to_tangential_field():
 
     grad = []
     for d in range(3):
-        up = np.zeros((n_tan, n_tan, n_ver + 1))
-        lo = np.zeros_like(up)
+        up, lo = values = np.zeros((2, n_tan, n_tan, n_ver + 1))
         x1, x2 = np.meshgrid(TWO_PI * np.arange(n_tan) / n_tan,
                              TWO_PI * np.arange(n_tan) / n_tan, indexing="ij")
         zu, zl = vertical_levels(n_ver)
@@ -321,7 +322,7 @@ def test_harmonic_gradient_orthogonal_to_tangential_field():
                 lo[:, :, i] = -2 * np.sin(2 * x1) * math.cosh(kappa * (z + 1)) / sh
             elif d == 2:
                 lo[:, :, i] = np.cos(2 * x1) * kappa * math.sinh(kappa * (z + 1)) / sh
-        grad.append(TwoPhaseGridField(n_tan, n_ver, up, lo))
+        grad.append(TwoPhaseGridField(values))
 
     # r depends on a different tangential mode: exact-zero pairing
     r1 = TwoPhaseGridField.from_function(
@@ -344,8 +345,7 @@ def tangential_transform(f: TwoPhaseGridField) -> dict:
     coefficients 1/2 at k = (3, 0) and (-3, 0).
     """
     n = f.n_tan
-    up = np.fft.fft2(f.values_upper, axes=(0, 1)) / n ** 2
-    lo = np.fft.fft2(f.values_lower, axes=(0, 1)) / n ** 2
+    up, lo = np.fft.fft2(f.values, axes=(1, 2)) / n ** 2
     freqs = _integer_frequencies(n)
     out = {}
     for i1, k1 in enumerate(freqs):
@@ -358,15 +358,12 @@ def inverse_tangential_transform(modes: dict, n_tan: int, n_ver: int) -> TwoPhas
     """Rebuild a real grid field from tangential-mode columns."""
     freqs = _integer_frequencies(n_tan)
     index = {int(k): i for i, k in enumerate(freqs)}
-    up = np.zeros((n_tan, n_tan, n_ver + 1), dtype=complex)
-    lo = np.zeros_like(up)
+    up, lo = values = np.zeros((2, n_tan, n_tan, n_ver + 1), dtype=complex)
     for k, (cu, cl) in modes.items():
         i1, i2 = index[k.k1], index[k.k2]
         up[i1, i2, :] = cu
         lo[i1, i2, :] = cl
-    vu = np.fft.ifft2(up * n_tan ** 2, axes=(0, 1))
-    vl = np.fft.ifft2(lo * n_tan ** 2, axes=(0, 1))
-    return TwoPhaseGridField(n_tan, n_ver, vu.real, vl.real)
+    return TwoPhaseGridField(np.fft.ifft2(values * n_tan ** 2, axes=(1, 2)).real)
 
 
 def test_transform_single_harmonic_support():
@@ -387,18 +384,14 @@ def test_transform_zero_field():
 
 def test_transform_round_trip_random_field():
     rng = np.random.default_rng(11)
-    f = TwoPhaseGridField(16, 8,
-                          rng.standard_normal((16, 16, 9)),
-                          rng.standard_normal((16, 16, 9)))
+    f = TwoPhaseGridField(rng.standard_normal((2, 16, 16, 9)))
     back = inverse_tangential_transform(tangential_transform(f), 16, 8)
-    assert (f - back).max_abs() < 1e-12
+    assert np.max(np.abs(f.values - back.values)) < 1e-12
 
 
 def test_transform_parseval():
     rng = np.random.default_rng(3)
-    f = TwoPhaseGridField(16, 6,
-                          rng.standard_normal((16, 16, 7)),
-                          rng.standard_normal((16, 16, 7)))
+    f = TwoPhaseGridField(rng.standard_normal((2, 16, 16, 7)))
     modes = tangential_transform(f)
     # Parseval per vertical level, then trapezoidal weights in x3
     w = np.full(7, f.h_ver)

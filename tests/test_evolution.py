@@ -125,7 +125,7 @@ def test_apply_A_on_r_single_x2_mode():
     s = PerturbationState(2, r=(comp, zero, zero), r_dot=(zero, zero, zero))
     out = apply_A(s)
     expect = TwoPhaseGridField.from_function(lambda *x: m ** 2 * fn(*x), n_tan, n_ver)
-    assert (out.r[0] - expect).max_abs() < 1e-10
+    assert np.max(np.abs(out.r[0].values - expect.values)) < 1e-10
 
 
 def test_r_multiplier_per_phase_weights():
@@ -134,8 +134,8 @@ def test_r_multiplier_per_phase_weights():
     comp = TwoPhaseGridField.from_function(
         lambda x1, x2, x3: np.cos(2 * x2) + 0 * x3, n_tan, n_ver)
     zero = TwoPhaseGridField.zeros(n_tan, n_ver)
-    upper = TwoPhaseGridField(n_tan, n_ver, comp.values_upper, zero.values_lower)
-    lower = TwoPhaseGridField(n_tan, n_ver, zero.values_upper, comp.values_lower)
+    upper = TwoPhaseGridField(np.array([comp.values[0], zero.values[1]]))
+    lower = TwoPhaseGridField(np.array([zero.values[0], comp.values[1]]))
     for part, weight in ((upper, 3.0), (lower, 5.0)):
         s = PerturbationState(2, r=(part, zero, zero))
         expect = (weight * 2.0) ** 2 * inner_product_L2(part, part)
@@ -209,8 +209,8 @@ def test_conserved_quadratic_forms_neutral_blocks():
     s = PerturbationState(2, r=(comp, zero, zero), r_dot=(zero, zero, zero))
     out = evolve_state(s, a, b, 0.77)
     # upper phase oscillates at a*m, lower at b*m; energy per phase conserved
-    up0 = comp.values_upper
-    up_e = (out.r_dot[0].values_upper ** 2 + (a * m) ** 2 * out.r[0].values_upper ** 2)
+    up0 = comp.values[0]
+    up_e = (out.r_dot[0].values[0] ** 2 + (a * m) ** 2 * out.r[0].values[0] ** 2)
     assert np.allclose(np.mean(up_e), (a * m) ** 2 * np.mean(up0 ** 2), rtol=1e-10)
 
 
@@ -226,8 +226,8 @@ def test_r_x2_independent_content_moves_linearly():
     out = evolve_state(s, 2.0, 3.0, t)
     expect = TwoPhaseGridField.from_function(
         lambda x1, x2, x3: (np.cos(x1) + t * np.sin(x1)) * (1 + 0 * x3), n_tan, n_ver)
-    assert (out.r[0] - expect).max_abs() < 1e-11
-    assert (out.r_dot[0] - dot).max_abs() < 1e-11
+    assert np.max(np.abs(out.r[0].values - expect.values)) < 1e-11
+    assert np.max(np.abs(out.r_dot[0].values - dot.values)) < 1e-11
 
 
 def test_rk4_fourth_order_convergence():
@@ -283,9 +283,9 @@ def _reference_rk4_state(s, a, b, t, dt):
     # r per x2 Fourier mode and phase: k2^2 weighted by a^2 above, b^2 below
     k2 = np.abs(np.fft.fftfreq(s.r[0].n_tan) * s.r[0].n_tan)[None, :, None]
     for i in range(3):
-        for phase, weight in (("values_upper", a), ("values_lower", b)):
-            y = np.fft.fft(getattr(s.r[i], phase), axis=1)
-            v = np.fft.fft(getattr(s.r_dot[i], phase), axis=1)
+        for phase, weight in ((0, a), (1, b)):   # upper, lower
+            y = np.fft.fft(s.r[i].values[phase], axis=1)
+            v = np.fft.fft(s.r_dot[i].values[phase], axis=1)
             y, v = _literal_rk4(y, v, -(weight * k2) ** 2, t, dt)
             r[i, phase] = np.fft.ifft(y, axis=1).real, np.fft.ifft(v, axis=1).real
     return coeffs, r
@@ -296,11 +296,10 @@ def _mixed_state(seed, n_tan=16, n_ver=6):
     rng = np.random.default_rng(seed)
 
     def field(zero_rows=False):
-        up, lo = rng.standard_normal((2, n_tan, n_tan, n_ver + 1))
+        values = rng.standard_normal((2, n_tan, n_tan, n_ver + 1))
         if zero_rows:
-            up[:, :, [0, -1]] = 0.0
-            lo[:, :, [0, -1]] = 0.0
-        return TwoPhaseGridField(n_tan, n_ver, up, lo)
+            values[..., [0, -1]] = 0.0
+        return TwoPhaseGridField(values)
 
     return PerturbationState(3, P={4: 1.0 - 0.5j, 6: 0.2j}, P_dot={4: 0.3, 5: -1.0},
                              L={1: 0.7, 2: -0.1j}, L_dot={2: 0.4},
@@ -369,8 +368,8 @@ def test_rk4_propagator_matches_literal_stages():
             assert getattr(got, name)[j] == pytest.approx(y, rel=1e-12, abs=0)
             assert getattr(got, name + "_dot")[j] == pytest.approx(v, rel=1e-12, abs=0)
         for (i, phase), (y, v) in r.items():
-            assert np.max(np.abs(getattr(got.r[i], phase) - y)) <= 1e-12 * np.max(np.abs(y))
-            assert np.max(np.abs(getattr(got.r_dot[i], phase) - v)) <= 1e-12 * np.max(np.abs(v))
+            assert np.max(np.abs(got.r[i].values[phase] - y)) <= 1e-12 * np.max(np.abs(y))
+            assert np.max(np.abs(got.r_dot[i].values[phase] - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_rk4_power_matches_high_precision():
@@ -415,7 +414,7 @@ def test_rk4_r_block_matches_exact():
     s = PerturbationState(2, r=(comp, zero, zero), r_dot=(zero, zero, zero))
     exact = evolve_state(s, 1.0, 0.5, 1.0)
     rk = evolve_state(s, 1.0, 0.5, 1.0, stepper="rk4", dt=0.002)
-    assert (exact.r[0] - rk.r[0]).max_abs() < 1e-8
+    assert np.max(np.abs(exact.r[0].values - rk.r[0].values)) < 1e-8
 
 
 def test_negative_time_rejected():

@@ -11,7 +11,6 @@ from khlab.core import (
     TwoPhaseGridField,
     _unstack,
     tangential_grid,
-    vector_field_zeros,
     vertical_levels,
 )
 from khlab.eigenmodes import (
@@ -33,6 +32,7 @@ from khlab.functionals import (
 from reference_fields import (
     full_grid,
     inner_product_vector,
+    plane_spectrum_agrees,
     potential_gradient_field,
     reconstruct_perturbation,
 )
@@ -49,7 +49,15 @@ def _grad_g(j, coeff, n_tan, n_ver):
 
 
 def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(TwoPhaseGridField(a.values + b.values) for a, b in zip(u, v))
+
+
+def _zeros(n_tan, n_ver):
+    return tuple(TwoPhaseGridField.zeros(n_tan, n_ver) for _ in range(3))
+
+
+def _max_diff(f, g):
+    return np.max(np.abs(f.values - g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +67,7 @@ def _add(u, v):
 def test_decompose_projects_basis_element():
     n_tan, n_ver = 32, 16
     chi = _grad_f(5, 1.0, n_tan, n_ver)
-    zero = vector_field_zeros(n_tan, n_ver)
+    zero = _zeros(n_tan, n_ver)
     state = decompose_perturbation(chi, zero, n_cutoff=3)
     assert set(state.P) == {5}
     assert state.P[5] == pytest.approx(1.0, abs=1e-10)
@@ -71,7 +79,7 @@ def test_decompose_projects_basis_element():
 def test_decompose_projects_even_element():
     n_tan, n_ver = 32, 16
     chi = _grad_g(2, 1.0, n_tan, n_ver)
-    state = decompose_perturbation(chi, vector_field_zeros(n_tan, n_ver), 4)
+    state = decompose_perturbation(chi, _zeros(n_tan, n_ver), 4)
     assert set(state.g) == {2}
     assert state.g[2] == pytest.approx(1.0, abs=1e-10)
     assert state.P == {} and state.L == {}
@@ -82,7 +90,7 @@ def test_decompose_complex_coefficient_convention():
     # field built from the imaginary-part basis element carries -1j
     n_tan, n_ver = 32, 16
     chi = _grad_f(4, -1.0j, n_tan, n_ver)
-    state = decompose_perturbation(chi, vector_field_zeros(n_tan, n_ver), 2)
+    state = decompose_perturbation(chi, _zeros(n_tan, n_ver), 2)
     assert state.P[4] == pytest.approx(-1.0j, abs=1e-10)
 
 
@@ -94,10 +102,10 @@ def test_decompose_recovers_remainder_and_orthogonality():
     zero = TwoPhaseGridField.zeros(n_tan, n_ver)
     r_test = (r1, zero, zero)   # divergence-free, third component zero
     chi = _add(chi_h, r_test)
-    state = decompose_perturbation(chi, vector_field_zeros(n_tan, n_ver), 3)
+    state = decompose_perturbation(chi, _zeros(n_tan, n_ver), 3)
     assert state.P[5] == pytest.approx(1.0, abs=1e-10)
     for got, expect in zip(state.r, r_test):
-        assert (got - expect).max_abs() < 1e-9
+        assert _max_diff(got, expect) < 1e-9
     grad_h = _grad_f(5, state.P[5], n_tan, n_ver)
     assert abs(inner_product_vector(grad_h, state.r)) < 1e-9
 
@@ -134,9 +142,9 @@ def test_decompose_reconstruct_round_trip():
         for j in expect:
             assert got[j] == pytest.approx(expect[j], abs=1e-10)
     for got, expect in zip(back.r, state.r):
-        assert (got - expect).max_abs() < 1e-9
+        assert _max_diff(got, expect) < 1e-9
     for got, expect in zip(back.r_dot, state.r_dot):
-        assert (got - expect).max_abs() < 1e-9
+        assert _max_diff(got, expect) < 1e-9
 
 
 def test_decompose_reconstruct_round_trip_property():
@@ -164,7 +172,7 @@ def test_decompose_reconstruct_round_trip_property():
             rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
             values = rng.standard_normal((3, 2, n_tan, n_tan, n_ver + 1))
             values[2][..., [0, -1]] = 0.0   # r3 vanishes on interface and walls
-            return tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
+            return _unstack(values)
 
         state = PerturbationState(
             n_cutoff, P=block(n_cutoff, top), P_dot=block(n_cutoff, top),
@@ -186,30 +194,39 @@ def test_decompose_reconstruct_round_trip_property():
                 assert got.get(j, 0.0) == pytest.approx(expect.get(j, 0.0), abs=1e-10)
         for got, expect in ((back.r, state.r), (back.r_dot, state.r_dot)):
             for g_c, e_c in zip(got, expect):
-                assert (g_c - e_c).max_abs() < 1e-9
+                assert _max_diff(g_c, e_c) < 1e-9
         again = reconstruct_perturbation(back, n_tan, n_ver)
         for got, expect in zip((*again[0], *again[1]), (*chi, *chi_dot)):
-            assert (got - expect).max_abs() < 1e-9
+            assert _max_diff(got, expect) < 1e-9
 
     check()
 
 
 def test_sub_tolerance_coefficient_leaves_a_plane_remainder():
-    # a full-grid chi_dot of size ~4 raises the tolerance above g's 1e-12
-    # coefficient: it is dropped, its gradient stays in r, and r is x2-constant
+    # each vector's tolerance follows its own scale: P's unit coefficient gives chi
+    # a sup norm near 2, which raises the tolerance above g's 1.4e-12 coefficient
+    # in the same vector: it is dropped, its gradient stays in r, and r is a plane
     n_tan, n_ver = 8, 2
-    values = np.random.default_rng(3).standard_normal((3, 2, n_tan, n_tan, n_ver + 1))
-    values[2][..., [0, -1]] = 0.0
-    r_dot = tuple(TwoPhaseGridField(n_tan, n_ver, up, lo) for up, lo in values)
-    state = PerturbationState(1, g={3: 1e-12 + 1e-12j}, r_dot=r_dot, grid=(n_tan, n_ver))
+    state = PerturbationState(1, P={2: 1.0}, g={3: 1e-12 + 1e-12j}, grid=(n_tan, n_ver))
     chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
     assert chi[0].n_x2 == 1
     back = decompose_perturbation(chi, chi_dot, 1)
     assert back.g == {} and back.r_hat is not None
-    assert not back.r_hat[:, :, :, 1:].any()
+    assert back.r_hat.shape[3] == 1 and not back.r_hat[:, :, :, 1:].any()
     again, _ = reconstruct_perturbation(back, n_tan, n_ver)
     for got, expect in zip(again, chi):
-        assert (got - expect).max_abs() < 1e-9
+        assert _max_diff(got, expect) < 1e-9
+
+
+def test_zero_data_decompose_to_the_exact_zero_state():
+    # each tolerance is relative to its own vector, so zero data get tolerance 0
+    # and drop everything, with no division by their zero scale
+    zero = _zeros(16, 8)
+    state = decompose_perturbation(zero, zero, 2)
+    assert all(getattr(state, name) == {} for name in ("P", "P_dot", "L", "L_dot", "g", "g_dot"))
+    assert state.r_hat is None and state.r_dot_hat is None and state.grid == (16, 8)
+    rep = compute_functionals(state, [1.0], 0.7, 1.3)
+    assert (rep.E_plus[1.0], rep.E_minus[1.0], rep.G, rep.F) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_decompose_memory_peak_holds_one_stacked_copy():
@@ -278,10 +295,17 @@ def test_plane_and_full_grid_decompose_alike(n_tan):
             cp, cf = getattr(p, name), getattr(f, name)
             assert set(cp) == set(cf), name
             assert all(agree(cp[j], cf[j]) for j in cf), name
-        assert agree(p.r_hat, f.r_hat) and agree(p.r_dot_hat, f.r_dot_hat)
+        # a plane keeps k2 = 0 alone, n_tan times smaller than the full grid's
+        for p_hat, f_hat in ((p.r_hat, f.r_hat), (p.r_dot_hat, f.r_dot_hat)):
+            if exact:
+                assert np.array_equal(n_tan * p_hat, f_hat[:, :, :, :1])
+                assert not f_hat[:, :, :, 1:].any()
+            else:
+                assert plane_spectrum_agrees(p_hat, f_hat)
 
     assert set(full.P) == {2} and set(full.g_dot) == {3}
-    assert full.r_hat.shape == plane.r_hat.shape == (3, 2, n_tan, n_tan // 2 + 1, n_ver + 1)
+    assert full.r_hat.shape == (3, 2, n_tan, n_tan // 2 + 1, n_ver + 1)
+    assert plane.r_hat.shape == plane.r_dot_hat.shape == (3, 2, n_tan, 1, n_ver + 1)
     states_agree(plane, full)
     for stepper, dt in (("exact", None), ("rk4", 0.05)):
         p_t, f_t = (evolve_state(s, a, b, t, stepper, dt) for s in (plane, full))
@@ -298,8 +322,7 @@ def test_plane_chi_with_full_grid_chi_dot():
     chi = _plane_data(n_tan, n_ver, 0.3)
     # chi_dot gains x2-dependent remainder content, so it needs the full grid
     spanwise = np.cos(2 * tangential_grid(n_tan))[None, :, None]
-    chi_dot = tuple(TwoPhaseGridField(n_tan, n_ver, c.values_upper + w * spanwise,
-                                      c.values_lower + w * spanwise)
+    chi_dot = tuple(TwoPhaseGridField(c.values + w * spanwise)
                     for c, w in zip(full_grid(_plane_data(n_tan, n_ver, -1.1)), (0.5, 0.2, 0.0)))
     state = decompose_perturbation(chi, chi_dot, 2)
     reference = decompose_perturbation(full_grid(chi), chi_dot, 2)
@@ -309,7 +332,7 @@ def test_plane_chi_with_full_grid_chi_dot():
     # chi's remainder is x2-constant, so it reconstructs as the plane it came from
     back, back_dot = reconstruct_perturbation(state, n_tan, n_ver)
     for got, expect in zip((*back, *back_dot), (*chi, *chi_dot)):
-        assert (got - expect).max_abs() < 1e-12
+        assert _max_diff(got, expect) < 1e-12
 
 
 def test_decompose_rejects_wall_violation():
@@ -319,11 +342,11 @@ def test_decompose_rejects_wall_violation():
     zero = TwoPhaseGridField.zeros(n_tan, n_ver)
     with pytest.raises(ValueError, match="wall"):
         decompose_perturbation((zero, zero, bad3),
-                               vector_field_zeros(n_tan, n_ver), 2)
+                               _zeros(n_tan, n_ver), 2)
 
 
 def test_decompose_rejects_components_on_different_grids():
-    zero = vector_field_zeros(16, 8)
+    zero = _zeros(16, 8)
     with pytest.raises(GridMismatchError):
         decompose_perturbation((zero[0], TwoPhaseGridField.zeros(16, 6), zero[2]), zero, 2)
 
@@ -335,7 +358,7 @@ def test_decompose_rejects_spanwise_interface_content():
     zero = TwoPhaseGridField.zeros(n_tan, n_ver)
     with pytest.raises(ValueError, match="streamwise"):
         decompose_perturbation((zero, zero, bad3),
-                               vector_field_zeros(n_tan, n_ver), 2)
+                               _zeros(n_tan, n_ver), 2)
 
 
 def test_decompose_reports_aliasing():
@@ -345,7 +368,7 @@ def test_decompose_reports_aliasing():
     zero = TwoPhaseGridField.zeros(n_tan, n_ver)
     with pytest.raises(AliasingError):
         decompose_perturbation((zero, zero, bad3),
-                               vector_field_zeros(n_tan, n_ver), 2)
+                               _zeros(n_tan, n_ver), 2)
 
 
 def test_decompose_rejects_nonzero_mean_trace():
@@ -355,7 +378,7 @@ def test_decompose_rejects_nonzero_mean_trace():
     zero = TwoPhaseGridField.zeros(n_tan, n_ver)
     with pytest.raises(ValueError, match="mean"):
         decompose_perturbation((zero, zero, bad3),
-                               vector_field_zeros(n_tan, n_ver), 2)
+                               _zeros(n_tan, n_ver), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +439,8 @@ def test_r_stiffness_term_single_mode():
     state = PerturbationState(2, r=(comp, zero, zero), r_dot=(zero, zero, zero))
     rep = compute_functionals(state, [1.0], a, b)
     # single x2 mode: the weighted norm is (weight * m)^2 per phase
-    up = TwoPhaseGridField(n_tan, n_ver, comp.values_upper, 0 * comp.values_lower)
-    lo = TwoPhaseGridField(n_tan, n_ver, 0 * comp.values_upper, comp.values_lower)
+    up = TwoPhaseGridField(comp.values * np.array([1.0, 0.0])[:, None, None, None])
+    lo = TwoPhaseGridField(comp.values * np.array([0.0, 1.0])[:, None, None, None])
     expect = ((a * m) ** 2 * inner_product_vector((up,), (up,))
               + (b * m) ** 2 * inner_product_vector((lo,), (lo,)))
     assert rep.F == pytest.approx(expect, rel=1e-12)
@@ -567,7 +590,7 @@ def test_perturbed_data_shapes_and_sizes():
     chi, chi_dot = perturbed_initial_data(9, scale=1.0, n_tan=32, n_ver=16)
     # both are x2-constant planes; no full grid is allocated
     for c in (*chi, *chi_dot):
-        assert c.values_upper.shape == c.values_lower.shape == (32, 1, 17)
+        assert c.values.shape == (2, 32, 1, 17)
     assert all(c.max_abs() == 0.0 for c in chi)
     amp = math.exp(-3.0)   # e^{-sqrt(9)}
     bound = amp * (1.0 / math.tanh(9.0) + 1e-9)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from khlab import pressure
-from khlab.core import GridMismatchError, TwoPhaseGridField, WaveVector, _vertical_weights
+from khlab.core import (
+    GridMismatchError,
+    TwoPhaseGridField,
+    WaveVector,
+    _stack,
+    _vertical_weights,
+)
 from khlab.pressure import (
     SolvabilityError,
     _apply_mode_rows,
@@ -134,10 +140,8 @@ def test_fd_manufactured_harmonic_solution():
         q = solve_two_phase_poisson_fd(source, flux_jump=fj)
         zu = np.linspace(0, 1, n + 1)
         zl = np.linspace(-1, 0, n + 1)
-        exact_up = np.cos(x)[:, None, None] * np.cosh(zu - 1)[None, None, :]
-        exact_lo = np.cos(x)[:, None, None] * np.cosh(zl + 1)[None, None, :]
-        err = max(np.max(np.abs(q.values_upper - exact_up)),
-                  np.max(np.abs(q.values_lower - exact_lo)))
+        exact = np.cos(x)[:, None, None] * np.cosh([zu - 1, zl + 1])[:, None, None, :]
+        err = np.max(np.abs(q.values - exact))
         errs.append(err)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
@@ -153,15 +157,12 @@ def test_fd_manufactured_solution_with_source():
         zl = np.linspace(-1, 0, n + 1)
         up_prof = np.cosh(2 * (zu - 1))
         lo_prof = np.cosh(2 * (zl + 1))
-        source = TwoPhaseGridField(n, n, 3.0 * cosx * up_prof[None, None, :],
-                                   3.0 * cosx * lo_prof[None, None, :])
+        exact = np.array([cosx * up_prof[None, None, :], cosx * lo_prof[None, None, :]])
+        source = TwoPhaseGridField(3.0 * exact)
         vj = np.zeros((n, n))
         fj = (2 * math.sinh(-2.0) - 2 * math.sinh(2.0)) * np.cos(x)[:, None] * np.ones((1, n))
         q = solve_two_phase_poisson_fd(source, value_jump=vj, flux_jump=fj)
-        exact_up = cosx * up_prof[None, None, :]
-        exact_lo = cosx * lo_prof[None, None, :]
-        err = max(np.max(np.abs(q.values_upper - exact_up)),
-                  np.max(np.abs(q.values_lower - exact_lo)))
+        err = np.max(np.abs(q.values - exact))
         errs.append(err)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
@@ -181,8 +182,7 @@ def test_fd_with_slip_shift_matches_analytic():
     fj = np.cos(k.k1 * x)[:, None] * np.ones((1, n))
     fd = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, n),
                                     flux_jump=fj, drift=drift)
-    err = max(np.max(np.abs(fd.values_upper - exact_up)),
-              np.max(np.abs(fd.values_lower - exact_lo)))
+    err = np.max(np.abs(fd.values - np.array([exact_up, exact_lo])))
     assert err < 5e-3   # second-order discretization error at n = 32
 
 
@@ -199,8 +199,8 @@ def test_fd_solution_linearity():
             k1, k2 = rng.integers(-3, 4, 2)
             amp = rng.standard_normal()
             tang = np.cos(k1 * x)[:, None, None] * np.cos(k2 * x)[None, :, None]
-            f = f + TwoPhaseGridField(n, n, amp * tang * (1 + zu ** 2),
-                                      amp * tang * (1 + zl ** 2))
+            vert = 1 + np.array([zu, zl])[:, None, None] ** 2
+            f = TwoPhaseGridField(f.values + amp * tang * vert)
         return f
 
     def smooth_trace():
@@ -214,12 +214,11 @@ def test_fd_solution_linearity():
     q2 = solve_two_phase_poisson_fd(s2, flux_jump=m2)
 
     def combine(f, g):   # f + g/2, value by value
-        return TwoPhaseGridField(n, n, f.values_upper + 0.5 * g.values_upper,
-                                 f.values_lower + 0.5 * g.values_lower)
+        return TwoPhaseGridField(f.values + 0.5 * g.values)
 
     qc = solve_two_phase_poisson_fd(combine(s1, s2), flux_jump=m1 + 0.5 * m2)
-    diff = qc - combine(q1, q2)
-    assert diff.max_abs() < 1e-10
+    diff = qc.values - combine(q1, q2).values
+    assert np.max(np.abs(diff)) < 1e-10
 
 
 def test_fd_zero_mean_gauge():
@@ -229,15 +228,14 @@ def test_fd_zero_mean_gauge():
     q = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, n), flux_jump=fj)
     w = np.ones(n + 1)
     w[0] = w[-1] = 0.5
-    total = (np.sum(q.values_upper * w / n) + np.sum(q.values_lower * w / n))
+    total = (np.sum(q.values[0] * w / n) + np.sum(q.values[1] * w / n))
     assert abs(total) / q.max_abs() < 1e-10
 
 
 def test_fd_incompatible_neumann_data():
     # constant source with zero jumps violates the compatibility relation
     for n, drift in ((8, 0.0), (9, 0.4)):
-        shape = (n, n, n + 1)
-        source = TwoPhaseGridField(n, n, np.ones(shape), np.ones(shape))
+        source = TwoPhaseGridField(np.ones((2, n, n, n + 1)))
         with pytest.raises(SolvabilityError, match="zero mode"):
             solve_two_phase_poisson_fd(source, drift=drift)
 
@@ -250,7 +248,7 @@ def test_fd_requires_minimum_resolution():
 def test_fd_rejects_non_finite_data():
     n = 8
     bad_source = TwoPhaseGridField.zeros(n, n)
-    bad_source.values_lower[2, 3, 4] = np.nan
+    bad_source.values[1, 2, 3, 4] = np.nan
     bad_trace = np.zeros((n, n))
     bad_trace[1, 5] = np.inf
     for kwargs in ({"source": bad_source},
@@ -269,8 +267,7 @@ def _dense_reference_fd(source, value_jump, flux_jump, drift):
     """
     n, N = source.n_tan, source.n_ver
     h = source.h_ver
-    up_hat = np.fft.fft2(source.values_upper, axes=(0, 1)) / n ** 2
-    lo_hat = np.fft.fft2(source.values_lower, axes=(0, 1)) / n ** 2
+    up_hat, lo_hat = np.fft.fft2(source.values, axes=(1, 2)) / n ** 2
     vj_hat = np.fft.fft2(value_jump) / n ** 2
     fj_hat = np.fft.fft2(flux_jump) / n ** 2
     freqs = np.rint(np.fft.fftfreq(n) * n).astype(int)
@@ -294,29 +291,23 @@ def _dense_reference_fd(source, value_jump, flux_jump, drift):
             z = np.linalg.solve(A, rhs)
             sol_lo[i1, i2] = z[:N + 1]
             sol_up[i1, i2] = z[N + 1:2 * N + 2]
-    return (np.fft.ifft2(sol_up * n ** 2, axes=(0, 1)).real,
-            np.fft.ifft2(sol_lo * n ** 2, axes=(0, 1)).real)
+    return np.fft.ifft2(np.array([sol_up, sol_lo]) * n ** 2, axes=(1, 2)).real
 
 
 def test_fd_batched_solve_matches_dense_reference():
     # odd n_tan has no Nyquist k1; even n_tan keeps its phase at k1 = -n/2
     rng = np.random.default_rng(7)
     for n in (8, 9, 15, 16):
-        shape = (n, n, n + 1)
-        up = rng.standard_normal(shape)
-        lo = rng.standard_normal(shape)
+        values = rng.standard_normal((2, n, n, n + 1))
         # zero tangential mean of source and flux jump keeps the zero-mode
         # data compatible; the value jump keeps its mean
-        up -= up.mean(axis=(0, 1))
-        lo -= lo.mean(axis=(0, 1))
+        values -= values.mean(axis=(1, 2), keepdims=True)
         vj = rng.standard_normal((n, n))
         fj = rng.standard_normal((n, n))
         fj -= fj.mean()
-        source = TwoPhaseGridField(n, n, up, lo)
+        source = TwoPhaseGridField(values)
         q = solve_two_phase_poisson_fd(source, value_jump=vj, flux_jump=fj, drift=0.37)
-        ref_up, ref_lo = _dense_reference_fd(source, vj, fj, 0.37)
-        err = max(np.max(np.abs(q.values_upper - ref_up)),
-                  np.max(np.abs(q.values_lower - ref_lo)))
+        err = np.max(np.abs(q.values - _dense_reference_fd(source, vj, fj, 0.37)))
         assert err <= 1e-12 * max(1.0, q.max_abs()), (n, err)
 
 
@@ -356,20 +347,18 @@ def test_fd_zero_mode_value_jump_is_exact():
     n, N = 8, 64
     q = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, N),
                                    value_jump=np.full((n, n), 0.7))
-    assert np.max(np.abs(q.values_upper - 0.35)) < 1e-13
-    assert np.max(np.abs(q.values_lower + 0.35)) < 1e-13
+    assert np.max(np.abs(q.values[0] - 0.35)) < 1e-13
+    assert np.max(np.abs(q.values[1] + 0.35)) < 1e-13
 
 
 def _plane_data(rng, n, N):
     """Random x2-constant source and jumps whose zero-mode data are compatible."""
-    up = rng.standard_normal((n, 1, N + 1))
-    lo = rng.standard_normal((n, 1, N + 1))
-    up -= up.mean(axis=(0, 1))
-    lo -= lo.mean(axis=(0, 1))
+    values = rng.standard_normal((2, n, 1, N + 1))
+    values -= values.mean(axis=(1, 2), keepdims=True)
     vj = rng.standard_normal((n, 1))
     fj = rng.standard_normal((n, 1))
     fj -= fj.mean()
-    return TwoPhaseGridField(n, N, up, lo), vj, fj
+    return TwoPhaseGridField(values), vj, fj
 
 
 @pytest.mark.parametrize("n", (8, 9, 15, 16))
@@ -381,13 +370,11 @@ def test_fd_plane_solve_matches_full_grid_solve(n):
         for drift in (0.0, 0.37, 1.3):
             source, vj, fj = _plane_data(rng, n, N)
             plane = solve_two_phase_poisson_fd(source, value_jump=vj, flux_jump=fj, drift=drift)
-            full_source = TwoPhaseGridField(n, N, np.repeat(source.values_upper, n, axis=1),
-                                            np.repeat(source.values_lower, n, axis=1))
+            full_source = TwoPhaseGridField(np.repeat(source.values, n, axis=2))
             full = solve_two_phase_poisson_fd(full_source, value_jump=np.repeat(vj, n, axis=1),
                                               flux_jump=np.repeat(fj, n, axis=1), drift=drift)
-            assert plane.values_upper.shape == (n, 1, N + 1) and plane.n_x2 == 1
-            err = max(np.max(np.abs(plane.values_upper - full.values_upper)),
-                      np.max(np.abs(plane.values_lower - full.values_lower)))
+            assert plane.values.shape == (2, n, 1, N + 1) and plane.n_x2 == 1
+            err = np.max(np.abs(plane.values - full.values))
             assert err <= 1e-12 * max(1.0, full.max_abs()), (n, N, drift, err)
 
 
@@ -403,16 +390,17 @@ def test_fd_plane_zero_mode_value_jump_is_exact():
     q = solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, N, 1),
                                    value_jump=np.full((n, 1), 0.7))
     assert q.n_x2 == 1
-    assert np.max(np.abs(q.values_upper - 0.35)) < 1e-13
-    assert np.max(np.abs(q.values_lower + 0.35)) < 1e-13
+    assert np.max(np.abs(q.values[0] - 0.35)) < 1e-13
+    assert np.max(np.abs(q.values[1] + 0.35)) < 1e-13
 
 
 def test_fd_rejects_other_x2_extents_and_mismatched_jumps():
     n, N = 8, 8
     with pytest.raises(GridMismatchError):
-        TwoPhaseGridField(n, N, np.zeros((n, 2, N + 1)), np.zeros((n, 2, N + 1)))
+        TwoPhaseGridField(np.zeros((2, n, 2, N + 1)))
     with pytest.raises(GridMismatchError):
-        TwoPhaseGridField(n, N, np.zeros((n, 1, N + 1)), np.zeros((n, n, N + 1)))
+        _stack((TwoPhaseGridField.zeros(n, N, 1), TwoPhaseGridField.zeros(n, N),
+                TwoPhaseGridField.zeros(n, N)))
     for source, jump in ((TwoPhaseGridField.zeros(n, N, 1), np.zeros((n, n))),
                          (TwoPhaseGridField.zeros(n, N), np.zeros((n, 1)))):
         for key in ("value_jump", "flux_jump"):
@@ -462,8 +450,8 @@ def _random_smooth_data(n, seed):
     # data compatible after the interface rows are imposed
     vert_up = np.cos(math.pi * zu)
     vert_lo = np.cos(math.pi * zl)
-    source = TwoPhaseGridField(n, n, tang * vert_up[None, None, :],
-                               tang * vert_lo[None, None, :])
+    source = TwoPhaseGridField(np.array([tang * vert_up[None, None, :],
+                                         tang * vert_lo[None, None, :]]))
     M = rng.standard_normal() * np.cos(x)[:, None] * np.cos(2 * x)[None, :]
     return source, M
 
@@ -472,7 +460,7 @@ def test_decomposition_superposition():
     source, M = _random_smooth_data(16, 3)
     q1, q2 = pressure_decomposition(source, M)
     combined = solve_two_phase_poisson_fd(source, flux_jump=M)
-    err = ((q1 + q2) - combined).max_abs()
+    err = np.max(np.abs((q1.values + q2.values) - combined.values))
     assert err < 1e-9
 
 
@@ -496,15 +484,13 @@ def test_decomposition_superposition_on_planes():
     # x2-constant data decompose into planes that match the full-grid parts
     n = 16
     source, M = _random_smooth_data(n, 3)
-    plane_source = TwoPhaseGridField(n, n, source.values_upper[:, :1], source.values_lower[:, :1])
+    plane_source = TwoPhaseGridField(source.values[:, :, :1])
     plane_M = np.cos(2 * math.pi * np.arange(n) / n)[:, None] * 0.8
     q1, q2 = pressure_decomposition(plane_source, plane_M)
     assert q1.n_x2 == q2.n_x2 == 1
     combined = solve_two_phase_poisson_fd(plane_source, flux_jump=plane_M)
-    assert ((q1 + q2) - combined).max_abs() < 1e-9
-    full_source = TwoPhaseGridField(n, n, np.repeat(plane_source.values_upper, n, axis=1),
-                                    np.repeat(plane_source.values_lower, n, axis=1))
+    assert np.max(np.abs((q1.values + q2.values) - combined.values)) < 1e-9
+    full_source = TwoPhaseGridField(np.repeat(plane_source.values, n, axis=2))
     f1, f2 = pressure_decomposition(full_source, np.repeat(plane_M, n, axis=1))
     for plane, full in ((q1, f1), (q2, f2)):
-        assert np.max(np.abs(plane.values_upper - full.values_upper)) < 1e-12
-        assert np.max(np.abs(plane.values_lower - full.values_lower)) < 1e-12
+        assert np.max(np.abs(plane.values - full.values)) < 1e-12

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from khlab.core import (
+    GridMismatchError,
     PerturbationState,
     TwoPhaseGridField,
     _unstack,
     tangential_grid,
 )
-from khlab.evolution import StabilityError, apply_A, evolve_state
+from khlab.evolution import StabilityError, apply_A, default_rk4_dt, evolve_state
 from khlab.functionals import (
     _r_energy,
     check_growth_corollary,
@@ -19,7 +20,12 @@ from khlab.functionals import (
     perturbed_initial_data,
 )
 
-from reference_fields import full_grid, inner_product_vector, reconstruct_perturbation
+from reference_fields import (
+    full_grid,
+    inner_product_vector,
+    plane_spectrum_agrees,
+    reconstruct_perturbation,
+)
 
 
 def apply_x2_multiplier(f: TwoPhaseGridField, multiplier) -> TwoPhaseGridField:
@@ -30,10 +36,8 @@ def apply_x2_multiplier(f: TwoPhaseGridField, multiplier) -> TwoPhaseGridField:
     evenly in k2.
     """
     n = f.n_tan
-    m = np.asarray(multiplier(np.arange(n // 2 + 1)), dtype=float)[None, :, None]
-    up = np.fft.irfft(np.fft.rfft(f.values_upper, axis=1) * m, n=n, axis=1)
-    lo = np.fft.irfft(np.fft.rfft(f.values_lower, axis=1) * m, n=n, axis=1)
-    return TwoPhaseGridField(f.n_tan, f.n_ver, up, lo)
+    m = np.asarray(multiplier(np.arange(n // 2 + 1)), dtype=float)[:, None]
+    return TwoPhaseGridField(np.fft.irfft(np.fft.rfft(f.values, axis=2) * m, n=n, axis=2))
 
 
 def test_x2_multiplier_single_mode():
@@ -41,7 +45,7 @@ def test_x2_multiplier_single_mode():
     out = apply_x2_multiplier(f, lambda k2: k2 ** 2)
     expect = TwoPhaseGridField.from_function(lambda x1, x2, x3: 16.0 * np.cos(4 * x2) + 0 * x3,
                                              16, 4)
-    assert (out - expect).max_abs() < 1e-10
+    assert np.max(np.abs(out.values - expect.values)) < 1e-10
 
 
 def _r_vector(n_tan, n_ver, seed):
@@ -71,8 +75,7 @@ def _grid_r_energy(r, r_dot, a, b):
     weighted = []
     for comp in r:
         d = apply_x2_multiplier(comp, np.abs)
-        weighted.append(TwoPhaseGridField(d.n_tan, d.n_ver, a * d.values_upper,
-                                          b * d.values_lower))
+        weighted.append(TwoPhaseGridField(np.array([a, b])[:, None, None, None] * d.values))
     return inner_product_vector(weighted, weighted) + inner_product_vector(r_dot, r_dot)
 
 
@@ -100,10 +103,10 @@ def test_r_stored_as_x2_spectrum_and_read_back_on_the_grid():
     assert state.r_dot_hat is None and state.r_dot is None
     for got, expect in zip(state.r, r):
         assert isinstance(got, TwoPhaseGridField)
-        assert (got - expect).max_abs() < 1e-13
+        assert np.max(np.abs(got.values - expect.values)) < 1e-13
     # the read view of the third component keeps exact zero interface and wall rows
     r3 = state.r[2]
-    for values in (r3.values_upper, r3.values_lower):
+    for values in r3.values:
         assert np.all(values[:, :, [0, -1]] == 0.0)
 
 
@@ -117,22 +120,25 @@ def _r_plane(n_tan, n_ver, c1, c3):
 
 
 def test_state_from_plane_r_fields_matches_full_grid():
-    # a plane stands for its x2 repeat: the state stores the full grid's spectrum,
-    # so every r consumer reads the same numbers from either input
+    # a plane stands for its x2 repeat: the state keeps the plane's k2 = 0 alone,
+    # n_tan times smaller than the repeat's, whose other k2 are zero; with n_tan
+    # a power of two every r consumer reads the same numbers from either input
     n_tan, n_ver, a, b, t = 16, 8, 0.7, 1.3, 0.6
     r, r_dot = _r_plane(n_tan, n_ver, 1.0, 0.5), _r_plane(n_tan, n_ver, -0.3, 2.0)
     on_plane = PerturbationState(2, r=r, r_dot=r_dot)
     on_grid = PerturbationState(2, r=full_grid(r), r_dot=full_grid(r_dot))
-    assert on_plane.r_hat.shape == (3, 2, n_tan, n_tan // 2 + 1, n_ver + 1)
     for got, same, expect in zip((*on_plane.r, *on_plane.r_dot), (*on_grid.r, *on_grid.r_dot),
-                                 (*full_grid(r), *full_grid(r_dot))):
-        assert (got - same).max_abs() == 0.0
-        assert (got - expect).max_abs() < 1e-13
+                                 (*r, *r_dot)):
+        assert np.array_equal(got.values, expect.values)
+        assert np.array_equal(full_grid([got])[0].values, same.values)
     pairs = [(on_plane, on_grid), (apply_A(on_plane), apply_A(on_grid))]
     for stepper, dt in (("exact", None), ("rk4", 0.01)):
         pairs.append(tuple(evolve_state(s, a, b, t, stepper, dt) for s in (on_plane, on_grid)))
     for p, f in pairs:
-        assert np.array_equal(p.r_hat, f.r_hat) and np.array_equal(p.r_dot_hat, f.r_dot_hat)
+        for plane_hat, full_hat in ((p.r_hat, f.r_hat), (p.r_dot_hat, f.r_dot_hat)):
+            assert plane_hat.shape == (3, 2, n_tan, 1, n_ver + 1)
+            assert np.array_equal(n_tan * plane_hat, full_hat[:, :, :, :1])
+            assert not full_hat[:, :, :, 1:].any()
         assert compute_functionals(p, [1.0], a, b).F == compute_functionals(f, [1.0], a, b).F
     # k2 = 0 has zero stiffness: r1 = cos x1 adds nothing to F, and as r_dot
     # it adds ||cos x1||^2 = 4 pi^2 over the slab
@@ -142,11 +148,60 @@ def test_state_from_plane_r_fields_matches_full_grid():
     assert F_dot == pytest.approx(4 * np.pi ** 2, rel=1e-12)
 
 
+def test_plane_r_beside_full_grid_r_dot_is_promoted():
+    # one x2 extent per state: a plane r beside a full-grid r_dot is stored as the
+    # spectrum of its repeat, so it evolves like the all-full state and is not
+    # broadcast over every k2
+    n_tan, n_ver, a, b, t = 16, 8, 0.7, 1.3, 0.6
+    r, r_dot = _r_plane(n_tan, n_ver, 1.0, 0.5), _r_vector(n_tan, n_ver, 9)
+    full_shape = (3, 2, n_tan, n_tan // 2 + 1, n_ver + 1)
+    for mixed, full in ((PerturbationState(2, r=r, r_dot=r_dot),
+                         PerturbationState(2, r=full_grid(r), r_dot=r_dot)),
+                        (PerturbationState(2, r=r_dot, r_dot=r),
+                         PerturbationState(2, r=r_dot, r_dot=full_grid(r)))):
+        pairs = [(mixed, full), (apply_A(mixed), apply_A(full))]
+        for stepper, dt in (("exact", None), ("rk4", 0.01)):
+            pairs.append(tuple(evolve_state(s, a, b, t, stepper, dt) for s in (mixed, full)))
+        for m, f in pairs:
+            for m_hat, f_hat in ((m.r_hat, f.r_hat), (m.r_dot_hat, f.r_dot_hat)):
+                assert m_hat.shape == f_hat.shape == full_shape
+                assert np.max(np.abs(m_hat - f_hat)) <= 1e-14 * np.max(np.abs(f_hat))
+            assert compute_functionals(m, [1.0], a, b).F == pytest.approx(
+                compute_functionals(f, [1.0], a, b).F, rel=1e-14, abs=0)
+
+
+def test_r_and_r_dot_on_different_grids_are_rejected():
+    plane, full = _r_plane(8, 6, 1.0, 0.5), _r_vector(16, 6, 10)
+    for r, r_dot in ((full, _r_vector(8, 6, 11)), (plane, full), (full, _r_vector(16, 5, 12))):
+        with pytest.raises(GridMismatchError):
+            PerturbationState(2, r=r, r_dot=r_dot)
+
+
+def test_plane_r_on_a_large_grid_stays_a_plane():
+    import tracemalloc
+
+    n_tan, n_ver, a, b = 1024, 32, 0.7, 1.3
+    state = PerturbationState(2, r=_r_plane(n_tan, n_ver, 1.0, 0.5))
+    # k2 = 0 alone is 3.2 MB; the full spectrum (3, 2, 1024, 513, 33) would take 1.66 GB
+    assert state.r_hat.nbytes <= 4e6
+    tracemalloc.start()
+    try:
+        for stepper, dt in (("exact", None), ("rk4", default_rk4_dt(state, a, b))):
+            out = evolve_state(state, a, b, 0.5, stepper, dt)
+            assert out.r_hat.shape == out.r_dot_hat.shape == (3, 2, n_tan, 1, n_ver + 1)
+            compute_functionals(out, [1.0], a, b)
+            del out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, peak
+
+
 def test_r_rows_checked_on_grid_input():
     n_tan, n_ver = 8, 4
     r = list(_r_vector(n_tan, n_ver, 4))
-    bad = TwoPhaseGridField(n_tan, n_ver, r[2].values_upper.copy(), r[2].values_lower.copy())
-    bad.values_lower[3, 1, 0] = 1e-300
+    bad = TwoPhaseGridField(r[2].values.copy())
+    bad.values[1, 3, 1, 0] = 1e-300
     with pytest.raises(ValueError):
         PerturbationState(2, r=(r[0], r[1], bad))
     with pytest.raises(ValueError):
@@ -177,16 +232,11 @@ def test_hot_paths_run_no_fft(monkeypatch):
     assert compute_functionals(state, [1.0], 0.9, 0.35).F > 0.0
 
 
-def test_decompose_and_reconstruct_run_no_grid_field_arithmetic(monkeypatch):
+def test_decompose_and_reconstruct_run_no_grid_field_arithmetic():
     n_tan, n_ver = 16, 6
     state = PerturbationState(3, P={4: 1.0 - 0.5j}, P_dot={4: 0.3}, L={1: 0.2j}, g={2: 0.7},
                               r=_r_vector(n_tan, n_ver, 5), r_dot=_r_vector(n_tan, n_ver, 6))
     initial = perturbed_initial_data(4, n_tan=n_tan, n_ver=n_ver)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("TwoPhaseGridField arithmetic in the decomposition")
-
-    monkeypatch.setattr(TwoPhaseGridField, "_binary", forbidden)
     chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
     back = decompose_perturbation(chi, chi_dot, 3)
     assert back.r_hat is not None and back.r_dot_hat is not None
@@ -248,8 +298,8 @@ def test_round_off_r_block_is_dropped_and_reads_as_zeros():
         for comp in view:
             assert isinstance(comp, TwoPhaseGridField)
             assert (comp.n_tan, comp.n_ver) == (n_tan, n_ver)
-            assert comp.values_upper.shape == (n_tan, n_tan, n_ver + 1)
-            assert np.all(comp.values_upper == 0.0) and np.all(comp.values_lower == 0.0)
+            assert comp.values.shape == (2, n_tan, n_tan, n_ver + 1)
+            assert np.all(comp.values == 0.0)
     assert compute_functionals(state, [1.0], 0.7, 1.3).F == 0.0
     # a state built directly, without a grid, still reads an absent block as None
     assert PerturbationState(n).r is None and PerturbationState(n).r_dot is None
@@ -262,15 +312,14 @@ def test_drop_threshold_is_the_decomposition_tolerance():
     zero = tuple(TwoPhaseGridField.zeros(n_tan, n_ver) for _ in range(3))
 
     def scaled(s):
-        return tuple(TwoPhaseGridField(n_tan, n_ver, s * c.values_upper, s * c.values_lower)
-                     for c in r)
+        return tuple(TwoPhaseGridField(s * c.values) for c in r)
 
     kept = scaled(10.0 * unit)
     state = decompose_perturbation(kept, zero, 2, tol=tol)
     assert state.r_hat is not None and state.r_dot_hat is None
     chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
     for got, expect in zip(chi, kept):
-        assert (got - expect).max_abs() <= 1e-9 * 10.0 * tol
+        assert np.max(np.abs(got.values - expect.values)) <= 1e-9 * 10.0 * tol
     assert max(c.max_abs() for c in chi_dot) == 0.0
     # below the tolerance the block is round-off and goes
     state = decompose_perturbation(zero, scaled(0.5 * unit), 2, tol=tol)

@@ -193,6 +193,16 @@ def test_map_rejects_bad_ranges():
         stability_map(ShearParams(), [[0.0, 1.0]], [0.0], WaveVector(1, 0))
     with pytest.raises(ValueError):
         stability_map(ShearParams(), [0.0], [[0.0, 1.0]], WaveVector(1, 0))
+    # a one-value NaN axis is trivially monotone, and would give NaN cells
+    with pytest.raises(ValueError, match="a_range must be nonempty, finite"):
+        stability_map(ShearParams(), [math.nan], [0.0], WaveVector(1, 1))
+    with pytest.raises(ValueError, match="b_range must be nonempty, finite"):
+        stability_map(ShearParams(), [0.0], [0.0, math.inf], WaveVector(1, 1))
+    # one cell takes infinite fields, but still no non-number
+    with pytest.raises(ValueError, match="a_range must be a flat sequence of numbers"):
+        evaluate_point(ShearParams(), WaveVector(1, 1), None, 0.0)
+    with pytest.raises(ValueError, match="b_range must be a flat sequence of numbers"):
+        evaluate_point(ShearParams(), WaveVector(1, 1), 0.0, [1.0])
 
 
 # ---------------------------------------------------------------------------
