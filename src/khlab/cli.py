@@ -297,6 +297,7 @@ def _emit(cfg: RunConfig, chunks):
     if cfg.out is None or cfg.out == "-":
         for chunk in chunks:
             sys.stdout.write(chunk)
+        sys.stdout.flush()   # a closed pipe fails here, under run's guard, not at exit
     else:
         _write_atomic(cfg.out, chunks)
 
@@ -449,7 +450,7 @@ def _evolve_series(cfg: RunConfig):
         *perturbed_initial_data(n, cfg.scale, cfg.n_tan, cfg.n_ver), cutoff)
     dt = cfg.dt
     if cfg.stepper == "rk4" and dt is None:
-        dt = default_rk4_dt(state, cfg.a, cfg.b)
+        dt = default_rk4_dt(state, cfg.a, cfg.b, cfg.n_tan)
     samples = ((t, evolve_state(state, cfg.a, cfg.b, t, cfg.stepper, dt))
                for t in linspace(0.0, cfg.t, cfg.samples))
     return cutoff, samples

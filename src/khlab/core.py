@@ -400,14 +400,9 @@ class PerturbationState:
     state has one extent, so a plane beside a full grid is promoted to
     the spectrum of its x2 repeat.  The r= and r_dot= arguments take grid
     3-vectors, full grids or planes, transformed once; state.r and
-    state.r_dot read back fresh fields of the stored extent.
-
-    grid = (n_tan, n_ver), when given, is the grid of the r block even
-    where it is absent (a decomposition that dropped a round-off r or
-    r_dot): an absent block then reads back as full-grid zero fields and
-    its frequencies still enter the rk4 stability rule, as do the grid's
-    k2 frequencies for a plane.  Without a grid an absent block reads
-    None.
+    state.r_dot read back fresh fields of the stored extent, and an
+    absent block (one a decomposition dropped as round-off, or never
+    given) reads None.  A state records no grid beyond its data.
 
     Coefficients live in the co-moving tangential frame: materialising
     a field at time t multiplies mode j by exp(+i*j*t) in the upper
@@ -415,7 +410,7 @@ class PerturbationState:
     """
 
     def __init__(self, n_cutoff, P=None, P_dot=None, L=None, L_dot=None,
-                 g=None, g_dot=None, r=None, r_dot=None, grid=None):
+                 g=None, g_dot=None, r=None, r_dot=None):
         if n_cutoff < 1:
             raise ValueError("n_cutoff must be >= 1")
         self.n_cutoff = n_cutoff
@@ -430,14 +425,12 @@ class PerturbationState:
         for j in list(self.g) + list(self.g_dot):
             if j < 1:
                 raise ValueError("g coefficients are indexed by j >= 1")
-        self.grid = grid
         self._set_r(*(None if v is None else _r_spectrum(_stack(v)) for v in (r, r_dot)))
 
     @classmethod
-    def _from_spectra(cls, n_cutoff, P, P_dot, L, L_dot, g, g_dot, r_hat, r_dot_hat,
-                      grid=None):
+    def _from_spectra(cls, n_cutoff, P, P_dot, L, L_dot, g, g_dot, r_hat, r_dot_hat):
         """A state built straight from x2 spectra (checked, not transformed)."""
-        state = cls(n_cutoff, P, P_dot, L, L_dot, g, g_dot, grid=grid)
+        state = cls(n_cutoff, P, P_dot, L, L_dot, g, g_dot)
         state._set_r(r_hat, r_dot_hat)
         return state
 
@@ -457,12 +450,10 @@ class PerturbationState:
         if len({s.shape for s in (self.r_hat, self.r_dot_hat) if s is not None}) > 1:
             raise GridMismatchError("r and r_dot live on different grids")
 
-    def _fields(self, spectrum):
-        """Grid 3-vector of a stored spectrum; zero fields for an absent block on a known grid."""
-        if spectrum is not None:
-            return _unstack(_r_grid(spectrum))
-        return None if self.grid is None else tuple(
-            TwoPhaseGridField.zeros(*self.grid) for _ in range(3))
+    @staticmethod
+    def _fields(spectrum):
+        """Grid 3-vector of a stored spectrum; None for an absent block."""
+        return None if spectrum is None else _unstack(_r_grid(spectrum))
 
     @property
     def r(self):

@@ -69,6 +69,8 @@ def _propagators(lambda_sq, t, stepper, dt):
                 raise ValueError("rk4 stepper requires dt")
             if dt <= 0:
                 raise StabilityError("rk4 requires dt > 0")
+            if not math.isfinite(t / dt):
+                raise OverflowError(f"rk4 step count t/dt = {t}/{dt:g} leaves the float range")
             steps = max(1, round(t / dt))
             h = t / steps
             omega_h = math.sqrt(float(np.max(np.abs(lam), initial=0.0))) * h
@@ -160,7 +162,7 @@ def apply_A(state: PerturbationState) -> PerturbationState:
         scale(state.P), scale(state.P_dot),
         scale(state.L), scale(state.L_dot),
         scale(state.g), scale(state.g_dot),
-        on_r(state.r_hat), on_r(state.r_dot_hat), state.grid,
+        on_r(state.r_hat), on_r(state.r_dot_hat),
     )
 
 
@@ -168,23 +170,23 @@ def apply_A(state: PerturbationState) -> PerturbationState:
 # full linear evolution
 # ---------------------------------------------------------------------------
 
-def _r_n_tan(state: PerturbationState):
-    """n_tan of the r block, from its spectrum or the state's grid; None without both."""
-    spectrum = state.r_dot_hat if state.r_hat is None else state.r_hat
-    return spectrum.shape[2] if spectrum is not None else state.grid and state.grid[0]
-
-
-def default_rk4_dt(state: PerturbationState, a: float, b: float) -> float:
+def default_rk4_dt(state: PerturbationState, a: float, b: float, n_tan: int) -> float:
     """The rk4 step taken when none is given: min(0.01, 0.25/omega_max).
 
     omega_max is the larger of sqrt(2) * max(j, 1) over the coefficients
     of P, L and g, which bounds their rates j and sqrt(2)*j, and of the
-    r-block frequency max(a, b) * (n_tan // 2).  |omega| * dt then stays
-    at most 0.25, far inside RK4_STABILITY_LIMIT.
+    r-block frequency max(a, b) * (n_tan // 2) of data sampled on n_tan
+    points per tangential direction, whether or not the state holds an
+    r block.  |omega| * dt then stays at most 0.25, far inside
+    RK4_STABILITY_LIMIT.  Raises OverflowError if the r-block frequency
+    leaves the float range.
     """
     j_max = max([1, *state.P, *state.P_dot, *state.L, *state.L_dot, *state.g, *state.g_dot])
-    omega_max = max(math.sqrt(2.0) * j_max, max(a, b) * ((_r_n_tan(state) or 0) // 2))
-    return min(1e-2, 0.25 / omega_max)
+    omega_r = max(a, b) * (n_tan // 2)
+    if math.isinf(omega_r):
+        raise OverflowError(f"rk4 default step: r-block frequency max(a, b) * (n_tan // 2) "
+                            f"= {omega_r:g} leaves the float range")
+    return min(1e-2, 0.25 / max(math.sqrt(2.0) * j_max, omega_r))
 
 
 def evolve_state(state: PerturbationState, a: float, b: float, t: float,
@@ -195,10 +197,10 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     and decay at rate j, g oscillates at sqrt(2)*j, r oscillates at
     a*|k2| above and b*|k2| below the interface (x2-independent r
     content moves linearly in t).  All coefficients and every x2 mode
-    of the grid go through one call of the propagator; rk4 is rejected
-    when max|omega| times the step taken exceeds RK4_STABILITY_LIMIT.
-    An absent r block on a known grid stays absent, and a plane r stays
-    a plane, but the grid's k2 frequencies still enter that rule.
+    the state stores go through one call of the propagator; rk4 is
+    rejected when max|omega| over those modes times the step taken
+    exceeds RK4_STABILITY_LIMIT.  An absent r block stays absent, and a
+    plane r stays a plane whose k2 = 0 alone is propagated.
     """
     blocks = [(state.P, state.P_dot, 1.0), (state.L, state.L_dot, 1.0),
               (state.g, state.g_dot, -2.0)]
@@ -206,9 +208,9 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     lam_sq = np.array([sign * float(j * j) for (_, _, sign), js in zip(blocks, keys)
                        for j in js])
     r_hat, r_dot_hat = state.r_hat, state.r_dot_hat
-    n_tan = _r_n_tan(state)
-    if n_tan:
-        k2 = np.arange(n_tan // 2 + 1, dtype=float)   # the grid's, whatever r stores
+    spectrum = r_dot_hat if r_hat is None else r_hat
+    if spectrum is not None:
+        k2 = _r_frequencies(spectrum)
         with np.errstate(over="ignore"):   # a field past 1e154 leaves the float range here
             lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
         lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
@@ -223,14 +225,10 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
         evolved.append(dict(zip(js, (c * C[sl] + d * S[sl]).tolist())))
         evolved.append(dict(zip(js, (c * lam_sq[sl] * S[sl] + d * C[sl]).tolist())))
 
-    if r_hat is not None or r_dot_hat is not None:
-        # the stored k2 lead the grid's: all of them, or k2 = 0 alone for a plane
-        n_k2 = (r_dot_hat if r_hat is None else r_hat).shape[3]
-        Cr, Sr, lam = (x.reshape(1, 2, 1, k2.size, 1)[:, :, :, :n_k2]
-                       for x in (C[i:], S[i:], lam_r))
+    if spectrum is not None:
+        Cr, Sr, lam = (x.reshape(1, 2, 1, k2.size, 1) for x in (C[i:], S[i:], lam_r))
         y0 = 0.0 if r_hat is None else r_hat
         v0 = 0.0 if r_dot_hat is None else r_dot_hat
         r_hat, r_dot_hat = y0 * Cr + v0 * Sr, y0 * (lam * Sr) + v0 * Cr
 
-    return PerturbationState._from_spectra(state.n_cutoff, *evolved, r_hat, r_dot_hat,
-                                           state.grid)
+    return PerturbationState._from_spectra(state.n_cutoff, *evolved, r_hat, r_dot_hat)

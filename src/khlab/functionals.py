@@ -166,7 +166,7 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
     walls (checked, then snapped exactly).  The same pipeline applied to
     chi_dot fills the velocity partners.  Like a potential coefficient,
     an r or r_dot whose entries are all at or below tol is stored as
-    absent; the state keeps the grid, so it reads back as zero fields.
+    absent and reads back as None.
     tol None gives each vector the tolerance 1e-12 * sup|vector| of its
     own scale: scaling the data by a power of two scales the state
     exactly, and all-zero data give an exact zero state.
@@ -184,7 +184,7 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
     P, L = split(odd)
     P_dot, L_dot = split(odd_dot)
     return PerturbationState._from_spectra(n_cutoff, P, P_dot, L, L_dot, even, even_dot,
-                                           r_hat, r_dot_hat, grid=(chi[2].n_tan, chi[2].n_ver))
+                                           r_hat, r_dot_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -317,16 +317,16 @@ def _block_values(state):
 
 
 def test_default_rk4_dt_reads_every_block():
-    # sqrt(2) * j over the keys of P, L, g and their velocities; the r grid
-    # from the stored spectrum, else from grid=, else no r term
-    assert default_rk4_dt(PerturbationState(3, g_dot={30: 1.0}), 5.0, 0.0) == 0.25 / (
+    # sqrt(2) * j over the keys of P, L, g and their velocities, and the r-block
+    # frequency max(a, b) * (n_tan // 2) of the data's grid, held or not
+    assert default_rk4_dt(PerturbationState(3, g_dot={30: 1.0}), 5.0, 0.0, 16) == 0.25 / (
         math.sqrt(2.0) * 30)
-    assert default_rk4_dt(PerturbationState(3, L={2: 1.0}), 0.0, 0.0) == 0.01
-    s = PerturbationState(3, P={20: 1.0}, grid=(16, 6))
-    assert default_rk4_dt(s, 0.0, 0.0) == 0.25 / (math.sqrt(2.0) * 20)
-    assert default_rk4_dt(s, 1.0, 5.0) == 0.25 / 40.0
+    assert default_rk4_dt(PerturbationState(3, L={2: 1.0}), 0.0, 0.0, 16) == 0.01
+    s = PerturbationState(3, P={20: 1.0})
+    assert default_rk4_dt(s, 0.0, 0.0, 16) == 0.25 / (math.sqrt(2.0) * 20)
+    assert default_rk4_dt(s, 1.0, 5.0, 16) == 0.25 / 40.0
     mixed = _mixed_state(3)
-    dt = default_rk4_dt(mixed, 4.0, 1.0)
+    dt = default_rk4_dt(mixed, 4.0, 1.0, 16)
     assert dt == 0.25 / 32.0
     evolve_state(mixed, 4.0, 1.0, 0.7, stepper="rk4", dt=dt)   # within the stability limit
 

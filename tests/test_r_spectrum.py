@@ -186,7 +186,7 @@ def test_plane_r_on_a_large_grid_stays_a_plane():
     assert state.r_hat.nbytes <= 4e6
     tracemalloc.start()
     try:
-        for stepper, dt in (("exact", None), ("rk4", default_rk4_dt(state, a, b))):
+        for stepper, dt in (("exact", None), ("rk4", default_rk4_dt(state, a, b, n_tan))):
             out = evolve_state(state, a, b, 0.5, stepper, dt)
             assert out.r_hat.shape == out.r_dot_hat.shape == (3, 2, n_tan, 1, n_ver + 1)
             compute_functionals(out, [1.0], a, b)
@@ -289,19 +289,13 @@ def test_overflowing_functionals_raise():
 
 
 def test_round_off_r_block_is_dropped_and_reads_as_zeros():
+    # a dropped block reads None, as on a state built without r: a state records
+    # no grid beyond its data, so reading an absent block allocates nothing
     n, n_tan, n_ver = 6, 32, 8
     state = decompose_perturbation(*perturbed_initial_data(n, n_tan=n_tan, n_ver=n_ver), n)
     assert state.r_hat is None and state.r_dot_hat is None
-    assert state.grid == (n_tan, n_ver)
-    for view in (state.r, state.r_dot):
-        assert len(view) == 3
-        for comp in view:
-            assert isinstance(comp, TwoPhaseGridField)
-            assert (comp.n_tan, comp.n_ver) == (n_tan, n_ver)
-            assert comp.values.shape == (2, n_tan, n_tan, n_ver + 1)
-            assert np.all(comp.values == 0.0)
+    assert state.r is None and state.r_dot is None
     assert compute_functionals(state, [1.0], 0.7, 1.3).F == 0.0
-    # a state built directly, without a grid, still reads an absent block as None
     assert PerturbationState(n).r is None and PerturbationState(n).r_dot is None
 
 
@@ -323,7 +317,7 @@ def test_drop_threshold_is_the_decomposition_tolerance():
     assert max(c.max_abs() for c in chi_dot) == 0.0
     # below the tolerance the block is round-off and goes
     state = decompose_perturbation(zero, scaled(0.5 * unit), 2, tol=tol)
-    assert state.r_hat is None and state.r_dot_hat is None and state.grid == (n_tan, n_ver)
+    assert state.r_hat is None and state.r_dot_hat is None
 
 
 def test_absent_r_block_stays_absent_and_keeps_its_grid():
@@ -333,8 +327,23 @@ def test_absent_r_block_stays_absent_and_keeps_its_grid():
             evolve_state(state, 0.7, 1.3, 0.5, stepper="rk4", dt=0.01), apply_A(state)]
     for out in outs:
         assert out.r_hat is None and out.r_dot_hat is None
-        assert out.grid == (n_tan, n_ver)
         assert compute_functionals(out, [1.0], 0.7, 1.3).F == 0.0
-    # the absent block's frequencies a * n_tan/2 = 160 still bound the rk4 step
+    # the rk4 rule covers the modes that are propagated: an absent block adds none,
+    # so the field does not enter, while a held r block's a * n_tan/2 = 160 bounds the step
+    fast, still = (evolve_state(state, a, 0.0, 0.5, stepper="rk4", dt=0.02) for a in (10.0, 0.0))
+    for name in ("P", "P_dot", "L", "L_dot", "g", "g_dot"):
+        assert getattr(fast, name) == getattr(still, name)
+    held = PerturbationState(n, P_dot=state.P_dot, r=_r_vector(n_tan, n_ver, 13))
     with pytest.raises(StabilityError):
-        evolve_state(state, 10.0, 0.0, 0.5, stepper="rk4", dt=0.02)
+        evolve_state(held, 10.0, 0.0, 0.5, stepper="rk4", dt=0.02)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stepper", ["exact", "rk4"])
+def test_r_block_overflow_names_the_infinite_rate(stepper):
+    # (a k2)^2 of a held full-grid r block leaves the float range at a = 1e200: at the
+    # first sample, t = 0, the error names the infinite |lambda^2|, with no RuntimeWarning
+    n_tan, n_ver = 16, 8
+    state = PerturbationState(3, P_dot={3: 1.0}, r=_r_vector(n_tan, n_ver, 14))
+    with pytest.raises(OverflowError, match=r"\|lambda\^2\| = inf"):
+        evolve_state(state, 1e200, 0.0, 0.0, stepper, dt=0.01)
