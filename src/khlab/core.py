@@ -388,7 +388,9 @@ class PerturbationState:
     of the odd/even harmonic potential families: P carries j >= n_cutoff,
     L carries 1 <= j < n_cutoff, g carries every j >= 1.  The *_dot
     partners hold the coefficient velocities used by the second-order
-    evolution.
+    evolution.  P and L are stored together as the characteristic
+    amplitudes w_plus and w_minus, w+/- = d +/- j*c for coefficient c and
+    velocity d; P, P_dot, L and L_dot are read-only views of them.
 
     r and r_dot are optional 3-vector fields whose third component
     vanishes on the interface and the walls.  The r block is diagonal in
@@ -414,25 +416,44 @@ class PerturbationState:
         if n_cutoff < 1:
             raise ValueError("n_cutoff must be >= 1")
         self.n_cutoff = n_cutoff
-        self.P, self.P_dot, self.L, self.L_dot, self.g, self.g_dot = (
+        P, P_dot, L, L_dot, self.g, self.g_dot = (
             {} if c is None else c for c in (P, P_dot, L, L_dot, g, g_dot))
-        for j in list(self.P) + list(self.P_dot):
+        for j in list(P) + list(P_dot):
             if j < self.n_cutoff:
                 raise ValueError(f"P coefficient {j} below cutoff {self.n_cutoff}")
-        for j in list(self.L) + list(self.L_dot):
+        for j in list(L) + list(L_dot):
             if not 1 <= j < self.n_cutoff:
                 raise ValueError(f"L coefficient {j} outside [1, {self.n_cutoff})")
         for j in list(self.g) + list(self.g_dot):
             if j < 1:
                 raise ValueError("g coefficients are indexed by j >= 1")
+        self.w_plus, self.w_minus = self._characteristic({**L, **P}, {**L_dot, **P_dot})
         self._set_r(*(None if v is None else _r_spectrum(_stack(v)) for v in (r, r_dot)))
 
     @classmethod
-    def _from_spectra(cls, n_cutoff, P, P_dot, L, L_dot, g, g_dot, r_hat, r_dot_hat):
-        """A state built straight from x2 spectra (checked, not transformed)."""
-        state = cls(n_cutoff, P, P_dot, L, L_dot, g, g_dot)
+    def _from_spectra(cls, n_cutoff, w_plus, w_minus, g, g_dot, r_hat, r_dot_hat):
+        """A state built straight from w+/- (sharing their keys) and checked x2 spectra."""
+        state = cls(n_cutoff, g=g, g_dot=g_dot)
+        state.w_plus, state.w_minus = w_plus, w_minus
         state._set_r(r_hat, r_dot_hat)
         return state
+
+    @staticmethod
+    def _characteristic(c, d):
+        """(w+, w-) = d +/- j*c of odd-family coefficients c and velocities d, j ascending."""
+        return tuple({j: complex(d.get(j, 0.0) + sign * j * c.get(j, 0.0))
+                      for j in sorted({*c, *d})} for sign in (1, -1))
+
+    def _odd(self, high, velocity):
+        """c = (w+ - w-)/(2j) or d = (w+ + w-)/2 per side of the cutoff; exact zeros left out."""
+        views = ((j, (w + self.w_minus[j]) / 2 if velocity else (w - self.w_minus[j]) / (2 * j))
+                 for j, w in self.w_plus.items() if (j >= self.n_cutoff) == high)
+        return {j: v for j, v in views if v != 0}
+
+    P = property(lambda self: self._odd(True, False))
+    P_dot = property(lambda self: self._odd(True, True))
+    L = property(lambda self: self._odd(False, False))
+    L_dot = property(lambda self: self._odd(False, True))
 
     def _set_r(self, r_hat, r_dot_hat):
         """Check and store the r spectra on one x2 extent: a plane beside a full grid

@@ -12,19 +12,20 @@ turned oscillatory.
 In the decomposed interior picture the coefficient blocks evolve
 independently (the linear system is block-diagonal):
 
-    P block   c'' = +j^2 c        growing odd potentials, j >= n_cutoff
-    L block   c'' = +j^2 c        low-frequency odd potentials
+    P block   w+/-' = +/-j w+/-   growing odd potentials, j >= n_cutoff
+    L block   w+/-' = +/-j w+/-   low-frequency odd potentials
     g block   c'' = -2 j^2 c      even potentials, neutral oscillation
     r block   c'' = -k * k2^2 c   per phase, k = a^2 above / b^2 below
 
 A acts as j^2 on potential coefficients and as k2^2 on the x2 spectrum
 in which a state stores r, so no step transforms.  Every mode, including
 each x2 Fourier mode of r, obeys y'' = lambda^2 y and is advanced by one
-propagator (C, S): y(t) = C y0 + S v0, v(t) = lambda^2 S y0 + C v0.  The
-exact stepper takes C and S in closed form (cosh/sinh, cos/sin or
-linear); the rk4 stepper takes them from the m-th power of the classical
-RK4 one-step matrix, its amplification polynomial, which reproduces
-stage-by-stage RK4 to roundoff.
+propagator (C, S): y(t) = C y0 + S v0, v(t) = lambda^2 S y0 + C v0, which
+multiplies w+/- = v +/- j y by its eigenvalues mu+/- (lambda^2 = j^2).  The
+exact stepper takes C and S in closed form (cosh/sinh and mu+/- = e^{+/-jt},
+cos/sin or linear); the rk4 stepper takes them from the m-th power of the
+classical RK4 one-step matrix, its amplification polynomial R, with mu+/- =
+R(+/-jh)^m, which reproduces stage-by-stage RK4 to roundoff.
 """
 
 import math
@@ -44,7 +45,7 @@ class StabilityError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _propagators(lambda_sq, t, stepper, dt):
-    """(C, S) arrays advancing y'' = lambda_sq * y by time t, per entry.
+    """(C, S, mu_plus, mu_minus) arrays advancing y'' = lambda_sq * y by time t.
 
     exact: closed forms.  rk4: m = max(1, round(t/dt)) classical steps of h = t/m.
     As A^2 = lambda_sq * I, one step is c*I + h*s*A with z = lambda_sq*h^2,
@@ -54,7 +55,9 @@ def _propagators(lambda_sq, t, stepper, dt):
     (cos, sin of theta for -omega^2 < 0; C = 1, S = t at 0), scale = |mu|^m =
     exp((m/2) log1p(z^3 (8+z)/576)) from the exact mu+ mu- - 1, beta = (m/2)
     log(mu+/mu-), theta = m arg(mu+); exact has scale 1, beta = theta = omega t.
-    Needs max|omega| * h <= RK4_STABILITY_LIMIT; raises OverflowError if C or S overflows.
+    mu_plus, mu_minus = scale*e^{+/-beta} = mu+/-^m, which advance v +/- omega*y, are
+    taken over the growing entries (lambda_sq > 0) only.  Needs max|omega| * h <=
+    RK4_STABILITY_LIMIT; raises OverflowError if any of the four overflows.
     """
     if not t >= 0:
         raise ValueError("time must be nonnegative")
@@ -86,22 +89,15 @@ def _propagators(lambda_sq, t, stepper, dt):
             theta = steps * np.arctan2(hsw, c)
         else:
             raise ValueError(f"unknown stepper {stepper!r}")
-        C = scale * np.cos(theta)
-        S = np.where(w > 0, scale * np.sin(theta) / np.where(w > 0, w, 1.0), t)
-        # libm cosh/sinh on the few growing entries: numpy's may differ by
-        # an ulp, which E_mu- (a difference of e^{jt}-sized terms) amplifies
-        try:
-            C[grow] = [math.cosh(x) for x in beta[grow]]
-            S[grow] = [math.sinh(x) for x in beta[grow]]
-        except OverflowError:
-            C[grow] = np.inf
-        C[grow] *= scale[grow]
-        S[grow] = scale[grow] * S[grow] / w[grow]
-    if not (np.all(np.isfinite(C)) and np.all(np.isfinite(S))):
+        C = scale * np.where(grow, np.cosh(beta), np.cos(theta))
+        S = np.where(w > 0, scale * np.where(grow, np.sinh(beta), np.sin(theta))
+                     / np.where(w > 0, w, 1.0), t)
+        mu_plus, mu_minus = (scale[grow] * np.exp(sign * beta[grow]) for sign in (1.0, -1.0))
+    if not all(np.all(np.isfinite(x)) for x in (C, S, mu_plus, mu_minus)):
         raise OverflowError(
             f"propagator leaves the float range at t={t} "
             f"(largest |lambda^2| = {float(np.max(np.abs(lam), initial=0.0)):.6g})")
-    return C, S
+    return C, S, mu_plus, mu_minus
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +128,7 @@ def evolve_boundary_mode(state: BoundaryModeState, a: float, b: float, t: float,
     classical scheme at step dt for convergence studies.
     """
     lam_sq = boundary_dispersion(state.k, a, b)
-    C, S = (float(x[0]) for x in _propagators([lam_sq], t, stepper, dt))
+    C, S = (float(x[0]) for x in _propagators([lam_sq], t, stepper, dt)[:2])
     amp = state.amplitude * C + state.velocity * S
     vel = state.amplitude * lam_sq * S + state.velocity * C
     return BoundaryModeState(state.k, amp, vel)
@@ -145,9 +141,9 @@ def evolve_boundary_mode(state: BoundaryModeState, a: float, b: float, t: float,
 def apply_A(state: PerturbationState) -> PerturbationState:
     """Apply the block operator A to every part of a state.
 
-    Potential coefficients (P, L, g and their velocities) are multiplied
-    by j^2; the r spectra get the x2 Fourier multiplier k2^2, i.e. the
-    negative second x2 derivative.
+    Potential coefficients (w+/- of P and L, g and its velocity) are
+    multiplied by j^2; the r spectra get the x2 Fourier multiplier k2^2,
+    i.e. the negative second x2 derivative.
     """
     def scale(coeffs):
         return {j: (j ** 2) * c for j, c in coeffs.items()}
@@ -159,8 +155,7 @@ def apply_A(state: PerturbationState) -> PerturbationState:
 
     return PerturbationState._from_spectra(
         state.n_cutoff,
-        scale(state.P), scale(state.P_dot),
-        scale(state.L), scale(state.L_dot),
+        scale(state.w_plus), scale(state.w_minus),
         scale(state.g), scale(state.g_dot),
         on_r(state.r_hat), on_r(state.r_dot_hat),
     )
@@ -181,7 +176,7 @@ def default_rk4_dt(state: PerturbationState, a: float, b: float, n_tan: int) -> 
     RK4_STABILITY_LIMIT.  Raises OverflowError if the r-block frequency
     leaves the float range.
     """
-    j_max = max([1, *state.P, *state.P_dot, *state.L, *state.L_dot, *state.g, *state.g_dot])
+    j_max = max([1, *state.w_plus, *state.g, *state.g_dot])
     omega_r = max(a, b) * (n_tan // 2)
     if math.isinf(omega_r):
         raise OverflowError(f"rk4 default step: r-block frequency max(a, b) * (n_tan // 2) "
@@ -202,11 +197,8 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     exceeds RK4_STABILITY_LIMIT.  An absent r block stays absent, and a
     plane r stays a plane whose k2 = 0 alone is propagated.
     """
-    blocks = [(state.P, state.P_dot, 1.0), (state.L, state.L_dot, 1.0),
-              (state.g, state.g_dot, -2.0)]
-    keys = [sorted(set(c) | set(d)) for c, d, _ in blocks]
-    lam_sq = np.array([sign * float(j * j) for (_, _, sign), js in zip(blocks, keys)
-                       for j in js])
+    odd, even = sorted(state.w_plus), sorted(set(state.g) | set(state.g_dot))
+    lam_sq = np.array([float(j * j) for j in odd] + [-2.0 * float(j * j) for j in even])
     r_hat, r_dot_hat = state.r_hat, state.r_dot_hat
     spectrum = r_dot_hat if r_hat is None else r_hat
     if spectrum is not None:
@@ -214,19 +206,19 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
         with np.errstate(over="ignore"):   # a field past 1e154 leaves the float range here
             lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
         lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
-    C, S = _propagators(lam_sq, t, stepper, dt)
+    C, S, mu_plus, mu_minus = _propagators(lam_sq, t, stepper, dt)
 
-    evolved, i = [], 0
-    for (coeffs, dots, _), js in zip(blocks, keys):
-        sl = slice(i, i + len(js))
-        i += len(js)
-        c = np.array([coeffs.get(j, 0.0) for j in js], dtype=complex)
-        d = np.array([dots.get(j, 0.0) for j in js], dtype=complex)
-        evolved.append(dict(zip(js, (c * C[sl] + d * S[sl]).tolist())))
-        evolved.append(dict(zip(js, (c * lam_sq[sl] * S[sl] + d * C[sl]).tolist())))
+    # the odd family holds every growing entry, first
+    evolved = [dict(zip(odd, (np.array([w[j] for j in odd], dtype=complex) * mu).tolist()))
+               for w, mu in ((state.w_plus, mu_plus), (state.w_minus, mu_minus))]
+    sl = slice(len(odd), len(odd) + len(even))
+    c = np.array([state.g.get(j, 0.0) for j in even], dtype=complex)
+    d = np.array([state.g_dot.get(j, 0.0) for j in even], dtype=complex)
+    evolved.append(dict(zip(even, (c * C[sl] + d * S[sl]).tolist())))
+    evolved.append(dict(zip(even, (c * lam_sq[sl] * S[sl] + d * C[sl]).tolist())))
 
     if spectrum is not None:
-        Cr, Sr, lam = (x.reshape(1, 2, 1, k2.size, 1) for x in (C[i:], S[i:], lam_r))
+        Cr, Sr, lam = (x.reshape(1, 2, 1, k2.size, 1) for x in (C[sl.stop:], S[sl.stop:], lam_r))
         y0 = 0.0 if r_hat is None else r_hat
         v0 = 0.0 if r_dot_hat is None else r_dot_hat
         r_hat, r_dot_hat = y0 * Cr + v0 * Sr, y0 * (lam * Sr) + v0 * Cr

@@ -39,9 +39,24 @@ def _stdout(capsys, argv):
     return out
 
 
+def _check_E1_product(workloads, argv, out):
+    # the data have c0 = 0, so w+/- = d0 e^{+/-nt} and E1+ * E1- stays constant under
+    # the exact stepper: each factor is right to round-off, though E1- falls like e^{-2nt}
+    flags = dict(zip(argv[::2], argv[1::2]))
+    if flags["--command"] != "evolve" or flags.get("--stepper", "exact") != "exact":
+        return
+    products = [float(row["E1_plus"]) * float(row["E1_minus"])
+                for row in workloads.csv_rows(out)]
+    assert max(abs(p - products[0]) for p in products) <= 1e-14 * products[0], argv
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 def test_every_workload_invocation_passes_its_check(capsys, workloads, seed):
     for name in workloads.WORKLOADS:
         for inv in workloads.invocations(name, seed):
             reference = None if inv.reference is None else _stdout(capsys, inv.reference)
-            assert inv.check(_stdout(capsys, inv.argv), reference) == [], (name, inv.argv)
+            out = _stdout(capsys, inv.argv)
+            assert inv.check(out, reference) == [], (name, inv.argv)
+            for argv, text in ((inv.argv, out), (inv.reference, reference)):
+                if argv is not None:
+                    _check_E1_product(workloads, argv, text)

@@ -1,6 +1,7 @@
 """Propagator and operator checks for the linearized evolution."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from khlab.evolution import (
     evolve_boundary_mode,
     evolve_state,
 )
-from khlab.functionals import _r_energy
+from khlab.eigenmodes import potential_gradient_norm_sq
+from khlab.functionals import _r_energy, compute_functionals
 
 from reference_fields import inner_product_L2
 
@@ -379,7 +381,8 @@ def test_rk4_power_matches_high_precision():
     mpmath = pytest.importorskip("mpmath")
     lams, t = [25.0, 4.0, 1e-12, 0.0, -1e-12, -2.0, -30.0], 0.5
     for m in (1, 100, 10 ** 4, 10 ** 6):
-        C, S = _propagators(lams, t, "rk4", t / m)
+        C, S, mu_plus, mu_minus = _propagators(lams, t, "rk4", t / m)
+        growing = iter(zip(mu_plus, mu_minus))
         with mpmath.workdps(50):
             h = mpmath.mpf(t / m)
             for lam, c_got, s_got in zip(lams, C, S):
@@ -395,6 +398,34 @@ def test_rk4_power_matches_high_precision():
                 size = max(abs(mu_plus), abs(mu_minus)) ** m
                 assert abs(c_got - C_ref) <= 1e-14 * size, (m, lam)
                 assert abs(s_got - S_ref) <= 1e-14 * size * t, (m, lam)
+                if lam > 0:   # the eigenvalue powers themselves, each to its own size
+                    for got, mu in zip(next(growing), (mu_plus, mu_minus)):
+                        assert abs(got - mu ** m) <= 1e-14 * abs(mu ** m), (m, lam)
+            assert next(growing, None) is None
+
+
+@pytest.mark.parametrize("stepper, dt", [("exact", None), ("rk4", 0.01)])
+@pytest.mark.parametrize("n, t", [(10, 1.0), (50, 2.0), (100, 3.0)])
+def test_E1_pair_matches_high_precision(stepper, dt, n, t):
+    # E1+/- = |n (d0 +/- n c0) f+/-|^2 ||grad f_n||^2 with f+/- = e^{+/-nt} (exact) or
+    # R(+/-nh)^m (rk4, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24): each side to round-off,
+    # although E1-/E1+ is about e^{-4nt} (1e-521 at n = 100, t = 3)
+    mpmath = pytest.importorskip("mpmath")
+    c0, d0 = 1 - 0.25j, 0.3 * n + 0.1j
+    out = evolve_state(PerturbationState(2, P={n: c0}, P_dot={n: d0}), 0.0, 0.0, t, stepper, dt)
+    rep = compute_functionals(out, [1.0], 0.0, 0.0, t)
+    with mpmath.workdps(50):
+        if stepper == "exact":
+            factors = (mpmath.exp(n * mpmath.mpf(t)), mpmath.exp(-n * mpmath.mpf(t)))
+        else:
+            m = max(1, round(t / dt))
+            h = mpmath.mpf(t / m)
+            factors = [sum(z ** k / mpmath.factorial(k) for k in range(5)) ** m
+                       for z in (n * h, -n * h)]
+        for got, sign, f in zip((rep.E_plus[1.0], rep.E_minus[1.0]), (1, -1), factors):
+            w = mpmath.mpc(d0) + sign * n * mpmath.mpc(c0)
+            ref = abs(n * w * f) ** 2 * potential_gradient_norm_sq(n)
+            assert abs(got - ref) <= 1e-13 * ref, (sign, got, ref)
 
 
 def test_propagator_overflow_raises():
@@ -404,6 +435,11 @@ def test_propagator_overflow_raises():
             evolve_state(s, 0.0, 0.0, 15.0, stepper=stepper, dt=dt)
     with pytest.raises(OverflowError):
         evolve_boundary_mode(BoundaryModeState(WaveVector(50, 0), 1.0, 0.0), 0.0, 0.0, 15.0)
+    # j t = 710: cosh(710) is finite, but e^{710}, the factor of w+, is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="propagator"):
+            evolve_state(s, 0, 0, 14.2)
 
 
 def test_rk4_r_block_matches_exact():

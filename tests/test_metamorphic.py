@@ -58,7 +58,5 @@ def test_translation_along_x1_turns_the_coefficients(shift):
         f0, f1 = (compute_functionals(evolve_state(s, a, b, t), [1.0], a, b, t)
                   for s in (base, moved))
         assert f1.E_plus[1.0] == pytest.approx(f0.E_plus[1.0], rel=1e-14, abs=0)
-        # E1- is a difference of two e^{n t}-sized terms, so its relative error grows
-        # like e^{2 n t} * eps: 3.6e-12 measured at n = 5, t = 1
-        assert f1.E_minus[1.0] == pytest.approx(f0.E_minus[1.0], rel=1e-10, abs=0)
+        assert f1.E_minus[1.0] == pytest.approx(f0.E_minus[1.0], rel=1e-14, abs=0)
         assert (f1.G, f1.F) == (f0.G, f0.F)

@@ -210,7 +210,7 @@ def test_r_rows_checked_on_grid_input():
     spectrum = PerturbationState(2, r=tuple(r)).r_hat.copy()
     spectrum[2, 0, 1, 2, -1] = 1e-300j
     with pytest.raises(ValueError):
-        PerturbationState._from_spectra(2, {}, {}, {}, {}, {}, {}, spectrum, None)
+        PerturbationState._from_spectra(2, {}, {}, {}, {}, spectrum, None)
 
 
 def test_hot_paths_run_no_fft(monkeypatch):
