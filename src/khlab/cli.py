@@ -479,27 +479,19 @@ def _cmd_functionals(cfg: RunConfig):
 
 def _cmd_illposedness(cfg: RunConfig):
     cutoff, samples = _evolve_series(cfg)
-    kept = {}
-
-    def watched():
-        # keep E1+(0) and the final sample while the check streams the rest
-        for t, state in samples:
-            if not kept:
-                kept["E0"] = compute_functionals(state, [1.0], cfg.a, cfg.b, t).E_plus[1.0]
-            kept["final"] = t, state
-            yield t, state
-
-    growth = check_growth_corollary(watched(), cutoff, tol=GROWTH_TOL)
-    t_final, final_state = kept["final"]
-    Ef = compute_functionals(final_state, [1.0], cfg.a, cfg.b, t_final).E_plus[1.0]
+    # the check streams the samples; the assignment keeps the last state for its readout
+    growth = check_growth_corollary(((t, (final := state)) for t, state in samples),
+                                    cutoff, tol=GROWTH_TOL)
+    report = growth._asdict()
+    E1_plus, t_final = report.pop("E1_plus"), growth.times[-1]
     data = {
         "n": cfg.n,
         "t_final": t_final,
-        "growth_factor": Ef / kept["E0"],
+        "growth_factor": E1_plus[-1] / E1_plus[0],
         "required_factor": math.exp(cutoff * t_final) * (1.0 - GROWTH_TOL),
         "initial_sup_norm": cfg.scale * math.exp(-math.sqrt(cfg.n)),
-        "h2_readout_final": h2_readout(final_state),
-        "growth": growth._asdict(),
+        "h2_readout_final": h2_readout(final),
+        "growth": report,
         "passed": growth.passed,
     }
     return (0 if growth.passed else 1), _json_payload(cfg, data)

@@ -19,13 +19,12 @@ independently (the linear system is block-diagonal):
 
 A acts as j^2 on potential coefficients and as k2^2 on the x2 spectrum
 in which a state stores r, so no step transforms.  Every mode, including
-each x2 Fourier mode of r, obeys y'' = lambda^2 y and is advanced by one
-propagator (C, S): y(t) = C y0 + S v0, v(t) = lambda^2 S y0 + C v0, which
-multiplies w+/- = v +/- j y by its eigenvalues mu+/- (lambda^2 = j^2).  The
-exact stepper takes C and S in closed form (cosh/sinh and mu+/- = e^{+/-jt},
-cos/sin or linear); the rk4 stepper takes them from the m-th power of the
-classical RK4 one-step matrix, its amplification polynomial R, with mu+/- =
-R(+/-jh)^m, which reproduces stage-by-stage RK4 to roundoff.
+each x2 Fourier mode of r, obeys y'' = lambda^2 y and goes through one
+propagator.  A growing mode (lambda^2 = omega^2 > 0) advances its
+characteristic pair w+/- = v +/- omega*y by mu+/-: e^{+/-omega t} exact,
+R(+/-omega h)^m rk4, R the amplification polynomial of classical RK4, which
+reproduces stage-by-stage RK4 to roundoff.  Any other mode advances by
+(C, S): y(t) = C y0 + S v0, v(t) = lambda^2 S y0 + C v0.
 """
 
 import math
@@ -45,26 +44,26 @@ class StabilityError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _propagators(lambda_sq, t, stepper, dt):
-    """(C, S, mu_plus, mu_minus) arrays advancing y'' = lambda_sq * y by time t.
+    """(C, S, mu_plus, mu_minus, mu_diff) arrays advancing y'' = lambda_sq * y by time t.
 
-    exact: closed forms.  rk4: m = max(1, round(t/dt)) classical steps of h = t/m.
-    As A^2 = lambda_sq * I, one step is c*I + h*s*A with z = lambda_sq*h^2,
-    c = 1 + z/2 + z^2/24, s = 1 + z/6; its m-th power C*I + S*A comes from the
-    eigenvalues mu+/- = c +/- h*s*sqrt(lambda_sq), at a cost independent of m:
-    C = scale*cosh(beta), S = scale*sinh(beta)/omega for lambda_sq = omega^2 > 0
-    (cos, sin of theta for -omega^2 < 0; C = 1, S = t at 0), scale = |mu|^m =
-    exp((m/2) log1p(z^3 (8+z)/576)) from the exact mu+ mu- - 1, beta = (m/2)
-    log(mu+/mu-), theta = m arg(mu+); exact has scale 1, beta = theta = omega t.
-    mu_plus, mu_minus = scale*e^{+/-beta} = mu+/-^m, which advance v +/- omega*y, are
-    taken over the growing entries (lambda_sq > 0) only.  Needs max|omega| * h <=
-    RK4_STABILITY_LIMIT; raises OverflowError if any of the four overflows.
+    (C, S) cover the entries with lambda_sq <= 0 and mu+/-, mu_diff those with
+    lambda_sq = omega^2 > 0, each in input order.  exact: closed forms.  rk4:
+    m = max(1, round(t/dt)) classical steps of h = t/m.  As A^2 = lambda_sq * I,
+    one step is c*I + h*s*A with z = lambda_sq*h^2, c = 1 + z/2 + z^2/24,
+    s = 1 + z/6, whose eigenvalues c +/- h*s*sqrt(lambda_sq) give the m-th power
+    at a cost independent of m: mu+/- = scale*e^{+/-beta}, C = scale*cos(theta),
+    S = scale*sin(theta)/omega (C = 1, S = t at 0), scale = |mu|^m = exp((m/2)
+    log1p(z^3 (8+z)/576)) from the exact mu+ mu- - 1, beta = (m/2) log(mu+/mu-),
+    theta = m arg(mu+); exact has scale 1, beta = theta = omega t.  mu_diff =
+    mu+ - mu- = -mu+ expm1(-2 beta), free of their cancellation at beta << 1.
+    Needs max|omega| * h <= RK4_STABILITY_LIMIT; OverflowError if C, S or mu+/- overflow.
     """
     if not t >= 0:
         raise ValueError("time must be nonnegative")
     lam = np.asarray(lambda_sq, dtype=float)
     w = np.sqrt(np.abs(lam))
     grow = lam > 0
-    with np.errstate(all="ignore"):   # entries that np.where drops may divide by zero
+    with np.errstate(all="ignore"):   # entries that the masks drop may divide by zero
         if stepper == "exact":
             scale, beta, theta = np.ones_like(lam), w * t, w * t
         elif stepper == "rk4":
@@ -89,15 +88,15 @@ def _propagators(lambda_sq, t, stepper, dt):
             theta = steps * np.arctan2(hsw, c)
         else:
             raise ValueError(f"unknown stepper {stepper!r}")
-        C = scale * np.where(grow, np.cosh(beta), np.cos(theta))
-        S = np.where(w > 0, scale * np.where(grow, np.sinh(beta), np.sin(theta))
-                     / np.where(w > 0, w, 1.0), t)
+        C = (scale * np.cos(theta))[~grow]
+        S = np.where(w > 0, scale * np.sin(theta) / np.where(w > 0, w, 1.0), t)[~grow]
         mu_plus, mu_minus = (scale[grow] * np.exp(sign * beta[grow]) for sign in (1.0, -1.0))
+        mu_diff = -mu_plus * np.expm1(-2.0 * beta[grow])
     if not all(np.all(np.isfinite(x)) for x in (C, S, mu_plus, mu_minus)):
         raise OverflowError(
             f"propagator leaves the float range at t={t} "
             f"(largest |lambda^2| = {float(np.max(np.abs(lam), initial=0.0)):.6g})")
-    return C, S, mu_plus, mu_minus
+    return C, S, mu_plus, mu_minus, mu_diff
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +112,30 @@ class BoundaryModeState(NamedTuple):
 
 
 def boundary_dispersion(k: WaveVector, a: float, b: float) -> float:
-    """Squared temporal exponent of interface mode k: k1^2 - (a^2+b^2)/2 * k2^2."""
+    """Squared temporal exponent of interface mode k: k1^2 - (a^2+b^2)/2 * k2^2, k1^2 at k2 = 0."""
     k.require_nonzero()
-    return float(k.k1) ** 2 - 0.5 * (a * a + b * b) * float(k.k2) ** 2
+    k1, k2 = float(k.k1), float(k.k2)
+    return k1 * k1 - (0.5 * (a * a + b * b) * (k2 * k2) if k2 else 0.0)
 
 
 def evolve_boundary_mode(state: BoundaryModeState, a: float, b: float, t: float,
                          stepper: str = "exact", dt: float = None) -> BoundaryModeState:
-    """Advance one interface mode by time t.
+    """Advance one interface mode, amp'' = lambda^2 * amp, by time t.
 
-    The exact stepper solves amp'' = lambda^2 * amp in closed form
-    (cosh/sinh for growth, cos/sin for oscillation, linear at
-    lambda^2 = 0).  stepper="rk4" integrates the same system with the
-    classical scheme at step dt for convergence studies.
+    A growing mode advances its characteristic pair as evolve_state advances P
+    and L (t = 0 is the identity), any other by (C, S); "exact" takes closed
+    forms, stepper="rk4" the classical scheme at step dt for convergence studies.
     """
     lam_sq = boundary_dispersion(state.k, a, b)
-    C, S = (float(x[0]) for x in _propagators([lam_sq], t, stepper, dt)[:2])
-    amp = state.amplitude * C + state.velocity * S
-    vel = state.amplitude * lam_sq * S + state.velocity * C
-    return BoundaryModeState(state.k, amp, vel)
+    C, S, _, mu_minus, mu_diff = _propagators([lam_sq], t, stepper, dt)
+    amp, vel = state.amplitude, state.velocity
+    if lam_sq > 0:   # w+/- = vel +/- omega*amp times mu+/-, with w- = w+ - 2*omega*amp
+        omega, decay, rise = math.sqrt(lam_sq), float(mu_minus[0]), float(mu_diff[0])
+        w_plus = vel + omega * amp
+        return BoundaryModeState(state.k, amp * decay + w_plus * (rise / (2.0 * omega)),
+                                 vel * decay + w_plus * (rise / 2.0))
+    C, S = float(C[0]), float(S[0])
+    return BoundaryModeState(state.k, amp * C + vel * S, amp * lam_sq * S + vel * C)
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +210,19 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
         with np.errstate(over="ignore"):   # a field past 1e154 leaves the float range here
             lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
         lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
-    C, S, mu_plus, mu_minus = _propagators(lam_sq, t, stepper, dt)
+    C, S, mu_plus, mu_minus, _ = _propagators(lam_sq, t, stepper, dt)
 
-    # the odd family holds every growing entry, first
+    # the odd family holds every growing entry; C and S are g's entries, then r's
     evolved = [dict(zip(odd, (np.array([w[j] for j in odd], dtype=complex) * mu).tolist()))
                for w, mu in ((state.w_plus, mu_plus), (state.w_minus, mu_minus))]
-    sl = slice(len(odd), len(odd) + len(even))
+    n, lam_g = len(even), lam_sq[len(odd):len(odd) + len(even)]
     c = np.array([state.g.get(j, 0.0) for j in even], dtype=complex)
     d = np.array([state.g_dot.get(j, 0.0) for j in even], dtype=complex)
-    evolved.append(dict(zip(even, (c * C[sl] + d * S[sl]).tolist())))
-    evolved.append(dict(zip(even, (c * lam_sq[sl] * S[sl] + d * C[sl]).tolist())))
+    evolved.append(dict(zip(even, (c * C[:n] + d * S[:n]).tolist())))
+    evolved.append(dict(zip(even, (c * lam_g * S[:n] + d * C[:n]).tolist())))
 
     if spectrum is not None:
-        Cr, Sr, lam = (x.reshape(1, 2, 1, k2.size, 1) for x in (C[sl.stop:], S[sl.stop:], lam_r))
+        Cr, Sr, lam = (x.reshape(1, 2, 1, k2.size, 1) for x in (C[n:], S[n:], lam_r))
         y0 = 0.0 if r_hat is None else r_hat
         v0 = 0.0 if r_dot_hat is None else r_dot_hat
         r_hat, r_dot_hat = y0 * Cr + v0 * Sr, y0 * (lam * Sr) + v0 * Cr

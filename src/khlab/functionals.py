@@ -197,25 +197,19 @@ class FunctionalReport(NamedTuple):
     F: float
 
 
+def _coefficient_sum(coeffs, p):
+    """sum |j^p x_j|^2 ||grad f_j||^2 over the items (j, x_j) of coeffs; inf past the float range."""
+    j = np.fromiter(coeffs, float, len(coeffs))
+    x = np.fromiter(coeffs.values(), complex, len(coeffs))
+    weights = np.array([potential_gradient_norm_sq(k) for k in coeffs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(np.abs(j ** p * x) ** 2 * weights))
+
+
 def _E_mu(state: PerturbationState, mu: float, high=True):
     """(E_mu+, E_mu-): sum |j^mu w+/-|^2 ||grad f_j||^2 over P, or over L if not high."""
-    plus = minus = 0.0
-    for j, w_plus in state.w_plus.items():
-        if (j >= state.n_cutoff) == high:
-            w = potential_gradient_norm_sq(j)
-            jm = np.float64(j) ** mu   # numpy scalars: past the float range, inf, not an error
-            plus += abs(jm * w_plus) ** 2 * w
-            minus += abs(jm * state.w_minus[j]) ** 2 * w
-    return plus, minus
-
-
-def _quadratic_block(coeffs, dots):
-    total = 0.0
-    for j in sorted(set(coeffs) | set(dots)):
-        c, d = coeffs.get(j, 0.0 + 0.0j), dots.get(j, 0.0 + 0.0j)
-        w = potential_gradient_norm_sq(j)
-        total += (abs(d) ** 2 + (j * abs(c)) ** 2) * w
-    return total
+    return tuple(_coefficient_sum({j: x for j, x in w.items() if (j >= state.n_cutoff) == high},
+                                  mu) for w in (state.w_plus, state.w_minus))
 
 
 def _r_energy(state: PerturbationState, a: float, b: float):
@@ -260,7 +254,7 @@ def compute_functionals(state: PerturbationState, mus, a: float, b: float,
         for mu in mus:
             E_plus[float(mu)], E_minus[float(mu)] = _E_mu(state, float(mu))
         G = 0.5 * sum(_E_mu(state, 0.0, high=False))
-        F = _quadratic_block(state.g, state.g_dot) + _r_energy(state, a, b)
+        F = _coefficient_sum(state.g_dot, 0) + _coefficient_sum(state.g, 1) + _r_energy(state, a, b)
     if not all(map(math.isfinite, [*E_plus.values(), *E_minus.values(), G, F])):
         raise OverflowError(f"growth functionals leave the float range at t={t}")
     return FunctionalReport(t, E_plus, E_minus, G, F)
@@ -271,10 +265,12 @@ def h2_readout(state: PerturbationState) -> float:
 
     Mode j contributes j^4 * |c_j|^2 * (basis gradient weight); this is
     the A-multiplier-consistent stand-in for a second-order Sobolev norm
-    of the growing component.
+    of the growing component.  Raises OverflowError past the float range.
     """
-    return math.sqrt(sum((j ** 4) * abs(c) ** 2 * potential_gradient_norm_sq(j)
-                         for j, c in state.P.items()))
+    total = _coefficient_sum(state.P, 2)
+    if not math.isfinite(total):
+        raise OverflowError("H2 readout leaves the float range")
+    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +303,8 @@ class Proposition2Report(NamedTuple):
 def _aux_bounds_ok(state: PerturbationState, n: int, E1p, E1m, rel=1e-12):
     E32p, E32m = _E_mu(state, 1.5)
     order_ok = bool(E32p >= n * E1p * (1 - rel) and E32m >= n * E1m * (1 - rel))
-    lhs = sum((j ** 4) * abs(c) ** 2 * potential_gradient_norm_sq(j)
-              for j, c in state.L.items())
-    rhs = (max(n - 1, 1) ** 4) * sum(abs(c) ** 2 * potential_gradient_norm_sq(j)
-                                     for j, c in state.L.items())
-    low_ok = bool(lhs <= rhs * (1 + rel))
+    L = state.L
+    low_ok = bool(_coefficient_sum(L, 2) <= max(n - 1, 1) ** 4 * _coefficient_sum(L, 0) * (1 + rel))
     return order_ok, low_ok
 
 
@@ -360,6 +353,7 @@ class GrowthReport(NamedTuple):
     passed: bool
     times: list
     margins: list   # E1+(t) / (E1+(0) e^{n t})
+    E1_plus: list   # E1+(t), one value per sample
 
 
 def check_growth_corollary(trajectory, n_cutoff: int,
@@ -367,22 +361,22 @@ def check_growth_corollary(trajectory, n_cutoff: int,
     """True iff E1+(t) >= E1+(0) * e^(n_cutoff * t) * (1 - tol) at all samples.
 
     trajectory is an iterable of (t, PerturbationState), consumed in one
-    pass; its first sample is the reference time.
+    pass; its first sample is the reference time.  The functionals of each
+    sample are evaluated once.
     """
-    times, margins = [], []
+    times, margins, values = [], [], []
     passed = True
     for t, state in _time_ordered(trajectory):
         E = compute_functionals(state, [1.0], 0.0, 0.0, t=t).E_plus[1.0]
-        if not times:
-            t0, E0 = t, E
-            if E0 == 0.0:
-                raise ValueError("E1+(0) = 0: growth ratio undefined")
-        target = E0 * math.exp(n_cutoff * (t - t0))
-        margins.append(E / target)
+        if not values and E == 0.0:
+            raise ValueError("E1+(0) = 0: growth ratio undefined")
         times.append(t)
+        values.append(E)
+        target = values[0] * math.exp(n_cutoff * (t - times[0]))
+        margins.append(E / target)
         if E < target * (1.0 - tol):
             passed = False
-    return GrowthReport(n_cutoff, passed, times, margins)
+    return GrowthReport(n_cutoff, passed, times, margins, values)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ the default and the held-out seed.
 """
 
 import importlib.util
+import json
 import os
 import sys
 
 import pytest
 
+from khlab import cli, functionals
 from khlab.cli import main
 
 _WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -60,3 +62,30 @@ def test_every_workload_invocation_passes_its_check(capsys, workloads, seed):
             for argv, text in ((inv.argv, out), (inv.reference, reference)):
                 if argv is not None:
                     _check_E1_product(workloads, argv, text)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_illposedness_growth_factor_is_the_functionals_ratio(capsys, workloads, seed):
+    # the certificate's growth factor is E1+(T)/E1+(0) of the functionals series of the
+    # same flags, bit for bit
+    docs = {inv.command: json.loads(_stdout(capsys, inv.argv))["data"]
+            for inv in workloads.invocations("illposed-pipeline", seed)
+            if inv.command in ("functionals", "illposedness")}
+    series = docs["functionals"]["series"]
+    assert docs["illposedness"]["growth_factor"] == series[-1]["E1_plus"] / series[0]["E1_plus"]
+
+
+@pytest.mark.parametrize("samples", [None, "4"])
+def test_illposedness_evaluates_each_sample_once(capsys, monkeypatch, samples):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return compute(*args, **kwargs)
+
+    compute = functionals.compute_functionals
+    monkeypatch.setattr(functionals, "compute_functionals", counted)
+    monkeypatch.setattr(cli, "compute_functionals", counted)
+    argv = ["--command", "illposedness", "--n", "4", "--n_tan", "16", "--n_ver", "8"]
+    _stdout(capsys, argv + ([] if samples is None else ["--samples", samples]))
+    assert len(calls) == (9 if samples is None else int(samples))

@@ -323,6 +323,19 @@ def test_pressure_error_table(capsys):
     assert float(rows[1][4]) == pytest.approx(2.0, abs=0.3)
 
 
+def test_pressure_first_level_has_no_order(capsys):
+    # documented: the first level of each kappa prints observed_order as nan in CSV and
+    # as null in JSON, which has no NaN
+    argv = ["--command", "pressure", "--kappas", "1,2", "--refinements", "2", "--n_tan", "32"]
+    rc, out = run_cli(capsys, argv)
+    assert rc == 0
+    assert [row.split(",")[4] == "nan" for row in _data_lines(out)[1:]] == [True, False] * 2
+    rc, out = run_cli(capsys, argv + ["--format", "json"])
+    assert rc == 0
+    orders = [row["observed_order"] for row in json.loads(out)["data"]["errors"]]
+    assert orders[0::2] == [None, None] and all(isinstance(o, float) for o in orders[1::2])
+
+
 def test_evolve_csv_series(capsys):
     rc, out = run_cli(capsys, ["--command", "evolve", "--n", "4", "--t", "0.5",
                                "--samples", "3", "--n_tan", "32", "--n_ver", "16"])

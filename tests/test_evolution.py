@@ -83,6 +83,55 @@ def test_oscillatory_branch_conserves_energy():
                                   rel=1e-12)
 
 
+def test_streamwise_exponent_ignores_fields_past_the_float_range():
+    # k2 = 0 makes the field term exactly 0, so a field whose square overflows
+    # leaves lambda^2 = k1^2 and the mode's evolution bit for bit
+    k = WaveVector(1, 0)
+    assert boundary_dispersion(k, 1e200, 0.0) == 1.0
+    assert boundary_dispersion(k, 1.7e308, 1.7e308) == 1.0
+    s = BoundaryModeState(k, 0.5 - 0.25j, 0.1j)
+    for stepper, dt in (("exact", None), ("rk4", 1e-3)):
+        assert (evolve_boundary_mode(s, 1e200, 0.0, 1.3, stepper, dt)
+                == evolve_boundary_mode(s, 0.0, 0.0, 1.3, stepper, dt))
+
+
+# (k, a, t): streamwise modes, omega = k1 >= 1, and nearly neutral ones at k = (1, 1),
+# lambda^2 = 1 - a^2/2 of about 1e-12 and 2.2e-16 (a one ulp below sqrt 2), where
+# omega*t << 1 and e^{+/-omega t} both round near 1
+NEAR_NEUTRAL_A = (math.sqrt(2.0 - 2e-12), 1.4142135623730949)
+
+
+@pytest.mark.parametrize("stepper, dt", [("exact", None), ("rk4", 1e-3)])
+@pytest.mark.parametrize("k, a, t", [((1, 0), 0.0, 1.0), ((10, 0), 0.0, 3.0), ((50, 0), 0.0, 10.0)]
+                         + [((1, 1), a, t) for a in NEAR_NEUTRAL_A for t in (1e-8, 1.0)],
+                         ids=lambda v: f"{v[0]},{v[1]}" if isinstance(v, tuple) else f"{v:.17g}")
+@pytest.mark.parametrize("branch", ["decaying", "growing", "generic"])
+def test_boundary_mode_matches_high_precision(stepper, dt, k, a, t, branch):
+    # amp = (w+ mu+ - w- mu-)/(2 omega), vel = (w+ mu+ + w- mu-)/2 with w+/- = vel0 +/-
+    # omega amp0 and mu+/- = e^{+/-omega t} (exact) or R(+/-omega h)^m (rk4); on the
+    # decaying branch (w+ = 0) the amplitude is e^{-omega t}-sized, e^{-500} at k1 = 50, t = 10
+    mpmath = pytest.importorskip("mpmath")
+    lam_sq = boundary_dispersion(WaveVector(*k), a, 0.0)
+    assert lam_sq > 0
+    omega, amp0 = math.sqrt(lam_sq), 1.25 - 0.5j
+    vel0 = {"decaying": -omega * amp0, "growing": omega * amp0, "generic": -0.375 + 0.8j}[branch]
+    out = evolve_boundary_mode(BoundaryModeState(WaveVector(*k), amp0, vel0), a, 0.0, t, stepper, dt)
+    with mpmath.workdps(50):
+        om = mpmath.sqrt(mpmath.mpf(lam_sq))
+        if stepper == "exact":
+            mu = [mpmath.exp(sign * om * mpmath.mpf(t)) for sign in (1, -1)]
+        else:
+            m = max(1, round(t / dt))
+            h = mpmath.mpf(t / m)
+            mu = [sum((sign * om * h) ** p / mpmath.factorial(p) for p in range(5)) ** m
+                  for sign in (1, -1)]
+        w = [mpmath.mpc(vel0) + sign * om * mpmath.mpc(amp0) for sign in (1, -1)]
+        amp = (w[0] * mu[0] - w[1] * mu[1]) / (2 * om)
+        vel = (w[0] * mu[0] + w[1] * mu[1]) / 2
+        for got, ref in ((out.amplitude, amp), (out.velocity, vel)):
+            assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
+
+
 def test_time_zero_is_identity():
     s = BoundaryModeState(WaveVector(4, 1), 1.2 + 0.5j, -0.8j)
     out = evolve_boundary_mode(s, 0.3, 0.4, 0.0)
@@ -376,20 +425,27 @@ def test_rk4_propagator_matches_literal_stages():
 
 def test_rk4_power_matches_high_precision():
     # the closed-form m-th power of the one-step matrix against the same power
-    # from its eigenvalues in 50-digit arithmetic, for growing, neutral,
-    # nearly neutral and oscillating modes
+    # from its eigenvalues in 50-digit arithmetic: (C, S) for neutral, nearly
+    # neutral and oscillating modes, the eigenvalue powers mu+/- for growing ones
     mpmath = pytest.importorskip("mpmath")
     lams, t = [25.0, 4.0, 1e-12, 0.0, -1e-12, -2.0, -30.0], 0.5
     for m in (1, 100, 10 ** 4, 10 ** 6):
-        C, S, mu_plus, mu_minus = _propagators(lams, t, "rk4", t / m)
-        growing = iter(zip(mu_plus, mu_minus))
+        C, S, mu_plus, mu_minus, mu_diff = _propagators(lams, t, "rk4", t / m)
+        growing = iter(zip(mu_plus, mu_minus, mu_diff))
+        other = iter(zip(C, S))
         with mpmath.workdps(50):
             h = mpmath.mpf(t / m)
-            for lam, c_got, s_got in zip(lams, C, S):
+            for lam in lams:
                 z = lam * h * h
                 c, hs = 1 + z / 2 + z * z / 24, h * (1 + z / 6)
                 root = mpmath.sqrt(mpmath.mpc(lam))
                 mu_plus, mu_minus = c + hs * root, c - hs * root
+                if lam > 0:   # the eigenvalue powers and their difference, each to its own size
+                    refs = (mu_plus ** m, mu_minus ** m, mu_plus ** m - mu_minus ** m)
+                    for got, ref in zip(next(growing), refs):
+                        assert abs(got - ref) <= 1e-14 * abs(ref), (m, lam)
+                    continue
+                c_got, s_got = next(other)
                 if lam == 0.0:
                     C_ref, S_ref = mpmath.mpf(1), m * h
                 else:
@@ -398,10 +454,7 @@ def test_rk4_power_matches_high_precision():
                 size = max(abs(mu_plus), abs(mu_minus)) ** m
                 assert abs(c_got - C_ref) <= 1e-14 * size, (m, lam)
                 assert abs(s_got - S_ref) <= 1e-14 * size * t, (m, lam)
-                if lam > 0:   # the eigenvalue powers themselves, each to its own size
-                    for got, mu in zip(next(growing), (mu_plus, mu_minus)):
-                        assert abs(got - mu ** m) <= 1e-14 * abs(mu ** m), (m, lam)
-            assert next(growing, None) is None
+            assert next(growing, None) is None and next(other, None) is None
 
 
 @pytest.mark.parametrize("stepper, dt", [("exact", None), ("rk4", 0.01)])

@@ -1,6 +1,7 @@
 """Decomposition, growth functionals and trajectory checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,25 @@ def test_h2_readout_weighting():
     state = PerturbationState(2, P={3: 2.0})
     expect = math.sqrt(3 ** 4 * 4.0 * potential_gradient_norm_sq(3))
     assert h2_readout(state) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("block, j", [("g", 5), ("g_dot", 5), ("L", 2), ("P", 5)])
+def test_functionals_name_an_overflow_in_every_block(block, j):
+    # a squared coefficient past the float range is inf, never errno 34, and raises the
+    # named OverflowError, with no warning
+    state = PerturbationState(4, **{block: {j: 1e200}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="growth functionals leave the float range"):
+            compute_functionals(state, [1.0], 0.0, 0.0)
+
+
+def test_h2_readout_names_an_overflow():
+    # inf would print in the evolve CSV
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="H2 readout leaves the float range"):
+            h2_readout(PerturbationState(2, P={3: 1e160}))
 
 
 def test_log_energy_growth_rate_single_mode():

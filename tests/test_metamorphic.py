@@ -60,3 +60,38 @@ def test_translation_along_x1_turns_the_coefficients(shift):
         assert f1.E_plus[1.0] == pytest.approx(f0.E_plus[1.0], rel=1e-14, abs=0)
         assert f1.E_minus[1.0] == pytest.approx(f0.E_minus[1.0], rel=1e-14, abs=0)
         assert (f1.G, f1.F) == (f0.G, f0.F)
+
+
+# at k2 = 0 the field enters neither the growth rate nor the interface exponent, for any
+# field the parser accepts; the Syrovatskij flags depend on it by definition
+K2_ZERO_FIELDS = [("0", "0"), ("3", "0.5"), ("1.4e154", "2"), ("1e300", "1e300"),
+                  ("1.7e308", "1.7e308")]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("k", ["1,0", "-7,0"])
+def test_transverse_field_leaves_streamwise_dispersion_unchanged(capsys, fmt, k):
+    kept = []
+    for a, b in K2_ZERO_FIELDS:
+        rc = main(["--command", "dispersion", "--k", k, "--a", a, "--b", b, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == "", (a, b, err)
+        if fmt == "json":
+            row = json.loads(out)["data"]
+        else:
+            header, values = [line for line in out.splitlines() if not line.startswith("#")]
+            row = dict(zip(header.split(","), values.split(",")))
+        kept.append([row[key] for key in ("gamma_squared", "lambda_squared", "growing")])
+    assert "nan" not in kept[0]
+    assert all(row == kept[0] for row in kept[1:]), kept
+
+
+def test_transverse_field_leaves_streamwise_map_unchanged(capsys):
+    rc = main(["--command", "map", "--k", "3,0", "--a_max", "1.7e308", "--b_max", "1.7e308",
+               "--a_steps", "4", "--b_steps", "4"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    cells = [[row[header.index(key)] for key in ("gamma_squared", "growing")] for row in rows]
+    assert len(cells) == 16 and cells[0] == ["9", "true"]
+    assert all(cell == cells[0] for cell in cells)
