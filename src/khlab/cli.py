@@ -12,7 +12,6 @@ nothing), 3 numerical solver failure, overflow of the float range or an
 internal error.
 """
 
-import json
 import math
 import os
 import sys
@@ -322,6 +321,7 @@ def _csv_payload(cfg: RunConfig, columns: dict):
 
 
 def _json_payload(cfg: RunConfig, data):
+    import json   # here, not at the top: the CSV commands never need it
     doc = {"command": cfg.command,
            "config": {k: v if isinstance(v, (int, float, str)) else _echo_text(v)
                       for k, v in _config_echo(cfg).items()},
@@ -334,6 +334,7 @@ def _json_payload(cfg: RunConfig, data):
 
 
 def load_report_schema():
+    import json
     ref = resources.files("khlab").joinpath("schemas/report.schema.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 
@@ -444,10 +445,9 @@ def _cmd_pressure(cfg: RunConfig):
 
 def _evolve_series(cfg: RunConfig):
     """(cutoff, samples); samples yields (t, state) lazily, each evolved from t = 0."""
-    n = cfg.n
-    cutoff = cfg.n_cutoff if cfg.n_cutoff is not None else n
+    cutoff = cfg.n_cutoff if cfg.n_cutoff is not None else cfg.n
     state = decompose_perturbation(
-        *perturbed_initial_data(n, cfg.scale, cfg.n_tan, cfg.n_ver), cutoff)
+        *perturbed_initial_data(cfg.n, cfg.scale, cfg.n_tan, cfg.n_ver), cutoff)
     dt = cfg.dt
     if cfg.stepper == "rk4" and dt is None:
         dt = default_rk4_dt(state, cfg.a, cfg.b, cfg.n_tan)
@@ -563,5 +563,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def process_main() -> int:
+    """The ``khlab`` process: main() with the cyclic collector off and the heap frozen at exit."""
+    # a process is one-shot and khlab makes no reference cycles worth collecting, so the run's
+    # and teardown's collections would only walk the import-time heap (numpy's above all)
+    import gc
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -141,6 +141,27 @@ class WaveVector(namedtuple("WaveVector", "k1 k2")):
 # closed-form vertical profiles
 # ---------------------------------------------------------------------------
 
+def exp_pair_values(kappa, pairs, x3):
+    """a_plus e^{kappa x3} + a_minus e^{-kappa x3} per pair, all from one exponential pair."""
+    if isinstance(x3, float):
+        try:
+            ep, em = math.exp(kappa * x3), math.exp(-kappa * x3)
+            out = [a_plus * ep + a_minus * em for a_plus, a_minus in pairs]
+        except OverflowError:
+            out = [math.inf]
+        finite = all(map(cmath.isfinite, out))
+    else:
+        x3 = np.asarray(x3, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ep, em = np.exp(kappa * x3), np.exp(-kappa * x3)
+            out = [a_plus * ep + a_minus * em for a_plus, a_minus in pairs]
+        finite = all(np.isfinite(value).all() for value in out)
+    if not finite:   # e^kappa passes the float range near kappa = 709.78
+        raise OverflowError(f"profile at kappa = {kappa:g} leaves the float range "
+                            f"(max {sys.float_info.max:.3g})")
+    return out
+
+
 class VerticalProfile(namedtuple("VerticalProfile", "kappa upper lower")):
     """Per-phase hyperbolic profile on x3 in [-1, 1].
 
@@ -163,30 +184,11 @@ class VerticalProfile(namedtuple("VerticalProfile", "kappa upper lower")):
 
     _make = classmethod(_make_validated)
 
-    def _eval_exp(self, coeffs, x3):
-        """a_plus e^{kappa x3} + a_minus e^{-kappa x3}: a number for a float x3, else an array."""
-        a_plus, a_minus = coeffs
-        if isinstance(x3, float):
-            try:
-                out = a_plus * math.exp(self.kappa * x3) + a_minus * math.exp(-self.kappa * x3)
-            except OverflowError:
-                out = math.inf
-            finite = cmath.isfinite(out)
-        else:
-            x3 = np.asarray(x3, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = a_plus * np.exp(self.kappa * x3) + a_minus * np.exp(-self.kappa * x3)
-            finite = np.isfinite(out).all()
-        if not finite:   # e^kappa passes the float range near kappa = 709.78
-            raise OverflowError(f"profile at kappa = {self.kappa:g} leaves the float range "
-                                f"(max {sys.float_info.max:.3g})")
-        return out
-
     def eval_upper(self, x3):
-        return self._eval_exp(self.upper, x3)
+        return exp_pair_values(self.kappa, [self.upper], x3)[0]
 
     def eval_lower(self, x3):
-        return self._eval_exp(self.lower, x3)
+        return exp_pair_values(self.kappa, [self.lower], x3)[0]
 
     def eval(self, x3):
         """Evaluate pointwise; x3 >= 0 selects the upper phase."""
@@ -327,8 +329,7 @@ def vertical_levels(n_ver):
 
 def _vertical_weights(n_ver):
     w = np.full(n_ver + 1, 1.0 / n_ver)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w[[0, -1]] *= 0.5
     return w
 
 

@@ -31,6 +31,7 @@ from khlab.core import (
     VerticalProfile,
     WaveVector,
     coth,
+    exp_pair_values,
     exp_weights,
     np,
     row_profile_plane,
@@ -147,19 +148,22 @@ def verify_mode(mode: SpectralMode, sample_count: int = 1000) -> ResidualReport:
         raise ValueError("sample_count must be >= 1")
     k = mode.k
     kappa_sq = float(k.k1 ** 2 + k.k2 ** 2)
-    p1, p2, p3 = mode.profiles
-    seconds = [p.derivative().derivative() for p in mode.profiles]
-    dp3 = p3.derivative()
+    p3 = mode.profiles[2]
+    # a sample reads the components, their second derivatives and d p3/dx3: nine profiles
+    # of one kappa, so one exponential pair per sample serves them all
+    nine = (*mode.profiles, *(p.derivative().derivative() for p in mode.profiles), p3.derivative())
+    if len({p.kappa for p in nine}) > 1:
+        raise ValueError("the profiles of a mode must share one kappa")
+    phases = [p.lower for p in nine], [p.upper for p in nine]
 
     harmonic = divergence = 0.0
     for n in range(1, sample_count + 1):
         # a low-discrepancy sample over both phases (golden-ratio recurrence); the
         # residuals depend on x3 alone, as the tangential factor of a mode divides out
         x3 = 2.0 * ((0.5 + n * (math.sqrt(5) - 1) / 2) % 1.0) - 1.0
-        for prof, second in zip(mode.profiles, seconds):
-            harmonic = max(harmonic, abs(second.eval(x3) - kappa_sq * prof.eval(x3)))
-        div = 1j * k.k1 * p1.eval(x3) + 1j * k.k2 * p2.eval(x3) + dp3.eval(x3)
-        divergence = max(divergence, abs(div))
+        v = exp_pair_values(p3.kappa, phases[x3 >= 0.0], x3)
+        harmonic = max(harmonic, *(abs(v[i + 3] - kappa_sq * v[i]) for i in range(3)))
+        divergence = max(divergence, abs(1j * k.k1 * v[0] + 1j * k.k2 * v[1] + v[6]))
 
     wall = max(abs(p3.eval_upper(1.0)), abs(p3.eval_lower(-1.0)))
     continuity = abs(p3.eval_upper(0.0) - p3.eval_lower(0.0))

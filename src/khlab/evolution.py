@@ -153,9 +153,7 @@ def apply_A(state: PerturbationState) -> PerturbationState:
         return {j: (j ** 2) * c for j, c in coeffs.items()}
 
     def on_r(spectrum):
-        if spectrum is None:
-            return None
-        return spectrum * (_r_frequencies(spectrum) ** 2)[:, None]
+        return None if spectrum is None else spectrum * (_r_frequencies(spectrum) ** 2)[:, None]
 
     return PerturbationState._from_spectra(
         state.n_cutoff,

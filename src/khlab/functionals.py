@@ -66,7 +66,7 @@ class AliasingError(ValueError):
 # decomposition
 # ---------------------------------------------------------------------------
 
-def _potential_split(trace_up, trace_lo, tol):
+def _potential_split(trace_up, trace_lo, tol, sup_norm):
     """Odd/even potential coefficients from the two interface flux traces.
 
     Each trace must equal sum_j Re(C * exp(i j x1)) over j >= 1: content
@@ -74,9 +74,11 @@ def _potential_split(trace_up, trace_lo, tol):
     conditions) and energy at the Nyquist band are rejected.
     """
     n = trace_up.shape[0]
-    # normalised by the size, so a plane (x2 extent 1) gives the k2 = 0
-    # column of its full-grid repeat
-    su, sl = (np.fft.fft2(trace) / trace.size for trace in (trace_up, trace_lo))
+    # normalised by the size, so a plane (x2 extent 1) gives the k2 = 0 column of its full-grid
+    # repeat; divided by a power of two unit >= the data's sup norm, the FFT's sums stay in
+    # the float range and in-range spectra keep every bit
+    unit = math.ldexp(1.0, math.frexp(sup_norm)[1])
+    su, sl = (np.fft.fft2(trace / unit) / trace.size * unit for trace in (trace_up, trace_lo))
 
     # column 0 is k2 = 0, the streamwise line; a plane has no other column
     off_line = max(float(np.max(np.abs(s[:, 1:]), initial=0.0)) for s in (su, sl))
@@ -141,7 +143,7 @@ def _decompose_single(chi, tol):
         raise ValueError(
             f"wall-normal velocity {wall:.3e} at the walls; data outside "
             "the admissible class")
-    odd, even = _potential_split(up3[:, :, 0], lo3[:, :, -1], tol)
+    odd, even = _potential_split(up3[:, :, 0], lo3[:, :, -1], tol, scale)
     values -= _gradient_plane(odd, even, n_tan, n_ver)
     # r3 must vanish on the interface and wall rows: checked, then snapped exactly
     worst = float(np.max(np.abs(values[2][..., [0, -1]])))
@@ -232,11 +234,8 @@ def _r_energy(state: PerturbationState, a: float, b: float):
         w = w * n_tan if k2.size == 1 else w / n_tan
         return float(((power * w).sum(axis=2) * (m * c)).sum(axis=0).sum())
 
-    total = 0.0
-    for spectrum, stiff in ((state.r_dot_hat, False), (state.r_hat, True)):
-        if spectrum is not None:
-            total += parseval(spectrum, stiff)
-    return total
+    return sum((parseval(spectrum, stiff) for spectrum, stiff
+                in ((state.r_dot_hat, False), (state.r_hat, True)) if spectrum is not None), 0.0)
 
 
 def compute_functionals(state: PerturbationState, mus, a: float, b: float,
@@ -335,8 +334,7 @@ def check_proposition2(trajectory, n_cutoff: int, a: float, b: float) -> Proposi
         if state.n_cutoff != n_cutoff:
             raise ValueError("states must share the trajectory n_cutoff")
         rep = compute_functionals(state, [1.0], a, b, t=t)
-        E1p = rep.E_plus[1.0]
-        E1m = rep.E_minus[1.0]
+        E1p, E1m = rep.E_plus[1.0], rep.E_minus[1.0]
         series.append((t, E1p, E1m, rep.F, rep.G))
         inside = (E1p >= E1m) and (E1p >= n3 * rep.F) and (E1p >= n3 * rep.G)
         if not inside and first_violation_time is None:

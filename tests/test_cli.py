@@ -160,9 +160,10 @@ def _fresh_python(code):
 
 
 def test_import_does_not_load_scipy():
-    # nor dataclasses, inspect or numpy's modules: the import is start-up cost of every command
+    # nor dataclasses, inspect, json or numpy's modules: the import is start-up cost of every
+    # command, and only the commands that write JSON load json
     proc = _fresh_python("import sys, khlab.cli; print([m for m in ('scipy', 'dataclasses', "
-                         "'inspect', 'numpy._core') if m in sys.modules])")
+                         "'inspect', 'json', 'numpy._core') if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -464,6 +465,63 @@ def test_closed_stdout_pipe_in_a_process():
         assert proc.stderr == b"khlab: cannot write output: stdout: Broken pipe\n"
 
 
+# a CSV and a JSON command, both through numpy, and an exit-2 and an exit-3 path
+_ENTRY_CASES = (
+    ["--command", "evolve", "--n", "4", "--n_tan", "32", "--n_ver", "16"],
+    ["--command", "illposedness", "--n", "4", "--n_tan", "32", "--n_ver", "16"],
+    ["--command", "dispersion", "--k", "1,0", "--n1", "-1"],
+    ["--command", "modes", "--k", "710,0"],
+)
+
+
+def test_process_entry_writes_what_main_writes(capsys):
+    # `python -m khlab.cli` runs process_main, which turns the collector off for the run:
+    # stdout, stderr and the exit code are those of main() in process
+    codes = []
+    for args in _ENTRY_CASES:
+        code = main(list(args))
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "khlab.cli", *args], env=_source_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, *captured)
+        codes.append(code)
+    assert codes == [0, 0, 2, 3]
+
+
+def test_process_entry_runs_main_with_the_collector_off(tmp_path):
+    out = tmp_path / "report.json"
+    proc = _fresh_python(
+        "import gc, sys\nimport khlab.cli as cli\n"
+        "cli.main = lambda main=cli.main: print(gc.isenabled()) or main()\n"
+        f"sys.argv[1:] = ['--command', 'verify', '--k', '3,4', '--out', {str(out)!r}]\n"
+        "code = cli.process_main()\nprint(code, gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n0 False True\n"
+    assert json.loads(out.read_text())["data"]["passed"] is True
+
+
+def test_main_in_process_keeps_the_collector(capsys):
+    import gc
+
+    frozen = gc.get_freeze_count()
+    for args in (["--command", "dispersion", "--k", "1,0"], _ENTRY_CASES[1]):
+        assert main(list(args)) == 0
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+def test_console_script_is_the_process_entry():
+    import importlib
+    import re
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as handle:
+        scripts = handle.read().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, attr = re.search(r'^khlab = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    import khlab.cli
+    assert getattr(importlib.import_module(module), attr) is khlab.cli.process_main
+
+
 def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
     assert main(["--command", "verify", "--k", "1,0", "--out", str(target)]) == 2
@@ -576,6 +634,25 @@ def test_profile_overflow_exit_code(capsys):
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("khlab: numerical overflow: profile at kappa = 710 ")
         assert "float range" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_past_the_float_range_names_kappa(capsys):
+    # the audit shares one exponential pair per sample and keeps eval's finiteness check
+    assert main(["--command", "verify", "--k", "2000,0"]) == 3
+    assert capsys.readouterr() == ("", "khlab: numerical overflow: profile at kappa = 2000 "
+                                       "leaves the float range (max 1.8e+308)\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_top_of_range_data_exit_3_with_one_line(capsys):
+    # the interface trace FFT once overflowed here: four RuntimeWarnings, then exit 2
+    # "invalid input" although every documented bound holds
+    rc = main(["--command", "illposedness", "--n", "2", "--n_cutoff", "15",
+               "--scale", "1.7e308", "--n_tan", "16", "--n_ver", "32"])
+    assert rc == 3
+    assert capsys.readouterr() == ("", "khlab: numerical overflow: growth functionals leave "
+                                       "the float range at t=0.0\n")
 
 
 def test_profile_overflow_writes_one_stderr_line():

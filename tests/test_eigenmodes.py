@@ -226,6 +226,48 @@ def test_verify_mode_zero_amplitudes():
         verify_mode(mode, 100).max_residual(), abs=1e-12)
 
 
+def _eval(profile, x3):
+    """VerticalProfile.eval at a float x3, written out: its own exponential pair per call."""
+    a_plus, a_minus = profile.upper if x3 >= 0.0 else profile.lower
+    return a_plus * math.exp(profile.kappa * x3) + a_minus * math.exp(-profile.kappa * x3)
+
+
+def _per_point_audit(mode, sample_count):
+    """The harmonic and divergence residuals with one evaluation per profile and sample."""
+    k = mode.k
+    kappa_sq = float(k.k1 ** 2 + k.k2 ** 2)
+    p1, p2, p3 = mode.profiles
+    seconds = [p.derivative().derivative() for p in mode.profiles]
+    harmonic = divergence = 0.0
+    for n in range(1, sample_count + 1):
+        x3 = 2.0 * ((0.5 + n * (math.sqrt(5) - 1) / 2) % 1.0) - 1.0
+        for prof, second in zip(mode.profiles, seconds):
+            assert (prof.eval(x3), second.eval(x3)) == (_eval(prof, x3), _eval(second, x3))
+            harmonic = max(harmonic, abs(_eval(second, x3) - kappa_sq * _eval(prof, x3)))
+        div = 1j * k.k1 * _eval(p1, x3) + 1j * k.k2 * _eval(p2, x3) + _eval(p3.derivative(), x3)
+        divergence = max(divergence, abs(div))
+    return harmonic, divergence
+
+
+@pytest.mark.parametrize("k", [(1, 0), (3, 4), (-39, 30), (300, 400)])
+def test_verify_mode_equals_the_per_point_audit(k):
+    # the audit shares one exponential pair among the nine profiles of a sample, and each
+    # value keeps eval's operands, so the report keeps every bit
+    for mode in (build_linearized_mode(WaveVector(*k), "+"),
+                 corrupt_mode(build_linearized_mode(WaveVector(*k), "+"), 0.1)):
+        rep = verify_mode(mode, 1000)
+        expected = _per_point_audit(mode, 1000)
+        assert [x.hex() for x in rep[:2]] == [x.hex() for x in expected]
+
+
+def test_verify_mode_needs_one_kappa():
+    mode = build_linearized_mode(WaveVector(3, 4), "+")
+    W = mode.profiles[2]
+    other = mode._replace(profiles=(*mode.profiles[:2], VerticalProfile(4.0, W.upper, W.lower)))
+    with pytest.raises(ValueError, match="share one kappa"):
+        verify_mode(other, 10)
+
+
 def test_verify_mode_rejects_bad_sample_count():
     with pytest.raises(ValueError):
         verify_mode(build_linearized_mode(WaveVector(1, 0), "+"), 0)

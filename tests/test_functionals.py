@@ -39,6 +39,18 @@ from reference_fields import (
 )
 
 
+@pytest.mark.filterwarnings("error")
+def test_decomposition_at_the_top_of_the_float_range_is_exactly_scaled():
+    # the interface trace FFT once summed values near 1.7e308 past the float range: four
+    # RuntimeWarnings, then "remainder field keeps a wall-normal trace of 4.133e+307"
+    chi, chi_dot = perturbed_initial_data(2, 1.7e308, 16, 32)
+    small = [[TwoPhaseGridField(c.values * 2.0 ** -600) for c in v] for v in (chi, chi_dot)]
+    big, ref = decompose_perturbation(chi, chi_dot, 15), decompose_perturbation(*small, 15)
+    for name in ("w_plus", "w_minus", "g", "g_dot"):
+        assert getattr(big, name) == {j: 2.0 ** 600 * x for j, x in getattr(ref, name).items()}
+    assert big.w_plus and big.r_hat is None and big.r_dot_hat is None
+
+
 def _grad_f(j, coeff, n_tan, n_ver):
     f, _ = build_harmonic_potentials(j)
     return potential_gradient_field(f, coeff, n_tan, n_ver)
