@@ -67,15 +67,6 @@ def exp_weights(kappa: float):
     return small, large
 
 
-def coth(x: float) -> float:
-    """Hyperbolic cotangent, stable for large argument (no overflow)."""
-    if x == 0.0:
-        raise ValueError("coth is singular at 0")
-    if x > 0:
-        return 1.0 + 2.0 * inv_expm1(2.0 * x)
-    return -coth(-x)
-
-
 def _make_validated(cls, fields):
     """namedtuple's _make, which _replace calls, through a validating constructor."""
     return cls(*fields)
@@ -355,14 +346,6 @@ def _unstack(values):
 
 
 # ---------------------------------------------------------------------------
-# tangential Fourier analysis
-# ---------------------------------------------------------------------------
-
-def _integer_frequencies(n_tan):
-    return np.rint(np.fft.fftfreq(n_tan) * n_tan).astype(int)
-
-
-# ---------------------------------------------------------------------------
 # perturbation state
 # ---------------------------------------------------------------------------
 
@@ -372,14 +355,15 @@ def _r_frequencies(spectrum):
 
 
 def _r_spectrum(values):
-    """x2 rfft of a stacked grid 3-vector or plane: axes (component, phase, x1, k2, x3)."""
-    return np.fft.rfft(values, axis=3)
+    """Mean-normalised x2 rfft of a stacked grid 3-vector or plane: axes (component, phase,
+    x1, k2, x3).  k2 = 0 holds the x2 mean, so a plane's spectrum is its own values."""
+    return np.fft.rfft(values, axis=3, norm="forward")
 
 
 def _r_grid(spectrum):
     """The stacked grid 3-vector or plane of an x2 spectrum (inverse of _r_spectrum)."""
     n_x2 = 1 if spectrum.shape[3] == 1 else spectrum.shape[2]
-    return np.fft.irfft(spectrum, n=n_x2, axis=3)
+    return np.fft.irfft(spectrum, n=n_x2, axis=3, norm="forward")
 
 
 class PerturbationState:
@@ -396,12 +380,14 @@ class PerturbationState:
     r and r_dot are optional 3-vector fields whose third component
     vanishes on the interface and the walls.  The r block is diagonal in
     the x2 Fourier modes, so they are stored only as their x2 spectra
-    r_hat and r_dot_hat: rfft(values, axis=x2), complex arrays with axes
-    (component, phase, x1, k2, x3).  r keeps the x2 extent of its data:
-    a full grid stores the shape (3, 2, n_tan, n_tan//2 + 1, n_ver + 1),
-    an x2-constant plane k2 = 0 only, (3, 2, n_tan, 1, n_ver + 1).  A
-    state has one extent, so a plane beside a full grid is promoted to
-    the spectrum of its x2 repeat.  The r= and r_dot= arguments take grid
+    r_hat and r_dot_hat: rfft(values, axis=x2, norm="forward"), complex
+    arrays with axes (component, phase, x1, k2, x3) whose k2 = 0 column
+    holds the x2 mean.  r keeps the x2 extent of its data: a full grid
+    stores the shape (3, 2, n_tan, n_tan//2 + 1, n_ver + 1), an
+    x2-constant plane k2 = 0 only, (3, 2, n_tan, 1, n_ver + 1), which is
+    exactly the k2 = 0 column of its x2 repeat.  A state has one extent,
+    so a plane beside a full grid is zero-padded to the spectrum of its
+    x2 repeat.  The r= and r_dot= arguments take grid
     3-vectors, full grids or planes, transformed once; state.r and
     state.r_dot read back fresh fields of the stored extent, and an
     absent block (one a decomposition dropped as round-off, or never
@@ -458,7 +444,7 @@ class PerturbationState:
 
     def _set_r(self, r_hat, r_dot_hat):
         """Check and store the r spectra on one x2 extent: a plane beside a full grid
-        becomes the spectrum of its x2 repeat, n_tan times it at k2 = 0, zero elsewhere."""
+        is zero-padded over k2 > 0 to the spectrum of its x2 repeat."""
         spectra = [s for s in (r_hat, r_dot_hat) if s is not None]
         for spectrum in spectra:   # r3 on the interface and wall rows, exactly
             if np.any(spectrum[2][..., [0, -1]] != 0.0):
@@ -467,7 +453,7 @@ class PerturbationState:
         n_k2 = max([s.shape[3] for s in spectra], default=1)
         self.r_hat, self.r_dot_hat = (
             s if s is None or s.shape[3] == n_k2
-            else np.pad(s.shape[2] * s, [(0, 0)] * 3 + [(0, n_k2 - 1), (0, 0)])
+            else np.pad(s, [(0, 0)] * 3 + [(0, n_k2 - 1), (0, 0)])
             for s in (r_hat, r_dot_hat))
         if len({s.shape for s in (self.r_hat, self.r_dot_hat) if s is not None}) > 1:
             raise GridMismatchError("r and r_dot live on different grids")

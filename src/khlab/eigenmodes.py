@@ -30,9 +30,9 @@ from khlab.core import (
     SpectralMode,
     VerticalProfile,
     WaveVector,
-    coth,
     exp_pair_values,
     exp_weights,
+    inv_expm1,
     np,
     row_profile_plane,
     tangential_grid,
@@ -99,7 +99,7 @@ def potential_gradient_norm_sq(j: int) -> float:
     """
     if j < 1:
         raise ValueError("potential frequency j must be >= 1")
-    return 4.0 * math.pi ** 2 * j * coth(float(j))
+    return 4.0 * math.pi ** 2 * j * (1.0 + 2.0 * inv_expm1(2.0 * j))   # coth(j), no overflow
 
 
 def potential_gradient_plane(terms, n_tan: int, n_ver: int, t: float = 0.0):

@@ -39,20 +39,15 @@ from typing import NamedTuple
 
 from khlab.core import (
     PerturbationState,
-    WaveVector,
-    _integer_frequencies,
     _r_frequencies,
     _r_spectrum,
     _stack,
     _unstack,
     _vertical_weights,
     np,
-    row_profile_plane,
-    tangential_grid,
 )
 from khlab.eigenmodes import (
     build_harmonic_potentials,
-    build_wall_bounded_profiles,
     potential_gradient_norm_sq,
     potential_gradient_plane,
 )
@@ -74,11 +69,11 @@ def _potential_split(trace_up, trace_lo, tol, sup_norm):
     conditions) and energy at the Nyquist band are rejected.
     """
     n = trace_up.shape[0]
-    # normalised by the size, so a plane (x2 extent 1) gives the k2 = 0 column of its full-grid
-    # repeat; divided by a power of two unit >= the data's sup norm, the FFT's sums stay in
-    # the float range and in-range spectra keep every bit
+    # mean-normalised like every tangential transform, so a plane (x2 extent 1) gives the
+    # k2 = 0 column of its full-grid repeat; divided by a power of two unit >= the data's sup
+    # norm, the FFT's sums stay in the float range and in-range spectra keep every bit
     unit = math.ldexp(1.0, math.frexp(sup_norm)[1])
-    su, sl = (np.fft.fft2(trace / unit) / trace.size * unit for trace in (trace_up, trace_lo))
+    su, sl = (np.fft.fft2(trace / unit, norm="forward") * unit for trace in (trace_up, trace_lo))
 
     # column 0 is k2 = 0, the streamwise line; a plane has no other column
     off_line = max(float(np.max(np.abs(s[:, 1:]), initial=0.0)) for s in (su, sl))
@@ -102,11 +97,9 @@ def _potential_split(trace_up, trace_lo, tol, sup_norm):
                 f"of n_tan={n}; refine the tangential grid")
 
     odd, even = {}, {}
-    for i1, j in enumerate(_integer_frequencies(n)):
-        if j < 1:
-            continue
-        cu = complex(2.0 * su[i1, 0])
-        cl = complex(2.0 * sl[i1, 0])
+    for j in range(1, (n + 1) // 2):
+        cu = complex(2.0 * su[j, 0])
+        cl = complex(2.0 * sl[j, 0])
         if max(abs(cu), abs(cl)) <= tol:
             continue
         # per-phase cosh(j(x3 -/+ 1)) amplitudes of the Neumann solution
@@ -217,11 +210,12 @@ def _E_mu(state: PerturbationState, mu: float, high=True):
 def _r_energy(state: PerturbationState, a: float, b: float):
     """||dr/dt||^2 + ||k^(1/2) A^(1/2) r||^2 as Parseval sums over the x2 spectra.
 
-    h_tan^2/n_tan * sum c_k m_k w_x3 |r_hat|^2: c_k = 1 at k2 = 0 and at the Nyquist
+    h_tan^2*n_tan * sum c_k m_k w_x3 |r_hat|^2: c_k = 1 at k2 = 0 and at the Nyquist
     mode of even n_tan, else 2 (the conjugates rfft omits); m_k = 1 for r_dot,
     (a*k2)^2 above and (b*k2)^2 below the interface for r; w_x3 trapezoid weights.
-    A plane's k2 = 0 alone stands for n_tan equal columns, so it weighs h_tan^2*n_tan.
-    Summing x3, then phase, then k2 adds a plane as its full-grid repeat, zero at k2 > 0.
+    The spectra are mean-normalised, so a plane's k2 = 0 is that of its full-grid
+    repeat and one weight serves both; summing x3, then phase, then k2 adds a plane
+    as its repeat, zero at k2 > 0.
     """
     def parseval(spectrum, stiff):
         n_tan, n_ver = spectrum.shape[2], spectrum.shape[4] - 1
@@ -230,8 +224,7 @@ def _r_energy(state: PerturbationState, a: float, b: float):
         m = (np.array([[a], [b]]) * k2) ** 2 if stiff else 1.0
         power = sum(np.einsum("cpikz,cpikz->pkz", part, part)
                     for part in (spectrum.real, spectrum.imag))
-        w = _vertical_weights(n_ver) * (2.0 * math.pi / n_tan) ** 2
-        w = w * n_tan if k2.size == 1 else w / n_tan
+        w = _vertical_weights(n_ver) * (2.0 * math.pi / n_tan) ** 2 * n_tan
         return float(((power * w).sum(axis=2) * (m * c)).sum(axis=0).sum())
 
     return sum((parseval(spectrum, stiff) for spectrum, stiff
@@ -386,8 +379,11 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
     """Initial pair (chi, chi_dot) that is tiny yet seeds e^{n t} growth.
 
     chi is identically zero; chi_dot is scale * e^{-sqrt(n)} times the
-    wall-bounded velocity mode (V, 0, W) at streamwise frequency n.  Both
-    are x2-constant planes (x2 extent 1), which decompose as planes.
+    wall-bounded velocity mode (V, 0, W) at streamwise frequency n, built
+    as the gradient of one odd potential: with f_n the odd profile,
+    W = f_n'/n and V = i f_n, so (V, 0, W) = grad(e^{i n x1} f_n)/n, the
+    irrotational Kelvin-Helmholtz mode.  Both are x2-constant planes
+    (x2 extent 1), which decompose as planes.
     Its sup norm shrinks as n grows while the evolved high-order readout
     explodes, which is the ill-posedness signature this package checks.
     n must lie below the grid's Nyquist frequency n_tan/2.
@@ -397,12 +393,6 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
     if 2 * n >= n_tan:
         raise AliasingError(f"mode n={n} is not below the Nyquist frequency "
                             f"n_tan/2 of n_tan={n_tan}; refine the tangential grid")
-    k = WaveVector(n, 0)
-    W, V = build_wall_bounded_profiles(k)
-    amp = scale * math.exp(-math.sqrt(n))
-    x1 = tangential_grid(n_tan)
-    row = amp * np.exp(1j * n * x1)
-    plane = np.zeros((3, 2, n_tan, 1, n_ver + 1))
-    plane[0] = row_profile_plane(row, row, V, n_ver)
-    plane[2] = row_profile_plane(row, row, W, n_ver)
+    amp = scale * math.exp(-math.sqrt(n)) / n
+    plane = potential_gradient_plane([(build_harmonic_potentials(n)[0], amp)], n_tan, n_ver)
     return _unstack(np.zeros_like(plane)), _unstack(plane)

@@ -37,7 +37,6 @@ from khlab.core import (
     TwoPhaseGridField,
     VerticalProfile,
     WaveVector,
-    _integer_frequencies,
     _vertical_weights,
     exp_weights,
     np,
@@ -211,13 +210,12 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     # The rows are the lower then the upper phase, with the jumps on the interface rows
     N = n_ver
     n_half = n_tan // 2 + 1
-    n_points = n_tan * n2
     b = np.zeros((2, N + 1, n_tan, n2))
     b[:, 1:N] = np.moveaxis(source.values[::-1, :, :, 1:N], -1, 1)
     b[0, N], b[1, 0] = vj, fj
-    b = np.fft.rfft2(b, axes=(3, 2)).reshape(2 * N + 2, n_half * n2) / n_points
+    b = np.fft.rfft2(b, axes=(3, 2), norm="forward").reshape(2 * N + 2, n_half * n2)
 
-    freqs = _integer_frequencies(n_tan)
+    freqs = np.rint(np.fft.fftfreq(n_tan) * n_tan).astype(int)
     h_tan = source.h_tan
     sym = -4.0 * np.sin(0.5 * freqs * h_tan) ** 2 / h_tan ** 2   # discrete d^2
     lam = (sym[:n_half, None] + sym[None, :n2]).ravel()
@@ -237,8 +235,8 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
             f"mode ({freqs[i1]},{freqs[i2]}) residual {residual[failed[0]]:.3e} "
             f"exceeds {RESIDUAL_TOL}")
 
-    z = z.reshape(2 * N + 2, n_half, n2) * n_points
-    vals = np.fft.irfft2(z, s=(n2, n_tan), axes=(2, 1)).reshape(2, N + 1, n_tan, n2)
+    z = z.reshape(2 * N + 2, n_half, n2)
+    vals = np.fft.irfft2(z, s=(n2, n_tan), axes=(2, 1), norm="forward").reshape(2, N + 1, n_tan, n2)
     # rows are lower then upper phase: a view with the phases reversed, x3 last
     return TwoPhaseGridField(np.moveaxis(vals[::-1], 1, -1))
 

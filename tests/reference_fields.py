@@ -29,11 +29,12 @@ def full_grid(vec):
 def plane_spectrum_agrees(plane_hat, full_hat, rel=1e-14):
     """Whether an x2 spectrum of a plane matches that of its full-grid repeat.
 
-    The plane keeps k2 = 0 alone, and the repeat holds n_tan times it there
-    and zero at every other k2; both to rel times the repeat's largest entry.
+    The plane keeps k2 = 0 alone, and the mean-normalised repeat holds the
+    same there and zero at every other k2; both to rel times the repeat's
+    largest entry.
     """
-    n_tan, scale = full_hat.shape[2], np.max(np.abs(full_hat))
-    return bool(np.max(np.abs(n_tan * plane_hat - full_hat[:, :, :, :1])) <= rel * scale
+    scale = np.max(np.abs(full_hat))
+    return bool(np.max(np.abs(plane_hat - full_hat[:, :, :, :1])) <= rel * scale
                 and np.max(np.abs(full_hat[:, :, :, 1:])) <= rel * scale)
 
 

@@ -11,9 +11,7 @@ from khlab.core import (
     TwoPhaseGridField,
     VerticalProfile,
     WaveVector,
-    _integer_frequencies,
     _stack,
-    coth,
     linspace,
     vertical_levels,
 )
@@ -90,16 +88,6 @@ def test_wave_vector_kappa():
     assert WaveVector(0, 0).is_zero()
     with pytest.raises(ValueError):
         WaveVector(0, 0).require_nonzero()
-
-
-def test_coth_values_and_stability():
-    # oracle: cosh/sinh ratio at moderate argument
-    assert coth(1.0) == pytest.approx(math.cosh(1.0) / math.sinh(1.0), rel=1e-15)
-    assert coth(-2.0) == -coth(2.0)
-    # no overflow far beyond the naive cosh/sinh range
-    assert coth(1000.0) == 1.0
-    with pytest.raises(ValueError):
-        coth(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +334,7 @@ def tangential_transform(f: TwoPhaseGridField) -> dict:
     """
     n = f.n_tan
     up, lo = np.fft.fft2(f.values, axes=(1, 2)) / n ** 2
-    freqs = _integer_frequencies(n)
+    freqs = np.rint(np.fft.fftfreq(n) * n).astype(int)
     out = {}
     for i1, k1 in enumerate(freqs):
         for i2, k2 in enumerate(freqs):
@@ -356,7 +344,7 @@ def tangential_transform(f: TwoPhaseGridField) -> dict:
 
 def inverse_tangential_transform(modes: dict, n_tan: int, n_ver: int) -> TwoPhaseGridField:
     """Rebuild a real grid field from tangential-mode columns."""
-    freqs = _integer_frequencies(n_tan)
+    freqs = np.rint(np.fft.fftfreq(n_tan) * n_tan).astype(int)
     index = {int(k): i for i, k in enumerate(freqs)}
     up, lo = values = np.zeros((2, n_tan, n_tan, n_ver + 1), dtype=complex)
     for k, (cu, cl) in modes.items():

@@ -188,6 +188,12 @@ def test_gradient_norm_weight_against_quadrature_oracle():
         errs.append(abs(quad - exact) / exact)
     assert errs[0] < 5e-3
     assert errs[2] < errs[0] / 8.0   # roughly fourth of a fourth
+    # the closed form: coth 1 against the cosh/sinh ratio, and no overflow far past
+    # the naive cosh/sinh range, where coth j rounds to 1
+    assert potential_gradient_norm_sq(1) == pytest.approx(
+        4 * math.pi ** 2 * math.cosh(1.0) / math.sinh(1.0), rel=1e-15)
+    big = potential_gradient_norm_sq(1000)
+    assert math.isfinite(big) and big == 4 * math.pi ** 2 * 1000
 
 
 def test_even_family_shares_the_gradient_weight():

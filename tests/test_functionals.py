@@ -1,5 +1,6 @@
 """Decomposition, growth functionals and trajectory checks."""
 
+import json
 import math
 import warnings
 
@@ -309,10 +310,10 @@ def test_plane_and_full_grid_decompose_alike(n_tan):
             cp, cf = getattr(p, name), getattr(f, name)
             assert set(cp) == set(cf), name
             assert all(agree(cp[j], cf[j]) for j in cf), name
-        # a plane keeps k2 = 0 alone, n_tan times smaller than the full grid's
+        # a plane keeps k2 = 0 alone, the same as the full grid's
         for p_hat, f_hat in ((p.r_hat, f.r_hat), (p.r_dot_hat, f.r_dot_hat)):
             if exact:
-                assert np.array_equal(n_tan * p_hat, f_hat[:, :, :, :1])
+                assert np.array_equal(p_hat, f_hat[:, :, :, :1])
                 assert not f_hat[:, :, :, 1:].any()
             else:
                 assert plane_spectrum_agrees(p_hat, f_hat)
@@ -645,6 +646,18 @@ def test_perturbed_data_decomposes_to_single_dot_mode():
     expect = math.exp(-math.sqrt(n)) / n
     assert state.P_dot[n] == pytest.approx(expect, rel=1e-9)
     assert state.r_dot is None or max(c.max_abs() for c in state.r_dot) < 1e-9
+
+
+def test_decomposed_coefficients_are_keyed_by_python_int():
+    # keys must be Python ints, as in a state built by hand: json rejects numpy.int64 keys
+    seed = decompose_perturbation(*perturbed_initial_data(4, 1.0, 32, 16), 4)
+    mixed = decompose_perturbation(_plane_data(16, 6, 0.3), _plane_data(16, 6, -1.1), 3)
+    assert set(seed.P_dot) == {4} and set(mixed.L) == {2} and set(mixed.g_dot) == {3}
+    for state in (seed, mixed):
+        for s in (state, evolve_state(state, 0.7, 1.3, 0.5)):
+            for name in ("w_plus", "w_minus", "g", "g_dot", "P", "L"):
+                assert all(type(j) is int for j in getattr(s, name)), name
+            json.dumps(dict.fromkeys(s.w_plus, 0))
 
 
 def test_perturbed_data_growth_factor():

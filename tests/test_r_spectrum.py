@@ -121,8 +121,8 @@ def _r_plane(n_tan, n_ver, c1, c3):
 
 def test_state_from_plane_r_fields_matches_full_grid():
     # a plane stands for its x2 repeat: the state keeps the plane's k2 = 0 alone,
-    # n_tan times smaller than the repeat's, whose other k2 are zero; with n_tan
-    # a power of two every r consumer reads the same numbers from either input
+    # equal to the repeat's, whose other k2 are zero; with n_tan a power of two
+    # every r consumer reads the same numbers from either input
     n_tan, n_ver, a, b, t = 16, 8, 0.7, 1.3, 0.6
     r, r_dot = _r_plane(n_tan, n_ver, 1.0, 0.5), _r_plane(n_tan, n_ver, -0.3, 2.0)
     on_plane = PerturbationState(2, r=r, r_dot=r_dot)
@@ -137,7 +137,7 @@ def test_state_from_plane_r_fields_matches_full_grid():
     for p, f in pairs:
         for plane_hat, full_hat in ((p.r_hat, f.r_hat), (p.r_dot_hat, f.r_dot_hat)):
             assert plane_hat.shape == (3, 2, n_tan, 1, n_ver + 1)
-            assert np.array_equal(n_tan * plane_hat, full_hat[:, :, :, :1])
+            assert np.array_equal(plane_hat, full_hat[:, :, :, :1])
             assert not full_hat[:, :, :, 1:].any()
         assert compute_functionals(p, [1.0], a, b).F == compute_functionals(f, [1.0], a, b).F
     # k2 = 0 has zero stiffness: r1 = cos x1 adds nothing to F, and as r_dot
