@@ -165,7 +165,8 @@ def _solve_modes(b, h, lam, phi):
         x[i] -= sup_scaled[i] * x[i + 1]
 
     z = np.insert(x, N + 1, b[N] + phi * x[N], axis=0)   # up[0] from the value row
-    z[:, zero] -= np.tile(_vertical_weights(N), 2) @ z[:, zero] / 2.0
+    w = np.tile(_vertical_weights(N), 2)   # the trapezoid mean, summed elementwise
+    z[:, zero] -= (w[:, None] * z[:, zero]).sum(axis=0) / 2.0
     return z
 
 
@@ -285,12 +286,14 @@ def mode_solver_fd_error(k: WaveVector, flux_amplitude: float,
 
 
 def fitted_convergence_order(errors):
-    """Least-squares slope of log(error) against log(h); each level halves h."""
+    """Least-squares slope of log(error) against log(h), in closed form; each level halves h."""
     errors = np.asarray(errors, dtype=float)
     if errors.size < 2:
         raise ValueError("fitting an order needs at least two errors")
     if np.any(errors <= 0):
         raise ValueError("errors must be positive to fit an order")
-    logs_h = -np.arange(errors.size) * math.log(2.0)
-    slope = np.polyfit(logs_h, np.log(errors), 1)[0]
+    if not np.all(np.isfinite(errors)):
+        raise ValueError("errors must be finite to fit an order")
+    centred = np.arange(errors.size) - (errors.size - 1) / 2.0   # level i is at log(h) = -i log 2
+    slope = -(centred * np.log(errors)).sum() / ((centred * centred).sum() * math.log(2.0))
     return float(slope)

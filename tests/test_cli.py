@@ -19,6 +19,7 @@ from khlab.cli import (
     parse_config,
     validate_report,
 )
+from khlab.functionals import perturbed_initial_data
 from khlab.pressure import fitted_convergence_order
 
 
@@ -367,6 +368,19 @@ def test_illposedness_json_passes(capsys):
     assert data["growth_factor"] >= math.exp(8 * 2.0) * (1 - 1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_illposedness_reports_the_sup_norm_of_its_data(capsys, n):
+    # the seed (V, 0, W) = grad(e^{i n x1} f_n)/n peaks at |V| = scale e^{-sqrt(n)} coth(n)
+    # on the interface, above the bare amplitude scale e^{-sqrt(n)}: 31 % at n = 1
+    rc, out = run_cli(capsys, ["--command", "illposedness", "--n", str(n), "--n_tan", "16",
+                               "--n_ver", "8", "--scale", "0.75"])
+    assert rc == 0
+    _, chi_dot = perturbed_initial_data(n, 0.75, 16, 8)
+    sup = json.loads(out)["data"]["initial_sup_norm"]
+    assert sup == max(c.max_abs() for c in chi_dot)
+    assert sup == pytest.approx(0.75 * math.exp(-math.sqrt(n)) / math.tanh(n), rel=1e-12)
+
+
 def test_illposedness_verdict_is_scale_equivariant(capsys):
     # each vector's drop tolerance follows its own sup norm, so data scaled by 2^k
     # decompose to exactly scaled coefficients: the same verdict and growth factor
@@ -536,6 +550,35 @@ def test_out_into_a_missing_directory_exits_2(tmp_path, capsys):
     assert out == ""
     assert err == f"khlab: cannot write output: {str(target)!r}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+def test_out_naming_a_directory_exits_2_and_leaves_no_temporary(tmp_path, capsys):
+    target = tmp_path / "reports"
+    target.mkdir()
+    assert main(["--command", "verify", "--k", "1,0", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"khlab: cannot write output: {str(target)!r}: Is a directory\n"
+    assert os.listdir(tmp_path) == ["reports"] and os.listdir(target) == []
+
+
+@pytest.mark.parametrize("config, args, message", [
+    (None, ["--command", "dispersion", "--k", "1.5,2"], "bad wave vector '1.5,2'"),
+    (None, ["--k", "1,0"], "no command given"),
+    ("command = dispersion\nk 1,0\n", [], "line 2: expected 'key = value'"),
+    (None, ["--command", "dispersion", "--k"], "flag --k needs a value"),
+    (None, ["--command", "dispersion", "k", "1,0"], "expected --key, got 'k'"),
+], ids=["fractional-k", "no-command", "line-without-equals", "flag-without-value",
+        "bare-key"])
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, config, args, message):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        args = [str(path)] + args
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"khlab: {message}") and len(err.splitlines()) == 1
 
 
 def test_config_file_input(tmp_path, capsys):

@@ -311,6 +311,18 @@ def test_rk4_stability_checks_the_step_taken():
     assert abs(out.amplitude) <= 1.0
 
 
+@pytest.mark.parametrize("stepper, dt, error, message", [
+    ("rk4", None, ValueError, "rk4 stepper requires dt"),
+    ("rk4", 0.0, StabilityError, "rk4 requires dt > 0"),
+    ("rk4", -0.1, StabilityError, "rk4 requires dt > 0"),
+    ("euler", 0.1, ValueError, "unknown stepper 'euler'"),
+])
+def test_propagators_name_a_bad_stepper_or_step(stepper, dt, error, message):
+    with pytest.raises(error) as info:
+        _propagators(np.array([1.0, -4.0]), 0.5, stepper, dt)
+    assert str(info.value) == message
+
+
 def _literal_rk4(y, v, lam_sq, t, dt):
     """Classical RK4 stage by stage on (y' = v, v' = lam_sq * y)."""
     steps = max(1, round(t / dt))

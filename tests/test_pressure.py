@@ -129,6 +129,26 @@ def test_fd_matches_analytic_mode_with_second_order():
     assert abs(order - 2.0) < 0.2
 
 
+def test_fitted_order_is_the_least_squares_slope():
+    # the closed form against numpy's least-squares line through (log h, log error)
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        errors = 10.0 ** rng.uniform(-14.0, 2.0, size=rng.integers(2, 7))
+        logs_h = -np.arange(errors.size) * math.log(2.0)
+        expected = np.polyfit(logs_h, np.log(errors), 1)[0]
+        assert fitted_convergence_order(errors) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+    assert fitted_convergence_order([4.0, 1.0]) == pytest.approx(2.0, rel=1e-15)
+    assert fitted_convergence_order([2.0 ** k for k in range(-5, 1)]) == pytest.approx(-1.0, rel=1e-15)
+    with pytest.raises(ValueError, match="at least two errors"):
+        fitted_convergence_order([1e-3])
+    for bad in ([1e-3, 0.0], [1e-3, -1e-4, 1e-5]):
+        with pytest.raises(ValueError, match="must be positive"):
+            fitted_convergence_order(bad)
+    for bad in ([1e-3, math.inf], [1e-3, math.nan]):
+        with pytest.raises(ValueError, match="must be finite"):
+            fitted_convergence_order(bad)
+
+
 def test_fd_manufactured_harmonic_solution():
     # q* = cos(x1) cosh(x3 - 1) above, reflected below: harmonic with
     # matching flux jump -2 sinh(1) cos(x1); the oracle recovers it at O(h^2)
@@ -238,6 +258,45 @@ def test_fd_incompatible_neumann_data():
         source = TwoPhaseGridField(np.ones((2, n, n, n + 1)))
         with pytest.raises(SolvabilityError, match="zero mode"):
             solve_two_phase_poisson_fd(source, drift=drift)
+
+
+def _corrupting(monkeypatch, column):
+    """Make _solve_modes return its solution with one mode column shifted by 1."""
+    solve_modes = pressure._solve_modes
+
+    def corrupted(b, h, lam, phi):
+        z = solve_modes(b, h, lam, phi)
+        z[:, column] += 1.0
+        return z
+
+    monkeypatch.setattr(pressure, "_solve_modes", corrupted)
+
+
+@pytest.mark.parametrize("n2, column, mode", [
+    (1, 5, "(5,0)"),          # a plane: column i1
+    (16, 3, "(0,3)"),         # a full grid: column i1 * n_tan + i2
+    (16, 13, "(0,-3)"),       # i2 past the Nyquist index is a negative k2
+    (16, 2 * 16 + 1, "(2,1)"),
+])
+def test_fd_names_a_nonzero_mode_that_fails_its_residual(monkeypatch, n2, column, mode):
+    _corrupting(monkeypatch, column)
+    n = 16
+    with pytest.raises(pressure.PressureSolverError) as info:
+        solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, n, n2))
+    assert type(info.value) is pressure.PressureSolverError
+    assert info.value.args[0].startswith(f"mode {mode} residual ")
+    assert info.value.args[0].endswith(" exceeds 1e-10")
+
+
+def test_pressure_command_reports_a_failed_mode_as_a_solver_failure(monkeypatch, capsys):
+    from khlab.cli import main
+
+    _corrupting(monkeypatch, 1)
+    assert main(["--command", "pressure"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("khlab: solver failure: mode (1,0) residual ")
+    assert len(err.splitlines()) == 1 and err.endswith(" exceeds 1e-10\n")
 
 
 def test_fd_requires_minimum_resolution():
