@@ -517,8 +517,7 @@ def run(cfg: RunConfig) -> int:
         sys.stderr.write(f"khlab: solver failure: {exc}\n")
         return 3
     except OverflowError as exc:
-        # the closed forms keep float pow's own text and name the square apart
-        sys.stderr.write(f"khlab: numerical overflow: {getattr(exc, 'detail', exc)}\n")
+        sys.stderr.write(f"khlab: numerical overflow: {exc}\n")
         return 3
     except FloatingPointError as exc:
         sys.stderr.write(f"khlab: {exc}\n")

@@ -112,10 +112,16 @@ class BoundaryModeState(NamedTuple):
 
 
 def boundary_dispersion(k: WaveVector, a: float, b: float) -> float:
-    """Squared temporal exponent of interface mode k: k1^2 - (a^2+b^2)/2 * k2^2, k1^2 at k2 = 0."""
+    """Squared temporal exponent of interface mode k: k1^2 - (a^2+b^2)/2 * k2^2, k1^2 at k2 = 0.
+
+    Past the float range at finite a and b it raises OverflowError; an infinite field passes.
+    """
     k.require_nonzero()
     k1, k2 = float(k.k1), float(k.k2)
-    return k1 * k1 - (0.5 * (a * a + b * b) * (k2 * k2) if k2 else 0.0)
+    lam_sq = k1 * k1 - (0.5 * (a * a + b * b) * (k2 * k2) if k2 else 0.0)
+    if not math.isfinite(lam_sq) and math.isfinite(a) and math.isfinite(b):
+        raise OverflowError("lambda^2 leaves the float range; lower |k|, a or b")
+    return lam_sq
 
 
 def evolve_boundary_mode(state: BoundaryModeState, a: float, b: float, t: float,

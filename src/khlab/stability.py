@@ -11,6 +11,7 @@ so the sheet stays as unstable as the unmagnetized one.
 """
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from khlab.core import ShearParams, WaveVector, strictly_monotone
@@ -43,28 +44,12 @@ def _floats(values, name, size=None):
     return vec
 
 
-class SquareOverflowError(OverflowError):
-    """float.__pow__'s OverflowError, same args and text; detail names the square and its inputs."""
-
-    def __init__(self, detail):
-        super().__init__(34, "Numerical result out of range")
-        self.detail = detail
-
-
-# Scalar kernels.  _dot adds each product with one rounding, a fused multiply-add,
-# as the BLAS dot behind np.dot does on FMA hardware (test_dot_rounds_as_numpy_dot
-# checks it).  _square is Python's x ** 2 (libm pow, not x * x).
-
-def _fma(x, y, z):
-    """x * y + z rounded once; with a zero term, or past the float range, the plain sum stands."""
-    if x and y and z and math.isfinite(x * y + z):
-        from fractions import Fraction
-        return float(Fraction(x) * Fraction(y) + Fraction(z))
-    return x * y + z
-
+# Scalar kernels in binary64 evaluated as written (CPython never fuses a * b + c): a dot
+# product is the left-to-right sum of its rounded products, a square is x * x.  From
+# finite inputs, a square or a growth rate past the float range raises OverflowError.
 
 def _dot(u, v):
-    return _fma(u[2], v[2], _fma(u[1], v[1], u[0] * v[0]))
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _cross_norm(u, v):
@@ -73,10 +58,10 @@ def _cross_norm(u, v):
 
 
 def _square(x, name="a squared cross product", inputs="the fields or the velocity jump"):
-    try:
-        return x ** 2
-    except OverflowError:
-        raise SquareOverflowError(f"{name} leaves the float range; lower {inputs}") from None
+    square = x * x
+    if math.isinf(square) and math.isfinite(x):
+        raise OverflowError(f"{name} leaves the float range; lower {inputs}")
+    return square
 
 
 # The two kernels take a list of fields per side and return columns over the (above,
@@ -84,12 +69,19 @@ def _square(x, name="a squared cross product", inputs="the fields or the velocit
 
 def _gamma_squared(params, k, above, below):
     n1, n2, m_i = params.n1, params.n2, params.m_i
-    drive = n1 * n2 / (n1 + n2) ** 2 * _square(
+    total = n1 + n2    # the weight n1 n2 / total^2 as two ratios, each at most 1
+    drive = n1 / total * (n2 / total) * _square(
         _dot(k, params.velocity_jump()), "(k.[u])^2", "|k| or u_plus - u_minus")
     t1 = [_square(_dot(B, k), "(k.B)^2 above the interface", "a or |k|") for B in above]
     t2 = [_square(_dot(B, k), "(k.B)^2 below the interface", "b or |k|") for B in below]
-    tension_scale = 4.0 * math.pi * (n1 + n2) * m_i
-    return [drive - (x + y) / tension_scale for x in t1 for y in t2]
+    tension_scale = 4.0 * math.pi * total    # times m_i, the product could underflow to 0
+    g2 = [drive - (x + y) / tension_scale / m_i for x in t1 for y in t2]
+    inputs = (*params.u_plus, *params.u_minus, n1, n2, m_i, *k, *chain(*above, *below))
+    if all(map(math.isfinite, inputs)) and not (
+            math.isfinite(tension_scale) and all(map(math.isfinite, g2))):
+        raise OverflowError("gamma^2 leaves the float range; bring |k|, u_plus - u_minus, "
+                            "a, b, n1 + n2 and m_i nearer 1")
+    return g2
 
 
 def _criteria(du, above, below, pair_cross):

@@ -161,10 +161,11 @@ def _fresh_python(code):
 
 
 def test_import_does_not_load_scipy():
-    # nor dataclasses, inspect, json or numpy's modules: the import is start-up cost of every
-    # command, and only the commands that write JSON load json
+    # nor dataclasses, inspect, json, fractions or numpy's modules: the import is start-up
+    # cost of every command, and only the commands that write JSON load json
     proc = _fresh_python("import sys, khlab.cli; print([m for m in ('scipy', 'dataclasses', "
-                         "'inspect', 'json', 'numpy._core') if m in sys.modules])")
+                         "'inspect', 'json', 'fractions', 'numpy._core') "
+                         "if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -674,6 +675,51 @@ def test_closed_form_overflow_names_the_square(capsys):
         assert "(k.B)^2" in err and "lower a" in err and "Numerical result" not in err
 
 
+# finite inputs whose growth rate leaves the float range: the first five printed inf or
+# -inf with exit 0 in CSV and exited 3 with "non-finite value in the report" in JSON
+_GAMMA_OVERFLOW = ("gamma^2 leaves the float range; bring |k|, u_plus - u_minus, a, b, "
+                   "n1 + n2 and m_i nearer 1")
+_INFINITE_GROWTH_RUNS = [
+    pytest.param("dispersion", "--k 1,0 --u_plus 1e308,0,0 --u_minus -1e308,0,0",
+                 _GAMMA_OVERFLOW, id="velocity-jump"),
+    pytest.param("map", "--k -5,0 --u_plus 1.7e308,-2,0.6 --b_max -1.2", _GAMMA_OVERFLOW,
+                 id="map-shear-dot"),
+    pytest.param("dispersion", "--k 0,5 --a 1.7e308", _GAMMA_OVERFLOW, id="field-dot"),
+    pytest.param("dispersion", "--k 1,1 --a 1e154 --b 1e154", _GAMMA_OVERFLOW,
+                 id="tension-sum"),
+    pytest.param("dispersion", "--k 3,4 --m_i 1e-320 --a 1", _GAMMA_OVERFLOW,
+                 id="tiny-ion-mass"),
+    pytest.param("dispersion", "--k 3,4 --n1 1e308 --n2 1e308", _GAMMA_OVERFLOW,
+                 id="density-sum"),      # printed a finite but wrong gamma^2 = 0
+    pytest.param("dispersion", f"--k {10 ** 155},0 --u_plus 0,0,0 --u_minus 0,0,0",
+                 "lambda^2 leaves the float range; lower |k|, a or b", id="lambda-squared"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flags, message", _INFINITE_GROWTH_RUNS)
+def test_growth_rate_past_the_float_range_exits_3_naming_it(capsys, command, flags, message):
+    for fmt in ("csv", "json") if command == "dispersion" else ("csv",):
+        assert main(["--command", command, *flags.split(), "--format", fmt]) == 3
+        assert capsys.readouterr() == ("", f"khlab: numerical overflow: {message}\n")
+
+
+@pytest.mark.parametrize("flags, row", [
+    ("--k 3,4 --n1 1e-300 --n2 1e-300", "3,4,0,0,9,9,true,false,true,true"),
+    ("--k 3,4 --n1 1e300 --n2 1e300", "3,4,0,0,9,9,true,false,true,true"),
+    ("--k 1,0 --a 1 --n1 2e-309 --n2 2e-309 --m_i 2e-309", "1,0,1,0,1,1,true,false,false,false"),
+], ids=["tiny-densities", "huge-densities", "subnormal-tension-scale"])
+def test_density_weight_and_tension_hold_at_both_ends_of_the_range(capsys, flags, row):
+    # n1 n2 / (n1 + n2)^2 is exactly 1/4 at n1 = n2; its product form underflowed to a
+    # ZeroDivisionError at 1e-300 and overflowed at 1e300, and 4 pi (n1 + n2) m_i
+    # underflowed to a ZeroDivisionError although a streamwise mode feels no tension
+    args = ["--command", "dispersion", *flags.split()]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == row
+    assert main(args + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["gamma_squared"] == float(row.split(",")[4])
+
+
 @pytest.mark.filterwarnings("error")
 def test_profile_overflow_exit_code(capsys):
     # past kappa = 709.78 the profiles leave the float range: modes used to print
@@ -912,6 +958,64 @@ def test_parse_config_raises_only_config_errors_property():
         except cli_mod.ConfigError:
             return
         assert isinstance(cfg, cli_mod.RunConfig)
+
+    check()
+
+
+def test_closed_form_commands_end_in_a_documented_way_property():
+    # dispersion and map with any subset of the keys they read, every float from +-5e-324
+    # to +-1.7e308 and k2 = 0 included: exit 0 prints finite numbers, exit 2 or 3 one
+    # khlab: line and no stdout, dispersion exits alike in CSV and JSON, nothing warns,
+    # and a rerun gives the same bytes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import contextlib
+    import io
+    import re
+    import warnings
+
+    import khlab.cli as cli_mod
+
+    number = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False,
+                                                         allow_infinity=False)).map(repr)
+    wave = st.one_of(st.integers(-64, 64), st.integers(-10 ** 200, 10 ** 200))
+    text = {cli_mod._parse_float: number,
+            cli_mod._parse_vec3: st.tuples(number, number, number).map(",".join),
+            cli_mod._parse_int_pair: st.tuples(wave, st.just(0) | wave).map(
+                lambda k: f"{k[0]},{k[1]}"),
+            cli_mod._parse_int: st.integers(-1, 20).map(str)}     # at most 400 map cells
+
+    def flags(command):
+        spec = cli_mod._COMMANDS[command]
+        drawn = {key: text[cli_mod._KEYS[key].parse] for key in spec.reads}
+        required = {key: drawn.pop(key) for key in spec.required}
+        return st.tuples(st.just(command), st.fixed_dictionaries(required, optional=drawn))
+
+    def run(args):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli_mod.main(args)
+        assert caught == []
+        return code, out.getvalue(), err.getvalue()
+
+    @hypothesis.settings(max_examples=250, deadline=None)
+    @hypothesis.given(st.sampled_from(["dispersion", "map"]).flatmap(flags))
+    def check(run_flags):
+        command, values = run_flags
+        args = ["--command", command] + [x for key, value in values.items()
+                                          for x in (f"--{key}", value)]
+        code, out, err = run(args)
+        assert code in (0, 2, 3)
+        if code:
+            assert out == "" and err.startswith("khlab: ") and err.count("\n") == 1
+            assert not err.startswith("khlab: internal error")
+        else:
+            assert err == "" and not re.search(r"\b(inf|nan)\b", out, re.IGNORECASE)
+        assert run(args) == (code, out, err)
+        if command == "dispersion":
+            assert run(args + ["--format", "json"])[0] == code
 
     check()
 

@@ -84,3 +84,41 @@ def test_guard_flags_blas_and_lapack():
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_module_never_calls_blas_or_lapack(module):
     assert blas_uses(module.read_text()) == []
+
+
+def pow_and_fraction_uses(source):
+    """Where a module uses ** or pow, libm's pow for floats, or imports fractions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            found.append(("**", node.lineno))
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) == "pow":
+            found.append(("pow", node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(name.split(".")[0] == "fractions"
+                   for name in names + [alias.name for alias in node.names]):
+                found.append(("fractions", node.lineno))
+    return sorted(f"{name} (line {line})" for name, line in found)
+
+
+def test_guard_flags_pow_and_fractions():
+    source = ("import math\n"
+              "a = x ** 2\n"
+              "a **= 2\n"
+              "b = pow(x, 2) + math.pow(x, 2)\n"
+              "from fractions import Fraction\n"
+              "def f():\n"
+              "    import fractions\n")
+    assert pow_and_fraction_uses(source) == sorted(
+        ["** (line 2)", "** (line 3)", "pow (line 4)", "pow (line 4)", "fractions (line 5)",
+         "fractions (line 7)"])
+    # products, keyword unpacking and dict merges stay allowed
+    assert pow_and_fraction_uses("def f(x, **kw):\n"
+                                 "    return g(x * x, **kw), {**kw}\n") == []
+
+
+def test_closed_forms_compute_in_plain_arithmetic():
+    # stability.py squares as x * x and sums rounded products: no libm pow, no exact rationals
+    assert pow_and_fraction_uses((SRC / "stability.py").read_text()) == []

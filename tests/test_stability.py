@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,26 +210,33 @@ def test_map_rejects_bad_ranges():
 # the broadcast sweep against the per-cell formulas
 # ---------------------------------------------------------------------------
 
+def _dot3(u, v):
+    """The closed forms' dot product: the left-to-right sum of the rounded products."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross_norm3(u, v):
+    c = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    return math.sqrt(_dot3(c, c))
+
+
 def _reference_criteria(du, hp, hm):
     """Test-only copy of the per-cell stability inequalities the sweep replaced."""
-    cross_p = float(np.linalg.norm(np.cross(du, hp)))
-    cross_m = float(np.linalg.norm(np.cross(du, hm)))
-    cross_pm = float(np.linalg.norm(np.cross(hp, hm)))
-    first = float(np.dot(du, du)) <= 2.0 * (float(np.dot(hp, hp)) + float(np.dot(hm, hm)))
-    second = cross_p ** 2 + cross_m ** 2 <= 2.0 * cross_pm ** 2
+    cross_p, cross_m, cross_pm = _cross_norm3(du, hp), _cross_norm3(du, hm), _cross_norm3(hp, hm)
+    first = _dot3(du, du) <= 2.0 * (_dot3(hp, hp) + _dot3(hm, hm))
+    second = cross_p * cross_p + cross_m * cross_m <= 2.0 * (cross_pm * cross_pm)
     strong = max(cross_p, cross_m) <= cross_pm
     return first, second, strong
 
 
 def _reference_verdict(params, k, a, b):
     """Test-only copy of the per-cell growth rate and inequalities the sweep replaced."""
-    k3 = np.array([float(k.k1), float(k.k2), 0.0])
-    du = params.velocity_jump()
-    hp, hm = np.array([0.0, a, 0.0]), np.array([0.0, b, 0.0])
+    k3, du = (float(k.k1), float(k.k2), 0.0), params.velocity_jump()
+    hp, hm = (0.0, float(a), 0.0), (0.0, float(b), 0.0)
     n1, n2, m_i = params.n1, params.n2, params.m_i
-    drive = n1 * n2 / (n1 + n2) ** 2 * float(np.dot(k3, du)) ** 2
-    tension = (float(np.dot(k3, hp)) ** 2 + float(np.dot(k3, hm)) ** 2) \
-        / (4.0 * math.pi * (n1 + n2) * m_i)
+    shear, tension_p, tension_m = _dot3(k3, du), _dot3(k3, hp), _dot3(k3, hm)
+    drive = n1 / (n1 + n2) * (n2 / (n1 + n2)) * (shear * shear)
+    tension = (tension_p * tension_p + tension_m * tension_m) / (4.0 * math.pi * (n1 + n2)) / m_i
     return (drive - tension, *_reference_criteria(du, hp, hm))
 
 
@@ -256,36 +264,28 @@ def test_sweep_matches_scalar_reference():
                 assert (columns["a"][i * b_vals.size + j], columns["b"][i * b_vals.size + j]) \
                     == (a, b)
                 g2, first, second, strong = _reference_verdict(p, k, a, b)
-                assert cell.gamma_squared == pytest.approx(g2, rel=1e-15, abs=0.0)
+                assert cell.gamma_squared.hex() == g2.hex()
                 assert type(cell.growing) is bool and cell.growing == (g2 > 0.0)
                 assert (cell.syrovatskij_first, cell.syrovatskij_second,
                         cell.strong_condition) == (first, second, strong)
         last_row_first = (a_vals.size - 1) * b_vals.size
         assert evaluate_point(p, k, a_vals[-1], b_vals[0]) == _verdict_at(columns, last_row_first)
-    # Python's x ** 2 is libm pow, which rounds these squares differently from
-    # x * x; the sweep follows it bit for bit, so CLI output stays the same
-    still, k = ShearParams(u_plus=(0.0, 0.0, 0.0), u_minus=(0.0, 0.0, 0.0)), WaveVector(0, 1)
-    a_vals = [3.670728948954113, 3.7529595021799986, 3.963117857672733]
-    assert stability_map(still, a_vals, [0.0], k)["gamma_squared"] == \
-        [_reference_verdict(still, k, a, 0.0)[0] for a in a_vals]
     # Python's max(x, nan) is x and max(nan, x) is nan; infinite fields expose the order
-    for hp, hm in (((0.0, 1.0, 1.0), (np.inf, 0.0, 0.0)), ((np.inf, 0.0, 0.0), (0.0, 1.0, 1.0))):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref = _reference_criteria(np.array([1.0, 0.0, 0.0]), np.array(hp), np.array(hm))
+    for hp, hm in (((0.0, 1.0, 1.0), (math.inf, 0.0, 0.0)),
+                   ((math.inf, 0.0, 0.0), (0.0, 1.0, 1.0))):
         v = check_syrovatskij((1.0, 0.0, 0.0), hp, hm)
-        assert (v.syrovatskij_first, v.syrovatskij_second, v.strong_condition) == ref
-    # past |k.B| ~ 1.3e154 the reference's Python x ** 2 raises, and so does the sweep
+        assert (v.syrovatskij_first, v.syrovatskij_second, v.strong_condition) == \
+            _reference_criteria((1.0, 0.0, 0.0), hp, hm)
+    # past |k.B| ~ 1.3e154 the square leaves the float range: an OverflowError naming it
     k = WaveVector(1, 1)
-    with pytest.raises(OverflowError) as expected:
-        _reference_verdict(ShearParams(), k, 1e160, 0.0)
     for call in (lambda: stability_map(ShearParams(), [0.0, 1e160], [0.0], k),
                  lambda: evaluate_point(ShearParams(), k, 1e160, 0.0)):
         with pytest.raises(OverflowError) as got:
             call()
-        assert str(got.value) == str(expected.value)
-    # streamwise k at huge fields: the norms overflow to inf in both, silently in the sweep
-    with np.errstate(over="ignore"):
-        ref = _reference_verdict(ShearParams(), WaveVector(1, 0), 1e300, 1e300)
+        assert got.value.args == ("(k.B)^2 above the interface leaves the float range; "
+                                  "lower a or |k|",)
+    # streamwise k at huge fields: the norms overflow to inf, silently, while gamma^2 is finite
+    ref = _reference_verdict(ShearParams(), WaveVector(1, 0), 1e300, 1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cell = _verdict_at(stability_map(ShearParams(), [0.0, 1e300], [1e300],
@@ -323,18 +323,43 @@ def test_sweep_does_no_per_cell_work(monkeypatch):
         assert len(field_terms) == 8 * steps + 2
 
 
-def test_dot_rounds_as_numpy_dot():
-    # the kernel's dot adds each product to its accumulator with one rounding,
-    # as the BLAS dot behind np.dot does on FMA hardware, so map and dispersion
-    # print the numpy formula's bits; a BLAS that rounds otherwise fails here
+def test_dot_is_within_the_summation_bound_of_the_exact_dot():
+    # the left-to-right sum of three rounded products is within gamma_3 * sum |u_i v_i| of
+    # the exact dot, gamma_3 = 3u / (1 - 3u) with u = 2^-53 (Higham 2002, section 3.1); with
+    # at most one nonzero product, as for the map's fields (0, a, 0), it is correctly rounded
     import khlab.stability as stability
 
     rng = np.random.default_rng(5)
     u, v = rng.normal(0.0, 2.0, (2, 20000, 3))
     v[::2, 2] = 0.0                     # wave vectors (k1, k2, 0)
     v[1::4] = np.round(30.0 * v[1::4])  # integer entries
-    for x, y in zip(u, v):
-        assert stability._dot(tuple(x.tolist()), tuple(y.tolist())) == float(np.dot(x, y))
+    u[::3, 0] = u[::3, 2] = 0.0         # fields (0, a, 0)
+    unit = Fraction(1, 2 ** 53)
+    gamma_3 = 3 * unit / (1 - 3 * unit)
+    single = 0
+    for x, y in zip(u.tolist(), v.tolist()):
+        products = [Fraction(p) * Fraction(q) for p, q in zip(x, y)]
+        got, exact = stability._dot(x, y), sum(products)
+        assert abs(Fraction(got) - exact) <= gamma_3 * sum(map(abs, products))
+        if sum(map(bool, products)) <= 1:
+            single += 1
+            assert got == float(exact)    # a zero's sign is not a value
+    assert single >= 5000
+
+
+def test_square_is_correctly_rounded():
+    # x * x, where libm pow(x, 2) rounds the last three a values otherwise; past the
+    # float range a finite x raises OverflowError with the message as its only argument
+    import khlab.stability as stability
+
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(0.0, 10.0, 20000).tolist() + [-2.5, 5e-324, 1e-160, 1.3e154]
+    for x in xs + [3.670728948954113, 3.7529595021799986, 3.963117857672733]:
+        assert stability._square(x).hex() == float(Fraction(x) ** 2).hex()
+    with pytest.raises(OverflowError) as got:
+        stability._square(-1.4e154, "x^2", "x")
+    assert got.value.args == ("x^2 leaves the float range; lower x",)
+    assert stability._square(-math.inf) == math.inf
 
 
 def test_map_cells_skip_the_pair_cross_product():
