@@ -9,11 +9,9 @@ Geometry and conventions (used by every module in the package):
 * The interface sits at x3 = 0 and splits the slab into an upper
   phase (0, 1) and a lower phase (-1, 0).  Discrete fields keep a
   separate interface row per phase so that jumps are representable.
-* Vertical structure is hyperbolic: every analytic profile in the
-  package is a_plus*exp(kappa*x3) + a_minus*exp(-kappa*x3) per phase,
-  stored as that exponential pair so that wall-bounded combinations
-  like cosh(kappa*x3) - coth(kappa)*sinh(kappa*x3) stay accurate for
-  large kappa instead of cancelling catastrophically.
+* Vertical structure is hyperbolic: every analytic profile is a pair of
+  exponentials per phase, each anchored at the end of the phase where it
+  peaks (VerticalProfile), so no term exceeds its coefficient at any kappa.
 * All quantities are dimensionless; default densities and ion mass
   are one.
 * A grid field is one array, axes (phase, x1, x2, x3) with the upper
@@ -27,9 +25,7 @@ Everything here is a plain value object: construct, then treat as
 immutable.  Operations are pure functions, safe to run concurrently.
 """
 
-import cmath
 import math
-import sys
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -53,18 +49,10 @@ class GridMismatchError(ValueError):
     """Two grid fields with incompatible extents were combined."""
 
 
-def inv_expm1(y: float) -> float:
-    """1 / (e^y - 1) without overflow for large positive y."""
-    if y > 700.0:
-        return 0.0
-    return 1.0 / math.expm1(y)
-
-
 def exp_weights(kappa: float):
-    """(e^-k, e^k) / (2 sinh k) evaluated without overflow or cancellation."""
-    small = inv_expm1(2.0 * kappa)          # e^-k / (2 sinh k)
-    large = -1.0 / math.expm1(-2.0 * kappa)  # e^+k / (2 sinh k)
-    return small, large
+    """(1, e^k) / (2 sinh k) as (e^-k, 1) / (1 - e^-2k): finite for every kappa > 0."""
+    large = -1.0 / math.expm1(-2.0 * kappa)
+    return math.exp(-kappa) * large, large
 
 
 def _make_validated(cls, fields):
@@ -111,6 +99,10 @@ class WaveVector(namedtuple("WaveVector", "k1 k2")):
     def __new__(cls, k1, k2):
         if k1 != int(k1) or k2 != int(k2):
             raise ValueError("wave vector components must be integers")
+        try:
+            float(k1), float(k2)   # kappa and every frequency product are floats
+        except OverflowError:
+            raise ValueError("wave vector k = (k1, k2) leaves the float range") from None
         return super().__new__(cls, int(k1), int(k2))
 
     _make = classmethod(_make_validated)
@@ -132,35 +124,25 @@ class WaveVector(namedtuple("WaveVector", "k1 k2")):
 # closed-form vertical profiles
 # ---------------------------------------------------------------------------
 
-def exp_pair_values(kappa, pairs, x3):
-    """a_plus e^{kappa x3} + a_minus e^{-kappa x3} per pair, all from one exponential pair."""
+def exp_pair_values(kappa, pairs, x3, top):
+    """b_plus e^{kappa (x3 - top)} + b_minus e^{kappa (top - 1 - x3)} per pair, all from one
+    exponential pair, on the phase [top - 1, top]: 1 for the upper phase, 0 for the lower."""
     if isinstance(x3, float):
-        try:
-            ep, em = math.exp(kappa * x3), math.exp(-kappa * x3)
-            out = [a_plus * ep + a_minus * em for a_plus, a_minus in pairs]
-        except OverflowError:
-            out = [math.inf]
-        finite = all(map(cmath.isfinite, out))
+        ep, em = math.exp(kappa * (x3 - top)), math.exp(kappa * (top - 1.0 - x3))
     else:
         x3 = np.asarray(x3, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ep, em = np.exp(kappa * x3), np.exp(-kappa * x3)
-            out = [a_plus * ep + a_minus * em for a_plus, a_minus in pairs]
-        finite = all(np.isfinite(value).all() for value in out)
-    if not finite:   # e^kappa passes the float range near kappa = 709.78
-        raise OverflowError(f"profile at kappa = {kappa:g} leaves the float range "
-                            f"(max {sys.float_info.max:.3g})")
-    return out
+        ep, em = np.exp(kappa * (x3 - top)), np.exp(kappa * (top - 1.0 - x3))
+    return [b_plus * ep + b_minus * em for b_plus, b_minus in pairs]
 
 
 class VerticalProfile(namedtuple("VerticalProfile", "kappa upper lower")):
-    """Per-phase hyperbolic profile on x3 in [-1, 1].
+    """Per-phase hyperbolic profile, defined on x3 in [-1, 1].
 
-    Each phase carries the exponential coefficients (a_plus, a_minus) of
-    a_plus*e^{kappa*x3} + a_minus*e^{-kappa*x3}; the pair of
-    c_cosh*cosh(kappa*x3) + c_sinh*sinh(kappa*x3) is
-    ((c_cosh + c_sinh)/2, (c_cosh - c_sinh)/2).  Coefficients may be
-    complex (profiles paired with tangential phases often are).
+    Each phase carries the complex or real coefficients (b_plus, b_minus)
+    of b_plus*e^{kappa*(x3 - 1)} + b_minus*e^{-kappa*x3} on the upper
+    phase [0, 1] and b_plus*e^{kappa*x3} + b_minus*e^{-kappa*(x3 + 1)} on
+    the lower phase [-1, 0].  Each exponential is 1 at the end of the phase
+    where it peaks, so a value never exceeds |b_plus| + |b_minus|.
 
     x3 >= 0 evaluates the upper phase, x3 < 0 the lower one; the two
     interface limits at x3 = 0 are exposed separately.
@@ -168,7 +150,7 @@ class VerticalProfile(namedtuple("VerticalProfile", "kappa upper lower")):
 
     __slots__ = ()
 
-    def __new__(cls, kappa, upper, lower):   # upper, lower: (a_plus, a_minus)
+    def __new__(cls, kappa, upper, lower):   # upper, lower: (b_plus, b_minus)
         if not kappa > 0:
             raise ValueError("kappa must be positive")
         return super().__new__(cls, kappa, upper, lower)
@@ -176,10 +158,10 @@ class VerticalProfile(namedtuple("VerticalProfile", "kappa upper lower")):
     _make = classmethod(_make_validated)
 
     def eval_upper(self, x3):
-        return exp_pair_values(self.kappa, [self.upper], x3)[0]
+        return exp_pair_values(self.kappa, [self.upper], x3, 1.0)[0]
 
     def eval_lower(self, x3):
-        return exp_pair_values(self.kappa, [self.lower], x3)[0]
+        return exp_pair_values(self.kappa, [self.lower], x3, 0.0)[0]
 
     def eval(self, x3):
         """Evaluate pointwise; x3 >= 0 selects the upper phase."""
@@ -192,7 +174,7 @@ class VerticalProfile(namedtuple("VerticalProfile", "kappa upper lower")):
         return out if out.ndim else out[()]
 
     def derivative(self) -> "VerticalProfile":
-        """d/dx3, closed under the representation: (a_plus, a_minus) -> kappa*(a_plus, -a_minus)."""
+        """d/dx3, closed under the representation: (b_plus, b_minus) -> kappa*(b_plus, -b_minus)."""
         k = self.kappa
         return VerticalProfile(k, (k * self.upper[0], -k * self.upper[1]),
                                (k * self.lower[0], -k * self.lower[1]))

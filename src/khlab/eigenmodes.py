@@ -13,9 +13,9 @@ families matter here:
 * even potentials g_j: harmonic, Neumann walls, value continuous at
   the interface.
 
-All profiles are built directly in the exponential basis with expm1
-so wall and interface conditions hold to roundoff even at kappa of
-several hundred, where the cosh/sinh coefficient form cancels badly.
+All profiles are built in the anchored exponential basis of
+core.VerticalProfile, so wall and interface conditions hold to roundoff
+at every kappa, where the cosh/sinh coefficient form cancels or overflows.
 
 Construction convention: the real field associated with a coefficient
 c and frequency j is Re(c * exp(i*j*x1)) times the vertical profile;
@@ -32,7 +32,6 @@ from khlab.core import (
     WaveVector,
     exp_pair_values,
     exp_weights,
-    inv_expm1,
     np,
     row_profile_plane,
     tangential_grid,
@@ -99,7 +98,8 @@ def potential_gradient_norm_sq(j: int) -> float:
     """
     if j < 1:
         raise ValueError("potential frequency j must be >= 1")
-    return 4.0 * math.pi ** 2 * j * (1.0 + 2.0 * inv_expm1(2.0 * j))   # coth(j), no overflow
+    coth = (1.0 + math.exp(-2.0 * j)) / -math.expm1(-2.0 * j)   # no overflow at any j
+    return 4.0 * math.pi ** 2 * j * coth
 
 
 def potential_gradient_plane(terms, n_tan: int, n_ver: int, t: float = 0.0):
@@ -147,21 +147,25 @@ def verify_mode(mode: SpectralMode, sample_count: int = 1000) -> ResidualReport:
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     k = mode.k
-    kappa_sq = float(k.k1 ** 2 + k.k2 ** 2)
+    try:
+        kappa_sq = float(k.k1 ** 2 + k.k2 ** 2)
+    except OverflowError:
+        raise OverflowError("kappa^2 = k1^2 + k2^2 leaves the float range; lower |k|") from None
     p3 = mode.profiles[2]
     # a sample reads the components, their second derivatives and d p3/dx3: nine profiles
     # of one kappa, so one exponential pair per sample serves them all
     nine = (*mode.profiles, *(p.derivative().derivative() for p in mode.profiles), p3.derivative())
     if len({p.kappa for p in nine}) > 1:
         raise ValueError("the profiles of a mode must share one kappa")
-    phases = [p.lower for p in nine], [p.upper for p in nine]
+    phases = {0.0: [p.lower for p in nine], 1.0: [p.upper for p in nine]}   # by top end
 
     harmonic = divergence = 0.0
     for n in range(1, sample_count + 1):
         # a low-discrepancy sample over both phases (golden-ratio recurrence); the
         # residuals depend on x3 alone, as the tangential factor of a mode divides out
         x3 = 2.0 * ((0.5 + n * (math.sqrt(5) - 1) / 2) % 1.0) - 1.0
-        v = exp_pair_values(p3.kappa, phases[x3 >= 0.0], x3)
+        top = 1.0 if x3 >= 0.0 else 0.0
+        v = exp_pair_values(p3.kappa, phases[top], x3, top)
         harmonic = max(harmonic, *(abs(v[i + 3] - kappa_sq * v[i]) for i in range(3)))
         divergence = max(divergence, abs(1j * k.k1 * v[0] + 1j * k.k2 * v[1] + v[6]))
 

@@ -78,11 +78,10 @@ def solve_mode_interface_flux(k: WaveVector, value_jump=0.0, flux_jump=0.0,
     if kappa == 0.0:
         raise SolvabilityError("kappa = 0: pure-Neumann mode is solvable only "
                                "up to constants; fix the gauge in the grid solver")
-    # e^{-k}/(2 sinh k), e^{k}/(2 sinh k), e^{-k}/(2 cosh k), e^{k}/(2 cosh k)
+    # 1/(2 sinh k), e^k/(2 sinh k), 1/(2 cosh k), e^k/(2 cosh k): the anchored pair weights
     sp, sm = exp_weights(kappa)
-    e2 = math.exp(-2.0 * kappa)
-    cp = e2 / (1.0 + e2)
-    cm = 1.0 / (1.0 + e2)
+    cm = 1.0 / (1.0 + math.exp(-2.0 * kappa))
+    cp = math.exp(-kappa) * cm
     # upper amplitude A and shifted lower amplitude B*phi solve
     #   A - B*phi = g1 / cosh(kappa),  A + B*phi = -g2 / (kappa sinh kappa)
     upper_exp = (0.5 * (g1 * cp - g2 * sp / kappa),

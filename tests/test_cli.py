@@ -194,7 +194,7 @@ def test_closed_forms_never_execute_numpy():
             ["--command", "map", "--k", "2,4", "--a_steps", "7", "--b_steps", "5"],
             ["--command", "modes", "--k", "3,1", "--n_ver", "16"],
             ["--command", "verify", "--k", "5,-2"],
-            ["--command", "verify", "--k", "710,0"],
+            ["--command", "dispersion", "--k", "1,1", "--a", "1e160"],
             ["--command", "map", "--k", "1,1", "--a_min", "1", "--a_max", "1", "--a_steps", "3"]]
     proc = _fresh_python(_NUMPY_GUARD % runs)
     assert proc.returncode == 0, proc.stderr
@@ -492,7 +492,7 @@ _ENTRY_CASES = (
     ["--command", "evolve", "--n", "4", "--n_tan", "32", "--n_ver", "16"],
     ["--command", "illposedness", "--n", "4", "--n_tan", "32", "--n_ver", "16"],
     ["--command", "dispersion", "--k", "1,0", "--n1", "-1"],
-    ["--command", "modes", "--k", "710,0"],
+    ["--command", "dispersion", "--k", "1,1", "--a", "1e160"],
 )
 
 
@@ -721,23 +721,58 @@ def test_density_weight_and_tension_hold_at_both_ends_of_the_range(capsys, flags
 
 
 @pytest.mark.filterwarnings("error")
-def test_profile_overflow_exit_code(capsys):
-    # past kappa = 709.78 the profiles leave the float range: modes used to print
-    # nan wall rows and verify to write numpy warnings before its message
-    for command in ("modes", "verify"):
-        assert main(["--command", command, "--k", "710,0"]) == 3
+def test_profiles_past_kappa_710_exit_0(capsys):
+    # past kappa = 709.78 e^kappa leaves the float range, which the anchored profile pairs
+    # never form: modes and verify exited 3 here, and both now hold the walls exactly
+    for k in ("710,0", "2000,0"):
+        assert main(["--command", "modes", "--k", k]) == 0
         out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1
-        assert err.startswith("khlab: numerical overflow: profile at kappa = 710 ")
-        assert "float range" in err
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+        assert err == "" and all(math.isfinite(float(v)) for row in rows for v in row[2:])
+        assert {row[2] for row in rows if row[0] in ("1", "-1")} == {"0"}
+        assert main(["--command", "verify", "--k", k]) == 0
+        out, err = capsys.readouterr()
+        data = json.loads(out)["data"]
+        assert err == "" and data["passed"] is True and data["wall_bc_residual"] == 0.0
 
 
 @pytest.mark.filterwarnings("error")
 def test_verify_past_the_float_range_names_kappa(capsys):
-    # the audit shares one exponential pair per sample and keeps eval's finiteness check
-    assert main(["--command", "verify", "--k", "2000,0"]) == 3
-    assert capsys.readouterr() == ("", "khlab: numerical overflow: profile at kappa = 2000 "
-                                       "leaves the float range (max 1.8e+308)\n")
+    # kappa = 1e160 is a float, but kappa^2 is not: the audit names it, where it printed
+    # "int too large to convert to float"
+    assert main(["--command", "verify", "--k", f"{10 ** 160},0"]) == 3
+    assert capsys.readouterr() == ("", "khlab: numerical overflow: kappa^2 = k1^2 + k2^2 "
+                                       "leaves the float range; lower |k|\n")
+
+
+_HUGE_K = f"{10 ** 309},0"
+_HUGE_K_LINE = (f"khlab: bad wave vector {_HUGE_K!r}: "
+                "wave vector k = (k1, k2) leaves the float range")
+
+
+@pytest.mark.parametrize("command, k, code, line", [
+    ("dispersion", _HUGE_K, 2, _HUGE_K_LINE),
+    ("modes", _HUGE_K, 2, _HUGE_K_LINE),
+    ("verify", _HUGE_K, 2, _HUGE_K_LINE),
+    ("dispersion", f"{10 ** 160},0", 3, "khlab: numerical overflow: (k.[u])^2 leaves the "
+                                        "float range; lower |k| or u_plus - u_minus"),
+], ids=["dispersion", "modes", "verify", "dispersion-square"])
+def test_wave_number_past_the_float_range_writes_one_named_line(capsys, command, k, code, line):
+    # a component past the float range printed "int too large to convert to float"
+    assert main(["--command", command, "--k", k]) == code
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_range_runs_pass_end_to_end():
+    # the wave numbers of the paper's large-n signature: n = 720 and |k| = 2000 are
+    # past the kappa = 709.78 where e^kappa leaves the float range
+    for args in (["--command", "verify", "--k", "2000,0"],
+                 ["--command", "illposedness", "--n", "720", "--t", "0.3",
+                  "--n_tan", "2048", "--n_ver", "32"]):
+        proc = subprocess.run([sys.executable, "-m", "khlab.cli", *args], env=_source_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["data"]["passed"] is True
 
 
 @pytest.mark.filterwarnings("error")
@@ -751,18 +786,14 @@ def test_top_of_range_data_exit_3_with_one_line(capsys):
                                        "the float range at t=0.0\n")
 
 
-def test_profile_overflow_writes_one_stderr_line():
-    # in a fresh process with the default warning filters, nothing else reaches stderr
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_profiles_past_kappa_710_write_nothing_to_stderr():
+    # in a fresh process with the default warning filters, nothing reaches stderr
     for command in ("modes", "verify"):
         proc = subprocess.run([sys.executable, "-m", "khlab.cli", "--command", command,
-                               "--k", "710,0"], env=env, capture_output=True, text=True,
-                              timeout=60)
-        assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr.startswith("khlab: numerical overflow: profile at kappa = 710 ")
-        assert len(proc.stderr.splitlines()) == 1
+                               "--k", "710,0"], env=_source_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("# khlab modes" if command == "modes" else "{")
 
 
 def test_unmapped_exception_is_an_internal_error(monkeypatch, capsys):

@@ -22,8 +22,15 @@ TWO_PI = 2.0 * math.pi
 
 
 def hyperbolic(kappa, upper, lower):
-    """The profile c_cosh*cosh(kappa*x3) + c_sinh*sinh(kappa*x3), (c_cosh, c_sinh) per phase."""
-    return VerticalProfile(kappa, *(((c + s) / 2, (c - s) / 2) for c, s in (upper, lower)))
+    """The profile c_cosh*cosh(kappa*x3) + c_sinh*sinh(kappa*x3), (c_cosh, c_sinh) per phase.
+
+    In the anchored pairs e^{kappa x3} is e^kappa e^{kappa (x3 - 1)} above the interface and
+    e^{-kappa x3} is e^kappa e^{-kappa (x3 + 1)} below, so each of those terms carries e^kappa.
+    """
+    e = math.exp(kappa)
+    (cu, su), (cl, sl) = upper, lower
+    return VerticalProfile(kappa, ((cu + su) * e / 2, (cu - su) / 2),
+                           ((cl + sl) / 2, (cl - sl) * e / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -148,44 +155,42 @@ def test_profile_requires_positive_kappa():
 
 
 @pytest.mark.filterwarnings("error")
-def test_profile_past_the_float_range_raises_overflow():
-    # e^kappa leaves the float range near kappa = 709.78; the wall rows used to
-    # read 0*inf = nan with a RuntimeWarning
-    wall = VerticalProfile(710.0, (0.0, 1.0), (1.0, 0.0))
-    with pytest.raises(OverflowError, match=r"kappa = 710 leaves the float range"):
-        wall.eval_upper(np.linspace(0.0, 1.0, 5))
-    with pytest.raises(OverflowError, match=r"kappa = 710"):
-        wall.eval(-1.0)
-    near = VerticalProfile(709.0, (0.0, 1.0), (1.0, 0.0))
-    assert np.isfinite(near.eval(np.linspace(-1.0, 1.0, 9))).all()
+def test_profile_past_kappa_710_stays_within_its_coefficients():
+    # e^kappa leaves the float range near kappa = 709.78; the anchored pairs never form it,
+    # so a profile with unit coefficients reads 1 at its anchors and at most 1 between them
+    x3 = np.linspace(-1.0, 1.0, 41)
+    for kappa in (709.0, 710.0, 2000.0, 1e5, 1e300):
+        wall = VerticalProfile(kappa, (0.0, 1.0), (1.0, 0.0))   # e^{-kappa |x3|}
+        values = wall.eval(x3)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        assert wall.eval(0.0) == wall.eval_lower(0.0) == 1.0
+        assert wall.eval(1.0) == wall.eval(-1.0) == math.exp(-kappa)
 
 
 def test_profile_float_and_array_paths_agree():
-    # a float x3 is evaluated with math.exp, an array with np.exp: the two agree
-    # to 1e-15 of the size of the two exponential terms, and past the float
-    # range both raise the same message
+    # a float x3 is evaluated with math.exp, an array with np.exp: the two agree to
+    # 1e-15 of the size of the two exponential terms, and both stay finite and within
+    # |b_plus| + |b_minus| on the phase at every kappa
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coeff = st.one_of(st.floats(-1.0, 1.0), st.complex_numbers(max_magnitude=1.0))
+    log_uniform = st.floats(math.log(1e-3), math.log(1e6)).map(math.exp)
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(kappa=st.floats(1e-3, 700.0), x3=st.floats(-1.0, 1.0),
+    @hypothesis.given(kappa=log_uniform, x3=st.floats(-1.0, 1.0),
                       upper=st.tuples(coeff, coeff), lower=st.tuples(coeff, coeff))
     def check(kappa, x3, upper, lower):
         profile = VerticalProfile(kappa, upper, lower)
-        a_plus, a_minus = upper if x3 >= 0.0 else lower
-        size = abs(a_plus) * math.exp(kappa * x3) + abs(a_minus) * math.exp(-kappa * x3)
-        assert abs(profile.eval(x3) - profile.eval(np.array([x3]))[0]) <= 1e-15 * size
+        (b_plus, b_minus), top = (upper, 1.0) if x3 >= 0.0 else (lower, 0.0)
+        size = (abs(b_plus) * math.exp(kappa * (x3 - top))
+                + abs(b_minus) * math.exp(kappa * (top - 1.0 - x3)))
+        scalar, array = profile.eval(x3), profile.eval(np.array([x3]))[0]
+        assert abs(scalar - array) <= 1e-15 * size
+        bound = (abs(b_plus) + abs(b_minus)) * (1.0 + 1e-15)
+        for value in (scalar, array):
+            assert np.isfinite(value) and abs(value) <= bound
 
     check()
-    wall = VerticalProfile(710.0, (0.0, 1.0), (1.0, 0.0))
-    for x3 in (1.0, -1.0):
-        messages = []
-        for arg in (x3, np.array([x3])):
-            with pytest.raises(OverflowError) as raised:
-                wall.eval(arg)
-            messages.append(str(raised.value))
-        assert messages[0] == messages[1]
 
 
 def test_linspace_and_levels_match_numpy_bit_for_bit():

@@ -22,11 +22,13 @@ COTH2 = 1.0373147207275482  # coth(2), frozen from 1/tanh(2)
 def corrupt_mode(mode, delta: float = 0.1):
     """Shift the upper cosh coefficient of W by delta; negative control for verify_mode.
 
-    cosh = (e^{kappa x3} + e^{-kappa x3})/2, so both exponential coefficients move by delta/2.
+    Above the interface cosh(kappa x3) = (e^kappa e^{kappa (x3 - 1)} + e^{-kappa x3})/2, so the
+    anchored coefficients move by delta e^kappa / 2 and delta / 2.
     """
     W = mode.profiles[2]
-    a_plus, a_minus = W.upper
-    bad = VerticalProfile(W.kappa, (a_plus + delta / 2, a_minus + delta / 2), W.lower)
+    b_plus, b_minus = W.upper
+    bad = VerticalProfile(W.kappa, (b_plus + delta * math.exp(W.kappa) / 2, b_minus + delta / 2),
+                          W.lower)
     return mode._replace(profiles=(*mode.profiles[:2], bad))
 
 
@@ -233,9 +235,13 @@ def test_verify_mode_zero_amplitudes():
 
 
 def _eval(profile, x3):
-    """VerticalProfile.eval at a float x3, written out: its own exponential pair per call."""
-    a_plus, a_minus = profile.upper if x3 >= 0.0 else profile.lower
-    return a_plus * math.exp(profile.kappa * x3) + a_minus * math.exp(-profile.kappa * x3)
+    """VerticalProfile.eval at a float x3, written out: its own anchored pair per call."""
+    k = profile.kappa
+    if x3 >= 0.0:   # b_plus e^{k (x3 - 1)} + b_minus e^{-k x3}
+        b_plus, b_minus = profile.upper
+        return b_plus * math.exp(k * (x3 - 1.0)) + b_minus * math.exp(-k * x3)
+    b_plus, b_minus = profile.lower   # b_plus e^{k x3} + b_minus e^{-k (x3 + 1)}
+    return b_plus * math.exp(k * x3) + b_minus * math.exp(-k * (x3 + 1.0))
 
 
 def _per_point_audit(mode, sample_count):
