@@ -450,7 +450,7 @@ def _evolve_series(cfg: RunConfig):
     state = decompose_perturbation(chi, chi_dot, cutoff)
     dt = cfg.dt
     if cfg.stepper == "rk4" and dt is None:
-        dt = default_rk4_dt(state, cfg.a, cfg.b, cfg.n_tan)
+        dt = default_rk4_dt(state, cfg.a, cfg.b)
     samples = ((t, evolve_state(state, cfg.a, cfg.b, t, cfg.stepper, dt))
                for t in linspace(0.0, cfg.t, cfg.samples))
     return cutoff, samples, max(c.max_abs() for c in chi_dot)

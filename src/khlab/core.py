@@ -97,11 +97,11 @@ class WaveVector(namedtuple("WaveVector", "k1 k2")):
     __slots__ = ()
 
     def __new__(cls, k1, k2):
-        if k1 != int(k1) or k2 != int(k2):
-            raise ValueError("wave vector components must be integers")
         try:
+            if k1 != int(k1) or k2 != int(k2):
+                raise ValueError("wave vector components must be integers")
             float(k1), float(k2)   # kappa and every frequency product are floats
-        except OverflowError:
+        except OverflowError:   # int() of an infinity, or float() of an int past the range
             raise ValueError("wave vector k = (k1, k2) leaves the float range") from None
         return super().__new__(cls, int(k1), int(k2))
 

@@ -173,23 +173,30 @@ def apply_A(state: PerturbationState) -> PerturbationState:
 # full linear evolution
 # ---------------------------------------------------------------------------
 
-def default_rk4_dt(state: PerturbationState, a: float, b: float, n_tan: int) -> float:
-    """The rk4 step taken when none is given: min(0.01, 0.25/omega_max).
+def _held_rates(state: PerturbationState, a: float, b: float):
+    """(odd, even, lambda_sq): the keys of P and L, those of g, and lambda^2 of every mode
+    the state holds, in the order evolve_state reads: j^2 on odd, -2 j^2 on even, then
+    -(a k2)^2 above and -(b k2)^2 below on each k2 stored for r, if the state holds r."""
+    odd, even = sorted(state.w_plus), sorted(set(state.g) | set(state.g_dot))
+    lam_sq = np.array([float(j * j) for j in odd] + [-2.0 * float(j * j) for j in even])
+    spectrum = state.r_dot_hat if state.r_hat is None else state.r_hat
+    if spectrum is not None:
+        k2 = _r_frequencies(spectrum)
+        with np.errstate(over="ignore"):   # a field past 1e154 leaves the float range here
+            lam_sq = np.concatenate([lam_sq, -((a * k2) ** 2), -((b * k2) ** 2)])
+    return odd, even, lam_sq
 
-    omega_max is the larger of sqrt(2) * max(j, 1) over the coefficients
-    of P, L and g, which bounds their rates j and sqrt(2)*j, and of the
-    r-block frequency max(a, b) * (n_tan // 2) of data sampled on n_tan
-    points per tangential direction, whether or not the state holds an
-    r block.  |omega| * dt then stays at most 0.25, far inside
-    RK4_STABILITY_LIMIT.  Raises OverflowError if the r-block frequency
-    leaves the float range.
+
+def default_rk4_dt(state: PerturbationState, a: float, b: float) -> float:
+    """The rk4 step taken when none is given: min(0.01, 0.25/omega_max), 0.01 if no mode moves.
+
+    omega_max = sqrt(max|lambda^2|) over the modes the state holds, which the rk4 stability
+    check reads too; OverflowError if it is infinite, which only a held r block can cause.
     """
-    j_max = max([1, *state.w_plus, *state.g, *state.g_dot])
-    omega_r = max(a, b) * (n_tan // 2)
-    if math.isinf(omega_r):
-        raise OverflowError(f"rk4 default step: r-block frequency max(a, b) * (n_tan // 2) "
-                            f"= {omega_r:g} leaves the float range")
-    return min(1e-2, 0.25 / max(math.sqrt(2.0) * j_max, omega_r))
+    omega_max = math.sqrt(float(np.max(np.abs(_held_rates(state, a, b)[2]), initial=0.0)))
+    if math.isinf(omega_max):
+        raise OverflowError("rk4 default step: rate sqrt(max|lambda^2|) leaves the float range")
+    return min(1e-2, 0.25 / omega_max) if omega_max else 1e-2
 
 
 def evolve_state(state: PerturbationState, a: float, b: float, t: float,
@@ -205,15 +212,7 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     exceeds RK4_STABILITY_LIMIT.  An absent r block stays absent, and a
     plane r stays a plane whose k2 = 0 alone is propagated.
     """
-    odd, even = sorted(state.w_plus), sorted(set(state.g) | set(state.g_dot))
-    lam_sq = np.array([float(j * j) for j in odd] + [-2.0 * float(j * j) for j in even])
-    r_hat, r_dot_hat = state.r_hat, state.r_dot_hat
-    spectrum = r_dot_hat if r_hat is None else r_hat
-    if spectrum is not None:
-        k2 = _r_frequencies(spectrum)
-        with np.errstate(over="ignore"):   # a field past 1e154 leaves the float range here
-            lam_r = -np.stack([(a * k2) ** 2, (b * k2) ** 2])
-        lam_sq = np.concatenate([lam_sq, lam_r.ravel()])
+    odd, even, lam_sq = _held_rates(state, a, b)
     C, S, mu_plus, mu_minus, _ = _propagators(lam_sq, t, stepper, dt)
 
     # the odd family holds every growing entry; C and S are g's entries, then r's
@@ -225,8 +224,9 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     evolved.append(dict(zip(even, (c * C[:n] + d * S[:n]).tolist())))
     evolved.append(dict(zip(even, (c * lam_g * S[:n] + d * C[:n]).tolist())))
 
-    if spectrum is not None:
-        Cr, Sr, lam = (x.reshape(1, 2, 1, k2.size, 1) for x in (C[n:], S[n:], lam_r))
+    r_hat, r_dot_hat = state.r_hat, state.r_dot_hat
+    if r_hat is not None or r_dot_hat is not None:
+        Cr, Sr, lam = (x.reshape(1, 2, 1, -1, 1) for x in (C[n:], S[n:], lam_sq[len(odd) + n:]))
         y0 = 0.0 if r_hat is None else r_hat
         v0 = 0.0 if r_dot_hat is None else r_dot_hat
         r_hat, r_dot_hat = y0 * Cr + v0 * Sr, y0 * (lam * Sr) + v0 * Cr

@@ -10,6 +10,7 @@ the default and the held-out seed.
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -17,8 +18,8 @@ import pytest
 from khlab import cli, functionals
 from khlab.cli import main
 
-_WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "bench", "workloads.py")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_WORKLOADS = os.path.join(_ROOT, "bench", "workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +90,13 @@ def test_illposedness_evaluates_each_sample_once(capsys, monkeypatch, samples):
     argv = ["--command", "illposedness", "--n", "4", "--n_tan", "16", "--n_ver", "8"]
     _stdout(capsys, argv + ([] if samples is None else ["--samples", samples]))
     assert len(calls) == (9 if samples is None else int(samples))
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own self-test at smoke sizes (about 6 s): every workload end to end
+    # and traced, its layer counters, and its checkers against planted wrong outputs
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")   # leave bench/ as it is
+    proc = subprocess.run([sys.executable, os.path.join("bench", "selftest.py")], cwd=_ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "selftest: all checks passed" in proc.stdout

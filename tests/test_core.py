@@ -72,6 +72,15 @@ def test_replace_validates_like_the_constructor():
         ShearParams()._replace(n2=0.0)
     with pytest.raises(ValueError):
         WaveVector(1, 2)._replace(k1=1.5)
+    # an infinity names k as an integer past the float range does; NaN is no integer
+    for bad in (math.inf, -math.inf, 10 ** 309, -10 ** 309):
+        for args in ((bad, 0), (1, bad)):
+            with pytest.raises(ValueError) as got:
+                WaveVector(*args)
+            assert got.value.args == ("wave vector k = (k1, k2) leaves the float range",)
+    for args in ((math.nan, 0), (1, math.nan)):
+        with pytest.raises(ValueError):
+            WaveVector(*args)
     with pytest.raises(ValueError):
         VerticalProfile(1.0, (1.0, 0.0), (0.0, 1.0))._replace(kappa=0.0)
 

@@ -380,18 +380,38 @@ def _block_values(state):
 
 
 def test_default_rk4_dt_reads_every_block():
-    # sqrt(2) * j over the keys of P, L, g and their velocities, and the r-block
-    # frequency max(a, b) * (n_tan // 2) of the data's grid, held or not
-    assert default_rk4_dt(PerturbationState(3, g_dot={30: 1.0}), 5.0, 0.0, 16) == 0.25 / (
-        math.sqrt(2.0) * 30)
-    assert default_rk4_dt(PerturbationState(3, L={2: 1.0}), 0.0, 0.0, 16) == 0.01
+    # 0.25 / sqrt(max|lambda^2|) over the modes the state holds, at most 0.01: rate j on P
+    # and L, sqrt(2) * j on g, and a * k2 above, b * k2 below on the k2 that r stores
+    assert default_rk4_dt(PerturbationState(3, P={40: 1.0}), 5.0, 0.0) == 0.25 / 40.0
+    assert default_rk4_dt(PerturbationState(3, L={2: 1.0}), 0.0, 0.0) == 0.01
+    assert default_rk4_dt(PerturbationState(50, L={40: 1.0}), 5.0, 0.0) == 0.25 / 40.0
+    assert default_rk4_dt(PerturbationState(3, g_dot={30: 1.0}), 5.0, 0.0) == 0.25 / math.sqrt(
+        2.0 * 30 ** 2)
+    assert default_rk4_dt(PerturbationState(3), 0.0, 0.0) == 0.01   # no mode moves
+    # no r block: the fields enter nowhere, whatever grid the data came from
     s = PerturbationState(3, P={20: 1.0})
-    assert default_rk4_dt(s, 0.0, 0.0, 16) == 0.25 / (math.sqrt(2.0) * 20)
-    assert default_rk4_dt(s, 1.0, 5.0, 16) == 0.25 / 40.0
+    assert default_rk4_dt(s, 0.0, 0.0) == default_rk4_dt(s, 1.0, 5.0) == 0.01
+    assert default_rk4_dt(PerturbationState(3, P={30: 1.0}), 1e300, 1e300) == 0.25 / 30.0
+    # a plane r stores k2 = 0 alone, which does not move
+    plane = np.ones((2, 16, 1, 7))
+    r3 = plane.copy()
+    r3[..., [0, -1]] = 0.0
+    r = tuple(TwoPhaseGridField(v) for v in (plane, plane, r3))
+    assert default_rk4_dt(PerturbationState(2, r=r), 1e300, 1e300) == 0.01
+    # a full-grid r on n_tan = 16 stores k2 up to 8
     mixed = _mixed_state(3)
-    dt = default_rk4_dt(mixed, 4.0, 1.0, 16)
+    dt = default_rk4_dt(mixed, 4.0, 1.0)
     assert dt == 0.25 / 32.0
+    assert default_rk4_dt(mixed, 1.0, 4.0) == dt
     evolve_state(mixed, 4.0, 1.0, 0.7, stepper="rk4", dt=dt)   # within the stability limit
+
+
+def test_default_rk4_dt_names_an_infinite_rate():
+    # (a * k2)^2 leaves the float range for a held r block at a = 1e200: one named error
+    with pytest.raises(OverflowError) as got:
+        default_rk4_dt(_mixed_state(3), 1e200, 0.0)
+    assert got.value.args == (
+        "rk4 default step: rate sqrt(max|lambda^2|) leaves the float range",)
 
 
 def test_rk4_observed_order_on_mixed_state():

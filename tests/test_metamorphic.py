@@ -43,6 +43,36 @@ def test_transverse_field_leaves_streamwise_data_unchanged(capsys, command):
     assert all(d == data[0] for d in data[1:])
 
 
+def test_transverse_field_leaves_streamwise_data_unchanged_property(capsys):
+    # the paper's statement under both steppers at their default step: for any a, b in
+    # [0, 1.7e308] the streamwise seed prints the rows of a = b = 0
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field = st.floats(0.0, 1.7e308)
+    grids = st.sampled_from([8, 16, 32]).flatmap(
+        lambda n_tan: st.tuples(st.just(n_tan), st.integers(1, n_tan // 2 - 1)))
+    unmagnetised = {}
+
+    def rows(command, stepper, n_tan, n, a, b):
+        rc = main(["--command", command, "--stepper", stepper, "--n", str(n),
+                   "--n_tan", str(n_tan), "--n_ver", "8", "--samples", "3",
+                   "--a", repr(a), "--b", repr(b)])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == "", (command, stepper, n_tan, n, a, b, err)
+        return _data(command, out)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(command=st.sampled_from(["evolve", "functionals", "illposedness"]),
+                      stepper=st.sampled_from(["exact", "rk4"]), grid=grids, a=field, b=field)
+    def check(command, stepper, grid, a, b):
+        key = (command, stepper, *grid)
+        if key not in unmagnetised:
+            unmagnetised[key] = rows(*key, 0.0, 0.0)
+        assert rows(*key, a, b) == unmagnetised[key], (key, a, b)
+
+    check()
+
+
 @pytest.mark.parametrize("shift", [1, 3])
 def test_translation_along_x1_turns_the_coefficients(shift):
     # rolling the data by `shift` points along x1 multiplies mode n by e^{-i n shift h}

@@ -186,7 +186,7 @@ def test_plane_r_on_a_large_grid_stays_a_plane():
     assert state.r_hat.nbytes <= 4e6
     tracemalloc.start()
     try:
-        for stepper, dt in (("exact", None), ("rk4", default_rk4_dt(state, a, b, n_tan))):
+        for stepper, dt in (("exact", None), ("rk4", default_rk4_dt(state, a, b))):
             out = evolve_state(state, a, b, 0.5, stepper, dt)
             assert out.r_hat.shape == out.r_dot_hat.shape == (3, 2, n_tan, 1, n_ver + 1)
             compute_functionals(out, [1.0], a, b)
