@@ -18,15 +18,15 @@ from khlab.evolution import evolve_state
 from khlab.functionals import compute_functionals, h2_readout
 
 n_cut = 4
-comp = TwoPhaseGridField.from_function(
-    lambda x1, x2, x3: 0.05 * np.cos(2 * x2) * (1 + 0 * x3), 16, 8)
-zero = TwoPhaseGridField.zeros(16, 8)
+r = np.zeros((3, 2, 16, 16, 9))   # a grid 3-vector: axes (component, phase, x1, x2, x3)
+r[0] = TwoPhaseGridField.from_function(
+    lambda x1, x2, x3: 0.05 * np.cos(2 * x2) * (1 + 0 * x3), 16, 8).values
 state = PerturbationState(
     n_cut,
     P={5: 1.0 + 0.0j}, P_dot={5: 5.0},     # growing branch
     L={2: 0.3}, L_dot={},
     g={3: 0.5}, g_dot={},
-    r=(comp, zero, zero), r_dot=(zero, zero, zero))
+    r=r, r_dot=np.zeros_like(r))
 
 a, b = 1.0, 0.5
 print("exact evolution of a mixed state (a=1, b=0.5):")

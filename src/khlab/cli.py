@@ -453,7 +453,7 @@ def _evolve_series(cfg: RunConfig):
         dt = default_rk4_dt(state, cfg.a, cfg.b)
     samples = ((t, evolve_state(state, cfg.a, cfg.b, t, cfg.stepper, dt))
                for t in linspace(0.0, cfg.t, cfg.samples))
-    return cutoff, samples, max(c.max_abs() for c in chi_dot)
+    return cutoff, samples, float(abs(chi_dot).max())
 
 
 def _cmd_evolve(cfg: RunConfig):

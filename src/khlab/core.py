@@ -14,12 +14,15 @@ Geometry and conventions (used by every module in the package):
   peaks (VerticalProfile), so no term exceeds its coefficient at any kappa.
 * All quantities are dimensionless; default densities and ion mass
   are one.
-* A grid field is one array, axes (phase, x1, x2, x3) with the upper
-  phase first, and a grid 3-vector stacks three of them, axes
-  (component, phase, x1, x2, x3); _stack and _unstack convert.  A
-  length-1 x2 axis means "constant in x2" everywhere: such a plane
-  stays a plane through decomposition, reconstruction and the x2
-  spectrum of r, which keeps the x2 extent of its data.
+* A scalar grid field is a TwoPhaseGridField, one array with axes
+  (phase, x1, x2, x3), upper phase first.  A grid 3-vector has one
+  encoding, the float array of its three stacked fields, axes
+  (component, phase, x1, x2, x3): perturbed_initial_data returns such
+  arrays, decompose_perturbation and PerturbationState(r=, r_dot=) take
+  them and state.r reads one back.  A length-1 x2 axis means "constant
+  in x2" everywhere: such a plane stays a plane through decomposition,
+  reconstruction and the x2 spectrum of r, which keeps the x2 extent of
+  its data.
 
 Everything here is a plain value object: construct, then treat as
 immutable.  Operations are pure functions, safe to run concurrently.
@@ -236,12 +239,7 @@ class TwoPhaseGridField:
     n_ver = property(lambda self: self.values.shape[3] - 1)
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        if (values.ndim != 4 or values.shape[0] != 2 or values.shape[3] < 2
-                or values.shape[2] not in (values.shape[1], 1)):
-            raise GridMismatchError(
-                f"values must have shape (2, n_tan, n_tan or 1, n_ver + 1), got {values.shape}")
-        self.values = values
+        self.values = _grid_array(values, (2,))
 
     # -- construction -------------------------------------------------
 
@@ -313,18 +311,17 @@ def row_profile_plane(row_up, row_lo, profile, n_ver):
                              row_lo[:, None] * profile.eval_lower(zl)]))[:, :, None, :]
 
 
-def _stack(vec):
-    """A grid 3-vector as one array, axes (component, phase, x1, x2, x3), upper phase first."""
-    if len(vec) != 3:
-        raise ValueError("expected a 3-vector of grid fields")
-    if len({c.values.shape for c in vec}) != 1:
-        raise GridMismatchError("the components of a 3-vector live on different grids")
-    return np.array([c.values for c in vec])
-
-
-def _unstack(values):
-    """The grid 3-vector of a stacked array, sharing its memory; a plane stays a plane."""
-    return tuple(map(TwoPhaseGridField, values))
+def _grid_array(values, lead):
+    """values as a float array of shape (*lead, n_tan, n_tan or 1, n_ver + 1): lead (2,) for a
+    field, (3, 2) for a grid 3-vector.  Any other shape raises GridMismatchError."""
+    values = np.asarray(values, dtype=float)
+    shape = values.shape
+    if (values.ndim != len(lead) + 3 or shape[:len(lead)] != lead or shape[-1] < 2
+            or shape[-2] not in (shape[-3], 1)):
+        expected = ", ".join(map(str, lead))
+        raise GridMismatchError(
+            f"values must have shape ({expected}, n_tan, n_tan or 1, n_ver + 1), got {shape}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +356,7 @@ class PerturbationState:
     amplitudes w_plus and w_minus, w+/- = d +/- j*c for coefficient c and
     velocity d; P, P_dot, L and L_dot are read-only views of them.
 
-    r and r_dot are optional 3-vector fields whose third component
+    r and r_dot are optional grid 3-vectors whose third component
     vanishes on the interface and the walls.  The r block is diagonal in
     the x2 Fourier modes, so they are stored only as their x2 spectra
     r_hat and r_dot_hat: rfft(values, axis=x2, norm="forward"), complex
@@ -369,9 +366,9 @@ class PerturbationState:
     x2-constant plane k2 = 0 only, (3, 2, n_tan, 1, n_ver + 1), which is
     exactly the k2 = 0 column of its x2 repeat.  A state has one extent,
     so a plane beside a full grid is zero-padded to the spectrum of its
-    x2 repeat.  The r= and r_dot= arguments take grid
-    3-vectors, full grids or planes, transformed once; state.r and
-    state.r_dot read back fresh fields of the stored extent, and an
+    x2 repeat.  The r= and r_dot= arguments take stacked grid 3-vectors,
+    full grids or planes, shape-checked and transformed once; state.r and
+    state.r_dot read back a fresh array of the stored extent, and an
     absent block (one a decomposition dropped as round-off, or never
     given) reads None.  A state records no grid beyond its data.
 
@@ -397,7 +394,8 @@ class PerturbationState:
             if j < 1:
                 raise ValueError("g coefficients are indexed by j >= 1")
         self.w_plus, self.w_minus = self._characteristic({**L, **P}, {**L_dot, **P_dot})
-        self._set_r(*(None if v is None else _r_spectrum(_stack(v)) for v in (r, r_dot)))
+        self._set_r(*(None if v is None else _r_spectrum(_grid_array(v, (3, 2)))
+                      for v in (r, r_dot)))
 
     @classmethod
     def _from_spectra(cls, n_cutoff, w_plus, w_minus, g, g_dot, r_hat, r_dot_hat):
@@ -440,15 +438,10 @@ class PerturbationState:
         if len({s.shape for s in (self.r_hat, self.r_dot_hat) if s is not None}) > 1:
             raise GridMismatchError("r and r_dot live on different grids")
 
-    @staticmethod
-    def _fields(spectrum):
-        """Grid 3-vector of a stored spectrum; None for an absent block."""
-        return None if spectrum is None else _unstack(_r_grid(spectrum))
-
     @property
     def r(self):
-        return self._fields(self.r_hat)
+        return None if self.r_hat is None else _r_grid(self.r_hat)
 
     @property
     def r_dot(self):
-        return self._fields(self.r_dot_hat)
+        return None if self.r_dot_hat is None else _r_grid(self.r_dot_hat)

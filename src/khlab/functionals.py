@@ -9,9 +9,10 @@ part expands in the streamwise family f_j (split at the cutoff n into
 high frequencies P and low frequencies L) and its even part in g_j.
 Both families are constant in x2, so grad h is built once on the
 (x1, x3) plane and broadcast along x2: the decomposition subtracts it
-in place from a stacked copy of chi (core's component, phase, x1, x2,
-x3 layout).  x2-constant data (x2 extent 1) stay planes throughout, the
-stored x2 spectrum of r included.
+in place from a copy of chi.  chi, chi_dot and r are grid 3-vectors in
+core's one encoding, a float array with axes (component, phase, x1, x2,
+x3); x2-constant data (x2 extent 1) stay planes throughout, the stored
+x2 spectrum of r included.
 
 Growth is measured by quadratic functionals built from the block
 operator A (the j^2 multiplier on potential coefficients, k2^2 on r):
@@ -39,10 +40,9 @@ from typing import NamedTuple
 
 from khlab.core import (
     PerturbationState,
+    _grid_array,
     _r_frequencies,
     _r_spectrum,
-    _stack,
-    _unstack,
     _vertical_weights,
     np,
 )
@@ -125,7 +125,7 @@ def _gradient_plane(odd, even, n_tan, n_ver, t=0.0):
 
 def _decompose_single(chi, tol):
     """(odd, even, r_hat) of one grid 3-vector; tol None is 1e-12 times its own sup norm."""
-    values = _stack(chi)
+    values = _grid_array(chi, (3, 2)).copy()
     scale = float(max(values.max(), -values.min()))   # sup|chi|
     if tol is None:
         tol = 1e-12 * scale
@@ -155,8 +155,10 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int,
                            tol: float = None) -> PerturbationState:
     """Split (chi, d chi/dt) into the four-part state (P, L, g, r).
 
-    chi and chi_dot are 3-vectors of TwoPhaseGridField with wall-normal
-    component vanishing at the walls.  The harmonic potential is solved
+    chi and chi_dot are grid 3-vectors, float arrays of shape
+    (3, 2, n_tan, n_tan or 1, n_ver + 1) with axes (component, phase, x1,
+    x2, x3), whose wall-normal component vanishes at the walls; any other
+    shape raises GridMismatchError.  The harmonic potential is solved
     from the interface traces of the third component and split into odd
     and even streamwise families; the odd coefficients c of chi and d of
     chi_dot give w+/- = d +/- j*c, which P (j >= n_cutoff) and L read.
@@ -382,8 +384,8 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
     wall-bounded velocity mode (V, 0, W) at streamwise frequency n, built
     as the gradient of one odd potential: with f_n the odd profile,
     W = f_n'/n and V = i f_n, so (V, 0, W) = grad(e^{i n x1} f_n)/n, the
-    irrotational Kelvin-Helmholtz mode.  Both are x2-constant planes
-    (x2 extent 1), which decompose as planes.
+    irrotational Kelvin-Helmholtz mode.  Both are grid 3-vectors of shape
+    (3, 2, n_tan, 1, n_ver + 1): x2-constant planes, which decompose as planes.
     Its sup norm shrinks as n grows while the evolved high-order readout
     explodes, which is the ill-posedness signature this package checks.
     n must lie below the grid's Nyquist frequency n_tan/2.
@@ -395,4 +397,4 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
                             f"n_tan/2 of n_tan={n_tan}; refine the tangential grid")
     amp = scale * math.exp(-math.sqrt(n)) / n
     plane = potential_gradient_plane([(build_harmonic_potentials(n)[0], amp)], n_tan, n_ver)
-    return _unstack(np.zeros_like(plane)), _unstack(plane)
+    return np.zeros_like(plane), plane

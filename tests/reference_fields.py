@@ -1,8 +1,9 @@
 """Reference fields and quadrature the tests check the package against.
 
-The package keeps x2-constant data as planes (x2 extent 1); tests that
-mix them with x2-dependent fields, or compare a plane against the grid
-it stands for, build the full grid here.  The grid L2 inner product and
+A grid 3-vector is the package's stacked float array, axes (component,
+phase, x1, x2, x3).  The package keeps x2-constant data as planes (x2
+extent 1); tests that mix them with x2-dependent fields, or compare a
+plane against the grid it stands for, build the full grid here.  The grid L2 inner product and
 the reconstruction of grid fields from a decomposed state serve only as
 references, so they live here too.
 """
@@ -14,7 +15,6 @@ from khlab.core import (
     PerturbationState,
     TwoPhaseGridField,
     _r_grid,
-    _unstack,
     _vertical_weights,
 )
 from khlab.eigenmodes import potential_gradient_plane
@@ -22,8 +22,15 @@ from khlab.functionals import _gradient_plane
 
 
 def full_grid(vec):
-    """The full-grid repeat of a 3-vector of x2-constant planes."""
-    return tuple(TwoPhaseGridField(np.repeat(c.values, c.n_tan, axis=2)) for c in vec)
+    """The full-grid repeat of an x2-constant grid 3-vector (or of one of its components)."""
+    return np.repeat(vec, vec.shape[-3], axis=-2)
+
+
+def x1_vector(field: TwoPhaseGridField):
+    """The grid 3-vector (field, 0, 0)."""
+    vec = np.zeros((3, *field.values.shape))
+    vec[0] = field.values
+    return vec
 
 
 def plane_spectrum_agrees(plane_hat, full_hat, rel=1e-14):
@@ -40,8 +47,7 @@ def plane_spectrum_agrees(plane_hat, full_hat, rel=1e-14):
 
 def potential_gradient_field(profile, coeff, n_tan, n_ver, t=0.0):
     """Re(coeff * grad potential) of one harmonic-potential profile on the full two-phase grid."""
-    plane = potential_gradient_plane([(profile, coeff)], n_tan, n_ver, t)
-    return _unstack(np.repeat(plane, n_tan, axis=3))
+    return full_grid(potential_gradient_plane([(profile, coeff)], n_tan, n_ver, t))
 
 
 def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
@@ -60,13 +66,14 @@ def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
 
 
 def inner_product_vector(fs, gs) -> float:
-    """Sum of component-wise L2 inner products of two 3-vector fields."""
-    return sum(inner_product_L2(f, g) for f, g in zip(fs, gs))
+    """Sum of component-wise L2 inner products of two grid 3-vectors."""
+    return sum(inner_product_L2(TwoPhaseGridField(f), TwoPhaseGridField(g))
+               for f, g in zip(fs, gs))
 
 
 def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
                              t: float = 0.0):
-    """Materialise (chi, chi_dot) grid fields from a decomposed state.
+    """Materialise the grid 3-vectors (chi, chi_dot) of a decomposed state.
 
     A field whose r is absent, or constant in x2 to round-off, is a plane,
     as the data it was decomposed from; any other is a full grid.
@@ -74,12 +81,12 @@ def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
     def fields(low, high, even, r_hat):
         plane = _gradient_plane({**low, **high}, even, n_tan, n_ver, t)
         if r_hat is None:
-            return _unstack(plane)
+            return plane
         values = _r_grid(r_hat)
         if np.ptp(values, axis=3).max() <= 1e-14 * np.abs(values).max():
             values = values[:, :, :, :1]
         values += plane   # in place, so one full-grid array is alive
-        return _unstack(values)
+        return values
 
     return (fields(state.L, state.P, state.g, state.r_hat),
             fields(state.L_dot, state.P_dot, state.g_dot, state.r_dot_hat))

@@ -43,7 +43,7 @@ from khlab.pressure import (
 )
 from khlab.stability import check_syrovatskij, sen_gamma_squared
 
-from reference_fields import inner_product_vector, potential_gradient_field
+from reference_fields import inner_product_vector, potential_gradient_field, x1_vector
 
 
 def _gate(num, name, fn):
@@ -164,11 +164,9 @@ def test_criterion_6_decomposition_fidelity():
         part = potential_gradient_field(g_pot, cg, n_tan, n_ver)
         r1 = TwoPhaseGridField.from_function(
             lambda x1, x2, x3: np.cos(2 * x2) * (0.5 + x3 ** 2), n_tan, n_ver)
-        zero = TwoPhaseGridField.zeros(n_tan, n_ver)
-        r_test = (r1, zero, zero)
-        chi = tuple(TwoPhaseGridField(a.values + b.values + c.values)
-                    for a, b, c in zip(chi, part, r_test))
-        state = decompose_perturbation(chi, (zero, zero, zero), n_cutoff=5)
+        r_test = x1_vector(r1)
+        chi = chi + part + r_test
+        state = decompose_perturbation(chi, np.zeros_like(chi), n_cutoff=5)
         # recovered coefficients
         assert abs(state.P[jf] - cf) < 1e-9
         assert abs(state.g[jg] - cg) < 1e-9
@@ -180,19 +178,15 @@ def test_criterion_6_decomposition_fidelity():
         leak = max(leak, max((abs(c) for j, c in state.g.items() if j != jg),
                              default=0.0))
         assert leak < 1e-9
-        for got, expect in zip(state.r, r_test):
-            assert np.max(np.abs(got.values - expect.values)) < 1e-9
+        assert np.max(np.abs(state.r - r_test)) < 1e-9
         # orthogonality of the harmonic gradient against the remainder
-        grad_h = tuple(TwoPhaseGridField(a.values + b.values) for a, b in zip(
-            potential_gradient_field(f_pot, state.P[jf], n_tan, n_ver),
-            potential_gradient_field(g_pot, state.g[jg], n_tan, n_ver)))
+        grad_h = (potential_gradient_field(f_pot, state.P[jf], n_tan, n_ver)
+                  + potential_gradient_field(g_pot, state.g[jg], n_tan, n_ver))
         assert abs(inner_product_vector(grad_h, state.r)) < 1e-9
         # high/low split of the odd family is frequency-disjoint and exact
-        chi2 = tuple(TwoPhaseGridField(a.values + b.values) for a, b in zip(
-            potential_gradient_field(f_pot, 1.0, n_tan, n_ver),
-            potential_gradient_field(build_harmonic_potentials(2)[0], 1.0,
-                                     n_tan, n_ver)))
-        s2 = decompose_perturbation(chi2, (zero, zero, zero), 5)
+        chi2 = (potential_gradient_field(f_pot, 1.0, n_tan, n_ver)
+                + potential_gradient_field(build_harmonic_potentials(2)[0], 1.0, n_tan, n_ver))
+        s2 = decompose_perturbation(chi2, np.zeros_like(chi2), 5)
         assert set(s2.P) == {6} and set(s2.L) == {2}
         g_hi = potential_gradient_field(f_pot, s2.P[6], n_tan, n_ver)
         g_lo = potential_gradient_field(build_harmonic_potentials(2)[0],
@@ -220,9 +214,8 @@ def _region_state(rng, n, n_tan=16, n_ver=8):
     amp = 0.05 * rng.random()
     comp = TwoPhaseGridField.from_function(
         lambda x1, x2, x3: amp * np.cos(m * x2) * (1 + 0 * x3), n_tan, n_ver)
-    zero = TwoPhaseGridField.zeros(n_tan, n_ver)
-    state = PerturbationState(n, P, P_dot, L, {}, g, {},
-                              (comp, zero, zero), (zero, zero, zero))
+    r = x1_vector(comp)
+    state = PerturbationState(n, P, P_dot, L, {}, g, {}, r, np.zeros_like(r))
     rep = compute_functionals(state, [1.0], 1.0, 0.5)
     need = 2.5 * (n ** 3) * max(rep.F, rep.G, 1e-30)
     if rep.E_plus[1.0] < need:
@@ -260,7 +253,7 @@ def test_criterion_8_corollary_growth_and_illposedness_signature():
         readouts_t1 = []
         for n in (4, 8, 16):
             chi, chi_dot = perturbed_initial_data(n, 1.0, n_tan=64, n_ver=32)
-            sup_norms.append(max(c.max_abs() for c in chi_dot))
+            sup_norms.append(np.abs(chi_dot).max())
             state = decompose_perturbation(chi, chi_dot, n_cutoff=n)
             traj = [(float(t), evolve_state(state, 0.0, 0.0, float(t)))
                     for t in np.linspace(0.0, 2.0, 9)]

@@ -378,7 +378,7 @@ def test_illposedness_reports_the_sup_norm_of_its_data(capsys, n):
     assert rc == 0
     _, chi_dot = perturbed_initial_data(n, 0.75, 16, 8)
     sup = json.loads(out)["data"]["initial_sup_norm"]
-    assert sup == max(c.max_abs() for c in chi_dot)
+    assert sup == abs(chi_dot).max()
     assert sup == pytest.approx(0.75 * math.exp(-math.sqrt(n)) / math.tanh(n), rel=1e-12)
 
 
@@ -990,10 +990,10 @@ def test_parse_config_raises_only_config_errors_property():
 
 
 def test_closed_form_commands_end_in_a_documented_way_property():
-    # dispersion and map with any subset of the keys they read, every float from +-5e-324
-    # to +-1.7e308 and k2 = 0 included: exit 0 prints finite numbers, exit 2 or 3 one
-    # khlab: line and no stdout, dispersion exits alike in CSV and JSON, nothing warns,
-    # and a rerun gives the same bytes
+    # dispersion, map, modes and verify with any subset of the keys they read, every float
+    # from +-5e-324 to +-1.7e308, |k| up to 1e200 and k2 = 0 included: exit 0 prints finite
+    # numbers, exit 2 or 3 one khlab: line and no stdout, dispersion exits alike in CSV and
+    # JSON, nothing warns, and a rerun gives the same bytes
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     import contextlib
@@ -1027,8 +1027,8 @@ def test_closed_form_commands_end_in_a_documented_way_property():
         assert caught == []
         return code, out.getvalue(), err.getvalue()
 
-    @hypothesis.settings(max_examples=250, deadline=None)
-    @hypothesis.given(st.sampled_from(["dispersion", "map"]).flatmap(flags))
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(st.sampled_from(["dispersion", "map", "modes", "verify"]).flatmap(flags))
     def check(run_flags):
         command, values = run_flags
         args = ["--command", command] + [x for key, value in values.items()

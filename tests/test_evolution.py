@@ -20,7 +20,7 @@ from khlab.evolution import (
 from khlab.eigenmodes import potential_gradient_norm_sq
 from khlab.functionals import _r_energy, compute_functionals
 
-from reference_fields import inner_product_L2
+from reference_fields import inner_product_L2, x1_vector
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +172,11 @@ def test_apply_A_on_r_single_x2_mode():
         return np.cos(m * x2) * (1.0 + 0.0 * x3)
 
     comp = TwoPhaseGridField.from_function(fn, n_tan, n_ver)
-    zero = TwoPhaseGridField.zeros(n_tan, n_ver)
-    s = PerturbationState(2, r=(comp, zero, zero), r_dot=(zero, zero, zero))
+    r = x1_vector(comp)
+    s = PerturbationState(2, r=r, r_dot=np.zeros_like(r))
     out = apply_A(s)
     expect = TwoPhaseGridField.from_function(lambda *x: m ** 2 * fn(*x), n_tan, n_ver)
-    assert np.max(np.abs(out.r[0].values - expect.values)) < 1e-10
+    assert np.max(np.abs(out.r[0] - expect.values)) < 1e-10
 
 
 def test_r_multiplier_per_phase_weights():
@@ -188,7 +188,7 @@ def test_r_multiplier_per_phase_weights():
     upper = TwoPhaseGridField(np.array([comp.values[0], zero.values[1]]))
     lower = TwoPhaseGridField(np.array([zero.values[0], comp.values[1]]))
     for part, weight in ((upper, 3.0), (lower, 5.0)):
-        s = PerturbationState(2, r=(part, zero, zero))
+        s = PerturbationState(2, r=x1_vector(part))
         expect = (weight * 2.0) ** 2 * inner_product_L2(part, part)
         assert _r_energy(s, 3.0, 5.0) == pytest.approx(expect, rel=1e-12)
 
@@ -256,12 +256,12 @@ def test_conserved_quadratic_forms_neutral_blocks():
     a, b, m = 1.3, 0.6, 2
     comp = TwoPhaseGridField.from_function(
         lambda x1, x2, x3: np.sin(m * x2) * (1 + 0 * x3), n_tan, n_ver)
-    zero = TwoPhaseGridField.zeros(n_tan, n_ver)
-    s = PerturbationState(2, r=(comp, zero, zero), r_dot=(zero, zero, zero))
+    r = x1_vector(comp)
+    s = PerturbationState(2, r=r, r_dot=np.zeros_like(r))
     out = evolve_state(s, a, b, 0.77)
     # upper phase oscillates at a*m, lower at b*m; energy per phase conserved
     up0 = comp.values[0]
-    up_e = (out.r_dot[0].values[0] ** 2 + (a * m) ** 2 * out.r[0].values[0] ** 2)
+    up_e = (out.r_dot[0, 0] ** 2 + (a * m) ** 2 * out.r[0, 0] ** 2)
     assert np.allclose(np.mean(up_e), (a * m) ** 2 * np.mean(up0 ** 2), rtol=1e-10)
 
 
@@ -271,14 +271,13 @@ def test_r_x2_independent_content_moves_linearly():
         lambda x1, x2, x3: np.cos(x1) * (1 + 0 * x3), n_tan, n_ver)
     dot = TwoPhaseGridField.from_function(
         lambda x1, x2, x3: np.sin(x1) * (1 + 0 * x3), n_tan, n_ver)
-    zero = TwoPhaseGridField.zeros(n_tan, n_ver)
-    s = PerturbationState(2, r=(comp, zero, zero), r_dot=(dot, zero, zero))
+    s = PerturbationState(2, r=x1_vector(comp), r_dot=x1_vector(dot))
     t = 1.9
     out = evolve_state(s, 2.0, 3.0, t)
     expect = TwoPhaseGridField.from_function(
         lambda x1, x2, x3: (np.cos(x1) + t * np.sin(x1)) * (1 + 0 * x3), n_tan, n_ver)
-    assert np.max(np.abs(out.r[0].values - expect.values)) < 1e-11
-    assert np.max(np.abs(out.r_dot[0].values - dot.values)) < 1e-11
+    assert np.max(np.abs(out.r[0] - expect.values)) < 1e-11
+    assert np.max(np.abs(out.r_dot[0] - dot.values)) < 1e-11
 
 
 def test_rk4_fourth_order_convergence():
@@ -344,11 +343,12 @@ def _reference_rk4_state(s, a, b, t, dt):
         for j in set(c) | set(d):
             coeffs[name, j] = _literal_rk4(c.get(j, 0j), d.get(j, 0j), sign * j * j, t, dt)
     # r per x2 Fourier mode and phase: k2^2 weighted by a^2 above, b^2 below
-    k2 = np.abs(np.fft.fftfreq(s.r[0].n_tan) * s.r[0].n_tan)[None, :, None]
+    n_tan = s.r.shape[2]
+    k2 = np.abs(np.fft.fftfreq(n_tan) * n_tan)[None, :, None]
     for i in range(3):
         for phase, weight in ((0, a), (1, b)):   # upper, lower
-            y = np.fft.fft(s.r[i].values[phase], axis=1)
-            v = np.fft.fft(s.r_dot[i].values[phase], axis=1)
+            y = np.fft.fft(s.r[i, phase], axis=1)
+            v = np.fft.fft(s.r_dot[i, phase], axis=1)
             y, v = _literal_rk4(y, v, -(weight * k2) ** 2, t, dt)
             r[i, phase] = np.fft.ifft(y, axis=1).real, np.fft.ifft(v, axis=1).real
     return coeffs, r
@@ -362,13 +362,13 @@ def _mixed_state(seed, n_tan=16, n_ver=6):
         values = rng.standard_normal((2, n_tan, n_tan, n_ver + 1))
         if zero_rows:
             values[..., [0, -1]] = 0.0
-        return TwoPhaseGridField(values)
+        return values
 
     return PerturbationState(3, P={4: 1.0 - 0.5j, 6: 0.2j}, P_dot={4: 0.3, 5: -1.0},
                              L={1: 0.7, 2: -0.1j}, L_dot={2: 0.4},
                              g={1: 1.0, 3: 0.5 + 0.5j}, g_dot={3: -0.2, 5: 1.0j},
-                             r=(field(), field(), field(True)),
-                             r_dot=(field(), field(), field(True)))
+                             r=np.array([field(), field(), field(True)]),
+                             r_dot=np.array([field(), field(), field(True)]))
 
 
 def _block_values(state):
@@ -396,7 +396,7 @@ def test_default_rk4_dt_reads_every_block():
     plane = np.ones((2, 16, 1, 7))
     r3 = plane.copy()
     r3[..., [0, -1]] = 0.0
-    r = tuple(TwoPhaseGridField(v) for v in (plane, plane, r3))
+    r = np.array([plane, plane, r3])
     assert default_rk4_dt(PerturbationState(2, r=r), 1e300, 1e300) == 0.01
     # a full-grid r on n_tan = 16 stores k2 up to 8
     mixed = _mixed_state(3)
@@ -451,8 +451,8 @@ def test_rk4_propagator_matches_literal_stages():
             assert getattr(got, name)[j] == pytest.approx(y, rel=1e-12, abs=0)
             assert getattr(got, name + "_dot")[j] == pytest.approx(v, rel=1e-12, abs=0)
         for (i, phase), (y, v) in r.items():
-            assert np.max(np.abs(got.r[i].values[phase] - y)) <= 1e-12 * np.max(np.abs(y))
-            assert np.max(np.abs(got.r_dot[i].values[phase] - v)) <= 1e-12 * np.max(np.abs(v))
+            assert np.max(np.abs(got.r[i, phase] - y)) <= 1e-12 * np.max(np.abs(y))
+            assert np.max(np.abs(got.r_dot[i, phase] - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_rk4_power_matches_high_precision():
@@ -531,11 +531,11 @@ def test_rk4_r_block_matches_exact():
     n_tan, n_ver = 16, 8
     comp = TwoPhaseGridField.from_function(
         lambda x1, x2, x3: np.cos(2 * x2) * (1 + 0 * x3), n_tan, n_ver)
-    zero = TwoPhaseGridField.zeros(n_tan, n_ver)
-    s = PerturbationState(2, r=(comp, zero, zero), r_dot=(zero, zero, zero))
+    r = x1_vector(comp)
+    s = PerturbationState(2, r=r, r_dot=np.zeros_like(r))
     exact = evolve_state(s, 1.0, 0.5, 1.0)
     rk = evolve_state(s, 1.0, 0.5, 1.0, stepper="rk4", dt=0.002)
-    assert np.max(np.abs(exact.r[0].values - rk.r[0].values)) < 1e-8
+    assert np.max(np.abs(exact.r[0] - rk.r[0])) < 1e-8
 
 
 def test_negative_time_rejected():

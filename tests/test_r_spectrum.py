@@ -7,7 +7,6 @@ from khlab.core import (
     GridMismatchError,
     PerturbationState,
     TwoPhaseGridField,
-    _unstack,
     tangential_grid,
 )
 from khlab.evolution import StabilityError, apply_A, default_rk4_dt, evolve_state
@@ -23,7 +22,6 @@ from khlab.functionals import (
 from reference_fields import (
     full_grid,
     inner_product_vector,
-    plane_spectrum_agrees,
     reconstruct_perturbation,
 )
 
@@ -49,7 +47,7 @@ def test_x2_multiplier_single_mode():
 
 
 def _r_vector(n_tan, n_ver, seed):
-    """A 3-vector with content at k2 = 0, a generic k2 and the top (Nyquist) k2.
+    """A grid 3-vector with content at k2 = 0, a generic k2 and the top (Nyquist) k2.
 
     The third component carries x3 * (1 - |x3|), which is exactly zero on
     the interface and wall rows.
@@ -66,16 +64,16 @@ def _r_vector(n_tan, n_ver, seed):
                       + c2 * np.cos(top * x2) * np.sin(2 * x1 + phase) * (1.0 - x3))
             return values * x3 * (1.0 - np.abs(x3)) if i == 2 else values
 
-        comps.append(TwoPhaseGridField.from_function(fn, n_tan, n_ver))
-    return tuple(comps)
+        comps.append(TwoPhaseGridField.from_function(fn, n_tan, n_ver).values)
+    return np.array(comps)
 
 
 def _grid_r_energy(r, r_dot, a, b):
     """Test-only reference: the weighted x2 multiplier on the grid, then quadrature."""
     weighted = []
     for comp in r:
-        d = apply_x2_multiplier(comp, np.abs)
-        weighted.append(TwoPhaseGridField(np.array([a, b])[:, None, None, None] * d.values))
+        d = apply_x2_multiplier(TwoPhaseGridField(comp), np.abs)
+        weighted.append(np.array([a, b])[:, None, None, None] * d.values)
     return inner_product_vector(weighted, weighted) + inner_product_vector(r_dot, r_dot)
 
 
@@ -101,13 +99,10 @@ def test_r_stored_as_x2_spectrum_and_read_back_on_the_grid():
     state = PerturbationState(2, r=r)
     assert state.r_hat.shape == (3, 2, n_tan, n_tan // 2 + 1, n_ver + 1)
     assert state.r_dot_hat is None and state.r_dot is None
-    for got, expect in zip(state.r, r):
-        assert isinstance(got, TwoPhaseGridField)
-        assert np.max(np.abs(got.values - expect.values)) < 1e-13
+    assert isinstance(state.r, np.ndarray) and state.r.shape == r.shape
+    assert np.max(np.abs(state.r - r)) < 1e-13
     # the read view of the third component keeps exact zero interface and wall rows
-    r3 = state.r[2]
-    for values in r3.values:
-        assert np.all(values[:, :, [0, -1]] == 0.0)
+    assert np.all(state.r[2][..., [0, -1]] == 0.0)
 
 
 def _r_plane(n_tan, n_ver, c1, c3):
@@ -116,7 +111,7 @@ def _r_plane(n_tan, n_ver, c1, c3):
     values = np.zeros((3, 2, n_tan, 1, n_ver + 1))
     values[0] = c1 * np.cos(x1)[:, None, None]
     values[2, :, :, 0, 1:-1] = c3 * np.sin(2 * x1)[:, None]
-    return _unstack(values)
+    return values
 
 
 def test_state_from_plane_r_fields_matches_full_grid():
@@ -127,10 +122,10 @@ def test_state_from_plane_r_fields_matches_full_grid():
     r, r_dot = _r_plane(n_tan, n_ver, 1.0, 0.5), _r_plane(n_tan, n_ver, -0.3, 2.0)
     on_plane = PerturbationState(2, r=r, r_dot=r_dot)
     on_grid = PerturbationState(2, r=full_grid(r), r_dot=full_grid(r_dot))
-    for got, same, expect in zip((*on_plane.r, *on_plane.r_dot), (*on_grid.r, *on_grid.r_dot),
-                                 (*r, *r_dot)):
-        assert np.array_equal(got.values, expect.values)
-        assert np.array_equal(full_grid([got])[0].values, same.values)
+    for got, same, expect in zip((on_plane.r, on_plane.r_dot), (on_grid.r, on_grid.r_dot),
+                                 (r, r_dot)):
+        assert np.array_equal(got, expect)
+        assert np.array_equal(full_grid(got), same)
     pairs = [(on_plane, on_grid), (apply_A(on_plane), apply_A(on_grid))]
     for stepper, dt in (("exact", None), ("rk4", 0.01)):
         pairs.append(tuple(evolve_state(s, a, b, t, stepper, dt) for s in (on_plane, on_grid)))
@@ -199,15 +194,15 @@ def test_plane_r_on_a_large_grid_stays_a_plane():
 
 def test_r_rows_checked_on_grid_input():
     n_tan, n_ver = 8, 4
-    r = list(_r_vector(n_tan, n_ver, 4))
-    bad = TwoPhaseGridField(r[2].values.copy())
-    bad.values[1, 3, 1, 0] = 1e-300
-    with pytest.raises(ValueError):
-        PerturbationState(2, r=(r[0], r[1], bad))
-    with pytest.raises(ValueError):
-        PerturbationState(2, r_dot=(r[0], r[1]))
+    r = _r_vector(n_tan, n_ver, 4)
+    bad = r.copy()
+    bad[2, 1, 3, 1, 0] = 1e-300
+    with pytest.raises(ValueError, match="third component of r must vanish"):
+        PerturbationState(2, r=bad)
+    with pytest.raises(GridMismatchError):
+        PerturbationState(2, r_dot=r[:2])
     # states built internally from spectra are checked on the spectrum
-    spectrum = PerturbationState(2, r=tuple(r)).r_hat.copy()
+    spectrum = PerturbationState(2, r=r).r_hat.copy()
     spectrum[2, 0, 1, 2, -1] = 1e-300j
     with pytest.raises(ValueError):
         PerturbationState._from_spectra(2, {}, {}, {}, {}, spectrum, None)
@@ -243,7 +238,7 @@ def test_decompose_and_reconstruct_run_no_grid_field_arithmetic():
     assert back.P[4] == pytest.approx(1.0 - 0.5j, abs=1e-10)
     dropped = decompose_perturbation(*initial, 4)
     assert dropped.r_hat is None and dropped.r_dot_hat is None
-    assert len(reconstruct_perturbation(dropped, n_tan, n_ver)[1]) == 3
+    assert reconstruct_perturbation(dropped, n_tan, n_ver)[1].shape == (3, 2, n_tan, 1, n_ver + 1)
 
 
 def test_apply_A_multiplies_the_spectrum_by_k2_squared():
@@ -302,21 +297,16 @@ def test_round_off_r_block_is_dropped_and_reads_as_zeros():
 def test_drop_threshold_is_the_decomposition_tolerance():
     n_tan, n_ver, tol = 16, 6, 1e-12
     r = _r_vector(n_tan, n_ver, 8)
-    unit = (1.0 / max(c.max_abs() for c in r)) * tol
-    zero = tuple(TwoPhaseGridField.zeros(n_tan, n_ver) for _ in range(3))
-
-    def scaled(s):
-        return tuple(TwoPhaseGridField(s * c.values) for c in r)
-
-    kept = scaled(10.0 * unit)
+    unit = (1.0 / np.abs(r).max()) * tol
+    zero = np.zeros_like(r)
+    kept = 10.0 * unit * r
     state = decompose_perturbation(kept, zero, 2, tol=tol)
     assert state.r_hat is not None and state.r_dot_hat is None
     chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
-    for got, expect in zip(chi, kept):
-        assert np.max(np.abs(got.values - expect.values)) <= 1e-9 * 10.0 * tol
-    assert max(c.max_abs() for c in chi_dot) == 0.0
+    assert np.max(np.abs(chi - kept)) <= 1e-9 * 10.0 * tol
+    assert np.abs(chi_dot).max() == 0.0
     # below the tolerance the block is round-off and goes
-    state = decompose_perturbation(zero, scaled(0.5 * unit), 2, tol=tol)
+    state = decompose_perturbation(zero, 0.5 * unit * r, 2, tol=tol)
     assert state.r_hat is None and state.r_dot_hat is None
 
 
