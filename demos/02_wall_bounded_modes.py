@@ -8,7 +8,8 @@ moderate wave number, then audits modes up to kappa = 64: harmonicity,
 divergence, wall and interface-continuity defects all sit at roundoff
 because the profiles are built in a wall-adapted exponential basis
 (naive cosh/sinh coefficients would cancel catastrophically long before
-kappa = 64).
+kappa = 64).  The harmonic and divergence residuals are read from the
+closed form, relative to the terms they are formed from.
 
 Run:  python demos/02_wall_bounded_modes.py
 """
@@ -28,12 +29,13 @@ for x3 in np.linspace(-1.0, 1.0, 9):
     print(f"  {x3:6.2f}   {w:12.6f}   {v:12.6f}")
 
 print("\nresidual audit over streamwise wave numbers:")
-print("   k    harmonic      divergence    wall          continuity")
+print("   k    harmonic*     divergence*   wall          continuity")
 for kval in (1, 8, 32, 64):
-    rep = verify_mode(build_linearized_mode(WaveVector(kval, 0), "+"), 1000)
+    rep = verify_mode(build_linearized_mode(WaveVector(kval, 0), "+"))
     print(f"  {kval:3d}   {rep.max_harmonic_residual:.3e}    "
           f"{rep.max_divergence_residual:.3e}     {rep.wall_bc_residual:.3e}"
           f"     {rep.interface_continuity_residual:.3e}")
+print("  * relative to the terms each is formed from; wall and continuity are absolute")
 
 mode = build_linearized_mode(WaveVector(3, 0), "+")
 x = (0.7, 0.0, 0.25)

@@ -1,10 +1,11 @@
 """Command-line front end: configuration, dispatch and data export.
 
 Configuration comes from an optional UTF-8 file of ``key = value`` lines
-(``#`` starts a comment) plus ``--key value`` flags that override file
-values.  Outputs are CSV (metadata echo in ``#`` comment lines, then a
-single header row, 17-significant-digit numbers) or JSON validated
-against the shipped schema; files are written atomically.  Exit codes:
+(``#`` starts a comment, a leading byte-order mark is skipped) plus
+``--key value`` flags that override file values.  Outputs are CSV
+(metadata echo in ``#`` comment lines, then a single header row,
+17-significant-digit numbers) or JSON validated against the shipped
+schema; files are written atomically.  Exit codes:
 0 success, 1 a requested check failed, 2 usage or validation error or
 output that cannot be written (after a write to a closed stdout fails,
 its descriptor points at os.devnull so that the flush at exit prints
@@ -498,7 +499,7 @@ def _cmd_illposedness(cfg: RunConfig):
 
 
 def _cmd_verify(cfg: RunConfig):
-    report = verify_mode(build_linearized_mode(cfg.k, "+"), 1000)
+    report = verify_mode(build_linearized_mode(cfg.k, "+"))
     data = {**cfg.k._asdict(), **report._asdict(), "gate": RESIDUAL_GATE,
             "passed": report.max_residual() < RESIDUAL_GATE}
     return (0 if data["passed"] else 1), _json_payload(cfg, data)
@@ -549,7 +550,7 @@ def main(argv=None) -> int:
     if argv and not argv[0].startswith("--"):
         path = argv.pop(0)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
         except OSError as exc:
             sys.stderr.write(f"khlab: cannot read config {path!r}: {exc}\n")

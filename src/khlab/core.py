@@ -127,15 +127,15 @@ class WaveVector(namedtuple("WaveVector", "k1 k2")):
 # closed-form vertical profiles
 # ---------------------------------------------------------------------------
 
-def exp_pair_values(kappa, pairs, x3, top):
-    """b_plus e^{kappa (x3 - top)} + b_minus e^{kappa (top - 1 - x3)} per pair, all from one
-    exponential pair, on the phase [top - 1, top]: 1 for the upper phase, 0 for the lower."""
+def exp_pair_values(kappa, pair, x3, top):
+    """b_plus e^{kappa (x3 - top)} + b_minus e^{kappa (top - 1 - x3)} of pair = (b_plus, b_minus)
+    on the phase [top - 1, top]: 1 for the upper phase, 0 for the lower."""
     if isinstance(x3, float):
         ep, em = math.exp(kappa * (x3 - top)), math.exp(kappa * (top - 1.0 - x3))
     else:
         x3 = np.asarray(x3, dtype=float)
         ep, em = np.exp(kappa * (x3 - top)), np.exp(kappa * (top - 1.0 - x3))
-    return [b_plus * ep + b_minus * em for b_plus, b_minus in pairs]
+    return pair[0] * ep + pair[1] * em
 
 
 class VerticalProfile(namedtuple("VerticalProfile", "kappa upper lower")):
@@ -161,10 +161,10 @@ class VerticalProfile(namedtuple("VerticalProfile", "kappa upper lower")):
     _make = classmethod(_make_validated)
 
     def eval_upper(self, x3):
-        return exp_pair_values(self.kappa, [self.upper], x3, 1.0)[0]
+        return exp_pair_values(self.kappa, self.upper, x3, 1.0)
 
     def eval_lower(self, x3):
-        return exp_pair_values(self.kappa, [self.lower], x3, 0.0)[0]
+        return exp_pair_values(self.kappa, self.lower, x3, 0.0)
 
     def eval(self, x3):
         """Evaluate pointwise; x3 >= 0 selects the upper phase."""

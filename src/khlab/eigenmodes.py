@@ -30,7 +30,6 @@ from khlab.core import (
     SpectralMode,
     VerticalProfile,
     WaveVector,
-    exp_pair_values,
     exp_weights,
     np,
     row_profile_plane,
@@ -137,37 +136,34 @@ class ResidualReport(NamedTuple):
         return max(self)
 
 
-def verify_mode(mode: SpectralMode, sample_count: int = 1000) -> ResidualReport:
-    """Audit a mode: harmonicity, divergence, wall and interface defects.
+def _end_values(profile):
+    """A profile at the four ends of its phases: x3 = 0+, 1, -1 and 0-."""
+    return (profile.eval_upper(0.0), profile.eval_upper(1.0),
+            profile.eval_lower(-1.0), profile.eval_lower(0.0))
 
-    Residuals are evaluated one point at a time at a deterministic
-    low-discrepancy x3 sample at t = 0.  Exactly constructed modes report
-    roundoff-level numbers; corrupted profiles light up the matching field.
+
+def verify_mode(mode: SpectralMode) -> ResidualReport:
+    """Audit a mode at t = 0 from its closed form, exactly at every kappa.
+
+    Each profile is an anchored exponential pair per phase, so p'' = kappa^2 p holds in the
+    representation: the harmonic residual is |kappa^2 - k1^2 - k2^2| / (k1^2 + k2^2).  The
+    divergence i k1 v1 + i k2 v2 + v3' and its terms are such pairs too, and |b+ E+ + b- E-|^2
+    is convex in x3 (E+ E- = e^-kappa on a phase), so each peaks at an end of a phase: the
+    divergence residual is its largest end value over its terms', 0 if every term is 0.
+    Wall and interface residuals are absolute values, with W = 1 at the interface.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    k = mode.k
+    k = mode.k.require_nonzero()
     try:
         kappa_sq = float(k.k1 ** 2 + k.k2 ** 2)
     except OverflowError:
         raise OverflowError("kappa^2 = k1^2 + k2^2 leaves the float range; lower |k|") from None
-    p3 = mode.profiles[2]
-    # a sample reads the components, their second derivatives and d p3/dx3: nine profiles
-    # of one kappa, so one exponential pair per sample serves them all
-    nine = (*mode.profiles, *(p.derivative().derivative() for p in mode.profiles), p3.derivative())
-    if len({p.kappa for p in nine}) > 1:
+    if len({p.kappa for p in mode.profiles}) > 1:
         raise ValueError("the profiles of a mode must share one kappa")
-    phases = {0.0: [p.lower for p in nine], 1.0: [p.upper for p in nine]}   # by top end
-
-    harmonic = divergence = 0.0
-    for n in range(1, sample_count + 1):
-        # a low-discrepancy sample over both phases (golden-ratio recurrence); the
-        # residuals depend on x3 alone, as the tangential factor of a mode divides out
-        x3 = 2.0 * ((0.5 + n * (math.sqrt(5) - 1) / 2) % 1.0) - 1.0
-        top = 1.0 if x3 >= 0.0 else 0.0
-        v = exp_pair_values(p3.kappa, phases[top], x3, top)
-        harmonic = max(harmonic, *(abs(v[i + 3] - kappa_sq * v[i]) for i in range(3)))
-        divergence = max(divergence, abs(1j * k.k1 * v[0] + 1j * k.k2 * v[1] + v[6]))
+    p1, p2, p3 = mode.profiles
+    harmonic = abs(p3.kappa * (p3.kappa / kappa_sq) - 1.0)   # kappa^2 itself may overflow
+    terms = [_end_values(p) for p in (p1.scaled(1j * k.k1), p2.scaled(1j * k.k2), p3.derivative())]
+    scale = max(abs(v) for values in terms for v in values)
+    divergence = max(abs(sum(ends)) for ends in zip(*terms)) / scale if scale else 0.0
 
     wall = max(abs(p3.eval_upper(1.0)), abs(p3.eval_lower(-1.0)))
     continuity = abs(p3.eval_upper(0.0) - p3.eval_lower(0.0))

@@ -116,7 +116,7 @@ def test_criterion_4_eigenmode_residuals():
     def body():
         for kval in range(1, 65):
             mode = build_linearized_mode(WaveVector(kval, 0), "+")
-            rep = verify_mode(mode, 1000)
+            rep = verify_mode(mode)
             assert rep.max_harmonic_residual < 1e-9, kval
             assert rep.max_divergence_residual < 1e-9, kval
             assert rep.wall_bc_residual < 1e-9, kval

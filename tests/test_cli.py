@@ -369,6 +369,17 @@ def test_illposedness_json_passes(capsys):
     assert data["growth_factor"] >= math.exp(8 * 2.0) * (1 - 1e-6)
 
 
+def test_illposedness_states_its_certificate_and_allowance(capsys):
+    # required_factor is the certificate e^{n t} less its 1e-6 round-off allowance, and the
+    # run passes when every growth margin E1+(t) / (E1+(0) e^{n t}) is at least 1 - 1e-6
+    rc, out = run_cli(capsys, ["--command", "illposedness", "--n", "8", "--t", "2.0",
+                               "--n_tan", "32", "--n_ver", "16", "--format", "json"])
+    data = json.loads(out)["data"]
+    assert rc == 0 and data["passed"] is True
+    assert data["required_factor"] == math.exp(8 * 2.0) * (1 - 1e-6)
+    assert min(data["growth"]["margins"]) >= 1 - 1e-6
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_illposedness_reports_the_sup_norm_of_its_data(capsys, n):
     # the seed (V, 0, W) = grad(e^{i n x1} f_n)/n peaks at |V| = scale e^{-sqrt(n)} coth(n)
@@ -590,6 +601,17 @@ def test_config_file_input(tmp_path, capsys):
     lines = _data_lines(out)
     assert lines[1].split(",")[2] == "0.5"   # a from file
     assert lines[1].split(",")[3] == "0.25"  # b from flag
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors start a UTF-8 file with U+FEFF, which is not part of the first key
+    text = "command = dispersion\nk = 3,4\na = 0.5\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    results = [run_cli(capsys, [str(path)]) for path in (plain, marked)]
+    assert results[0][0] == 0 and results[1] == results[0]
 
 
 def test_missing_config_file():

@@ -210,30 +210,32 @@ def test_even_family_shares_the_gradient_weight():
 # residual audit
 # ---------------------------------------------------------------------------
 
+# the largest k1 whose square rounds below 2^1024; its float is 2^512, whose square overflows
+K1 = math.isqrt(2 ** 1024 - 2 ** 970 - 1)
+
+
 def test_verify_mode_clean_profiles():
-    for k in (WaveVector(1, 0), WaveVector(8, 0), WaveVector(5, 12)):
-        rep = verify_mode(build_linearized_mode(k, "+"), 1000)
+    # the residuals are relative to the terms they are formed from, so no kappa lifts them
+    for k in ((1, 0), (8, 0), (5, 12), (64, 0), (2000, 0), (10 ** 5, 0), (10 ** 8, 0),
+              (10 ** 153, 0), (K1, 0), (3, 4), (-39, 30), (300, 400)):
+        rep = verify_mode(build_linearized_mode(WaveVector(*k), "+"))
         assert rep.max_residual() < 1e-9
+        assert rep.max_harmonic_residual <= 1e-15 and rep.max_divergence_residual <= 1e-15
 
 
 def test_verify_mode_negative_control():
     mode = build_linearized_mode(WaveVector(2, 0), "+")
-    rep = verify_mode(corrupt_mode(mode, 0.1), 400)
+    rep = verify_mode(corrupt_mode(mode, 0.1))
     assert rep.wall_bc_residual > 0.01
 
 
-# the x3 sample nearest the interface lies 91 decay lengths 1/kappa from it at kappa = 1e5,
-# so every sampled value is below e^-90 and the residual reads 4.4e-37, under the 1e-9 gate
-BLIND_AT_LARGE_KAPPA = pytest.mark.xfail(strict=True, reason="verify_mode samples miss the "
-                                         "interface layer of a kappa = 1e5 mode")
-
-
-@pytest.mark.parametrize("kappa", [64, 2000, pytest.param(100000, marks=BLIND_AT_LARGE_KAPPA)])
+@pytest.mark.parametrize("kappa", [64, 2000, 10 ** 5, 10 ** 8])
 def test_verify_mode_sees_a_scaled_v1_profile(kappa):
-    # v1 scaled by 1.01 leaves a divergence of 1 % of i k1 v1, which the audit must report
+    # v1 scaled by 1.01 leaves a divergence of 1 % of i k1 v1 at the ends of the phases,
+    # where a mode of any kappa peaks: the residual reads 0.01/1.01 at every kappa
     mode = build_linearized_mode(WaveVector(kappa, 0), "+")
     bad = mode._replace(profiles=(mode.profiles[0].scaled(1.01), *mode.profiles[1:]))
-    assert verify_mode(bad, 1000).max_divergence_residual > 1e-9
+    assert verify_mode(bad).max_divergence_residual == pytest.approx(0.01 / 1.01, rel=1e-12)
 
 
 def test_verify_mode_zero_amplitudes():
@@ -242,48 +244,10 @@ def test_verify_mode_zero_amplitudes():
     scaled = type(mode)(k=mode.k,
                         profiles=tuple(p.scaled(0.0) for p in mode.profiles),
                         lam=mode.lam)
-    rep = verify_mode(scaled, 100)
+    rep = verify_mode(scaled)
     assert rep.max_residual() == 0.0
-    assert verify_mode(zeroed, 100).max_residual() == pytest.approx(
-        verify_mode(mode, 100).max_residual(), abs=1e-12)
-
-
-def _eval(profile, x3):
-    """VerticalProfile.eval at a float x3, written out: its own anchored pair per call."""
-    k = profile.kappa
-    if x3 >= 0.0:   # b_plus e^{k (x3 - 1)} + b_minus e^{-k x3}
-        b_plus, b_minus = profile.upper
-        return b_plus * math.exp(k * (x3 - 1.0)) + b_minus * math.exp(-k * x3)
-    b_plus, b_minus = profile.lower   # b_plus e^{k x3} + b_minus e^{-k (x3 + 1)}
-    return b_plus * math.exp(k * x3) + b_minus * math.exp(-k * (x3 + 1.0))
-
-
-def _per_point_audit(mode, sample_count):
-    """The harmonic and divergence residuals with one evaluation per profile and sample."""
-    k = mode.k
-    kappa_sq = float(k.k1 ** 2 + k.k2 ** 2)
-    p1, p2, p3 = mode.profiles
-    seconds = [p.derivative().derivative() for p in mode.profiles]
-    harmonic = divergence = 0.0
-    for n in range(1, sample_count + 1):
-        x3 = 2.0 * ((0.5 + n * (math.sqrt(5) - 1) / 2) % 1.0) - 1.0
-        for prof, second in zip(mode.profiles, seconds):
-            assert (prof.eval(x3), second.eval(x3)) == (_eval(prof, x3), _eval(second, x3))
-            harmonic = max(harmonic, abs(_eval(second, x3) - kappa_sq * _eval(prof, x3)))
-        div = 1j * k.k1 * _eval(p1, x3) + 1j * k.k2 * _eval(p2, x3) + _eval(p3.derivative(), x3)
-        divergence = max(divergence, abs(div))
-    return harmonic, divergence
-
-
-@pytest.mark.parametrize("k", [(1, 0), (3, 4), (-39, 30), (300, 400)])
-def test_verify_mode_equals_the_per_point_audit(k):
-    # the audit shares one exponential pair among the nine profiles of a sample, and each
-    # value keeps eval's operands, so the report keeps every bit
-    for mode in (build_linearized_mode(WaveVector(*k), "+"),
-                 corrupt_mode(build_linearized_mode(WaveVector(*k), "+"), 0.1)):
-        rep = verify_mode(mode, 1000)
-        expected = _per_point_audit(mode, 1000)
-        assert [x.hex() for x in rep[:2]] == [x.hex() for x in expected]
+    assert verify_mode(zeroed).max_residual() == pytest.approx(
+        verify_mode(mode).max_residual(), abs=1e-12)
 
 
 def test_verify_mode_needs_one_kappa():
@@ -291,9 +255,92 @@ def test_verify_mode_needs_one_kappa():
     W = mode.profiles[2]
     other = mode._replace(profiles=(*mode.profiles[:2], VerticalProfile(4.0, W.upper, W.lower)))
     with pytest.raises(ValueError, match="share one kappa"):
-        verify_mode(other, 10)
+        verify_mode(other)
 
 
-def test_verify_mode_rejects_bad_sample_count():
-    with pytest.raises(ValueError):
-        verify_mode(build_linearized_mode(WaveVector(1, 0), "+"), 0)
+def _replaced(mode, index, profile):
+    return mode._replace(profiles=tuple(profile if i == index else p
+                                        for i, p in enumerate(mode.profiles)))
+
+
+def _shifted(mode, phase, index):
+    """The mode with 1e-6 added to b_plus (index 0) or b_minus (index 1) of v1's pair on phase
+    ("upper" or "lower"): a defect at the one end of a phase where that term peaks."""
+    v1 = mode.profiles[0]
+    pair = tuple(b + 1e-6 if i == index else b for i, b in enumerate(getattr(v1, phase)))
+    return _replaced(mode, 0, v1._replace(**{phase: pair}))
+
+
+# corrupted modes that the audit must reject: one defect each in a profile of the mode
+MODE_MUTANTS = {
+    "v1 scaled": lambda m: _replaced(m, 0, m.profiles[0].scaled(1.01)),
+    "v2 scaled": lambda m: _replaced(m, 1, m.profiles[1].scaled(1.01)),
+    "v3 scaled": lambda m: _replaced(m, 2, m.profiles[2].scaled(1.01)),
+    "v1 without its factor i": lambda m: _replaced(m, 0, m.profiles[0].scaled(-1j)),
+    "kappa off by 1e-6": lambda m: m._replace(profiles=tuple(
+        p._replace(kappa=p.kappa * (1.0 + 1e-6)) for p in m.profiles)),
+    "v3 lower pair swapped": lambda m: _replaced(
+        m, 2, m.profiles[2]._replace(lower=m.profiles[2].lower[::-1])),
+    "v1 b_plus shifted at x3 = 1": lambda m: _shifted(m, "upper", 0),
+    "v1 b_minus shifted at x3 = 0+": lambda m: _shifted(m, "upper", 1),
+    "v1 b_plus shifted at x3 = 0-": lambda m: _shifted(m, "lower", 0),
+    "v1 b_minus shifted at x3 = -1": lambda m: _shifted(m, "lower", 1),
+}
+
+
+@pytest.mark.parametrize("k", [(1, 0), (64, 0), (2000, 0), (3, 4)])
+@pytest.mark.parametrize("name", MODE_MUTANTS)
+def test_verify_mode_rejects_every_corrupted_mode(name, k):
+    mode = build_linearized_mode(WaveVector(*k), "+")
+    bad = MODE_MUTANTS[name](mode)
+    assert verify_mode(mode).max_residual() < 1e-9
+    if name == "v2 scaled" and k[1] == 0:   # v2 = 0 at k2 = 0: the mutant is the mode itself
+        assert bad == mode
+    else:
+        assert verify_mode(bad).max_residual() >= 1e-9
+
+
+def _oracle_points(mpmath, kappa, top):
+    """x3 on the phase [top - 1, top] as 50-digit numbers: its two ends, then 500 uniform
+    points and 250 points in the stretched coordinate kappa * (distance to an end) per end."""
+    lo, K = mpmath.mpf(top - 1), mpmath.mpf(kappa)
+    reach = min(40, K)   # out to 40 decay lengths 1/kappa, within the phase
+    stretched = [reach * (mpmath.mpf(i) / 250) ** 2 / K for i in range(1, 251)]
+    uniform = [lo + (mpmath.mpf(i) + 0.5) / 500 for i in range(500)]
+    return [lo, lo + 1], uniform + [lo + s for s in stretched] + [lo + 1 - s for s in stretched]
+
+
+def _divergence_oracle(mpmath, mode):
+    """(largest |div| at the ends, largest |div| between them, largest |term|) of
+    div = i k1 v1 + i k2 v2 + v3' at 50 digits, from the mode's own coefficients."""
+    k1, k2 = mode.k
+    v1, v2, v3 = mode.profiles
+    K = mpmath.mpf(v3.kappa)
+    ends, interior, scale = [], [], mpmath.mpf(0)
+    for top, phase in ((1, "upper"), (0, "lower")):
+        b3_plus, b3_minus = (mpmath.mpc(b) for b in getattr(v3, phase))
+        pairs = [[mpmath.mpc(0, kj) * mpmath.mpc(b) for b in getattr(p, phase)]
+                 for kj, p in ((k1, v1), (k2, v2))] + [[K * b3_plus, -K * b3_minus]]
+        for found, points in zip((ends, interior), _oracle_points(mpmath, v3.kappa, top)):
+            for x in points:
+                e_plus, e_minus = mpmath.exp(K * (x - top)), mpmath.exp(K * (top - 1 - x))
+                terms = [b_plus * e_plus + b_minus * e_minus for b_plus, b_minus in pairs]
+                found.append(abs(sum(terms)))
+                scale = max(scale, *(abs(term) for term in terms))
+    return max(ends), max(interior), scale
+
+
+@pytest.mark.parametrize("k", [(1, 0), (3, 4), (64, 0), (-39, 30), (2000, 0), (10 ** 5, 0),
+                               (10 ** 8, 0)])
+def test_verify_mode_reads_the_divergence_peak_of_a_50_digit_oracle(k):
+    # over 2004 points per mode the divergence peaks at an end of a phase, and the audit
+    # reports that peak relative to its largest term, for exact and corrupted modes alike
+    mpmath = pytest.importorskip("mpmath")
+    exact = build_linearized_mode(WaveVector(*k), "+")
+    corrupted = ("v1 scaled", "v1 b_plus shifted at x3 = 1", "v3 lower pair swapped")
+    for mode in (exact, *(MODE_MUTANTS[name](exact) for name in corrupted)):
+        reported = verify_mode(mode).max_divergence_residual
+        with mpmath.workdps(50):
+            at_ends, between, scale = _divergence_oracle(mpmath, mode)
+            assert between <= at_ends * (1 + mpmath.mpf(10) ** -40)
+            assert abs(at_ends / scale - reported) <= 1e-12

@@ -8,6 +8,7 @@ import pytest
 
 from khlab.core import PerturbationState, TwoPhaseGridField, WaveVector
 from khlab.evolution import (
+    RK4_STABILITY_LIMIT,
     BoundaryModeState,
     StabilityError,
     _propagators,
@@ -298,6 +299,25 @@ def test_rk4_stability_rejection():
     s = PerturbationState(2, g={40: 1.0}, g_dot={40: 0.0})
     with pytest.raises(StabilityError):
         evolve_state(s, 0.0, 0.0, 1.0, stepper="rk4", dt=0.1)
+
+
+def test_rk4_stability_limit_lies_within_2_sqrt_2():
+    # classical RK4 multiplies y' = i y by R(iy) = sum (iy)^p / p! for p <= 4, and
+    # |R(iy)|^2 = 1 - y^6/72 + y^8/576, at most 1 exactly for y <= 2 sqrt 2 = 2.828...
+    for y in np.linspace(0.0, RK4_STABILITY_LIMIT, 201).tolist() + [2.85]:
+        R = sum((1j * y) ** p / math.factorial(p) for p in range(5))
+        assert abs(R) ** 2 == pytest.approx(1 - y ** 6 / 72 + y ** 8 / 576, rel=1e-14, abs=1e-14)
+        assert abs(R) ** 2 <= 1.0 + 1e-15 or y > RK4_STABILITY_LIMIT
+    assert 1 - 2.85 ** 6 / 72 + 2.85 ** 8 / 576 > 1.1   # past the limit a step amplifies
+    # a g mode oscillates at omega = sqrt(2) j: one step of |omega| h just inside the limit
+    # runs, and steps just past it and past 2 sqrt 2 are rejected
+    s = PerturbationState(2, g={1: 1.0})
+    h = 2.79 / math.sqrt(2.0)
+    assert evolve_state(s, 0.0, 0.0, h, stepper="rk4", dt=h).g[1] != 0
+    for omega_h in (2.81, 2.85):
+        h = omega_h / math.sqrt(2.0)
+        with pytest.raises(StabilityError, match=f"{omega_h:.3f} exceeds the limit"):
+            evolve_state(s, 0.0, 0.0, h, stepper="rk4", dt=h)
 
 
 def test_rk4_stability_checks_the_step_taken():

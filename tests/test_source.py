@@ -1,11 +1,13 @@
 """Static checks on the package source, run without a linter."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "khlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "khlab"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -122,3 +124,21 @@ def test_guard_flags_pow_and_fractions():
 def test_closed_forms_compute_in_plain_arithmetic():
     # stability.py squares as x * x and sums rounded products: no libm pow, no exact rationals
     assert pow_and_fraction_uses((SRC / "stability.py").read_text()) == []
+
+
+def _mutation_tool():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_pattern_occurs_exactly_once():
+    # tools/mutants.py edits one spot per mutant; a pattern that moved or vanished would
+    # silently test nothing, so the list must follow the source
+    tool = _mutation_tool()
+    assert len({m.name for m in tool.MUTANTS}) == len(tool.MUTANTS)
+    for mutant in tool.MUTANTS:
+        assert tool.occurrences(mutant) == (1, True), mutant.name
+        assert mutant.replacement != mutant.pattern, mutant.name
+        assert all((ROOT / target.split("::")[0]).exists() for target in mutant.tests)

@@ -106,6 +106,17 @@ def test_nonparallel_fields_example():
     assert v.syrovatskij_second
 
 
+def test_criteria_hold_at_equality():
+    # each criterion is a non-strict inequality, met with equality by these exact inputs
+    first = check_syrovatskij((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+    assert first.syrovatskij_first   # |[u]|^2 = 4 = 2 (1 + 1)
+    assert not check_syrovatskij((2.0000001, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                 (0.0, 1.0, 0.0)).syrovatskij_first
+    crossed = check_syrovatskij((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    assert crossed.syrovatskij_second   # |[u] x h+|^2 + |[u] x h-|^2 = 2 = 2 |h+ x h-|^2
+    assert crossed.strong_condition     # max(|[u] x h+|, |[u] x h-|) = 1 = |h+ x h-|
+
+
 def test_strong_implies_second_on_random_vectors():
     rng = np.random.default_rng(17)
     seen_strong = 0
