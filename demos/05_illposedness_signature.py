@@ -30,7 +30,7 @@ for n in (4, 8, 16):
     state = decompose_perturbation(chi, chi_dot, n_cutoff=n)
     traj = [(float(t), evolve_state(state, 0.0, 0.0, float(t)))
             for t in np.linspace(0.0, 1.0, 5)]
-    growth = check_growth_corollary(traj, n, tol=1e-6)
+    growth = check_growth_corollary(traj, n)
     ratio = growth.margins[-1] * math.exp(n * 1.0)   # E1+(1)/E1+(0)
     readout = h2_readout(traj[-1][1])
     print(f"  {n:2d}   {sup:.4e}   {ratio:.5e}    {math.exp(n):.3e}"

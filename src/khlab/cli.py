@@ -25,6 +25,7 @@ from khlab.core import ShearParams, WaveVector, linspace, strictly_monotone, ver
 from khlab.eigenmodes import build_linearized_mode, build_wall_bounded_profiles, verify_mode
 from khlab.evolution import boundary_dispersion, default_rk4_dt, evolve_state
 from khlab.functionals import (
+    GROWTH_TOL,
     check_growth_corollary,
     check_proposition2,
     compute_functionals,
@@ -36,7 +37,6 @@ from khlab.pressure import PressureSolverError, fitted_convergence_order, mode_s
 from khlab.stability import evaluate_point, stability_map
 
 RESIDUAL_GATE = 1e-9
-GROWTH_TOL = 1e-6
 
 
 class ConfigError(Exception):
@@ -341,7 +341,8 @@ def load_report_schema():
 
 
 def validate_report(doc, schema=None):
-    """Structural validation against the shipped JSON schema subset."""
+    """Structural validation against the shipped JSON schema subset: type, enum, required,
+    properties, items and additionalProperties false (a schema there is not read)."""
     schema = schema or load_report_schema()
     _validate_node(doc, schema, "$")
 
@@ -374,8 +375,6 @@ def _validate_node(node, schema, path):
         for key, val in node.items():
             if key in props:
                 _validate_node(val, props[key], f"{path}.{key}")
-            elif isinstance(extra, dict):
-                _validate_node(val, extra, f"{path}.{key}")
             elif extra is False:
                 raise ValueError(f"schema violation at {path}: "
                                  f"unexpected property {key!r}")
@@ -481,8 +480,7 @@ def _cmd_functionals(cfg: RunConfig):
 def _cmd_illposedness(cfg: RunConfig):
     cutoff, samples, sup = _evolve_series(cfg)
     # the check streams the samples; the assignment keeps the last state for its readout
-    growth = check_growth_corollary(((t, (final := state)) for t, state in samples),
-                                    cutoff, tol=GROWTH_TOL)
+    growth = check_growth_corollary(((t, (final := state)) for t, state in samples), cutoff)
     report = growth._asdict()
     E1_plus, t_final = report.pop("E1_plus"), growth.times[-1]
     data = {
@@ -512,8 +510,6 @@ def run(cfg: RunConfig) -> int:
     """Dispatch a validated configuration; returns the process exit code."""
     try:
         code, payload = _HANDLERS[cfg.command](cfg)
-    except ConfigError:
-        raise
     except PressureSolverError as exc:
         sys.stderr.write(f"khlab: solver failure: {exc}\n")
         return 3
@@ -552,7 +548,7 @@ def main(argv=None) -> int:
         try:
             with open(path, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             sys.stderr.write(f"khlab: cannot read config {path!r}: {exc}\n")
             return 2
     try:

@@ -304,13 +304,6 @@ def _vertical_weights(n_ver):
     return w
 
 
-def row_profile_plane(row_up, row_lo, profile, n_ver):
-    """Re(row(x1) * profile(x3)) per phase, constant in x2: axes (phase, x1, 1, x3)."""
-    zu, zl = vertical_levels(n_ver)
-    return np.real(np.stack([row_up[:, None] * profile.eval_upper(zu),
-                             row_lo[:, None] * profile.eval_lower(zl)]))[:, :, None, :]
-
-
 def _grid_array(values, lead):
     """values as a float array of shape (*lead, n_tan, n_tan or 1, n_ver + 1): lead (2,) for a
     field, (3, 2) for a grid 3-vector.  Any other shape raises GridMismatchError."""

@@ -32,8 +32,8 @@ from khlab.core import (
     WaveVector,
     exp_weights,
     np,
-    row_profile_plane,
     tangential_grid,
+    vertical_levels,
 )
 
 
@@ -101,22 +101,27 @@ def potential_gradient_norm_sq(j: int) -> float:
     return 4.0 * math.pi ** 2 * j * coth
 
 
-def potential_gradient_plane(terms, n_tan: int, n_ver: int, t: float = 0.0):
-    """Re(sum of coeff * grad potential) over (profile, coeff) terms, added in order.
+def potential_gradient_plane(odd, even, n_tan: int, n_ver: int, t: float = 0.0):
+    """Re(grad h) for h = sum over j of odd[j] f_j + even[j] g_j, the profiles (f_j, g_j) of
+    build_harmonic_potentials(j) times their drifting rows e^{i j (x1 +/- t)}.
 
-    Each profile is one of build_harmonic_potentials(j), whose frequency
-    j is profile.kappa.  The potentials are constant in x2, so the result
+    odd and even map a frequency j >= 1 to a complex coefficient; terms are added j
+    ascending, the odd before the even.  The potentials are constant in x2, so the result
     is the stacked x2-constant plane with axes (component, phase, x1, 1, x3).
     """
     x1 = tangential_grid(n_tan)
+    zu, zl = vertical_levels(n_ver)
     plane = np.zeros((3, 2, n_tan, 1, n_ver + 1))
-    for profile, coeff in terms:
-        j = profile.kappa
-        row_up = coeff * np.exp(1j * j * (x1 + t))
-        row_lo = coeff * np.exp(1j * j * (x1 - t))
-        # the gradient's vertical profiles are (i j profile, 0, d profile/dx3)
-        plane[0] += row_profile_plane(row_up, row_lo, profile.scaled(1j * j), n_ver)
-        plane[2] += row_profile_plane(row_up, row_lo, profile.derivative(), n_ver)
+    for j in sorted(set(odd) | set(even)):
+        wave_up, wave_lo = np.exp(1j * j * (x1 + t)), np.exp(1j * j * (x1 - t))
+        for profile, coeffs in zip(build_harmonic_potentials(j), (odd, even)):
+            if j not in coeffs:
+                continue
+            row_up, row_lo = coeffs[j] * wave_up, coeffs[j] * wave_lo
+            # the gradient's vertical profiles are (i j profile, 0, d profile/dx3)
+            for component, part in ((0, profile.scaled(1j * j)), (2, profile.derivative())):
+                plane[component, 0, :, 0] += np.real(row_up[:, None] * part.eval_upper(zu))
+                plane[component, 1, :, 0] += np.real(row_lo[:, None] * part.eval_lower(zl))
     return plane
 
 

@@ -18,7 +18,6 @@ from khlab.core import (
     _vertical_weights,
 )
 from khlab.eigenmodes import potential_gradient_plane
-from khlab.functionals import _gradient_plane
 
 
 def full_grid(vec):
@@ -45,9 +44,9 @@ def plane_spectrum_agrees(plane_hat, full_hat, rel=1e-14):
                 and np.max(np.abs(full_hat[:, :, :, 1:])) <= rel * scale)
 
 
-def potential_gradient_field(profile, coeff, n_tan, n_ver, t=0.0):
-    """Re(coeff * grad potential) of one harmonic-potential profile on the full two-phase grid."""
-    return full_grid(potential_gradient_plane([(profile, coeff)], n_tan, n_ver, t))
+def potential_gradient_field(odd, even, n_tan, n_ver, t=0.0):
+    """Re(grad h) of the odd and even potential families {j: coefficient} on the full grid."""
+    return full_grid(potential_gradient_plane(odd, even, n_tan, n_ver, t))
 
 
 def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
@@ -79,7 +78,7 @@ def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
     as the data it was decomposed from; any other is a full grid.
     """
     def fields(low, high, even, r_hat):
-        plane = _gradient_plane({**low, **high}, even, n_tan, n_ver, t)
+        plane = potential_gradient_plane({**low, **high}, even, n_tan, n_ver, t)
         if r_hat is None:
             return plane
         values = _r_grid(r_hat)

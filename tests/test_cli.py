@@ -580,12 +580,14 @@ def test_out_naming_a_directory_exits_2_and_leaves_no_temporary(tmp_path, capsys
     ("command = dispersion\nk 1,0\n", [], "line 2: expected 'key = value'"),
     (None, ["--command", "dispersion", "--k"], "flag --k needs a value"),
     (None, ["--command", "dispersion", "k", "1,0"], "expected --key, got 'k'"),
+    # a Latin-1 comment is not UTF-8: its 0xe9 byte fails the decode, not the parse
+    ("command = verify\nk = 3,4\n# caf\u00e9\n".encode("latin-1"), [], "cannot read config"),
 ], ids=["fractional-k", "no-command", "line-without-equals", "flag-without-value",
-        "bare-key"])
+        "bare-key", "not-utf-8"])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, config, args, message):
     if config is not None:
         path = tmp_path / "run.cfg"
-        path.write_text(config)
+        path.write_bytes(config if isinstance(config, bytes) else config.encode("utf-8"))
         args = [str(path)] + args
     assert main(args) == 2
     out, err = capsys.readouterr()
@@ -711,6 +713,10 @@ _INFINITE_GROWTH_RUNS = [
                  id="density-sum"),      # printed a finite but wrong gamma^2 = 0
     pytest.param("dispersion", f"--k {10 ** 155},0 --u_plus 0,0,0 --u_minus 0,0,0",
                  "lambda^2 leaves the float range; lower |k|, a or b", id="lambda-squared"),
+    # the rk4 step count t/dt, whose power the propagators take in closed form
+    pytest.param("evolve", "--stepper rk4 --n 2 --n_tan 16 --n_ver 8 --t 1e308 --dt 1e-10 "
+                 "--samples 2", "rk4 step count t/dt = 1e+308/1e-10 leaves the float range",
+                 id="rk4-step-count"),
 ]
 
 
@@ -1067,6 +1073,160 @@ def test_closed_form_commands_end_in_a_documented_way_property():
             assert run(args + ["--format", "json"])[0] == code
 
     check()
+
+
+_GRID_HEADERS = {"pressure": "kappa,n_ver,h,max_error,observed_order",
+                 "evolve": "t,E1_plus,E1_minus,G,F,norm_P_H2"}
+
+
+def _grid_output_problems(cli_mod, command, args, code, out):
+    """What is wrong with the stdout of a grid command that exited 0 or 1: nothing when it
+    parses and holds the rows its configuration asks for."""
+    cfg = cli_mod.parse_config("", args)
+    if code == 1 and command not in ("functionals", "illposedness"):
+        return ["exit 1 without a check"]
+    if cfg.format == "json":
+        doc = json.loads(out)
+        validate_report(doc)
+        data = doc["data"]
+        if command == "pressure":
+            return [] if len(data["errors"]) == len(cfg.kappas) * cfg.refinements else ["rows"]
+        series = data["series"] if command == "functionals" else data["growth"]["times"]
+        return (([] if data["passed"] == (code == 0) else ["verdict"])
+                + ([] if len(series) == cfg.samples else ["rows"]))
+    lines = out.splitlines()
+    body = [line for line in lines if not line.startswith("#")]
+    if lines[0] != f"# khlab {command}" or body[0] != _GRID_HEADERS[command]:
+        return ["echo or header"]
+    rows = [row.split(",") for row in body[1:]]
+    if command == "evolve":
+        labels = [[float(row[0])] for row in rows]
+        expect = [[t] for t in cli_mod.linspace(0.0, cfg.t, cfg.samples)]
+    else:
+        levels = [cfg.n_tan >> (cfg.refinements - 1 - i) for i in range(cfg.refinements)]
+        labels = [[float(row[0]), int(row[1])] for row in rows]
+        expect = [[kappa, n] for kappa in cfg.kappas for n in levels]
+        # the first level of each kappa has no order: there, and only there, it reads nan
+        no_order = [row[4] == "nan" for row in rows]
+        if labels == expect and no_order != [n == levels[0] for _, n in expect]:
+            return ["observed_order"]
+        rows = [row[:4] if missing else row for row, missing in zip(rows, no_order)]
+    if labels != expect:
+        return ["row labels"]
+    return [] if all(math.isfinite(float(field)) for row in rows for field in row) else ["nan"]
+
+
+def test_grid_commands_end_in_a_documented_way_property():
+    # pressure, evolve, functionals and illposedness with any subset of the keys they read,
+    # grids of at most 32 points a side, floats from +-5e-324 to +-1.7e308 and each key's
+    # bounds, both steppers with and without dt, and some stdouts whose reader is gone:
+    # exit 0 or 1 writes nothing to stderr and a CSV or schema-valid JSON whose rows are the
+    # configured ones, exit 2 or 3 one khlab: line and no stdout, pressure exits alike in
+    # CSV and JSON unless JSON's finiteness rule is the reason, nothing warns, a rerun gives
+    # the same bytes and each example ends within its deadline
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import contextlib
+    import io
+    import signal
+    import warnings
+
+    import khlab.cli as cli_mod
+
+    # per key, (text in its bound or on it, text past it)
+    huge = st.floats(min_value=5e-324, max_value=1.7e308).map(repr)
+    positive = st.one_of(st.floats(1e-3, 3.0).map(repr), huge,
+                         st.sampled_from(["5e-324", "1e-300", "1e300", "1.7e308"]))
+    past = st.one_of(st.floats(max_value=-5e-324).map(repr), st.sampled_from(["inf", "nan"]))
+    non_negative = (st.one_of(positive, st.sampled_from(["0", "-0.0"])), past)
+    grid = (st.integers(4, 32).map(str), st.integers(-1, 3).map(str))
+    frequency = (st.integers(1, 8).map(str),   # past n_tan/2 is past the data's bound
+                 st.one_of(st.integers(-1, 0), st.integers(9, 40)).map(str))
+    text = {"n_tan": grid, "n_ver": grid, "n": frequency, "n_cutoff": frequency,
+            "samples": (st.integers(1, 24).map(str), st.integers(-1, 0).map(str)),
+            "stepper": (st.sampled_from(["exact", "rk4"]), st.just("euler")),
+            # pressure fits an order only from two levels of at least 16 points
+            "refinements": (st.just("2"), st.sampled_from(["-1", "0", "1", "3", "4"])),
+            "kappas": (st.lists(st.integers(1, 7), min_size=1, max_size=4, unique=True)
+                       .map(lambda ks: ",".join(map(str, ks))),
+                       st.lists(st.integers(-1, 9).map(str) | huge | past,
+                                min_size=1, max_size=4).map(",".join)),
+            "source_sign": (st.sampled_from(["1", "-1", "1.0"]), huge | past | st.just("0")),
+            "scale": (positive, past | st.sampled_from(["0", "-0.0"])),
+            "dt": (positive, past | st.sampled_from(["0", "-0.0"])),
+            "a": non_negative, "b": non_negative,
+            "t": (st.floats(0.0, 3.0).map(repr) | non_negative[0], past)}
+    assert all(cli_mod._KEYS[key].parse is cli_mod._parse_float
+               for key in ("scale", "dt", "a", "b", "t"))
+
+    def flags(command):
+        """(command, {key: text}, closed stdout): every key in bound, or one past it."""
+        spec = cli_mod._COMMANDS[command]
+        keys = {key: text[key] for key in spec.reads}
+        keys["format"] = (st.sampled_from(spec.formats), st.sampled_from(["csv", "json"]))
+        if command == "pressure":   # its one valid grid of at most 32 points
+            keys["n_tan"] = (st.just("32"), st.one_of(*grid))
+        drawn = {key: inside for key, (inside, _) in keys.items()}
+        # the grid keys are always given, so no example runs the default 64-point grids
+        given = {key: drawn.pop(key) for key in spec.required + ("n_tan", "n_ver", "refinements")
+                 if key in drawn}
+        past_one = st.one_of(st.just({}), st.sampled_from(sorted(keys)).flatmap(
+            lambda key: st.fixed_dictionaries({key: keys[key][1]})))
+        values = st.tuples(st.fixed_dictionaries(given, optional=drawn), past_one).map(
+            lambda pair: {**pair[0], **pair[1]})
+        return st.tuples(st.just(command), values, st.booleans())
+
+    class PastDeadline(BaseException):
+        """Not an Exception, so run's guard cannot turn it into an exit code."""
+
+    def expire(signum, frame):
+        raise PastDeadline("an example ran past its 10 s deadline")
+
+    closed_fd = os.open(os.devnull, os.O_WRONLY)
+
+    def run(args, stdout=None):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout or out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli_mod.main(args)
+        assert caught == []
+        return code, out.getvalue(), err.getvalue()
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.sampled_from(["pressure", "evolve", "functionals", "illposedness"])
+                      .flatmap(flags))
+    def check(drawn):
+        command, values, closed = drawn
+        args = ["--command", command] + [x for key, value in values.items()
+                                          for x in (f"--{key}", value)]
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            code, out, err = run(args)
+            assert code in (0, 1, 2, 3)
+            if code in (2, 3):
+                assert out == "" and err.startswith("khlab: ") and err.count("\n") == 1
+                assert not err.startswith("khlab: internal error")
+            else:
+                assert err == ""
+                assert _grid_output_problems(cli_mod, command, args, code, out) == []
+            assert run(args) == (code, out, err)
+            if command == "pressure" and "format" not in values:
+                other, _, json_err = run(args + ["--format", "json"])
+                assert other == code or (other, code) == (3, 0) and json_err.startswith(
+                    "khlab: non-finite value in the report")
+            if closed:
+                gone = (2, "", "khlab: cannot write output: stdout: Broken pipe\n")
+                assert run(args, _ClosedPipe(closed_fd)) == (gone if code < 2 else (code, "", err))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        check()
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+        os.close(closed_fd)
 
 
 def _json_reports(capsys):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from khlab.core import VerticalProfile, WaveVector
+from khlab.core import VerticalProfile, WaveVector, tangential_grid, vertical_levels
 from khlab.eigenmodes import (
     build_harmonic_potentials,
     build_linearized_mode,
     build_wall_bounded_profiles,
     potential_gradient_norm_sq,
+    potential_gradient_plane,
     verify_mode,
 )
 
@@ -170,8 +171,7 @@ def test_gradient_families_pairwise_orthogonal():
     n_tan, n_ver = 32, 16
     fields = {}
     for j in (2, 3, 5):
-        f, _ = build_harmonic_potentials(j)
-        fields[j] = potential_gradient_field(f, 1.0, n_tan, n_ver)
+        fields[j] = potential_gradient_field({j: 1.0}, {}, n_tan, n_ver)
     assert abs(inner_product_vector(fields[2], fields[3])) < 1e-11
     assert abs(inner_product_vector(fields[2], fields[5])) < 1e-11
     assert abs(inner_product_vector(fields[3], fields[5])) < 1e-11
@@ -181,11 +181,10 @@ def test_gradient_norm_weight_against_quadrature_oracle():
     # closed form 4 pi^2 j coth j vs trapezoidal quadrature on the grid;
     # the quadrature error is O(h^2), so check the refinement trend too
     j = 3
-    f, _ = build_harmonic_potentials(j)
     exact = potential_gradient_norm_sq(j)
     errs = []
     for n_ver in (32, 64, 128):
-        grad = potential_gradient_field(f, 1.0, 16, n_ver)
+        grad = potential_gradient_field({j: 1.0}, {}, 16, n_ver)
         quad = inner_product_vector(grad, grad)
         errs.append(abs(quad - exact) / exact)
     assert errs[0] < 5e-3
@@ -198,10 +197,26 @@ def test_gradient_norm_weight_against_quadrature_oracle():
     assert math.isfinite(big) and big == 4 * math.pi ** 2 * 1000
 
 
+def test_gradient_plane_is_the_drifting_kelvin_helmholtz_mode():
+    # grad(e^{i n x1} f_n)/n = (V, 0, W), the wall-bounded mode at k = (n, 0), whose
+    # tangential phase drifts by +t above the interface and by -t below it
+    n, n_tan, n_ver = 3, 16, 8
+    mode = build_linearized_mode(WaveVector(n, 0))._replace(lam=0j)
+    x1 = tangential_grid(n_tan)
+    zu, zl = vertical_levels(n_ver)
+    for t in (0.0, 0.7):
+        plane = potential_gradient_plane({n: 1.0 / n}, {}, n_tan, n_ver, t)
+        # the mode reads x3 = 0 as the upper phase, so the lower interface row is left out
+        for phase, z in ((0, zu), (1, zl[:-1])):
+            x1_grid, x3_grid = np.meshgrid(x1, z, indexing="ij")
+            expect = np.real(mode.velocity(x1_grid, 0.0, x3_grid, t))
+            got = plane[:, phase, :, 0, :len(z)]
+            assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
 def test_even_family_shares_the_gradient_weight():
     j = 4
-    _, g = build_harmonic_potentials(j)
-    grad = potential_gradient_field(g, 1.0, 16, 128)
+    grad = potential_gradient_field({}, {j: 1.0}, 16, 128)
     quad = inner_product_vector(grad, grad)
     assert quad == pytest.approx(potential_gradient_norm_sq(j), rel=1e-3)
 

@@ -14,11 +14,7 @@ from khlab.core import (
     tangential_grid,
     vertical_levels,
 )
-from khlab.eigenmodes import (
-    build_harmonic_potentials,
-    potential_gradient_norm_sq,
-    potential_gradient_plane,
-)
+from khlab.eigenmodes import potential_gradient_norm_sq, potential_gradient_plane
 from khlab.evolution import evolve_state
 from khlab.functionals import (
     AliasingError,
@@ -53,13 +49,11 @@ def test_decomposition_at_the_top_of_the_float_range_is_exactly_scaled():
 
 
 def _grad_f(j, coeff, n_tan, n_ver):
-    f, _ = build_harmonic_potentials(j)
-    return potential_gradient_field(f, coeff, n_tan, n_ver)
+    return potential_gradient_field({j: coeff}, {}, n_tan, n_ver)
 
 
 def _grad_g(j, coeff, n_tan, n_ver):
-    _, g = build_harmonic_potentials(j)
-    return potential_gradient_field(g, coeff, n_tan, n_ver)
+    return potential_gradient_field({}, {j: coeff}, n_tan, n_ver)
 
 
 def _zeros(n_tan, n_ver):
@@ -280,8 +274,7 @@ def _plane_data(n_tan, n_ver, phase):
 
     r3 carries x3 * (1 - |x3|), exactly zero on the interface and wall rows.
     """
-    (f2, _), (_, g3) = build_harmonic_potentials(2), build_harmonic_potentials(3)
-    plane = potential_gradient_plane([(f2, 0.7 - 0.2j), (g3, 0.4j * phase)], n_tan, n_ver)
+    plane = potential_gradient_plane({2: 0.7 - 0.2j}, {3: 0.4j * phase}, n_tan, n_ver)
     x1 = tangential_grid(n_tan)
     for p, z in enumerate(map(np.asarray, vertical_levels(n_ver))):
         plane[0, p, :, 0] += np.outer(np.cos(x1 + phase), 1.0 + z)
@@ -358,6 +351,14 @@ def test_decompose_rejects_wall_violation():
     with pytest.raises(ValueError, match="wall"):
         decompose_perturbation(np.array([zero, zero, bad3.values]),
                                _zeros(n_tan, n_ver), 2)
+
+
+def test_decompose_rejects_a_remainder_with_an_interface_trace():
+    # an explicit tol above the coefficient 0.4 of f_3 drops it, but its interface flux
+    # trace, about j times the coefficient, stays in r3 above tol
+    chi = potential_gradient_plane({3: 0.4}, {}, 16, 8)
+    with pytest.raises(ValueError, match="remainder field keeps a wall-normal trace of 1.200e"):
+        decompose_perturbation(chi, np.zeros_like(chi), 3, tol=0.5)
 
 
 @pytest.mark.parametrize("shape", [
@@ -602,13 +603,31 @@ def test_proposition2_input_validation():
         check_proposition2([(1.0, s4), (0.0, s4)], 4, 0.0, 0.0)
 
 
+_PLANE_ZEROS = np.zeros((3, 2, 8, 1, 5))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PerturbationState(0), "n_cutoff must be >= 1"),
+    (lambda: PerturbationState(3, P={2: 1.0}), "P coefficient 2 below cutoff 3"),
+    (lambda: PerturbationState(3, L={3: 1.0}), r"L coefficient 3 outside \[1, 3\)"),
+    (lambda: PerturbationState(3, g={0: 1.0}), "g coefficients are indexed by j >= 1"),
+    (lambda: potential_gradient_norm_sq(0), "potential frequency j must be >= 1"),
+    (lambda: decompose_perturbation(_PLANE_ZEROS, _PLANE_ZEROS, n_cutoff=0),
+     "n_cutoff must be >= 1"),
+], ids=["state-cutoff", "P-below-cutoff", "L-outside", "g-index", "norm-frequency",
+        "decompose-cutoff"])
+def test_invalid_arguments_raise_a_named_value_error(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_growth_corollary_pure_mode_margin():
     n = 6
     state = PerturbationState(n, P={n: 1.0}, P_dot={n: float(n)})
     traj = [(t, evolve_state(state, 0.0, 0.0, float(t)))
             for t in np.linspace(0.0, 1.0, 6)]
     report = check_growth_corollary(traj, n)
-    assert report.passed
+    assert report.passed and min(report.margins) >= 1 - 1e-8
     # E1+(t) = E1+(0) e^{2nt}, so the margin over e^{nt} is e^{nt}
     assert report.margins[-1] == pytest.approx(math.exp(n * 1.0), rel=1e-10)
 
@@ -620,13 +639,14 @@ def test_growth_corollary_mixture_passes():
     state = PerturbationState(n, P=P, P_dot=P_dot)
     traj = [(t, evolve_state(state, 0.0, 0.0, float(t)))
             for t in np.linspace(0.0, 1.5, 7)]
-    assert check_growth_corollary(traj, n).passed
+    report = check_growth_corollary(traj, n)
+    assert report.passed and min(report.margins) >= 1 - 1e-8
 
 
 def test_growth_corollary_time_zero_only():
     state = PerturbationState(3, P={3: 1.0}, P_dot={3: 3.0})
     report = check_growth_corollary([(0.0, state)], 3)
-    assert report.passed
+    assert report.passed and min(report.margins) >= 1 - 1e-8
     assert report.margins == [pytest.approx(1.0)]
 
 

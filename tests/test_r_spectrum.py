@@ -265,6 +265,7 @@ def test_checks_consume_a_stream_in_one_pass():
     pulled.clear()
     growth = check_growth_corollary(stream(), n)
     assert growth.passed and growth.times == times and pulled == times
+    assert min(growth.margins) >= 1 - 1e-8
 
     for check in (lambda s: check_proposition2(s, n, 0.0, 0.0),
                   lambda s: check_growth_corollary(s, n)):

@@ -50,6 +50,11 @@ def test_zero_wave_vector_rejected():
                           (0.0, 1.0, 0.0), (0.0, 1.0, 0.0))
 
 
+def test_wave_vector_must_have_three_components():
+    with pytest.raises(ValueError, match="^k must be a 3-vector$"):
+        sen_gamma_squared(ShearParams(), (1, 0), (0, 1, 0), (0, 1, 0))
+
+
 def test_gamma_invariances():
     # sign flip of the fields and swapping the two sides leave gamma^2 alone
     rng = np.random.default_rng(5)

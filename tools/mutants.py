@@ -42,7 +42,7 @@ MUTANTS = (
            ("tests/test_functionals.py", "tests/test_acceptance.py")),
     Mutant("rk4-limit", "evolution.py", "RK4_STABILITY_LIMIT = 2.8", "RK4_STABILITY_LIMIT = 2.9",
            ("tests/test_evolution.py",)),
-    Mutant("growth-tol", "cli.py", "GROWTH_TOL = 1e-6", "GROWTH_TOL = 1e-4",
+    Mutant("growth-tol", "functionals.py", "GROWTH_TOL = 1e-6", "GROWTH_TOL = 1e-4",
            ("tests/test_cli.py",)),
     Mutant("syrovatskij-first", "stability.py", "du_sq <= 2.0", "du_sq < 2.0",
            ("tests/test_stability.py",)),
@@ -63,6 +63,11 @@ MUTANTS = (
            "profile.eval_lower(-0.5)", ("tests/test_eigenmodes.py",)),
     Mutant("audit-absolute", "eigenmodes.py", "/ scale if scale else 0.0", "if scale else 0.0",
            ("tests/test_eigenmodes.py",)),
+    # the potential-gradient builder: the lower phase's drift and the x1 component's factor
+    Mutant("gradient-lower-drift", "eigenmodes.py", "np.exp(1j * j * (x1 - t))",
+           "np.exp(1j * j * (x1 + t))", ("tests/test_eigenmodes.py",)),
+    Mutant("gradient-x1-factor", "eigenmodes.py", "(0, profile.scaled(1j * j))",
+           "(0, profile.scaled(-1j * j))", ("tests/test_eigenmodes.py",)),
 )
 
 
