@@ -340,11 +340,10 @@ def load_report_schema():
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def validate_report(doc, schema=None):
+def validate_report(doc):
     """Structural validation against the shipped JSON schema subset: type, enum, required,
     properties, items and additionalProperties false (a schema there is not read)."""
-    schema = schema or load_report_schema()
-    _validate_node(doc, schema, "$")
+    _validate_node(doc, load_report_schema(), "$")
 
 
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,

@@ -326,6 +326,11 @@ def _r_frequencies(spectrum):
     return np.arange(spectrum.shape[3], dtype=float)
 
 
+def _r_stiffness(spectrum, a, b):
+    """The r block's stiffness, rows (a*k2)^2 above and (b*k2)^2 below the interface."""
+    return (np.array([[a], [b]], dtype=float) * _r_frequencies(spectrum)) ** 2
+
+
 def _r_spectrum(values):
     """Mean-normalised x2 rfft of a stacked grid 3-vector or plane: axes (component, phase,
     x1, k2, x3).  k2 = 0 holds the x2 mean, so a plane's spectrum is its own values."""

@@ -30,7 +30,7 @@ reproduces stage-by-stage RK4 to roundoff.  Any other mode advances by
 import math
 from typing import NamedTuple
 
-from khlab.core import PerturbationState, WaveVector, _r_frequencies, np
+from khlab.core import PerturbationState, WaveVector, _r_frequencies, _r_stiffness, np
 
 RK4_STABILITY_LIMIT = 2.8   # max |omega| * h for the oscillatory blocks
 
@@ -181,9 +181,8 @@ def _held_rates(state: PerturbationState, a: float, b: float):
     lam_sq = np.array([float(j * j) for j in odd] + [-2.0 * float(j * j) for j in even])
     spectrum = state.r_dot_hat if state.r_hat is None else state.r_hat
     if spectrum is not None:
-        k2 = _r_frequencies(spectrum)
         with np.errstate(over="ignore"):   # a field past 1e154 leaves the float range here
-            lam_sq = np.concatenate([lam_sq, -((a * k2) ** 2), -((b * k2) ** 2)])
+            lam_sq = np.concatenate([lam_sq, -_r_stiffness(spectrum, a, b).ravel()])
     return odd, even, lam_sq
 
 

@@ -43,6 +43,7 @@ from khlab.core import (
     _grid_array,
     _r_frequencies,
     _r_spectrum,
+    _r_stiffness,
     _vertical_weights,
     np,
 )
@@ -96,72 +97,68 @@ def _potential_split(trace_up, trace_lo, tol, sup_norm):
     for j in range(1, (n + 1) // 2):
         cu = complex(2.0 * su[j, 0])
         cl = complex(2.0 * sl[j, 0])
-        if max(abs(cu), abs(cl)) <= tol:
-            continue
-        # per-phase cosh(j(x3 -/+ 1)) amplitudes of the Neumann solution
-        # combine into the odd/even family coefficients
-        c_f = complex((cu + cl) / (2.0 * j))
-        c_g = complex((cl - cu) / (2.0 * j))
-        if abs(c_f) > tol:
+        # per-phase cosh(j(x3 -/+ 1)) amplitudes of the Neumann solution combine into the
+        # odd/even family coefficients, each kept if the interface trace j*|c| it leaves > tol
+        c_f = (cu + cl) / (2.0 * j)
+        c_g = (cl - cu) / (2.0 * j)
+        if j * abs(c_f) > tol:
             odd[j] = c_f
-        if abs(c_g) > tol:
+        if j * abs(c_g) > tol:
             even[j] = c_g
     return odd, even
 
 
-def _decompose_single(chi, tol):
-    """(odd, even, r_hat) of one grid 3-vector; tol None is 1e-12 times its own sup norm."""
+def _decompose_single(chi):
+    """(odd, even, r_hat) of one grid 3-vector at the tolerance 1e-12 * sup|chi|."""
     values = _grid_array(chi, (3, 2)).copy()
     scale = float(max(values.max(), -values.min()))   # sup|chi|
-    if tol is None:
-        tol = 1e-12 * scale
+    if not math.isfinite(scale):
+        raise ValueError("chi and chi_dot must be finite")
+    tol = 1e-12 * scale
     n_tan, n_ver = values.shape[2], values.shape[4] - 1
     up3, lo3 = values[2]
     wall = max(float(np.max(np.abs(up3[:, :, -1]))), float(np.max(np.abs(lo3[:, :, 0]))))
     if wall > tol:
-        raise ValueError(
-            f"wall-normal velocity {wall:.3e} at the walls; data outside "
-            "the admissible class")
+        raise ValueError(f"wall-normal velocity {wall:.3e} at the walls; data outside "
+                         "the admissible class")
     odd, even = _potential_split(up3[:, :, 0], lo3[:, :, -1], tol, scale)
     values -= potential_gradient_plane(odd, even, n_tan, n_ver)
     # r3 must vanish on the interface and wall rows: checked, then snapped exactly
     worst = float(np.max(np.abs(values[2][..., [0, -1]])))
-    if worst > max(tol, 1e-9 * scale):
-        raise ValueError(
-            f"remainder field keeps a wall-normal trace of {worst:.3e}; "
-            "decomposition failed to absorb the interface motion")
+    if worst > 1e-9 * scale:
+        raise ValueError(f"remainder field keeps a wall-normal trace of {worst:.3e}; "
+                         "decomposition failed to absorb the interface motion")
     values[2][..., [0, -1]] = 0.0
-    # a round-off remainder is dropped by the rule that drops potential
-    # coefficients; max(max, -min) is max|r| without an |r| temporary
+    # a remainder with no entry above tol is round-off and dropped; max(max, -min) is
+    # max|r| without an |r| temporary
     dropped = max(values.max(), -values.min()) <= tol
     return odd, even, (None if dropped else _r_spectrum(values))
 
 
-def decompose_perturbation(chi, chi_dot, n_cutoff: int,
-                           tol: float = None) -> PerturbationState:
+def decompose_perturbation(chi, chi_dot, n_cutoff: int) -> PerturbationState:
     """Split (chi, d chi/dt) into the four-part state (P, L, g, r).
 
     chi and chi_dot are grid 3-vectors, float arrays of shape
     (3, 2, n_tan, n_tan or 1, n_ver + 1) with axes (component, phase, x1,
-    x2, x3), whose wall-normal component vanishes at the walls; any other
-    shape raises GridMismatchError.  The harmonic potential is solved
-    from the interface traces of the third component and split into odd
-    and even streamwise families; the odd coefficients c of chi and d of
-    chi_dot give w+/- = d +/- j*c, which P (j >= n_cutoff) and L read.
-    The remainder r = chi - grad h has zero wall-normal trace on the
-    interface and the walls (checked, then snapped exactly), and the same
-    pipeline fills the velocity partners from chi_dot.  Like a potential
-    coefficient, an r or r_dot whose entries are all at or below tol is
-    stored as absent and reads back as None.
-    tol None gives each vector the tolerance 1e-12 * sup|vector| of its
-    own scale: scaling the data by a power of two scales the state
-    exactly, and all-zero data give an exact zero state.
+    x2, x3), finite and with a wall-normal component that vanishes at the
+    walls; another shape raises GridMismatchError, a non-finite entry
+    ValueError.  The harmonic potential is solved from the interface
+    traces of the third component and split into odd and even streamwise
+    families; the odd coefficients c of chi and d of chi_dot give
+    w+/- = d +/- j*c, which P (j >= n_cutoff) and L read.  The remainder
+    r = chi - grad h has zero wall-normal trace on the interface and the
+    walls (checked, then snapped exactly); chi_dot fills the velocity
+    partners the same way.  Each vector's tolerance is 1e-12 times its own
+    sup norm: a family term c at frequency j is kept when its interface
+    trace j*|c| is above it, and an r or r_dot with no entry above it reads
+    back as None.  So data scaled by a power of two give the exactly scaled
+    state, and all-zero data the exact zero state.
     """
     if n_cutoff < 1:
         raise ValueError("n_cutoff must be >= 1")
     # one vector at a time, so only one stacked copy is alive
-    odd, even, r_hat = _decompose_single(chi, tol)
-    odd_dot, even_dot, r_dot_hat = _decompose_single(chi_dot, tol)
+    odd, even, r_hat = _decompose_single(chi)
+    odd_dot, even_dot, r_dot_hat = _decompose_single(chi_dot)
     w = PerturbationState._characteristic(odd, odd_dot)
     return PerturbationState._from_spectra(n_cutoff, *w, even, even_dot, r_hat, r_dot_hat)
 
@@ -209,7 +206,7 @@ def _r_energy(state: PerturbationState, a: float, b: float):
         n_tan, n_ver = spectrum.shape[2], spectrum.shape[4] - 1
         k2 = _r_frequencies(spectrum)
         c = np.where((k2 == 0) | (2 * k2 == n_tan), 1.0, 2.0)
-        m = (np.array([[a], [b]]) * k2) ** 2 if stiff else 1.0
+        m = _r_stiffness(spectrum, a, b) if stiff else 1.0
         power = sum(np.einsum("cpikz,cpikz->pkz", part, part)
                     for part in (spectrum.real, spectrum.imag))
         w = _vertical_weights(n_ver) * (2.0 * math.pi / n_tan) ** 2 * n_tan

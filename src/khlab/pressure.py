@@ -241,8 +241,7 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     return TwoPhaseGridField(np.moveaxis(vals[::-1], 1, -1))
 
 
-def pressure_decomposition(source: TwoPhaseGridField, M_data=None,
-                           drift: float = 0.0):
+def pressure_decomposition(source: TwoPhaseGridField, M_data=None):
     """Split the pressure into a harmonic part and a source part.
 
     q1 solves the harmonic system: zero source, zero value jump, flux
@@ -251,8 +250,8 @@ def pressure_decomposition(source: TwoPhaseGridField, M_data=None,
     the test suite).
     """
     zero_source = TwoPhaseGridField.zeros(source.n_tan, source.n_ver, source.n_x2)
-    q1 = solve_two_phase_poisson_fd(zero_source, flux_jump=M_data, drift=drift)
-    q2 = solve_two_phase_poisson_fd(source, drift=drift)
+    q1 = solve_two_phase_poisson_fd(zero_source, flux_jump=M_data)
+    q2 = solve_two_phase_poisson_fd(source)
     return q1, q2
 
 

@@ -162,9 +162,10 @@ def _fresh_python(code):
 
 def test_import_does_not_load_scipy():
     # nor dataclasses, inspect, json, fractions or numpy's modules: the import is start-up
-    # cost of every command, and only the commands that write JSON load json
+    # cost of every command, and only the commands that write JSON load json; sympy and
+    # mpmath serve the test oracles only
     proc = _fresh_python("import sys, khlab.cli; print([m for m in ('scipy', 'dataclasses', "
-                         "'inspect', 'json', 'fractions', 'numpy._core') "
+                         "'inspect', 'json', 'fractions', 'numpy._core', 'sympy', 'mpmath') "
                          "if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

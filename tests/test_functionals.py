@@ -15,6 +15,7 @@ from khlab.core import (
     vertical_levels,
 )
 from khlab.eigenmodes import potential_gradient_norm_sq, potential_gradient_plane
+from khlab import functionals
 from khlab.evolution import evolve_state
 from khlab.functionals import (
     AliasingError,
@@ -182,15 +183,17 @@ def test_decompose_reconstruct_round_trip_property():
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(cases())
-    # P's 1e-12 sits at the drop tolerance set by g: r comes back at about 2e-12
-    @hypothesis.example((PerturbationState(1, P={2: 1e-12}, g={1: 1.0}), 8, 2))
+    # P's 6.5e-13 leaves the interface trace 1.3e-12, just below the tolerance 1.31e-12
+    # set by g: it is dropped and r comes back at about 1.35e-12
+    @hypothesis.example((PerturbationState(1, P={2: 6.5e-13}, g={1: 1.0}), 8, 2))
     def check(case):
         state, n_tan, n_ver = case
         chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
         back = decompose_perturbation(chi, chi_dot, state.n_cutoff)
         for name in ("P", "P_dot", "L", "L_dot", "g", "g_dot"):
             got, expect = getattr(back, name), getattr(state, name)
-            # a coefficient at or below the tolerance is dropped, so it reads 0
+            # a term whose interface trace j*|c| is at or below the tolerance is dropped,
+            # so it reads 0
             for j in set(got) | set(expect):
                 assert got.get(j, 0.0) == pytest.approx(expect.get(j, 0.0), abs=1e-10)
         for got, expect, names in ((back.r, state.r, ("P", "L", "g")),
@@ -200,8 +203,8 @@ def test_decompose_reconstruct_round_trip_property():
                 assert _max_diff(got, expect) < 1e-9
             elif got is not None:
                 # an absent block stays absent: its round-off is dropped.  Only a
-                # nonzero coefficient at or below the tolerance, dropped with its
-                # gradient left in the block, brings it back, at that scale
+                # nonzero term with its trace at or below the tolerance, dropped with
+                # its gradient left in the block, brings it back, at that scale
                 assert any(c != 0 and j not in getattr(back, name)
                            for name in names for j, c in getattr(state, name).items())
                 assert np.max(np.abs(got)) < 1e-9
@@ -212,17 +215,18 @@ def test_decompose_reconstruct_round_trip_property():
     check()
 
 
-def test_sub_tolerance_coefficient_leaves_a_plane_remainder():
-    # each vector's tolerance follows its own scale: P's unit coefficient gives chi
-    # a sup norm near 2, which raises the tolerance above g's 1.4e-12 coefficient
-    # in the same vector: it is dropped, its gradient stays in r, and r is a plane
+def test_sub_tolerance_coefficient_is_kept_by_its_interface_trace():
+    # each vector's tolerance follows its own scale: P's unit coefficient gives chi a sup
+    # norm near 2, which raises the tolerance above g's |c| = 1.4e-12 in the same vector
+    # but not above the interface trace 3*|c| that g_3 leaves, so g_3 is kept and no r is left
     n_tan, n_ver = 8, 2
     state = PerturbationState(1, P={2: 1.0}, g={3: 1e-12 + 1e-12j})
     chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
-    assert chi.shape[3] == 1
+    tol = 1e-12 * np.abs(chi).max()
+    assert abs(state.g[3]) < tol < 3 * abs(state.g[3])
     back = decompose_perturbation(chi, chi_dot, 1)
-    assert back.g == {} and back.r_hat is not None
-    assert back.r_hat.shape[3] == 1 and not back.r_hat[:, :, :, 1:].any()
+    assert set(back.g) == {3} and back.g[3] == pytest.approx(state.g[3], rel=1e-4)
+    assert back.r_hat is None and back.r_dot_hat is None
     again, _ = reconstruct_perturbation(back, n_tan, n_ver)
     assert _max_diff(again, chi) < 1e-9
 
@@ -353,12 +357,61 @@ def test_decompose_rejects_wall_violation():
                                _zeros(n_tan, n_ver), 2)
 
 
-def test_decompose_rejects_a_remainder_with_an_interface_trace():
-    # an explicit tol above the coefficient 0.4 of f_3 drops it, but its interface flux
-    # trace, about j times the coefficient, stays in r3 above tol
+@pytest.mark.parametrize("share", [0.9e-12, 0.5e-12])
+@pytest.mark.parametrize("family", ["odd", "even"])
+def test_a_potential_term_is_kept_by_its_interface_trace(family, share):
+    # the coefficient of the j = 1500 term is below the tolerance 1e-12 * sup|chi|, but the
+    # interface trace 1500*|c| it leaves is above it, and above the remainder check's
+    # 1e-9 * sup|chi| at share 0.9e-12: the term is kept and the data leave no r
+    n_tan, n_ver, j = 4096, 8, 1500
+    sup = float(np.abs(potential_gradient_plane({1: 1.0}, {}, n_tan, n_ver)).max())
+    term = {j: share * sup}
+    chi = potential_gradient_plane({1: 1.0, **term} if family == "odd" else {1: 1.0},
+                                   term if family == "even" else {}, n_tan, n_ver)
+    assert float(np.abs(chi).max()) == sup
+    state = decompose_perturbation(chi, np.zeros_like(chi), 1)
+    kept = state.P if family == "odd" else state.g
+    assert set(kept) == ({1, j} if family == "odd" else {j})
+    assert kept[j] == pytest.approx(share * sup, rel=1e-3)
+    assert state.r_hat is None and state.r_dot_hat is None
+
+
+def test_a_gradient_that_misses_the_trace_is_a_fault(monkeypatch):
+    # a fault check: with a correct potential builder the kept terms absorb the trace, so
+    # a builder that lays half of each gradient stands in for the fault
     chi = potential_gradient_plane({3: 0.4}, {}, 16, 8)
-    with pytest.raises(ValueError, match="remainder field keeps a wall-normal trace of 1.200e"):
-        decompose_perturbation(chi, np.zeros_like(chi), 3, tol=0.5)
+    monkeypatch.setattr(functionals, "potential_gradient_plane",
+                        lambda *args: 0.5 * potential_gradient_plane(*args))
+    with pytest.raises(ValueError, match="remainder field keeps a wall-normal trace of 6.000e-01"):
+        decompose_perturbation(chi, np.zeros_like(chi), 3)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="the traces of dropped terms add up past 1e-9 * sup|chi|")
+def test_many_dropped_terms_stay_within_the_remainder_check():
+    # each of about 1000 odd/even pairs leaves the interface trace 1.8e-12 * sup|chi|, its
+    # two terms 0.9e-12 each, just below the tolerance: all are dropped, and at x1 = 0
+    # their traces add up to 2.4e-9 * sup|chi|, past the remainder check
+    n_tan, n_ver = 2048, 2
+    sup = float(np.abs(potential_gradient_plane({1: 1.0}, {}, n_tan, n_ver)).max())
+    tiny = {j: 0.9e-12 * sup / j for j in range(2, n_tan // 2)}
+    chi = potential_gradient_plane({1: 1.0, **tiny}, {j: -c for j, c in tiny.items()},
+                                   n_tan, n_ver)
+    assert float(np.abs(chi).max()) == sup
+    decompose_perturbation(chi, np.zeros_like(chi), 1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("which", ["chi", "chi_dot"])
+def test_decompose_rejects_non_finite_data(which, bad):
+    # the tolerance is 1e-12 * sup|vector|, which needs a finite sup: inf once gave the
+    # exact zero state and nan an r block of nan
+    good = potential_gradient_plane({2: 1.0}, {}, 16, 8)
+    broken = good.copy()
+    broken[0, 0, 3, 0, 4] = bad
+    pair = (broken, good) if which == "chi" else (good, broken)
+    with pytest.raises(ValueError, match="^chi and chi_dot must be finite$"):
+        decompose_perturbation(*pair, 2)
 
 
 @pytest.mark.parametrize("shape", [

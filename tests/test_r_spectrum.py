@@ -9,6 +9,7 @@ from khlab.core import (
     TwoPhaseGridField,
     tangential_grid,
 )
+from khlab.eigenmodes import potential_gradient_plane
 from khlab.evolution import StabilityError, apply_A, default_rk4_dt, evolve_state
 from khlab.functionals import (
     _r_energy,
@@ -296,19 +297,26 @@ def test_round_off_r_block_is_dropped_and_reads_as_zeros():
 
 
 def test_drop_threshold_is_the_decomposition_tolerance():
-    n_tan, n_ver, tol = 16, 6, 1e-12
+    n_tan, n_ver = 16, 6
     r = _r_vector(n_tan, n_ver, 8)
-    unit = (1.0 / np.abs(r).max()) * tol
     zero = np.zeros_like(r)
-    kept = 10.0 * unit * r
-    state = decompose_perturbation(kept, zero, 2, tol=tol)
+    # alone, a block is its vector's whole sup norm, so it is kept however small
+    kept = (1e-11 / np.abs(r).max()) * r
+    state = decompose_perturbation(kept, zero, 2)
     assert state.r_hat is not None and state.r_dot_hat is None
     chi, chi_dot = reconstruct_perturbation(state, n_tan, n_ver)
-    assert np.max(np.abs(chi - kept)) <= 1e-9 * 10.0 * tol
+    assert np.max(np.abs(chi - kept)) <= 1e-9 * 1e-11
     assert np.abs(chi_dot).max() == 0.0
-    # below the tolerance the block is round-off and goes
-    state = decompose_perturbation(zero, 0.5 * unit * r, 2, tol=tol)
-    assert state.r_hat is None and state.r_dot_hat is None
+    # beside a dominant potential term the tolerance is 1e-12 of that term's sup norm: a
+    # block 10 times above it is kept, one at half of it is round-off and goes
+    grad = potential_gradient_plane({2: 1.0}, {}, n_tan, n_ver)
+    tol = 1e-12 * np.abs(grad).max()
+    unit = (1.0 / np.abs(r).max()) * tol
+    state = decompose_perturbation(grad + 10.0 * unit * r, grad + 0.5 * unit * r, 2)
+    assert set(state.P) == set(state.P_dot) == {2}
+    assert state.r_hat is not None and state.r_dot_hat is None
+    # r keeps what the potential's round-off, about 1e-16 of sup|chi|, leaves of it
+    assert np.max(np.abs(state.r - 10.0 * unit * r)) <= 1e-3 * 10.0 * tol
 
 
 def test_absent_r_block_stays_absent_and_keeps_its_grid():

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PATTERN_CHECK = "tests/test_source.py::test_every_mutant_pattern_occurs_exactly_once"
+KEEP_RULE_TEST = "tests/test_functionals.py::test_a_potential_term_is_kept_by_its_interface_trace"
 
 
 class Mutant(NamedTuple):
@@ -50,6 +51,8 @@ MUTANTS = (
            ("tests/test_functionals.py", "tests/test_acceptance.py")),
     Mutant("rk4-default-step", "evolution.py", "0.25 / omega_max", "0.3 / omega_max",
            ("tests/test_evolution.py", "tests/test_cli.py")),
+    Mutant("rk4-step-c", "evolution.py", "z * z / 24.0", "z * z / 25.0",
+           ("tests/test_symbolic_oracle.py",)),
     Mutant("fd-residual-tol", "pressure.py", "RESIDUAL_TOL = 1e-10", "RESIDUAL_TOL = 1e-6",
            ("tests/test_pressure.py",)),
     # the mode audit: each end of each phase it reads, and its relative divergence
@@ -68,6 +71,11 @@ MUTANTS = (
            "np.exp(1j * j * (x1 + t))", ("tests/test_eigenmodes.py",)),
     Mutant("gradient-x1-factor", "eigenmodes.py", "(0, profile.scaled(1j * j))",
            "(0, profile.scaled(-1j * j))", ("tests/test_eigenmodes.py",)),
+    # the decomposition's keep rule: each family's term by its interface trace j*|c|
+    Mutant("keep-odd-by-coefficient", "functionals.py", "j * abs(c_f) > tol", "abs(c_f) > tol",
+           (KEEP_RULE_TEST,)),
+    Mutant("keep-even-by-coefficient", "functionals.py", "j * abs(c_g) > tol", "abs(c_g) > tol",
+           (KEEP_RULE_TEST,)),
 )
 
 
