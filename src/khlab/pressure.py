@@ -20,11 +20,12 @@ provided and tested against each other:
   are real, so a real FFT over x1 keeps only the modes with k1 >= 0;
   the rest are their complex conjugates.  Data constant in x2 come as a
   plane (x2 extent 1) with only k2 = 0 modes, so a plane solves
-  n_tan//2 + 1 systems, not (n_tan//2 + 1)*n_tan.  The tridiagonal
-  systems, the singular zero mode included, are solved by one batched
-  Thomas elimination, with no direct solve: the zero mode is pinned at
-  the upper wall and then shifted to the gauge, zero volume mean.  The
-  slip shift enters as the phase exp(i*k1*drift) on the lower trace.
+  n_tan//2 + 1 systems, not (n_tan//2 + 1)*n_tan.  Each mode's band
+  is read from the one statement of its rows, and all modes, the
+  singular zero mode included, are solved by one batched banded
+  elimination with no direct solve: the zero mode is pinned at the upper
+  wall and then shifted to the gauge, zero volume mean.  The slip shift
+  enters as the phase exp(i*k1*drift) on the lower trace.
 
 The harmonic + particular-source decomposition (value jump zero, flux
 jump M for the harmonic part; interior source with zero jumps for the
@@ -121,50 +122,45 @@ def _apply_mode_rows(z, h, lam, phi):
 
 
 def _solve_modes(b, h, lam, phi):
-    """Batched Thomas solve of the mode systems A z = b, modes on the last axis.
+    """Batched banded solve of the mode systems A z = b, modes on the last axis.
 
-    Each wall Neumann row and the flux row are combined with their
-    neighbouring interior rows, and the value row eliminates
-    up[0] = b[N] + phi*lo[N].  What remains is tridiagonal in
-    (lo[0..N], up[1..N]).  For -4 <= h^2 lam < 0 (n_tan up to about
-    4.4 n_ver) it is diagonally dominant, and for smaller h^2 lam the
-    interior rows dominate the pivots, so the elimination needs no
-    pivoting.  The zero mode (lam = 0) is singular, as constants solve
-    it: its upper wall row, which carries the compatibility condition of
-    the Neumann data, becomes the pin up[N] = 0, and after back
-    substitution the mode is shifted to the gauge, zero volume mean.
+    A is read from _apply_mode_rows alone.  Row i reaches columns i-3 to
+    i+2 (the flux row reaches lo[N-2] and up[2]), so the rows applied to
+    the columns j = q (mod 6) read one entry A[i, j] per row, and six such
+    probes read the band, kept as band[i, j % 6].  The zero mode (lam = 0)
+    is singular, as constants solve it: its upper wall row, which carries
+    the compatibility condition of the Neumann data, becomes the pin
+    up[N] = 0, and after the solve the mode is shifted to the gauge, zero
+    volume mean.  Elimination fills in only inside the band, so it runs in
+    place.  No pivoting is needed: for h^2 lam <= 0 each pivot is at least
+    3/4 of its row's largest entry and no entry grows.  The dense solve
+    test covers n_tan/n_ver from 1/8 to 8 with drift; beyond, the caller's
+    residual check raises for a mode the elimination fails.
     """
-    N = b.shape[0] // 2 - 1
-    h2 = h * h
-    c = 2.0 + h2 * lam
-    d = h2 * lam - 2.0
+    n = b.shape[0]
     zero = lam == 0.0
-    # (sub, diag, super) of rows 1..2N; row 0 has diag -2 and super c
-    rows = ([(1.0, d, 1.0)] * (N - 1)
-            + [(phi * c, -4.0 * phi, c), (phi, d, 1.0)]
-            + [(1.0, d, 1.0)] * (N - 2)
-            + [(np.where(zero, 0.0, -c), np.where(zero, 1.0, 2.0), 0.0)])
-    x = np.empty((2 * N + 1,) + b.shape[1:], dtype=complex)
-    x[:N] = h2 * b[:N]
-    x[0] = 2 * h * b[0] + h2 * b[1]
-    x[N] = 2 * h * b[N + 1] + h2 * (b[N + 2] + phi * b[N - 1]) + 2.0 * b[N]
-    x[N + 1:] = h2 * b[N + 2:]
-    x[N + 1] -= b[N]
-    x[2 * N] = np.where(zero, 0.0, 2 * h * b[2 * N + 1] - h2 * b[2 * N])
+    rows = np.arange(n)
+    band = np.empty((n, 6, lam.size), dtype=complex)
+    for q in range(6):
+        probe = np.broadcast_to((rows % 6 == q)[:, None] * 1.0, b.shape)
+        band[:, q] = _apply_mode_rows(probe, h, lam, phi)
+    band[-1, :, zero] = 0.0   # the zero mode's upper wall row becomes the pin up[N] = 0
+    band[-1, (n - 1) % 6, zero] = 1.0
+    z = b.astype(complex)
+    z[-1, zero] = 0.0   # the pin's right-hand side
 
-    # forward elimination, then back substitution in place
-    sup_scaled = np.empty_like(x)
-    sup_scaled[0] = c / -2.0
-    x[0] /= -2.0
-    for i, (sub, diag, sup) in enumerate(rows, start=1):
-        pivot = diag - sub * sup_scaled[i - 1]
-        sup_scaled[i] = sup / pivot
-        x[i] = (x[i] - sub * x[i - 1]) / pivot
-    for i in range(2 * N - 1, -1, -1):
-        x[i] -= sup_scaled[i] * x[i + 1]
+    # elimination without pivoting (lower bandwidth 3, upper 2), then back substitution
+    for k in range(n):
+        lower = band[k + 1:k + 4, k % 6] / band[k, k % 6]
+        for j in (k + 1, k + 2):
+            band[k + 1:k + 4, j % 6] -= lower * band[k, j % 6]
+        z[k + 1:k + 4] -= lower * z[k]
+    for k in range(n - 1, -1, -1):
+        z[k] /= band[k, k % 6]
+        above = slice(max(k - 2, 0), k)
+        z[above] -= band[above, k % 6] * z[k]
 
-    z = np.insert(x, N + 1, b[N] + phi * x[N], axis=0)   # up[0] from the value row
-    w = np.tile(_vertical_weights(N), 2)   # the trapezoid mean, summed elementwise
+    w = np.tile(_vertical_weights(n // 2 - 1), 2)   # the trapezoid mean, summed elementwise
     z[:, zero] -= (w[:, None] * z[:, zero]).sum(axis=0) / 2.0
     return z
 
@@ -185,13 +181,14 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
         Tangential slip offset, applied as the mode phase e^{i k1 drift}.
 
     Second-order accurate.  Only the k1 >= 0 half of the spectrum of the
-    real data is solved, every mode by one batched tridiagonal
-    elimination; the zero mode is pinned and then gauged to zero volume
-    mean.  A plane source (n_x2 = 1, constant in x2) has data only on
-    k2 = 0, so only those n_tan//2 + 1 modes are solved, into a plane.
-    Each solved mode's residual on the original rows must meet
-    RESIDUAL_TOL.  Raises SolvabilityError when the zero mode fails it
-    (incompatible Neumann data), PressureSolverError for any other mode.
+    real data is solved, every mode by one batched banded elimination;
+    the zero mode is pinned and then gauged to zero volume mean.  A plane
+    source (n_x2 = 1, constant in x2) has data only on k2 = 0, so only
+    those n_tan//2 + 1 modes are solved, into a plane.  Each solved
+    mode's residual on its rows, which also guards the band read from
+    them, must meet RESIDUAL_TOL.  Raises SolvabilityError when the zero
+    mode fails it (incompatible Neumann data), PressureSolverError for
+    any other mode.
     """
     n_tan, n_ver, n2 = source.n_tan, source.n_ver, source.n_x2
     if n_tan < 8 or n_ver < 8:

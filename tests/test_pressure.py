@@ -355,10 +355,11 @@ def _dense_reference_fd(source, value_jump, flux_jump, drift):
 
 
 def test_fd_batched_solve_matches_dense_reference():
-    # odd n_tan has no Nyquist k1; even n_tan keeps its phase at k1 = -n/2
+    # odd n_tan has no Nyquist k1; even n_tan keeps its phase at k1 = -n/2.  The band is
+    # eliminated without pivoting from n_tan/n_ver = 1/8 to 8, where h^2 lam reaches -13
     rng = np.random.default_rng(7)
-    for n in (8, 9, 15, 16):
-        values = rng.standard_normal((2, n, n, n + 1))
+    for n, N in ((8, 8), (9, 9), (15, 15), (16, 16), (64, 8), (8, 64)):
+        values = rng.standard_normal((2, n, n, N + 1))
         # zero tangential mean of source and flux jump keeps the zero-mode
         # data compatible; the value jump keeps its mean
         values -= values.mean(axis=(1, 2), keepdims=True)
@@ -368,7 +369,7 @@ def test_fd_batched_solve_matches_dense_reference():
         source = TwoPhaseGridField(values)
         q = solve_two_phase_poisson_fd(source, value_jump=vj, flux_jump=fj, drift=0.37)
         err = np.max(np.abs(q.values - _dense_reference_fd(source, vj, fj, 0.37)))
-        assert err <= 1e-12 * max(1.0, q.max_abs()), (n, err)
+        assert err <= 1e-12 * max(1.0, q.max_abs()), (n, N, err)
 
 
 def test_fd_solves_half_the_spectrum_and_gauges_directly(monkeypatch):

@@ -55,6 +55,16 @@ MUTANTS = (
            ("tests/test_symbolic_oracle.py",)),
     Mutant("fd-residual-tol", "pressure.py", "RESIDUAL_TOL = 1e-10", "RESIDUAL_TOL = 1e-6",
            ("tests/test_pressure.py",)),
+    # the FD rows, which the solver and the residual check both read: one coefficient of the
+    # lower wall, flux, value and interior rows each
+    Mutant("fd-wall-row", "pressure.py", "-3.0 * lo[0]", "-3.1 * lo[0]",
+           ("tests/test_pressure.py",)),
+    Mutant("fd-flux-row", "pressure.py", "- 4.0 * lo[N - 1]", "- 4.1 * lo[N - 1]",
+           ("tests/test_pressure.py",)),
+    Mutant("fd-value-row", "pressure.py", "up[0] - phi * lo[N]", "up[0] - 1.001 * phi * lo[N]",
+           ("tests/test_pressure.py",)),
+    Mutant("fd-interior-row", "pressure.py", "lam * lo[1:-1]", "1.001 * lam * lo[1:-1]",
+           ("tests/test_pressure.py",)),
     # the mode audit: each end of each phase it reads, and its relative divergence
     Mutant("audit-upper-wall", "eigenmodes.py", "profile.eval_upper(1.0)",
            "profile.eval_upper(0.5)", ("tests/test_eigenmodes.py",)),
