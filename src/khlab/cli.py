@@ -469,10 +469,7 @@ def _cmd_evolve(cfg: RunConfig):
 def _cmd_functionals(cfg: RunConfig):
     cutoff, samples, _ = _evolve_series(cfg)
     prop = check_proposition2(samples, cutoff, cfg.a, cfg.b)
-    series = [{"t": t, "E1_plus": E1p, "E1_minus": E1m, "F": F, "G": G} for t, E1p, E1m, F, G
-              in zip(prop.times, prop.E1_plus, prop.E1_minus, prop.F, prop.G)]
-    data = {"series": series, "proposition2": prop._asdict(),
-            "passed": prop.invariant}
+    data = {"proposition2": prop._asdict(), "passed": prop.invariant}
     return (0 if prop.invariant else 1), _json_payload(cfg, data)
 
 

@@ -67,9 +67,9 @@ def _potential_split(trace_up, trace_lo, tol, sup_norm):
     """
     n = trace_up.shape[0]
     # mean-normalised like every tangential transform, so a plane (x2 extent 1) gives the
-    # k2 = 0 column of its full-grid repeat; divided by a power of two unit >= the data's sup
-    # norm, the FFT's sums stay in the float range and in-range spectra keep every bit
-    unit = math.ldexp(1.0, math.frexp(sup_norm)[1])
+    # k2 = 0 column of its full-grid repeat; divided by a power of two unit > sup_norm / 2,
+    # the FFT's sums stay in the float range and in-range spectra keep every bit
+    unit = math.ldexp(0.5, math.frexp(sup_norm)[1])
     su, sl = (np.fft.fft2(trace / unit, norm="forward") * unit for trace in (trace_up, trace_lo))
 
     # column 0 is k2 = 0, the streamwise line; a plane has no other column
@@ -95,12 +95,12 @@ def _potential_split(trace_up, trace_lo, tol, sup_norm):
 
     odd, even = {}, {}
     for j in range(1, (n + 1) // 2):
-        cu = complex(2.0 * su[j, 0])
-        cl = complex(2.0 * sl[j, 0])
+        cu = complex(su[j, 0])   # half the trace amplitudes, so that cu + cl stays in range
+        cl = complex(sl[j, 0])
         # per-phase cosh(j(x3 -/+ 1)) amplitudes of the Neumann solution combine into the
         # odd/even family coefficients, each kept if the interface trace j*|c| it leaves > tol
-        c_f = (cu + cl) / (2.0 * j)
-        c_g = (cl - cu) / (2.0 * j)
+        c_f = (cu + cl) / j
+        c_g = (cl - cu) / j
         if j * abs(c_f) > tol:
             odd[j] = c_f
         if j * abs(c_g) > tol:
@@ -126,9 +126,11 @@ def _decompose_single(chi):
     # r3 must vanish on the interface and wall rows: checked, then snapped exactly; each
     # dropped family term leaves a trace j*|c| <= tol there, and fewer than n_tan are dropped
     worst = float(np.max(np.abs(values[2][..., [0, -1]])))
-    if worst > 1e-9 * scale + n_tan * tol:
-        raise ValueError(f"remainder field keeps a wall-normal trace of {worst:.3e}; "
-                         "decomposition failed to absorb the interface motion")
+    bound = 1e-9 * scale + n_tan * tol
+    if worst > bound:
+        raise ValueError(f"remainder field keeps a wall-normal trace of {worst:.3e}, above "
+                         f"(1e-9 + n_tan*1e-12)*sup|chi| = {bound:.3e}; decomposition "
+                         "failed to absorb the interface motion")
     values[2][..., [0, -1]] = 0.0
     # a remainder with no entry above tol is round-off and dropped; max(max, -min) is
     # max|r| without an |r| temporary
@@ -139,28 +141,35 @@ def _decompose_single(chi):
 def decompose_perturbation(chi, chi_dot, n_cutoff: int) -> PerturbationState:
     """Split (chi, d chi/dt) into the four-part state (P, L, g, r).
 
-    chi and chi_dot are grid 3-vectors, float arrays of shape
-    (3, 2, n_tan, n_tan or 1, n_ver + 1) with axes (component, phase, x1,
-    x2, x3), finite and with a wall-normal component that vanishes at the
-    walls; another shape raises GridMismatchError, a non-finite entry
-    ValueError.  The harmonic potential is solved from the interface
-    traces of the third component and split into odd and even streamwise
-    families; the odd coefficients c of chi and d of chi_dot give
-    w+/- = d +/- j*c, which P (j >= n_cutoff) and L read.  The remainder
-    r = chi - grad h has zero wall-normal trace on the interface and the
-    walls (checked, then snapped exactly); chi_dot fills the velocity
-    partners the same way.  Each vector's tolerance is 1e-12 times its own
-    sup norm: a family term c at frequency j is kept when its interface
-    trace j*|c| is above it, and an r or r_dot with no entry above it reads
-    back as None.  So data scaled by a power of two give the exactly scaled
-    state, and all-zero data the exact zero state.
+    chi and chi_dot are grid 3-vectors, float arrays of shape (3, 2, n_tan,
+    n_tan or 1, n_ver + 1) with axes (component, phase, x1, x2, x3), finite
+    and with a wall-normal component that vanishes at the walls; another shape
+    raises GridMismatchError, a non-finite entry ValueError, data whose
+    potential gradient, x2 spectrum of r or w+/- leave the float range
+    OverflowError.  The harmonic potential is solved from the interface traces
+    of the third component and split into odd and even streamwise families;
+    the odd coefficients c of chi and d of chi_dot give w+/- = d +/- j*c,
+    which P (j >= n_cutoff) and L read.  The remainder r = chi - grad h has
+    zero wall-normal trace on the interface and the walls (checked, then
+    snapped exactly); chi_dot fills the velocity partners the same way.  Each
+    vector's tolerance is 1e-12 times its own sup norm: a family term c at
+    frequency j is kept when its interface trace j*|c| is above it, and an r
+    or r_dot with no entry above it reads back as None.  So data scaled by a
+    power of two give the exactly scaled state, and all-zero data the exact
+    zero state.
     """
     if n_cutoff < 1:
         raise ValueError("n_cutoff must be >= 1")
-    # one vector at a time, so only one stacked copy is alive
-    odd, even, r_hat = _decompose_single(chi)
-    odd_dot, even_dot, r_dot_hat = _decompose_single(chi_dot)
+    try:   # one vector at a time, so only one stacked copy is alive
+        with np.errstate(over="raise", invalid="raise"):
+            odd, even, r_hat = _decompose_single(chi)
+            odd_dot, even_dot, r_dot_hat = _decompose_single(chi_dot)
+    except (OverflowError, FloatingPointError):
+        raise OverflowError("the potential gradient or the x2 spectrum of r leaves the float "
+                            "range; scale the data down") from None
     w = PerturbationState._characteristic(odd, odd_dot)
+    if not np.isfinite([*w[0].values(), *w[1].values()]).all():
+        raise OverflowError("w+/- = d +/- j*c leave the float range; scale the data down")
     return PerturbationState._from_spectra(n_cutoff, *w, even, even_dot, r_hat, r_dot_hat)
 
 
@@ -258,12 +267,11 @@ def h2_readout(state: PerturbationState) -> float:
 class Proposition2Report(NamedTuple):
     """Invariant-region audit of a trajectory.
 
-    The region is {E1+ >= E1-, E1+ >= n^3 F, E1+ >= n^3 G}.  The report
-    records the functional series, the first time any inequality fails
-    (None if the region is invariant along the samples) and the two
-    spectral side bounds: E_mu+/- >= n^(2(mu-nu)) E_nu+/- for
-    (mu, nu) = (3/2, 1), and ||A L|| <= (n-1)^2 ||L|| (checked with a
-    1e-12 relative roundoff guard).
+    The region is {E1+ >= E1-, E1+ >= n^3 F, E1+ >= n^3 G}; the report
+    holds the series and the first time an inequality fails (None if none
+    does).  No side bound needs a check: P holds exactly j >= n and L
+    exactly j < n, so E_3/2+/- >= n E_1+/- (j^3 >= n j^2) and
+    ||A L|| <= (n-1)^2 ||L|| (j^4 <= (n-1)^4) hold term by term.
     """
 
     n_cutoff: int
@@ -274,16 +282,6 @@ class Proposition2Report(NamedTuple):
     G: list
     invariant: bool
     first_violation_time: float
-    aux_order_bound_ok: bool
-    aux_low_frequency_bound_ok: bool
-
-
-def _aux_bounds_ok(state: PerturbationState, n: int, E1p, E1m, rel=1e-12):
-    E32p, E32m = _E_mu(state, 1.5)
-    order_ok = bool(E32p >= n * E1p * (1 - rel) and E32m >= n * E1m * (1 - rel))
-    L = state.L
-    low_ok = bool(_coefficient_sum(L, 2) <= max(n - 1, 1) ** 4 * _coefficient_sum(L, 0) * (1 + rel))
-    return order_ok, low_ok
 
 
 def _time_ordered(trajectory):
@@ -306,7 +304,7 @@ def check_proposition2(trajectory, n_cutoff: int, a: float, b: float) -> Proposi
     states with mismatched cutoffs are rejected.  a and b enter only
     through the r part of F.
     """
-    series, bounds = [], []   # (t, E1+, E1-, F, G) and the two side-bound flags per sample
+    series = []   # (t, E1+, E1-, F, G) per sample
     first_violation_time = None
     n3 = float(n_cutoff) ** 3
     for t, state in _time_ordered(trajectory):
@@ -318,9 +316,8 @@ def check_proposition2(trajectory, n_cutoff: int, a: float, b: float) -> Proposi
         inside = (E1p >= E1m) and (E1p >= n3 * rep.F) and (E1p >= n3 * rep.G)
         if not inside and first_violation_time is None:
             first_violation_time = t
-        bounds.append(_aux_bounds_ok(state, n_cutoff, E1p, E1m))
     return Proposition2Report(n_cutoff, *map(list, zip(*series)), first_violation_time is None,
-                              first_violation_time, *map(all, zip(*bounds)))
+                              first_violation_time)
 
 
 # The growth check's relative allowance: E1+(t) may fall short of E1+(0) e^{n t} by this

@@ -62,7 +62,7 @@ def solve_mode_interface_flux(k: WaveVector, value_jump=0.0, flux_jump=0.0,
 
     value_jump is the Dirichlet jump of the mode across the interface,
     flux_jump the jump of its normal derivative (upper minus shifted
-    lower in both cases); both must be finite.  Returns (q_upper,
+    lower in both cases); both, and drift, must be finite.  Returns (q_upper,
     q_lower) vertical profiles with homogeneous Neumann walls, the
     prescribed value and flux jumps at the interface and, for pure flux
     data, the reflection symmetry q_lower(x3) = q_upper(-x3) up to the
@@ -72,7 +72,7 @@ def solve_mode_interface_flux(k: WaveVector, value_jump=0.0, flux_jump=0.0,
     to the lower amplitude.
     """
     g1, g2 = complex(value_jump), complex(flux_jump)
-    for name, c in (("value_jump", g1), ("flux_jump", g2)):
+    for name, c in (("value_jump", g1), ("flux_jump", g2), ("drift", complex(drift))):
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError(f"{name} must be finite")
     kappa = k.kappa
@@ -178,7 +178,7 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
         (shifted lower trace when drift != 0) on the source's x2 extent
         n_x2; None means zero.
     drift : float
-        Tangential slip offset, applied as the mode phase e^{i k1 drift}.
+        Finite tangential slip offset, applied as the mode phase e^{i k1 drift}.
 
     Second-order accurate.  Only the k1 >= 0 half of the spectrum of the
     real data is solved, every mode by one batched banded elimination;
@@ -186,9 +186,10 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     source (n_x2 = 1, constant in x2) has data only on k2 = 0, so only
     those n_tan//2 + 1 modes are solved, into a plane.  Each solved
     mode's residual on its rows, which also guards the band read from
-    them, must meet RESIDUAL_TOL.  Raises SolvabilityError when the zero
-    mode fails it (incompatible Neumann data), PressureSolverError for
-    any other mode.
+    them, must meet RESIDUAL_TOL, and SolvabilityError names a zero mode
+    that fails it (incompatible Neumann data), PressureSolverError any
+    other.  Non-finite data or drift raise ValueError, data whose
+    transform leaves the float range OverflowError.
     """
     n_tan, n_ver, n2 = source.n_tan, source.n_ver, source.n_x2
     if n_tan < 8 or n_ver < 8:
@@ -198,8 +199,8 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     fj = np.zeros((n_tan, n2)) if flux_jump is None else np.asarray(flux_jump, dtype=float)
     if vj.shape != (n_tan, n2) or fj.shape != (n_tan, n2):
         raise ValueError(f"jump data must be {(n_tan, n2)} interface grids, the source's extent")
-    if not all(np.isfinite(a).all() for a in (source.values, vj, fj)):
-        raise ValueError("source, value_jump and flux_jump must be finite")
+    if not all(np.isfinite(a).all() for a in (source.values, vj, fj, drift)):
+        raise ValueError("source, value_jump, flux_jump and drift must be finite")
 
     # right-hand sides with the vertical rows first and the modes last:
     # k = (freqs[i1], freqs[i2]) with i1 < n_half is column i1 * n2 + i2,
@@ -210,7 +211,11 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     b = np.zeros((2, N + 1, n_tan, n2))
     b[:, 1:N] = np.moveaxis(source.values[::-1, :, :, 1:N], -1, 1)
     b[0, N], b[1, 0] = vj, fj
-    b = np.fft.rfft2(b, axes=(3, 2), norm="forward").reshape(2 * N + 2, n_half * n2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.fft.rfft2(b, axes=(3, 2), norm="forward").reshape(2 * N + 2, n_half * n2)
+        b_max = np.max(np.abs(b), axis=0)   # per mode
+    if not np.isfinite(b_max).all():
+        raise OverflowError("the transformed source and jumps leave the float range")
 
     freqs = np.rint(np.fft.fftfreq(n_tan) * n_tan).astype(int)
     h_tan = source.h_tan
@@ -220,7 +225,7 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
 
     z = _solve_modes(b, h, lam, phi)
     residual = np.max(np.abs(_apply_mode_rows(z, h, lam, phi) - b), axis=0)
-    scale = np.maximum(1.0, np.max(np.abs(b), axis=0))
+    scale = np.maximum(1.0, b_max)
     failed = np.flatnonzero(~(residual <= RESIDUAL_TOL * scale))
     if failed.size and failed[0] == 0:
         raise SolvabilityError(

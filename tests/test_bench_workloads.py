@@ -72,8 +72,8 @@ def test_illposedness_growth_factor_is_the_functionals_ratio(capsys, workloads, 
     docs = {inv.command: json.loads(_stdout(capsys, inv.argv))["data"]
             for inv in workloads.invocations("illposed-pipeline", seed)
             if inv.command in ("functionals", "illposedness")}
-    series = docs["functionals"]["series"]
-    assert docs["illposedness"]["growth_factor"] == series[-1]["E1_plus"] / series[0]["E1_plus"]
+    E1_plus = docs["functionals"]["proposition2"]["E1_plus"]
+    assert docs["illposedness"]["growth_factor"] == E1_plus[-1] / E1_plus[0]
 
 
 @pytest.mark.parametrize("samples", [None, "4"])

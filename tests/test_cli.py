@@ -431,7 +431,7 @@ def test_functionals_json(capsys):
     doc = json.loads(out)
     validate_report(doc)
     assert doc["data"]["proposition2"]["invariant"] is True
-    assert len(doc["data"]["series"]) == 5
+    assert len(doc["data"]["proposition2"]["times"]) == 5
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
@@ -1092,7 +1092,7 @@ def _grid_output_problems(cli_mod, command, args, code, out):
         data = doc["data"]
         if command == "pressure":
             return [] if len(data["errors"]) == len(cfg.kappas) * cfg.refinements else ["rows"]
-        series = data["series"] if command == "functionals" else data["growth"]["times"]
+        series = (data["proposition2"] if command == "functionals" else data["growth"])["times"]
         return (([] if data["passed"] == (code == 0) else ["verdict"])
                 + ([] if len(series) == cfg.samples else ["rows"]))
     lines = out.splitlines()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -37,16 +38,46 @@ from reference_fields import (
 )
 
 
+def _grad_f1_at(sup):
+    grad_f1 = potential_gradient_plane({1: 1.0}, {}, 16, 8)
+    return grad_f1 * (sup / np.abs(grad_f1).max())
+
+
 @pytest.mark.filterwarnings("error")
-def test_decomposition_at_the_top_of_the_float_range_is_exactly_scaled():
+@pytest.mark.parametrize("chi, chi_dot, n_cutoff", [
     # the interface trace FFT once summed values near 1.7e308 past the float range: four
     # RuntimeWarnings, then "remainder field keeps a wall-normal trace of 4.133e+307"
-    chi, chi_dot = perturbed_initial_data(2, 1.7e308, 16, 32)
+    pytest.param(*perturbed_initial_data(2, 1.7e308, 16, 32), 15, id="seed"),
+    # a sup norm of 2^1023 or more raised a bare "math range error": the trace transform's
+    # scaling unit, the next power of two, left the float range
+    pytest.param(_grad_f1_at(1.7e308), np.zeros((3, 2, 16, 1, 9)), 1, id="sup-1.7e308"),
+])
+def test_decomposition_at_the_top_of_the_float_range_is_exactly_scaled(chi, chi_dot, n_cutoff):
     small = [v * 2.0 ** -600 for v in (chi, chi_dot)]
-    big, ref = decompose_perturbation(chi, chi_dot, 15), decompose_perturbation(*small, 15)
+    big = decompose_perturbation(chi, chi_dot, n_cutoff)
+    ref = decompose_perturbation(*small, n_cutoff)
     for name in ("w_plus", "w_minus", "g", "g_dot"):
         assert getattr(big, name) == {j: 2.0 ** 600 * x for j, x in getattr(ref, name).items()}
     assert big.w_plus and big.r_hat is None and big.r_dot_hat is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_decomposition_names_what_leaves_the_float_range():
+    # these raised a bare "math range error" (sup norm 2^1023 or more); with chi_dot = chi,
+    # w+ = d + j*c = 2 c_1 is past the float range, so no state can hold it
+    chi = _grad_f1_at(1.7e308)
+    with pytest.raises(OverflowError, match=r"^w\+/- = d \+/- j\*c leave the float range"):
+        decompose_perturbation(chi, chi, 1)
+    # a trace (1, 0, -1, 0, ...) * 1.7e308, whose potential gradient peaks past the float
+    # range, and a constant full-grid r, whose x2 transform sums past it
+    spike = np.zeros((3, 2, 8, 1, 5))
+    spike[2, 0, :3, 0, 0] = (1.7e308, 0.0, -1.7e308)
+    flat = np.zeros((3, 2, 8, 8, 5))
+    flat[0] = 1.7e308
+    for data in (spike, flat):
+        with pytest.raises(OverflowError, match="^the potential gradient or the x2 spectrum of r "
+                                                "leaves the float range"):
+            decompose_perturbation(data, np.zeros_like(data), 1)
 
 
 def _grad_f(j, coeff, n_tan, n_ver):
@@ -382,16 +413,21 @@ def test_a_gradient_that_misses_the_trace_is_a_fault(monkeypatch):
     chi = potential_gradient_plane({3: 0.4}, {}, 16, 8)
     monkeypatch.setattr(functionals, "potential_gradient_plane",
                         lambda *args: 0.5 * potential_gradient_plane(*args))
-    with pytest.raises(ValueError, match="remainder field keeps a wall-normal trace of 6.000e-01"):
+    # sup|chi| is 1.206 here, so the bound (1e-9 + 16e-12)*sup|chi| is 1.225e-09
+    with pytest.raises(ValueError, match=re.escape(
+            "remainder field keeps a wall-normal trace of 6.000e-01, above "
+            "(1e-9 + n_tan*1e-12)*sup|chi| = 1.225e-09;")):
         decompose_perturbation(chi, np.zeros_like(chi), 3)
 
 
 @pytest.mark.parametrize("n_tan, paired", [(2048, True), (4096, False)])
 def test_many_dropped_terms_stay_within_the_remainder_check(n_tan, paired):
     # every term j >= 2 leaves the interface trace 0.9e-12 * sup|grad f_1|, just below the
-    # tolerance, so all are dropped; about 2040 of them, odd/even pairs at n_tan 2048 or odd
-    # terms alone at 4096, add up to 1.8e-9 * sup at x1 = 0.  That is past 1e-9 * sup|chi|,
-    # but within the remainder check's allowance of n_tan dropped traces
+    # tolerance 1e-12 * sup|chi| (sup|chi| = sup|grad f_1| to 1e-12), so all are dropped:
+    # 2044 terms in odd/even pairs at n_tan 2048, or 2046 odd terms alone at 4096.  Their
+    # traces add up to 1.84e-9 * sup|chi| at x1 = 0, past 1e-9 * sup|chi| but within the
+    # remainder check's bound (1e-9 + n_tan * 1e-12) * sup|chi|: 3.05e-9 * sup|chi| at
+    # n_tan 2048 and 5.10e-9 * sup|chi| at 4096
     n_ver = 2
     sup = float(np.abs(potential_gradient_plane({1: 1.0}, {}, n_tan, n_ver)).max())
     tiny = {j: 0.9e-12 * sup / j for j in range(2, n_tan // 2)}
@@ -622,8 +658,6 @@ def test_proposition2_region_invariant_along_exact_evolution():
             report = check_proposition2(traj, n, a, b)
             assert report.invariant, f"exited region at t={report.first_violation_time}"
             assert report.first_violation_time is None
-            assert report.aux_order_bound_ok
-            assert report.aux_low_frequency_bound_ok
 
 
 def test_proposition2_detects_initial_violation():
@@ -641,8 +675,37 @@ def test_proposition2_aux_ratio_pure_mode():
     state = PerturbationState(n, P={j: 1.0}, P_dot={j: float(j)})
     rep = compute_functionals(state, [1.0, 1.5], 0.0, 0.0)
     assert rep.E_plus[1.5] / rep.E_plus[1.0] == pytest.approx(float(j), rel=1e-12)
-    report = check_proposition2([(0.0, state)], n, 0.0, 0.0)
-    assert report.aux_order_bound_ok
+
+
+def test_the_side_bounds_hold_for_any_state_property():
+    # a state keeps exactly the j >= n in P and the j < n in L, whatever keys and w+/- it is
+    # built from, so E_3/2+/- >= n E_1+/- (j^3 >= n j^2 term by term) and ||A L|| <=
+    # (n-1)^2 ||L|| (j^4 <= (n-1)^4) hold without a check.  |w| >= 1e-150 or 0 keeps each
+    # term's square normal: on subnormal terms (j = n = 64, |w| near 1e-160) the sums lose
+    # more than the 1e-12 relative guard
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.just(0j) | st.complex_numbers(min_magnitude=1e-150, max_magnitude=1e100,
+                                             allow_nan=False, allow_infinity=False)
+
+    @st.composite
+    def states(draw):
+        n = draw(st.integers(1, 80))
+        keys = draw(st.lists(st.integers(1, 64), unique=True, max_size=8))
+        w_plus, w_minus = ({j: draw(coeff) for j in keys} for _ in range(2))
+        return PerturbationState._from_spectra(n, w_plus, w_minus, {}, {}, None, None)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(states())
+    def check(state):
+        n = state.n_cutoff
+        assert all(j >= n for j in [*state.P, *state.P_dot])
+        assert all(j < n for j in [*state.L, *state.L_dot])
+        rep = compute_functionals(state, [1.0, 1.5], 0.0, 0.0)
+        for E in (rep.E_plus, rep.E_minus):
+            assert E[1.5] >= n * E[1.0] * (1 - 1e-12)
+
+    check()
 
 
 def test_proposition2_input_validation():

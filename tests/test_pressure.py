@@ -103,9 +103,10 @@ def test_kappa_zero_mode_is_solvability_error():
 
 
 def test_mode_solver_rejects_non_finite_jumps():
+    # a non-finite drift once gave a lower profile of NaN
     for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 0.0)):
-        for name in ("value_jump", "flux_jump"):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+        for name in ("value_jump", "flux_jump", "drift"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 solve_mode_interface_flux(WaveVector(1, 0), **{name: bad})
 
 
@@ -313,9 +314,30 @@ def test_fd_rejects_non_finite_data():
     bad_trace[1, 5] = np.inf
     for kwargs in ({"source": bad_source},
                    {"source": TwoPhaseGridField.zeros(n, n), "value_jump": bad_trace},
-                   {"source": TwoPhaseGridField.zeros(n, n), "flux_jump": bad_trace}):
+                   {"source": TwoPhaseGridField.zeros(n, n), "flux_jump": bad_trace},
+                   # drift=inf emitted RuntimeWarnings, then claimed incompatible data
+                   {"source": TwoPhaseGridField.zeros(n, n), "drift": np.inf},
+                   {"source": TwoPhaseGridField.zeros(n, n), "drift": np.nan}):
         with pytest.raises(ValueError, match="must be finite"):
             solve_two_phase_poisson_fd(**kwargs)
+
+
+@pytest.mark.parametrize("which", ["source", "flux_jump"])
+def test_fd_names_an_overflowing_right_hand_side(which):
+    # zero-mean data 1e308 * cos(x1) are compatible, but the forward transform's sums leave
+    # the float range: that emitted RuntimeWarnings (errors here, as every warning in this
+    # suite) and then raised SolvabilityError("incompatible pure-Neumann data")
+    n = 8
+    source = TwoPhaseGridField.zeros(n, n)
+    trace = np.zeros((n, n))
+    wave = 1e308 * np.cos(2.0 * math.pi * np.arange(n) / n)[:, None]
+    if which == "source":
+        source.values[:, :, :, 1:-1] = wave[..., None]
+    else:
+        trace[...] = wave
+    with pytest.raises(OverflowError, match="^the transformed source and jumps leave the float "
+                                            "range$"):
+        solve_two_phase_poisson_fd(source, flux_jump=trace)
 
 
 def _dense_reference_fd(source, value_jump, flux_jump, drift):

@@ -8,7 +8,7 @@ test passed).  The working tree is never modified.
 
     python tools/mutants.py                  # every mutant
     python tools/mutants.py rk4-limit ...    # the named mutants
-    python tools/mutants.py --suite low-ok   # against the whole suite, not its tests
+    python tools/mutants.py --suite rk4-limit  # against the whole suite, not its tests
 
 The exit code is 0 when every mutant ran, whatever its verdict, and 2 when a
 pattern is missing or a test run could not start.  A full run takes a few
@@ -39,16 +39,12 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # the verdict thresholds and comparisons of the closed forms, the solver and the checks
-    Mutant("aux-rel", "functionals.py", "rel=1e-12):", "rel=1e-6):",
-           ("tests/test_functionals.py", "tests/test_acceptance.py")),
     Mutant("rk4-limit", "evolution.py", "RK4_STABILITY_LIMIT = 2.8", "RK4_STABILITY_LIMIT = 2.9",
            ("tests/test_evolution.py",)),
     Mutant("growth-tol", "functionals.py", "GROWTH_TOL = 1e-6", "GROWTH_TOL = 1e-4",
            ("tests/test_cli.py",)),
     Mutant("syrovatskij-first", "stability.py", "du_sq <= 2.0", "du_sq < 2.0",
            ("tests/test_stability.py",)),
-    Mutant("low-ok", "functionals.py", "max(n - 1, 1) ** 4", "max(n, 1) ** 4",
-           ("tests/test_functionals.py", "tests/test_acceptance.py")),
     Mutant("rk4-default-step", "evolution.py", "0.25 / omega_max", "0.3 / omega_max",
            ("tests/test_evolution.py", "tests/test_cli.py")),
     Mutant("rk4-step-c", "evolution.py", "z * z / 24.0", "z * z / 25.0",
