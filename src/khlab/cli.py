@@ -261,11 +261,10 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _column_text(column):
-    """The text of every value in a column (an array's via .tolist()), by its Python type."""
-    values = column.tolist() if hasattr(column, "tolist") else column
+    """The text of every value in a column, a list or tuple, by its Python type."""
     return [("true" if v else "false") if isinstance(v, bool)
             else "%.17g" % v if isinstance(v, float)
-            else str(v) for v in values]          # integers and text
+            else str(v) for v in column]          # integers and text
 
 
 def _echo_text(value):
@@ -327,7 +326,10 @@ def _json_payload(cfg: RunConfig, data):
            "config": {k: v if isinstance(v, (int, float, str)) else _echo_text(v)
                       for k, v in _config_echo(cfg).items()},
            "data": data}
-    validate_report(doc)
+    try:
+        validate_report(doc)
+    except ValueError as exc:   # a report khlab built is at fault, not the user's input
+        raise RuntimeError(f"the report fails its schema: {exc}") from None
     try:
         return [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"]
     except ValueError as exc:

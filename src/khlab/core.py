@@ -58,6 +58,11 @@ def exp_weights(kappa: float):
     return math.exp(-kappa) * large, large
 
 
+def power_of_two_unit(sup):
+    """The power of two u <= sup < 2u (0.5 at sup = 0), the unit that puts data in (-2, 2)."""
+    return math.ldexp(0.5, math.frexp(sup)[1])
+
+
 def _make_validated(cls, fields):
     """namedtuple's _make, which _replace calls, through a validating constructor."""
     return cls(*fields)
@@ -410,8 +415,9 @@ class PerturbationState:
                       for j in sorted({*c, *d})} for sign in (1, -1))
 
     def _odd(self, high, velocity):
-        """c = (w+ - w-)/(2j) or d = (w+ + w-)/2 per side of the cutoff; exact zeros left out."""
-        views = ((j, (w + self.w_minus[j]) / 2 if velocity else (w - self.w_minus[j]) / (2 * j))
+        """c = (w+/2 - w-/2)/j or d = w+/2 + w-/2 per side of the cutoff; exact zeros left out."""
+        views = ((j, w / 2 + self.w_minus[j] / 2 if velocity   # halved first, so in range
+                  else (w / 2 - self.w_minus[j] / 2) / j)
                  for j, w in self.w_plus.items() if (j >= self.n_cutoff) == high)
         return {j: v for j, v in views if v != 0}
 

@@ -46,6 +46,7 @@ from khlab.core import (
     _r_stiffness,
     _vertical_weights,
     np,
+    power_of_two_unit,
 )
 from khlab.eigenmodes import potential_gradient_norm_sq, potential_gradient_plane
 
@@ -69,7 +70,7 @@ def _potential_split(trace_up, trace_lo, tol, sup_norm):
     # mean-normalised like every tangential transform, so a plane (x2 extent 1) gives the
     # k2 = 0 column of its full-grid repeat; divided by a power of two unit > sup_norm / 2,
     # the FFT's sums stay in the float range and in-range spectra keep every bit
-    unit = math.ldexp(0.5, math.frexp(sup_norm)[1])
+    unit = power_of_two_unit(sup_norm)
     su, sl = (np.fft.fft2(trace / unit, norm="forward") * unit for trace in (trace_up, trace_lo))
 
     # column 0 is k2 = 0, the streamwise line; a plane has no other column

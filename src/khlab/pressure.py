@@ -41,6 +41,7 @@ from khlab.core import (
     _vertical_weights,
     exp_weights,
     np,
+    power_of_two_unit,
     tangential_grid,
     vertical_levels,
 )
@@ -186,10 +187,12 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     source (n_x2 = 1, constant in x2) has data only on k2 = 0, so only
     those n_tan//2 + 1 modes are solved, into a plane.  Each solved
     mode's residual on its rows, which also guards the band read from
-    them, must meet RESIDUAL_TOL, and SolvabilityError names a zero mode
+    them, must meet RESIDUAL_TOL in the data's unit 2^(e-1) <= max|data|
+    < 2^e, by which the whole solve divides them: any finite data solve,
+    2^k times them exactly 2^k times.  SolvabilityError names a zero mode
     that fails it (incompatible Neumann data), PressureSolverError any
-    other.  Non-finite data or drift raise ValueError, data whose
-    transform leaves the float range OverflowError.
+    other; non-finite data or drift raise ValueError, a solution past the
+    float range OverflowError.
     """
     n_tan, n_ver, n2 = source.n_tan, source.n_ver, source.n_x2
     if n_tan < 8 or n_ver < 8:
@@ -211,11 +214,8 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     b = np.zeros((2, N + 1, n_tan, n2))
     b[:, 1:N] = np.moveaxis(source.values[::-1, :, :, 1:N], -1, 1)
     b[0, N], b[1, 0] = vj, fj
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = np.fft.rfft2(b, axes=(3, 2), norm="forward").reshape(2 * N + 2, n_half * n2)
-        b_max = np.max(np.abs(b), axis=0)   # per mode
-    if not np.isfinite(b_max).all():
-        raise OverflowError("the transformed source and jumps leave the float range")
+    unit = power_of_two_unit(float(max(b.max(), -b.min())))   # so that |b / unit| < 2
+    b = np.fft.rfft2(b / unit, axes=(3, 2), norm="forward").reshape(2 * N + 2, n_half * n2)
 
     freqs = np.rint(np.fft.fftfreq(n_tan) * n_tan).astype(int)
     h_tan = source.h_tan
@@ -225,22 +225,20 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
 
     z = _solve_modes(b, h, lam, phi)
     residual = np.max(np.abs(_apply_mode_rows(z, h, lam, phi) - b), axis=0)
-    scale = np.maximum(1.0, b_max)
-    failed = np.flatnonzero(~(residual <= RESIDUAL_TOL * scale))
-    if failed.size and failed[0] == 0:
-        raise SolvabilityError(
-            f"incompatible pure-Neumann data on the zero mode "
-            f"(residual {residual[0]:.3e})")
+    failed = np.flatnonzero(~(residual <= RESIDUAL_TOL))
     if failed.size:
         i1, i2 = divmod(int(failed[0]), n2)
-        raise PressureSolverError(
-            f"mode ({freqs[i1]},{freqs[i2]}) residual {residual[failed[0]]:.3e} "
-            f"exceeds {RESIDUAL_TOL}")
+        text = f"residual {residual[failed[0]]:.3e} in the data's unit 2^{math.log2(unit):g}"
+        if failed[0] == 0:
+            raise SolvabilityError(f"incompatible pure-Neumann data on the zero mode ({text})")
+        raise PressureSolverError(f"mode ({freqs[i1]},{freqs[i2]}) {text} exceeds {RESIDUAL_TOL}")
 
     z = z.reshape(2 * N + 2, n_half, n2)
     vals = np.fft.irfft2(z, s=(n2, n_tan), axes=(2, 1), norm="forward").reshape(2, N + 1, n_tan, n2)
-    # rows are lower then upper phase: a view with the phases reversed, x3 last
-    return TwoPhaseGridField(np.moveaxis(vals[::-1], 1, -1))
+    if not math.isfinite(float(max(vals.max(), -vals.min())) * unit):
+        raise OverflowError("the solution leaves the float range")
+    # rows are lower then upper phase: the phases reversed, x3 last
+    return TwoPhaseGridField(np.moveaxis(vals[::-1] * unit, 1, -1))
 
 
 def pressure_decomposition(source: TwoPhaseGridField, M_data=None):

@@ -881,6 +881,22 @@ def test_non_finite_report_exit_code(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_report_that_fails_its_schema_is_an_internal_error(monkeypatch, capsys):
+    # khlab built the report, so a schema violation is its defect, not the user's input:
+    # this exited 2 with "khlab: invalid input: schema violation at $.data.k1: ..."
+    import khlab.cli as cli_mod
+
+    def bad_report(cfg):
+        return 0, cli_mod._json_payload(cfg, {"k1": "x"})
+
+    monkeypatch.setitem(cli_mod._HANDLERS, "verify", bad_report)
+    assert main(["--command", "verify", "--k", "1,0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("khlab: internal error: RuntimeError: the report fails its schema: "
+                   "schema violation at $.data.k1: expected integer\n")
+
+
 def test_functional_overflow_exit_code(capsys):
     # E1+ ~ e^{2 n t} overflows at n t = 400 although the propagator does not:
     # exit 3 with one line, and no RuntimeWarning on the way

@@ -80,6 +80,21 @@ def test_decomposition_names_what_leaves_the_float_range():
             decompose_perturbation(data, np.zeros_like(data), 1)
 
 
+@pytest.mark.parametrize("n_cutoff", [2, 3])   # the j = 2 term in P, then in L
+def test_odd_views_of_characteristic_amplitudes_at_the_top_of_the_float_range(n_cutoff):
+    # the trace 1e308 * (1, 1, -1, -1, ...) on both sides gives the finite w+/- =
+    # +/-1e308 * (1 - i), and c = (w+ - w-)/(2j) read P = {2: nan+nanj}, with no error
+    chi = np.zeros((3, 2, 8, 1, 5))
+    chi[2, 0, :, 0, 0] = chi[2, 1, :, 0, -1] = 1e308 * np.array([1.0, 1.0, -1.0, -1.0] * 2)
+    big = decompose_perturbation(chi, np.zeros_like(chi), n_cutoff)
+    ref = decompose_perturbation(chi * 2.0 ** -600, np.zeros_like(chi), n_cutoff)
+    assert big.w_plus == {2: 1e308 * (1 - 1j)}
+    odd = big.P or big.L
+    assert list(odd) == [2] and math.isfinite(abs(odd[2]))
+    for name in ("P", "P_dot", "L", "L_dot"):
+        assert getattr(big, name) == {j: 2.0 ** 600 * x for j, x in getattr(ref, name).items()}
+
+
 def _grad_f(j, coeff, n_tan, n_ver):
     return potential_gradient_field({j: coeff}, {}, n_tan, n_ver)
 

@@ -1,6 +1,7 @@
 """Two-phase pressure solver checks: analytic mode solve vs FD oracle."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -322,22 +323,101 @@ def test_fd_rejects_non_finite_data():
             solve_two_phase_poisson_fd(**kwargs)
 
 
+def _cos_x1(n):
+    return np.cos(2.0 * math.pi * np.arange(n) / n)[:, None]
+
+
 @pytest.mark.parametrize("which", ["source", "flux_jump"])
 def test_fd_names_an_overflowing_right_hand_side(which):
-    # zero-mean data 1e308 * cos(x1) are compatible, but the forward transform's sums leave
+    # zero-mean data 1e308 * cos(x1) are compatible, but the forward transform's sums left
     # the float range: that emitted RuntimeWarnings (errors here, as every warning in this
-    # suite) and then raised SolvabilityError("incompatible pure-Neumann data")
+    # suite) and then raised SolvabilityError("incompatible pure-Neumann data"), later
+    # OverflowError("the transformed source and jumps leave the float range").  In the
+    # data's power-of-two unit they solve, exactly 2^600 times the solve of 2^-600 times them
     n = 8
     source = TwoPhaseGridField.zeros(n, n)
     trace = np.zeros((n, n))
-    wave = 1e308 * np.cos(2.0 * math.pi * np.arange(n) / n)[:, None]
+    wave = 1e308 * _cos_x1(n)
     if which == "source":
         source.values[:, :, :, 1:-1] = wave[..., None]
     else:
         trace[...] = wave
-    with pytest.raises(OverflowError, match="^the transformed source and jumps leave the float "
-                                            "range$"):
+    q = solve_two_phase_poisson_fd(source, flux_jump=trace)
+    ref = solve_two_phase_poisson_fd(TwoPhaseGridField(source.values * 2.0 ** -600),
+                                     flux_jump=trace * 2.0 ** -600)
+    assert np.array_equal(q.values, ref.values * 2.0 ** 600)
+    # only a solution past the float range is an overflow: the largest float as a source
+    # gives one (the same flux jump solves, at about 0.69 of it)
+    source.values[:, :, :, 1:-1] = (sys.float_info.max * _cos_x1(n))[..., None]
+    with pytest.raises(OverflowError, match="^the solution leaves the float range$"):
         solve_two_phase_poisson_fd(source, flux_jump=trace)
+
+
+@pytest.mark.parametrize("n, amplitude", [(8, 1e8), (32, 1e8), (8, 1e307)])
+def test_fd_solves_large_compatible_data(n, amplitude):
+    # 1e8 * (cos x1 + 0.3 sin 3x1) raised SolvabilityError("incompatible pure-Neumann data on
+    # the zero mode (residual 7.916e-09)"): the zero mode's round-off, about 1e-16 of the data,
+    # was judged against an absolute floor of 1.  1e307 * cos(x1) overflowed inside the
+    # elimination with six RuntimeWarnings.  Both now solve as their amplitude-1 data do
+    x = 2.0 * math.pi * np.arange(n) / n
+    shape = np.cos(x) + 0.3 * np.sin(3 * x) if amplitude == 1e8 else np.cos(x)
+    unit_flux = np.repeat(shape[:, None], n, axis=1)
+    zero = TwoPhaseGridField.zeros(n, n)
+    q = solve_two_phase_poisson_fd(zero, flux_jump=amplitude * unit_flux)
+    ref = solve_two_phase_poisson_fd(zero, flux_jump=unit_flux)
+    assert np.max(np.abs(q.values / amplitude - ref.values)) < 1e-14 * ref.max_abs()
+
+
+def test_fd_convergence_error_scales_with_a_power_of_two_amplitude():
+    # from amplitude 2^26 the zero mode's residual check rejected the ladder's data
+    base = mode_solver_fd_error(WaveVector(1, 0), 1.0, 16, 16)
+    for k in (-1000, -26, 26, 27, 600, 1000):
+        assert mode_solver_fd_error(WaveVector(1, 0), 2.0 ** k, 16, 16) == 2.0 ** k * base
+
+
+def test_fd_solve_is_exactly_power_of_two_equivariant_property():
+    """solve(2^k data) == 2^k solve(data) bit for bit, or both raise the same exception type.
+
+    The data are multiples of 1/16 of magnitude at most 2, so 2^k times them stay normal
+    floats for k in [-1000, 1000]; compatible ones have zero tangential mean in the source
+    and the flux jump (a difference of x1-shifted integers), the others mostly fail the
+    zero mode's compatibility.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def solve_or_raise(source, vj, fj, drift, factor):
+        try:
+            return solve_two_phase_poisson_fd(TwoPhaseGridField(source * factor), vj * factor,
+                                              fj * factor, drift).values
+        except Exception as exc:   # the type is what is compared
+            return type(exc)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(k=st.integers(-1000, 1000), n2=st.sampled_from([1, 8]),
+                      seed=st.integers(0, 2 ** 32 - 1), compatible=st.booleans(),
+                      drift=st.sampled_from([0.0, 0.4, -1.3]))
+    def check(k, n2, seed, compatible, drift):
+        n = 8
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            values = rng.integers(-16, 17, size=shape).astype(float)
+            if compatible:   # zero mean over x1, hence over (x1, x2), exactly
+                values = values - np.roll(values, 1, axis=-2 if len(shape) == 2 else 1)
+            return values / 16.0
+
+        source = draw((2, n, n2, n + 1))
+        fj = draw((n, n2))
+        vj = rng.integers(-16, 17, size=(n, n2)) / 16.0
+        base = solve_or_raise(source, vj, fj, drift, 1.0)
+        scaled = solve_or_raise(source, vj, fj, drift, 2.0 ** k)
+        if isinstance(base, type):
+            assert scaled is base
+        else:
+            assert not isinstance(scaled, type) and np.array_equal(scaled, 2.0 ** k * base)
+
+    check()
 
 
 def _dense_reference_fd(source, value_jump, flux_jump, drift):
