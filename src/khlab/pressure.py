@@ -24,8 +24,8 @@ provided and tested against each other:
   is read from the one statement of its rows, and all modes, the
   singular zero mode included, are solved by one batched banded
   elimination with no direct solve: the zero mode is pinned at the upper
-  wall and then shifted to the gauge, zero volume mean.  The slip shift
-  enters as the phase exp(i*k1*drift) on the lower trace.
+  wall and then shifted to the gauge, zero volume mean.  The slip phase
+  exp(i*k1*drift) rides on the lower rows and unknowns: the operator is real.
 
 The harmonic + particular-source decomposition (value jump zero, flux
 jump M for the harmonic part; interior source with zero jumps for the
@@ -76,6 +76,7 @@ def solve_mode_interface_flux(k: WaveVector, value_jump=0.0, flux_jump=0.0,
     for name, c in (("value_jump", g1), ("flux_jump", g2), ("drift", complex(drift))):
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError(f"{name} must be finite")
+    g1, g2 = 0.5 * g1, 0.5 * g2   # halved first, exactly, so no product of a finite jump overflows
     kappa = k.kappa
     if kappa == 0.0:
         raise SolvabilityError("kappa = 0: pure-Neumann mode is solvable only "
@@ -84,12 +85,10 @@ def solve_mode_interface_flux(k: WaveVector, value_jump=0.0, flux_jump=0.0,
     sp, sm = exp_weights(kappa)
     cm = 1.0 / (1.0 + math.exp(-2.0 * kappa))
     cp = math.exp(-kappa) * cm
-    # upper amplitude A and shifted lower amplitude B*phi solve
-    #   A - B*phi = g1 / cosh(kappa),  A + B*phi = -g2 / (kappa sinh kappa)
-    upper_exp = (0.5 * (g1 * cp - g2 * sp / kappa),
-                 0.5 * (g1 * cm - g2 * sm / kappa))
-    lower_scaled = (0.5 * (-g1 * cm - g2 * sm / kappa),
-                    0.5 * (-g1 * cp - g2 * sp / kappa))
+    # upper amplitude A and shifted lower amplitude B*phi solve, with the jumps 2*g1 and 2*g2,
+    #   A - B*phi = 2 g1 / cosh(kappa),  A + B*phi = -2 g2 / (kappa sinh kappa)
+    upper_exp = (g1 * cp - g2 * sp / kappa, g1 * cm - g2 * sm / kappa)
+    lower_scaled = (-g1 * cm - g2 * sm / kappa, -g1 * cp - g2 * sp / kappa)
     phase = complex(np.exp(-1j * k.k1 * drift))
     lower_exp = (phase * lower_scaled[0], phase * lower_scaled[1])
     return (VerticalProfile(kappa, upper_exp, (0.0, 0.0)),
@@ -100,29 +99,29 @@ def solve_mode_interface_flux(k: WaveVector, value_jump=0.0, flux_jump=0.0,
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _apply_mode_rows(z, h, lam, phi):
+def _apply_mode_rows(z, h, lam):
     """Apply the per-mode discrete operator to z, the only statement of its rows.
 
-    z holds 2N+2 rows, the lower phase (wall to interface) then the
-    upper phase (interface to wall); any trailing axes are modes, with
-    lam (discrete tangential symbol) and phi (slip phase) broadcasting
-    against them.  Rows: lower wall Neumann, lower interior, value
-    coupling, flux coupling, upper interior, upper wall Neumann.
+    z holds 2N+2 rows, the lower phase (wall to interface, in the slip-
+    shifted frame) then the upper phase (interface to wall); any trailing
+    axes are modes, with lam (discrete tangential symbol) broadcasting
+    against them.  Rows, all real: lower wall Neumann, lower interior,
+    value coupling, flux coupling, upper interior, upper wall Neumann.
     """
     N = z.shape[0] // 2 - 1
     lo, up = z[:N + 1], z[N + 1:]
-    out = np.empty(z.shape, dtype=np.result_type(z, lam, phi))
+    out = np.empty(z.shape, dtype=np.result_type(z, lam))
     out[0] = (-3.0 * lo[0] + 4.0 * lo[1] - lo[2]) / (2 * h)
     out[1:N] = (lo[:-2] - 2.0 * lo[1:-1] + lo[2:]) / h ** 2 + lam * lo[1:-1]
-    out[N] = up[0] - phi * lo[N]
+    out[N] = up[0] - lo[N]
     out[N + 1] = ((-3.0 * up[0] + 4.0 * up[1] - up[2]) / (2 * h)
-                  - phi * (3.0 * lo[N] - 4.0 * lo[N - 1] + lo[N - 2]) / (2 * h))
+                  - (3.0 * lo[N] - 4.0 * lo[N - 1] + lo[N - 2]) / (2 * h))
     out[N + 2:2 * N + 1] = (up[:-2] - 2.0 * up[1:-1] + up[2:]) / h ** 2 + lam * up[1:-1]
     out[2 * N + 1] = (3.0 * up[N] - 4.0 * up[N - 1] + up[N - 2]) / (2 * h)
     return out
 
 
-def _solve_modes(b, h, lam, phi):
+def _solve_modes(b, h, lam):
     """Batched banded solve of the mode systems A z = b, modes on the last axis.
 
     A is read from _apply_mode_rows alone.  Row i reaches columns i-3 to
@@ -141,10 +140,10 @@ def _solve_modes(b, h, lam, phi):
     n = b.shape[0]
     zero = lam == 0.0
     rows = np.arange(n)
-    band = np.empty((n, 6, lam.size), dtype=complex)
+    band = np.empty((n, 6, lam.size))
     for q in range(6):
         probe = np.broadcast_to((rows % 6 == q)[:, None] * 1.0, b.shape)
-        band[:, q] = _apply_mode_rows(probe, h, lam, phi)
+        band[:, q] = _apply_mode_rows(probe, h, lam)
     band[-1, :, zero] = 0.0   # the zero mode's upper wall row becomes the pin up[N] = 0
     band[-1, (n - 1) % 6, zero] = 1.0
     z = b.astype(complex)
@@ -179,20 +178,20 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
         (shifted lower trace when drift != 0) on the source's x2 extent
         n_x2; None means zero.
     drift : float
-        Finite tangential slip offset, applied as the mode phase e^{i k1 drift}.
+        Finite tangential slip offset, the phase phi = e^{i k1 drift} of a lower mode.
 
     Second-order accurate.  Only the k1 >= 0 half of the spectrum of the
-    real data is solved, every mode by one batched banded elimination;
-    the zero mode is pinned and then gauged to zero volume mean.  A plane
-    source (n_x2 = 1, constant in x2) has data only on k2 = 0, so only
-    those n_tan//2 + 1 modes are solved, into a plane.  Each solved
-    mode's residual on its rows, which also guards the band read from
-    them, must meet RESIDUAL_TOL in the data's unit 2^(e-1) <= max|data|
-    < 2^e, by which the whole solve divides them: any finite data solve,
-    2^k times them exactly 2^k times.  SolvabilityError names a zero mode
-    that fails it (incompatible Neumann data), PressureSolverError any
-    other; non-finite data or drift raise ValueError, a solution past the
-    float range OverflowError.
+    real data is solved, every mode by one batched banded elimination of
+    real rows (the lower ones carried times phi); the zero mode is pinned
+    and then gauged to zero volume mean.  A plane source (n_x2 = 1, constant
+    in x2) has data only on k2 = 0, so only those n_tan//2 + 1 modes are
+    solved, into a plane.  Each solved mode's residual on its rows, which
+    also guards the band read from them, must meet RESIDUAL_TOL in the
+    data's unit 2^(e-1) <= max|data| < 2^e, by which the whole solve divides
+    them: any finite data solve, 2^k times them exactly 2^k times.
+    SolvabilityError names a zero mode that fails it (incompatible Neumann
+    data), PressureSolverError any other; non-finite data or drift raise
+    ValueError, a solution past the float range OverflowError.
     """
     n_tan, n_ver, n2 = source.n_tan, source.n_ver, source.n_x2
     if n_tan < 8 or n_ver < 8:
@@ -222,9 +221,10 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
     sym = -4.0 * np.sin(0.5 * freqs * h_tan) ** 2 / h_tan ** 2   # discrete d^2
     lam = (sym[:n_half, None] + sym[None, :n2]).ravel()
     phi = np.repeat(np.exp(1j * freqs[:n_half] * drift), n2)
+    b[:N] *= phi   # the lower wall and interior rows in the shifted frame
 
-    z = _solve_modes(b, h, lam, phi)
-    residual = np.max(np.abs(_apply_mode_rows(z, h, lam, phi) - b), axis=0)
+    z = _solve_modes(b, h, lam)
+    residual = np.max(np.abs(_apply_mode_rows(z, h, lam) - b), axis=0)
     failed = np.flatnonzero(~(residual <= RESIDUAL_TOL))
     if failed.size:
         i1, i2 = divmod(int(failed[0]), n2)
@@ -233,6 +233,7 @@ def solve_two_phase_poisson_fd(source: TwoPhaseGridField, value_jump=None,
             raise SolvabilityError(f"incompatible pure-Neumann data on the zero mode ({text})")
         raise PressureSolverError(f"mode ({freqs[i1]},{freqs[i2]}) {text} exceeds {RESIDUAL_TOL}")
 
+    z[:N + 1] /= phi   # the lower unknowns back from the shifted frame
     z = z.reshape(2 * N + 2, n_half, n2)
     vals = np.fft.irfft2(z, s=(n2, n_tan), axes=(2, 1), norm="forward").reshape(2, N + 1, n_tan, n2)
     if not math.isfinite(float(max(vals.max(), -vals.min())) * unit):
@@ -273,14 +274,13 @@ def mode_solver_fd_error(k: WaveVector, flux_amplitude: float,
     x1 = tangential_grid(n_tan)
     x2 = x1[:1] if k.k2 == 0 else x1
     phase = np.exp(1j * (k.k1 * x1[:, None] + k.k2 * x2[None, :]))
+    zero_source = TwoPhaseGridField.zeros(n_tan, n_ver, x2.size)
+    error = solve_two_phase_poisson_fd(zero_source, flux_jump=np.real(phase) * flux_amplitude).values
+
     zu, zl = vertical_levels(n_ver)
     profiles = np.array([q_up.eval_upper(zu), q_lo.eval_lower(zl)])
-    exact = np.real(phase[None, :, :, None] * profiles[:, None, None, :])
-
-    fj = np.real(phase) * flux_amplitude
-    zero_source = TwoPhaseGridField.zeros(n_tan, n_ver, x2.size)
-    fd = solve_two_phase_poisson_fd(zero_source, flux_jump=fj)
-    return float(np.max(np.abs(fd.values - exact)))
+    error -= np.real(phase[None, :, :, None] * profiles[:, None, None, :])
+    return float(np.max(np.abs(error)))
 
 
 def fitted_convergence_order(errors):

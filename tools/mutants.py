@@ -57,9 +57,12 @@ MUTANTS = (
            ("tests/test_pressure.py",)),
     Mutant("fd-flux-row", "pressure.py", "- 4.0 * lo[N - 1]", "- 4.1 * lo[N - 1]",
            ("tests/test_pressure.py",)),
-    Mutant("fd-value-row", "pressure.py", "up[0] - phi * lo[N]", "up[0] - 1.001 * phi * lo[N]",
+    Mutant("fd-value-row", "pressure.py", "up[0] - lo[N]", "up[0] - 1.001 * lo[N]",
            ("tests/test_pressure.py",)),
     Mutant("fd-interior-row", "pressure.py", "lam * lo[1:-1]", "1.001 * lam * lo[1:-1]",
+           ("tests/test_pressure.py",)),
+    # the slip frame the solve carries the lower phase in: one lower unknown left shifted
+    Mutant("fd-slip", "pressure.py", "z[:N + 1] /= phi", "z[:N] /= phi",
            ("tests/test_pressure.py",)),
     # the data's power-of-two unit, which the FD solve divides by: 2^64 too small, so 1e308
     # data leave the float range and the residual is judged 2^64 too strictly
