@@ -332,16 +332,17 @@ class GrowthReport(NamedTuple):
     n_cutoff: int
     passed: bool
     times: list
-    margins: list   # E1+(t) / (E1+(0) e^{n t})
-    E1_plus: list   # E1+(t), one value per sample
+    margins: list            # E1+(t) / (E1+(t0) e^{n (t - t0)})
+    growth_factor: float     # E1+(T) / E1+(t0), t0 and T the first and last sample times
+    required_factor: float   # e^{n (T - t0)} (1 - GROWTH_TOL), the least growth that passes
 
 
 def check_growth_corollary(trajectory, n_cutoff: int) -> GrowthReport:
-    """True iff E1+(t) >= E1+(0) * e^(n_cutoff * t) * (1 - GROWTH_TOL) at all samples.
+    """True iff E1+(t) >= E1+(t0) * e^(n_cutoff * (t - t0)) * (1 - GROWTH_TOL) at all samples.
 
     trajectory is an iterable of (t, PerturbationState), consumed in one
-    pass; its first sample is the reference time.  The functionals of each
-    sample are evaluated once.
+    pass; its first sample is the reference time t0.  The functionals of
+    each sample are evaluated once.
     """
     times, margins, values = [], [], []
     passed = True
@@ -351,11 +352,12 @@ def check_growth_corollary(trajectory, n_cutoff: int) -> GrowthReport:
             raise ValueError("E1+(0) = 0: growth ratio undefined")
         times.append(t)
         values.append(E)
-        target = values[0] * math.exp(n_cutoff * (t - times[0]))
-        margins.append(E / target)
-        if E < target * (1.0 - GROWTH_TOL):
+        certificate = math.exp(n_cutoff * (t - times[0]))
+        margins.append(E / (values[0] * certificate))
+        if E < values[0] * certificate * (1.0 - GROWTH_TOL):
             passed = False
-    return GrowthReport(n_cutoff, passed, times, margins, values)
+    return GrowthReport(n_cutoff, passed, times, margins, values[-1] / values[0],
+                        certificate * (1.0 - GROWTH_TOL))
 
 
 # ---------------------------------------------------------------------------

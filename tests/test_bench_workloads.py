@@ -73,7 +73,7 @@ def test_illposedness_growth_factor_is_the_functionals_ratio(capsys, workloads, 
             for inv in workloads.invocations("illposed-pipeline", seed)
             if inv.command in ("functionals", "illposedness")}
     E1_plus = docs["functionals"]["proposition2"]["E1_plus"]
-    assert docs["illposedness"]["growth_factor"] == E1_plus[-1] / E1_plus[0]
+    assert docs["illposedness"]["growth"]["growth_factor"] == E1_plus[-1] / E1_plus[0]
 
 
 @pytest.mark.parametrize("samples", [None, "4"])

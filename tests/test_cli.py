@@ -367,7 +367,7 @@ def test_illposedness_json_passes(capsys):
     validate_report(doc)
     data = doc["data"]
     assert data["passed"] is True
-    assert data["growth_factor"] >= math.exp(8 * 2.0) * (1 - 1e-6)
+    assert data["growth"]["growth_factor"] >= math.exp(8 * 2.0) * (1 - 1e-6)
 
 
 def test_illposedness_states_its_certificate_and_allowance(capsys):
@@ -377,7 +377,7 @@ def test_illposedness_states_its_certificate_and_allowance(capsys):
                                "--n_tan", "32", "--n_ver", "16", "--format", "json"])
     data = json.loads(out)["data"]
     assert rc == 0 and data["passed"] is True
-    assert data["required_factor"] == math.exp(8 * 2.0) * (1 - 1e-6)
+    assert data["growth"]["required_factor"] == math.exp(8 * 2.0) * (1 - 1e-6)
     assert min(data["growth"]["margins"]) >= 1 - 1e-6
 
 
@@ -402,7 +402,7 @@ def test_illposedness_verdict_is_scale_equivariant(capsys):
         rc, out = run_cli(capsys, ["--command", "illposedness", "--n", "8", "--n_tan", "32",
                                    "--n_ver", "16", "--scale", repr(2.0 ** k)])
         data = json.loads(out)["data"]
-        verdicts.append((rc, data["passed"], data["growth_factor"].hex()))
+        verdicts.append((rc, data["passed"], data["growth"]["growth_factor"].hex()))
     assert verdicts[2][:2] == (0, True)
     assert verdicts == [verdicts[2]] * 5
 

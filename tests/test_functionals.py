@@ -19,6 +19,7 @@ from khlab.eigenmodes import potential_gradient_norm_sq, potential_gradient_plan
 from khlab import functionals
 from khlab.evolution import evolve_state
 from khlab.functionals import (
+    GROWTH_TOL,
     AliasingError,
     check_growth_corollary,
     check_proposition2,
@@ -779,6 +780,29 @@ def test_growth_corollary_time_zero_only():
     report = check_growth_corollary([(0.0, state)], 3)
     assert report.passed and min(report.margins) >= 1 - 1e-8
     assert report.margins == [pytest.approx(1.0)]
+    assert report.growth_factor == 1.0 and report.required_factor == 1 - GROWTH_TOL
+
+
+def test_growth_corollary_certificate_starts_at_the_first_sample():
+    # the certificate runs from the first sample time t0 = 0.5, not from t = 0: over
+    # T - t0 = 1 it asks for e^{n} (148.4 at n = 5), not e^{n T} = e^{7.5} (1808.0)
+    n = 5
+    state = PerturbationState(n, P={n: 1.0}, P_dot={n: float(n)})
+    traj = [(t, evolve_state(state, 0.0, 0.0, t)) for t in (0.5, 1.0, 1.5)]
+    report = check_growth_corollary(traj, n)
+    E1 = [compute_functionals(s, [1.0], 0.0, 0.0, t=t).E_plus[1.0] for t, s in traj]
+    assert report.passed and report.times == [0.5, 1.0, 1.5]
+    assert report.required_factor == math.exp(n * 1.0) * (1 - GROWTH_TOL)
+    assert report.growth_factor == E1[-1] / E1[0]
+
+
+def test_growth_corollary_fails_a_trajectory_that_does_not_grow():
+    # the same state at t = 0 and t = 1: E1+ stays put, where the certificate asks for e^{n}
+    state = PerturbationState(3, P={3: 1.0}, P_dot={3: 3.0})
+    report = check_growth_corollary([(0.0, state), (1.0, state)], 3)
+    assert not report.passed and report.margins == [1.0, pytest.approx(math.exp(-3.0))]
+    assert report.growth_factor == 1.0
+    assert report.required_factor == math.exp(3.0) * (1 - GROWTH_TOL)
 
 
 def test_growth_corollary_undefined_ratio():

@@ -27,6 +27,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 PATTERN_CHECK = "tests/test_source.py::test_every_mutant_pattern_occurs_exactly_once"
 KEEP_RULE_TEST = "tests/test_functionals.py::test_a_potential_term_is_kept_by_its_interface_trace"
+CERTIFICATE_START_TEST = (
+    "tests/test_functionals.py::test_growth_corollary_certificate_starts_at_the_first_sample")
 
 
 class Mutant(NamedTuple):
@@ -43,6 +45,9 @@ MUTANTS = (
            ("tests/test_evolution.py",)),
     Mutant("growth-tol", "functionals.py", "GROWTH_TOL = 1e-6", "GROWTH_TOL = 1e-4",
            ("tests/test_cli.py",)),
+    # the certificate's reference time: e^{n t} in place of e^{n (t - t0)}
+    Mutant("certificate-start", "functionals.py", "(t - times[0])", "t",
+           (CERTIFICATE_START_TEST,)),
     Mutant("syrovatskij-first", "stability.py", "du_sq <= 2.0", "du_sq < 2.0",
            ("tests/test_stability.py",)),
     Mutant("rk4-default-step", "evolution.py", "0.25 / omega_max", "0.3 / omega_max",
