@@ -348,16 +348,38 @@ def _r_grid(spectrum):
     return np.fft.irfft(spectrum, n=n_x2, axis=3, norm="forward")
 
 
+def _divided(c, q):
+    """c / q of a complex array c and real q, each part divided as Python's complex / int
+    rounds it; numpy's complex quotient multiplies by 1/q and reads an infinite part as NaN."""
+    quotient = np.empty_like(c)
+    quotient.real, quotient.imag = c.real / q, c.imag / q
+    return quotient
+
+
+def _family(x, y):
+    """The ascending int64 keys of two {j: value} dicts and their complex arrays, zero-filled."""
+    keys = sorted({*x, *y})
+    return (np.array(keys, dtype=np.int64),
+            *(np.array([c.get(j, 0) for j in keys], dtype=complex) for c in (x, y)))
+
+
+def _view(j, values):
+    """{j: x} of aligned arrays as Python int and complex, exact zeros left out."""
+    keep = values != 0
+    return dict(zip(map(int, j[keep]), map(complex, values[keep])))
+
+
 class PerturbationState:
     """Four-part decomposition of an interface perturbation.
 
-    Coefficient maps are indexed by the streamwise integer frequency j
-    of the odd/even harmonic potential families: P carries j >= n_cutoff,
-    L carries 1 <= j < n_cutoff, g carries every j >= 1.  The *_dot
-    partners hold the coefficient velocities used by the second-order
-    evolution.  P and L are stored together as the characteristic
-    amplitudes w_plus and w_minus, w+/- = d +/- j*c for coefficient c and
-    velocity d; P, P_dot, L and L_dot are read-only views of them.
+    Each potential family is stored once, as an ascending int64 array of
+    the streamwise frequency j with complex value arrays aligned to it.
+    The odd family is j_odd with the characteristic amplitudes w_plus and
+    w_minus, w+/- = d +/- j*c for coefficient c and velocity d, split by
+    searchsorted into P (j >= n_cutoff) and L (1 <= j < n_cutoff).  The
+    even family g is j_even with g_values and g_dot_values, zero-filled
+    on the union of their keys.  P, P_dot, L, L_dot, g and g_dot are
+    read-only {j: complex} views keyed by Python int, exact zeros left out.
 
     r and r_dot are optional grid 3-vectors whose third component
     vanishes on the interface and the walls.  The r block is diagonal in
@@ -367,80 +389,90 @@ class PerturbationState:
     holds the x2 mean.  r keeps the x2 extent of its data: a full grid
     stores the shape (3, 2, n_tan, n_tan//2 + 1, n_ver + 1), an
     x2-constant plane k2 = 0 only, (3, 2, n_tan, 1, n_ver + 1), which is
-    exactly the k2 = 0 column of its x2 repeat.  A state has one extent,
-    so a plane beside a full grid is zero-padded to the spectrum of its
-    x2 repeat.  The r= and r_dot= arguments take stacked grid 3-vectors,
-    full grids or planes, shape-checked and transformed once; state.r and
-    state.r_dot read back a fresh array of the stored extent, and an
-    absent block (one a decomposition dropped as round-off, or never
-    given) reads None.  A state records no grid beyond its data.
+    exactly the k2 = 0 column of its x2 repeat.  The r= and r_dot=
+    arguments take stacked grid 3-vectors, full grids or planes,
+    shape-checked and transformed once; state.r and state.r_dot read back
+    a fresh array of the stored extent, and an absent block (one a
+    decomposition dropped as round-off, or never given) reads None.  A
+    state records no grid beyond its data.
 
     Coefficients live in the co-moving tangential frame: materialising
     a field at time t multiplies mode j by exp(+i*j*t) in the upper
     phase and exp(-i*j*t) in the lower one.
     """
 
-    def __init__(self, n_cutoff, P=None, P_dot=None, L=None, L_dot=None,
-                 g=None, g_dot=None, r=None, r_dot=None):
+    def __new__(cls, n_cutoff, P=None, P_dot=None, L=None, L_dot=None,
+                g=None, g_dot=None, r=None, r_dot=None):
         if n_cutoff < 1:
             raise ValueError("n_cutoff must be >= 1")
-        self.n_cutoff = n_cutoff
-        P, P_dot, L, L_dot, self.g, self.g_dot = (
+        P, P_dot, L, L_dot, g, g_dot = (
             {} if c is None else c for c in (P, P_dot, L, L_dot, g, g_dot))
+        for j in [*P, *P_dot, *L, *L_dot, *g, *g_dot]:
+            if not (isinstance(j, (int, np.integer)) and -2 ** 63 <= j < 2 ** 63):
+                raise ValueError(f"coefficient key {j!r} is not an integer in the int64 range")
         for j in list(P) + list(P_dot):
-            if j < self.n_cutoff:
-                raise ValueError(f"P coefficient {j} below cutoff {self.n_cutoff}")
+            if j < n_cutoff:
+                raise ValueError(f"P coefficient {j} below cutoff {n_cutoff}")
         for j in list(L) + list(L_dot):
-            if not 1 <= j < self.n_cutoff:
-                raise ValueError(f"L coefficient {j} outside [1, {self.n_cutoff})")
-        for j in list(self.g) + list(self.g_dot):
+            if not 1 <= j < n_cutoff:
+                raise ValueError(f"L coefficient {j} outside [1, {n_cutoff})")
+        for j in list(g) + list(g_dot):
             if j < 1:
                 raise ValueError("g coefficients are indexed by j >= 1")
-        self.w_plus, self.w_minus = self._characteristic({**L, **P}, {**L_dot, **P_dot})
-        self._set_r(*(None if v is None else _r_spectrum(_grid_array(v, (3, 2)))
-                      for v in (r, r_dot)))
+        j_odd, c, d = _family({**L, **P}, {**L_dot, **P_dot})
+        return cls._from_spectra(n_cutoff, j_odd, *cls._characteristic(j_odd, c, d),
+                                 *_family(g, g_dot),
+                                 *(None if v is None else _r_spectrum(_grid_array(v, (3, 2)))
+                                   for v in (r, r_dot)))
 
     @classmethod
-    def _from_spectra(cls, n_cutoff, w_plus, w_minus, g, g_dot, r_hat, r_dot_hat):
-        """A state built straight from w+/- (sharing their keys) and checked x2 spectra."""
-        state = cls(n_cutoff, g=g, g_dot=g_dot)
-        state.w_plus, state.w_minus = w_plus, w_minus
-        state._set_r(r_hat, r_dot_hat)
-        return state
-
-    @staticmethod
-    def _characteristic(c, d):
-        """(w+, w-) = d +/- j*c of odd-family coefficients c and velocities d, j ascending."""
-        return tuple({j: complex(d.get(j, 0.0) + sign * j * c.get(j, 0.0))
-                      for j in sorted({*c, *d})} for sign in (1, -1))
-
-    def _odd(self, high, velocity):
-        """c = (w+/2 - w-/2)/j or d = w+/2 + w-/2 per side of the cutoff; exact zeros left out."""
-        views = ((j, w / 2 + self.w_minus[j] / 2 if velocity   # halved first, so in range
-                  else (w / 2 - self.w_minus[j] / 2) / j)
-                 for j, w in self.w_plus.items() if (j >= self.n_cutoff) == high)
-        return {j: v for j, v in views if v != 0}
-
-    P = property(lambda self: self._odd(True, False))
-    P_dot = property(lambda self: self._odd(True, True))
-    L = property(lambda self: self._odd(False, False))
-    L_dot = property(lambda self: self._odd(False, True))
-
-    def _set_r(self, r_hat, r_dot_hat):
-        """Check and store the r spectra on one x2 extent: a plane beside a full grid
-        is zero-padded over k2 > 0 to the spectrum of its x2 repeat."""
+    def _from_spectra(cls, n_cutoff, j_odd, w_plus, w_minus, j_even, g_values, g_dot_values,
+                      r_hat, r_dot_hat):
+        """A state built straight from its family arrays and x2 spectra, which are checked and
+        put on one x2 extent: a plane beside a full grid is padded to its repeat's spectrum."""
+        state = super().__new__(cls)
+        state.n_cutoff = n_cutoff
+        state.j_odd, state.w_plus, state.w_minus = j_odd, w_plus, w_minus
+        state.j_even, state.g_values, state.g_dot_values = j_even, g_values, g_dot_values
         spectra = [s for s in (r_hat, r_dot_hat) if s is not None]
         for spectrum in spectra:   # r3 on the interface and wall rows, exactly
             if np.any(spectrum[2][..., [0, -1]] != 0.0):
                 raise ValueError("third component of r must vanish exactly on "
                                  "the interface and the walls")
         n_k2 = max([s.shape[3] for s in spectra], default=1)
-        self.r_hat, self.r_dot_hat = (
+        state.r_hat, state.r_dot_hat = (
             s if s is None or s.shape[3] == n_k2
             else np.pad(s, [(0, 0)] * 3 + [(0, n_k2 - 1), (0, 0)])
             for s in (r_hat, r_dot_hat))
-        if len({s.shape for s in (self.r_hat, self.r_dot_hat) if s is not None}) > 1:
+        if len({s.shape for s in (state.r_hat, state.r_dot_hat) if s is not None}) > 1:
             raise GridMismatchError("r and r_dot live on different grids")
+        return state
+
+    @staticmethod
+    def _characteristic(j, c, d):
+        """(w+, w-) = d +/- j*c of odd-family coefficients c and velocities d aligned to j."""
+        with np.errstate(over="ignore", invalid="ignore"):   # the decomposition names an overflow
+            return tuple(d + sign * j * c for sign in (1, -1))
+
+    def _side(self, high):
+        """(j, w+, w-) of the odd family above the cutoff (P) if high, else below it (L)."""
+        split = int(np.searchsorted(self.j_odd, self.n_cutoff))
+        side = slice(split, None) if high else slice(split)
+        return self.j_odd[side], self.w_plus[side], self.w_minus[side]
+
+    def _odd(self, high, velocity):
+        """(j, c) with c = (w+/2 - w-/2)/j, or (j, d) with d = w+/2 + w-/2, on one side."""
+        j, w_plus, w_minus = self._side(high)
+        # w+/- halved first, so the views stay in range
+        half_plus, half_minus = _divided(w_plus, 2), _divided(w_minus, 2)
+        return j, (half_plus + half_minus if velocity else _divided(half_plus - half_minus, j))
+
+    P = property(lambda self: _view(*self._odd(True, False)))
+    P_dot = property(lambda self: _view(*self._odd(True, True)))
+    L = property(lambda self: _view(*self._odd(False, False)))
+    L_dot = property(lambda self: _view(*self._odd(False, True)))
+    g = property(lambda self: _view(self.j_even, self.g_values))
+    g_dot = property(lambda self: _view(self.j_even, self.g_dot_values))
 
     @property
     def r(self):

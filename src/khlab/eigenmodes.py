@@ -89,35 +89,36 @@ def build_harmonic_potentials(j: int):
             VerticalProfile(float(j), (ep, em), (em, ep)))
 
 
-def potential_gradient_norm_sq(j: int) -> float:
-    """||grad of unit-coefficient potential||_L2^2 = 4*pi^2*j*coth(j).
+def potential_gradient_norm_sq(j):
+    """||grad of unit-coefficient potential||_L2^2 = 4*pi^2*j*coth(j) of an int j >= 1, or
+    elementwise of an array of them.
 
     Holds for both parities (their profiles agree up to sign and
     mirror); cross-checked against grid quadrature in the test suite.
     """
-    if j < 1:
+    if (np.asarray(j) < 1).any():
         raise ValueError("potential frequency j must be >= 1")
-    coth = (1.0 + math.exp(-2.0 * j)) / -math.expm1(-2.0 * j)   # no overflow at any j
+    coth = (1.0 + np.exp(-2.0 * j)) / -np.expm1(-2.0 * j)   # no overflow at any j
     return 4.0 * math.pi ** 2 * j * coth
 
 
-def potential_gradient_plane(odd, even, n_tan: int, n_ver: int, t: float = 0.0):
-    """Re(grad h) for h = sum over j of odd[j] f_j + even[j] g_j, the profiles (f_j, g_j) of
+def potential_gradient_plane(j, odd, even, n_tan: int, n_ver: int, t: float = 0.0):
+    """Re(grad h) for h = sum over j of odd_j f_j + even_j g_j, the profiles (f_j, g_j) of
     build_harmonic_potentials(j) times their drifting rows e^{i j (x1 +/- t)}.
 
-    odd and even map a frequency j >= 1 to a complex coefficient; terms are added j
-    ascending, the odd before the even.  The potentials are constant in x2, so the result
-    is the stacked x2-constant plane with axes (component, phase, x1, 1, x3).
+    j holds ascending frequencies >= 1 and odd and even the coefficients aligned to it, a
+    zero adding no term; terms are added j ascending, the odd before the even.  The
+    potentials are constant in x2, so the result is the stacked x2-constant plane with axes
+    (component, phase, x1, 1, x3).
     """
     x1 = tangential_grid(n_tan)
     zu, zl = vertical_levels(n_ver)
     plane = np.zeros((3, 2, n_tan, 1, n_ver + 1))
-    for j in sorted(set(odd) | set(even)):
-        wave_up, wave_lo = np.exp(1j * j * (x1 + t)), np.exp(1j * j * (x1 - t))
-        for profile, coeffs in zip(build_harmonic_potentials(j), (odd, even)):
-            if j not in coeffs:
+    for j, c_odd, c_even in zip(map(int, j), odd, even):
+        for profile, c in zip(build_harmonic_potentials(j), (c_odd, c_even)):
+            if c == 0:
                 continue
-            row_up, row_lo = coeffs[j] * wave_up, coeffs[j] * wave_lo
+            row_up, row_lo = c * np.exp(1j * j * (x1 + t)), c * np.exp(1j * j * (x1 - t))
             # the gradient's vertical profiles are (i j profile, 0, d profile/dx3)
             for component, part in ((0, profile.scaled(1j * j)), (2, profile.derivative())):
                 plane[component, 0, :, 0] += np.real(row_up[:, None] * part.eval_upper(zu))

@@ -114,9 +114,13 @@ class BoundaryModeState(NamedTuple):
 def boundary_dispersion(k: WaveVector, a: float, b: float) -> float:
     """Squared temporal exponent of interface mode k: k1^2 - (a^2+b^2)/2 * k2^2, k1^2 at k2 = 0.
 
-    Past the float range at finite a and b it raises OverflowError; an infinite field passes.
+    Past the float range at finite a and b it raises OverflowError; an infinite field passes,
+    and a NaN field raises ValueError.
     """
     k.require_nonzero()
+    for name, field in (("a", a), ("b", b)):
+        if math.isnan(field):
+            raise ValueError(f"field strength {name} is NaN")
     k1, k2 = float(k.k1), float(k.k2)
     lam_sq = k1 * k1 - (0.5 * (a * a + b * b) * (k2 * k2) if k2 else 0.0)
     if not math.isfinite(lam_sq) and math.isfinite(a) and math.isfinite(b):
@@ -155,16 +159,15 @@ def apply_A(state: PerturbationState) -> PerturbationState:
     multiplied by j^2; the r spectra get the x2 Fourier multiplier k2^2,
     i.e. the negative second x2 derivative.
     """
-    def scale(coeffs):
-        return {j: (j ** 2) * c for j, c in coeffs.items()}
+    odd, even = (j.astype(float) ** 2 for j in (state.j_odd, state.j_even))
 
     def on_r(spectrum):
         return None if spectrum is None else spectrum * (_r_frequencies(spectrum) ** 2)[:, None]
 
     return PerturbationState._from_spectra(
         state.n_cutoff,
-        scale(state.w_plus), scale(state.w_minus),
-        scale(state.g), scale(state.g_dot),
+        state.j_odd, odd * state.w_plus, odd * state.w_minus,
+        state.j_even, even * state.g_values, even * state.g_dot_values,
         on_r(state.r_hat), on_r(state.r_dot_hat),
     )
 
@@ -174,16 +177,16 @@ def apply_A(state: PerturbationState) -> PerturbationState:
 # ---------------------------------------------------------------------------
 
 def _held_rates(state: PerturbationState, a: float, b: float):
-    """(odd, even, lambda_sq): the keys of P and L, those of g, and lambda^2 of every mode
-    the state holds, in the order evolve_state reads: j^2 on odd, -2 j^2 on even, then
-    -(a k2)^2 above and -(b k2)^2 below on each k2 stored for r, if the state holds r."""
-    odd, even = sorted(state.w_plus), sorted(set(state.g) | set(state.g_dot))
-    lam_sq = np.array([float(j * j) for j in odd] + [-2.0 * float(j * j) for j in even])
+    """lambda^2 of every mode the state holds, in the order evolve_state reads: j^2 on the odd
+    family, -2 j^2 on the even, then -(a k2)^2 above and -(b k2)^2 below on each k2 stored
+    for r, if the state holds r."""
+    odd, even = (j.astype(float) for j in (state.j_odd, state.j_even))
+    lam_sq = np.concatenate([odd * odd, -2.0 * (even * even)])
     spectrum = state.r_dot_hat if state.r_hat is None else state.r_hat
     if spectrum is not None:
         with np.errstate(over="ignore"):   # a field past 1e154 leaves the float range here
             lam_sq = np.concatenate([lam_sq, -_r_stiffness(spectrum, a, b).ravel()])
-    return odd, even, lam_sq
+    return lam_sq
 
 
 def default_rk4_dt(state: PerturbationState, a: float, b: float) -> float:
@@ -192,7 +195,7 @@ def default_rk4_dt(state: PerturbationState, a: float, b: float) -> float:
     omega_max = sqrt(max|lambda^2|) over the modes the state holds, which the rk4 stability
     check reads too; OverflowError if it is infinite, which only a held r block can cause.
     """
-    omega_max = math.sqrt(float(np.max(np.abs(_held_rates(state, a, b)[2]), initial=0.0)))
+    omega_max = math.sqrt(float(np.max(np.abs(_held_rates(state, a, b)), initial=0.0)))
     if math.isinf(omega_max):
         raise OverflowError("rk4 default step: rate sqrt(max|lambda^2|) leaves the float range")
     return min(1e-2, 0.25 / omega_max) if omega_max else 1e-2
@@ -211,23 +214,19 @@ def evolve_state(state: PerturbationState, a: float, b: float, t: float,
     exceeds RK4_STABILITY_LIMIT.  An absent r block stays absent, and a
     plane r stays a plane whose k2 = 0 alone is propagated.
     """
-    odd, even, lam_sq = _held_rates(state, a, b)
+    lam_sq = _held_rates(state, a, b)
     C, S, mu_plus, mu_minus, _ = _propagators(lam_sq, t, stepper, dt)
 
     # the odd family holds every growing entry; C and S are g's entries, then r's
-    evolved = [dict(zip(odd, (np.array([w[j] for j in odd], dtype=complex) * mu).tolist()))
-               for w, mu in ((state.w_plus, mu_plus), (state.w_minus, mu_minus))]
-    n, lam_g = len(even), lam_sq[len(odd):len(odd) + len(even)]
-    c = np.array([state.g.get(j, 0.0) for j in even], dtype=complex)
-    d = np.array([state.g_dot.get(j, 0.0) for j in even], dtype=complex)
-    evolved.append(dict(zip(even, (c * C[:n] + d * S[:n]).tolist())))
-    evolved.append(dict(zip(even, (c * lam_g * S[:n] + d * C[:n]).tolist())))
-
+    n_odd, n = state.j_odd.size, state.j_even.size
+    c, d, lam_g = state.g_values, state.g_dot_values, lam_sq[n_odd:n_odd + n]
     r_hat, r_dot_hat = state.r_hat, state.r_dot_hat
     if r_hat is not None or r_dot_hat is not None:
-        Cr, Sr, lam = (x.reshape(1, 2, 1, -1, 1) for x in (C[n:], S[n:], lam_sq[len(odd) + n:]))
+        Cr, Sr, lam = (x.reshape(1, 2, 1, -1, 1) for x in (C[n:], S[n:], lam_sq[n_odd + n:]))
         y0 = 0.0 if r_hat is None else r_hat
         v0 = 0.0 if r_dot_hat is None else r_dot_hat
         r_hat, r_dot_hat = y0 * Cr + v0 * Sr, y0 * (lam * Sr) + v0 * Cr
 
-    return PerturbationState._from_spectra(state.n_cutoff, *evolved, r_hat, r_dot_hat)
+    return PerturbationState._from_spectra(
+        state.n_cutoff, state.j_odd, state.w_plus * mu_plus, state.w_minus * mu_minus,
+        state.j_even, c * C[:n] + d * S[:n], c * lam_g * S[:n] + d * C[:n], r_hat, r_dot_hat)

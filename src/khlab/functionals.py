@@ -41,6 +41,7 @@ from typing import NamedTuple
 from khlab.core import (
     PerturbationState,
     _grid_array,
+    _divided,
     _r_frequencies,
     _r_spectrum,
     _r_stiffness,
@@ -60,7 +61,8 @@ class AliasingError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _potential_split(trace_up, trace_lo, tol, sup_norm):
-    """Odd/even potential coefficients from the two interface flux traces.
+    """(j, odd, even): the odd/even potential coefficients of the two interface flux traces
+    on the frequencies j = 1, ..., (n_tan - 1)//2, zero where a term is dropped.
 
     Each trace must equal sum_j Re(C * exp(i j x1)) over j >= 1: content
     off the k2 = 0 line, a nonzero mean (incompatible with Neumann side
@@ -94,23 +96,19 @@ def _potential_split(trace_up, trace_lo, tol, sup_norm):
                 f"trace energy {nyq_amp:.3e} at the Nyquist mode j={n // 2} "
                 f"of n_tan={n}; refine the tangential grid")
 
-    odd, even = {}, {}
-    for j in range(1, (n + 1) // 2):
-        cu = complex(su[j, 0])   # half the trace amplitudes, so that cu + cl stays in range
-        cl = complex(sl[j, 0])
-        # per-phase cosh(j(x3 -/+ 1)) amplitudes of the Neumann solution combine into the
-        # odd/even family coefficients, each kept if the interface trace j*|c| it leaves > tol
-        c_f = (cu + cl) / j
-        c_g = (cl - cu) / j
-        if j * abs(c_f) > tol:
-            odd[j] = c_f
-        if j * abs(c_g) > tol:
-            even[j] = c_g
-    return odd, even
+    # cu and cl are half the trace amplitudes, so that cu + cl stays in range; the per-phase
+    # cosh(j(x3 -/+ 1)) amplitudes of the Neumann solution combine into the odd/even family
+    # coefficients, each kept if the interface trace j*|c| it leaves > tol, else zero
+    j = np.arange(1, (n + 1) // 2)
+    cu, cl = su[1:(n + 1) // 2, 0], sl[1:(n + 1) // 2, 0]
+    c_f, c_g = _divided(cu + cl, j), _divided(cl - cu, j)
+    odd = np.where(j * np.hypot(c_f.real, c_f.imag) > tol, c_f, 0.0)
+    even = np.where(j * np.hypot(c_g.real, c_g.imag) > tol, c_g, 0.0)
+    return j, odd, even
 
 
 def _decompose_single(chi):
-    """(odd, even, r_hat) of one grid 3-vector at the tolerance 1e-12 * sup|chi|."""
+    """(j, odd, even, r_hat) of one grid 3-vector at the tolerance 1e-12 * sup|chi|."""
     values = _grid_array(chi, (3, 2)).copy()
     scale = float(max(values.max(), -values.min()))   # sup|chi|
     if not math.isfinite(scale):
@@ -122,8 +120,9 @@ def _decompose_single(chi):
     if wall > tol:
         raise ValueError(f"wall-normal velocity {wall:.3e} at the walls; data outside "
                          "the admissible class")
-    odd, even = _potential_split(up3[:, :, 0], lo3[:, :, -1], tol, scale)
-    values -= potential_gradient_plane(odd, even, n_tan, n_ver)
+    j, odd, even = _potential_split(up3[:, :, 0], lo3[:, :, -1], tol, scale)
+    held = (odd != 0) | (even != 0)
+    values -= potential_gradient_plane(j[held], odd[held], even[held], n_tan, n_ver)
     # r3 must vanish on the interface and wall rows: checked, then snapped exactly; each
     # dropped family term leaves a trace j*|c| <= tol there, and fewer than n_tan are dropped
     worst = float(np.max(np.abs(values[2][..., [0, -1]])))
@@ -136,7 +135,7 @@ def _decompose_single(chi):
     # a remainder with no entry above tol is round-off and dropped; max(max, -min) is
     # max|r| without an |r| temporary
     dropped = max(values.max(), -values.min()) <= tol
-    return odd, even, (None if dropped else _r_spectrum(values))
+    return j, odd, even, (None if dropped else _r_spectrum(values))
 
 
 def decompose_perturbation(chi, chi_dot, n_cutoff: int) -> PerturbationState:
@@ -163,15 +162,20 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int) -> PerturbationState:
         raise ValueError("n_cutoff must be >= 1")
     try:   # one vector at a time, so only one stacked copy is alive
         with np.errstate(over="raise", invalid="raise"):
-            odd, even, r_hat = _decompose_single(chi)
-            odd_dot, even_dot, r_dot_hat = _decompose_single(chi_dot)
+            j, c, g, r_hat = _decompose_single(chi)
+            j_dot, d, g_dot, r_dot_hat = _decompose_single(chi_dot)
     except (OverflowError, FloatingPointError):
         raise OverflowError("the potential gradient or the x2 spectrum of r leaves the float "
                             "range; scale the data down") from None
-    w = PerturbationState._characteristic(odd, odd_dot)
-    if not np.isfinite([*w[0].values(), *w[1].values()]).all():
+    # the frequencies of the finer tangential grid, the other vector's terms zero-filled
+    j = max(j, j_dot, key=len)
+    c, d, g, g_dot = (np.concatenate([x, np.zeros(j.size - x.size)]) for x in (c, d, g, g_dot))
+    w_plus, w_minus = PerturbationState._characteristic(j, c, d)
+    if not np.isfinite([w_plus, w_minus]).all():
         raise OverflowError("w+/- = d +/- j*c leave the float range; scale the data down")
-    return PerturbationState._from_spectra(n_cutoff, *w, even, even_dot, r_hat, r_dot_hat)
+    odd, even = (c != 0) | (d != 0), (g != 0) | (g_dot != 0)
+    return PerturbationState._from_spectra(n_cutoff, j[odd], w_plus[odd], w_minus[odd],
+                                           j[even], g[even], g_dot[even], r_hat, r_dot_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +192,17 @@ class FunctionalReport(NamedTuple):
     F: float
 
 
-def _coefficient_sum(coeffs, p):
-    """sum |j^p x_j|^2 ||grad f_j||^2 over the items (j, x_j) of coeffs; inf past the float range."""
-    j = np.fromiter(coeffs, float, len(coeffs))
-    x = np.fromiter(coeffs.values(), complex, len(coeffs))
-    weights = np.array([potential_gradient_norm_sq(k) for k in coeffs])
+def _coefficient_sum(j, x, p):
+    """sum |j^p x_j|^2 ||grad f_j||^2 over aligned arrays j and x; inf past the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(np.abs(j ** p * x) ** 2 * weights))
+        weights = potential_gradient_norm_sq(j)
+        return float((np.abs(j.astype(float) ** p * x) ** 2 * weights).sum())
 
 
 def _E_mu(state: PerturbationState, mu: float, high=True):
     """(E_mu+, E_mu-): sum |j^mu w+/-|^2 ||grad f_j||^2 over P, or over L if not high."""
-    return tuple(_coefficient_sum({j: x for j, x in w.items() if (j >= state.n_cutoff) == high},
-                                  mu) for w in (state.w_plus, state.w_minus))
+    j, *w = state._side(high)
+    return tuple(_coefficient_sum(j, x, mu) for x in w)
 
 
 def _r_energy(state: PerturbationState, a: float, b: float):
@@ -242,7 +244,8 @@ def compute_functionals(state: PerturbationState, mus, a: float, b: float,
         for mu in mus:
             E_plus[float(mu)], E_minus[float(mu)] = _E_mu(state, float(mu))
         G = 0.5 * sum(_E_mu(state, 0.0, high=False))
-        F = _coefficient_sum(state.g_dot, 0) + _coefficient_sum(state.g, 1) + _r_energy(state, a, b)
+        F = (_coefficient_sum(state.j_even, state.g_dot_values, 0)
+             + _coefficient_sum(state.j_even, state.g_values, 1) + _r_energy(state, a, b))
     if not all(map(math.isfinite, [*E_plus.values(), *E_minus.values(), G, F])):
         raise OverflowError(f"growth functionals leave the float range at t={t}")
     return FunctionalReport(t, E_plus, E_minus, G, F)
@@ -255,7 +258,7 @@ def h2_readout(state: PerturbationState) -> float:
     the A-multiplier-consistent stand-in for a second-order Sobolev norm
     of the growing component.  Raises OverflowError past the float range.
     """
-    total = _coefficient_sum(state.P, 2)
+    total = _coefficient_sum(*state._odd(True, False), 2)
     if not math.isfinite(total):
         raise OverflowError("H2 readout leaves the float range")
     return math.sqrt(total)
@@ -349,7 +352,7 @@ def check_growth_corollary(trajectory, n_cutoff: int) -> GrowthReport:
     for t, state in _time_ordered(trajectory):
         E = compute_functionals(state, [1.0], 0.0, 0.0, t=t).E_plus[1.0]
         if not values and E == 0.0:
-            raise ValueError("E1+(0) = 0: growth ratio undefined")
+            raise ValueError(f"E1+(t0) = 0 at t0 = {t}: growth ratio undefined")
         times.append(t)
         values.append(E)
         certificate = math.exp(n_cutoff * (t - times[0]))
@@ -384,5 +387,5 @@ def perturbed_initial_data(n: int, scale: float = 1.0,
         raise AliasingError(f"mode n={n} is not below the Nyquist frequency "
                             f"n_tan/2 of n_tan={n_tan}; refine the tangential grid")
     amp = scale * math.exp(-math.sqrt(n)) / n
-    plane = potential_gradient_plane({n: amp}, {}, n_tan, n_ver)
+    plane = potential_gradient_plane([n], [amp], [0.0], n_tan, n_ver)
     return np.zeros_like(plane), plane

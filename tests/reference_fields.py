@@ -44,9 +44,16 @@ def plane_spectrum_agrees(plane_hat, full_hat, rel=1e-14):
                 and np.max(np.abs(full_hat[:, :, :, 1:])) <= rel * scale)
 
 
+def families(odd, even):
+    """(j, odd, even): the potential families {j: coefficient} as lists on their joint
+    ascending keys, zero-filled, the arguments potential_gradient_plane takes."""
+    j = sorted({*odd, *even})
+    return j, [odd.get(k, 0) for k in j], [even.get(k, 0) for k in j]
+
+
 def potential_gradient_field(odd, even, n_tan, n_ver, t=0.0):
     """Re(grad h) of the odd and even potential families {j: coefficient} on the full grid."""
-    return full_grid(potential_gradient_plane(odd, even, n_tan, n_ver, t))
+    return full_grid(potential_gradient_plane(*families(odd, even), n_tan, n_ver, t))
 
 
 def inner_product_L2(f: TwoPhaseGridField, g: TwoPhaseGridField) -> float:
@@ -78,7 +85,7 @@ def reconstruct_perturbation(state: PerturbationState, n_tan: int, n_ver: int,
     as the data it was decomposed from; any other is a full grid.
     """
     def fields(low, high, even, r_hat):
-        plane = potential_gradient_plane({**low, **high}, even, n_tan, n_ver, t)
+        plane = potential_gradient_plane(*families({**low, **high}, even), n_tan, n_ver, t)
         if r_hat is None:
             return plane
         values = _r_grid(r_hat)

@@ -177,6 +177,19 @@ def test_gradient_families_pairwise_orthogonal():
     assert abs(inner_product_vector(fields[3], fields[5])) < 1e-11
 
 
+def test_gradient_norm_weight_of_an_array_is_the_scalar_loop():
+    # the array form serves the coefficient sums; the loop of math scalars it replaced is the
+    # reference, to a few ulp, since numpy's exp and expm1 need not round as libm's do
+    j = np.arange(1, 3001)
+    weights = potential_gradient_norm_sq(j)
+    reference = [4.0 * math.pi ** 2 * k * ((1.0 + math.exp(-2.0 * k)) / -math.expm1(-2.0 * k))
+                 for k in j.tolist()]
+    assert weights.tolist() == pytest.approx(reference, rel=4 * np.finfo(float).eps, abs=0)
+    assert weights[6] == potential_gradient_norm_sq(7)
+    with pytest.raises(ValueError, match="potential frequency j must be >= 1"):
+        potential_gradient_norm_sq(np.array([3, 0]))
+
+
 def test_gradient_norm_weight_against_quadrature_oracle():
     # closed form 4 pi^2 j coth j vs trapezoidal quadrature on the grid;
     # the quadrature error is O(h^2), so check the refinement trend too
@@ -205,7 +218,7 @@ def test_gradient_plane_is_the_drifting_kelvin_helmholtz_mode():
     x1 = tangential_grid(n_tan)
     zu, zl = vertical_levels(n_ver)
     for t in (0.0, 0.7):
-        plane = potential_gradient_plane({n: 1.0 / n}, {}, n_tan, n_ver, t)
+        plane = potential_gradient_plane([n], [1.0 / n], [0], n_tan, n_ver, t)
         # the mode reads x3 = 0 as the upper phase, so the lower interface row is left out
         for phase, z in ((0, zu), (1, zl[:-1])):
             x1_grid, x3_grid = np.meshgrid(x1, z, indexing="ij")

@@ -1,6 +1,7 @@
 """Propagator and operator checks for the linearized evolution."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -49,6 +50,14 @@ def test_mixed_mode_threshold():
     assert boundary_dispersion(k, 1.0, 1.0) == 0.0
     assert boundary_dispersion(k, 0.9, 0.9) > 0.0
     assert boundary_dispersion(k, 1.1, 1.1) < 0.0
+
+
+def test_a_nan_field_is_named_and_an_infinite_one_passes():
+    # a NaN field returned nan; an infinite one still gives its non-finite lambda^2
+    for a, b, name in ((math.nan, 0.0, "a"), (1.0, math.nan, "b")):
+        with pytest.raises(ValueError, match=f"^field strength {name} is NaN$"):
+            boundary_dispersion(WaveVector(1, 1), a, b)
+    assert boundary_dispersion(WaveVector(1, 1), math.inf, 0.0) == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -565,3 +574,55 @@ def test_negative_time_rejected():
     with pytest.raises(ValueError):
         evolve_boundary_mode(BoundaryModeState(WaveVector(1, 0), 1.0, 0.0),
                              0.0, 0.0, -0.5)
+
+
+# ---------------------------------------------------------------------------
+# the state's public edge
+# ---------------------------------------------------------------------------
+
+def test_state_edge_reads_back_its_dicts_and_evolves_by_zero_bit_for_bit():
+    # a state stores each family as arrays; the constructor's dicts read back through the six
+    # views keyed by Python int with exact zeros left out, and evolving by t = 0 returns the
+    # same arrays bit for bit.  Small integer parts keep d +/- j*c, the halving and the
+    # division by j exact, so the odd views read back exactly; no part is -0.0, whose sign
+    # a complex product by 1.0 does not keep
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    part = st.integers(-8, 8)
+    value = st.builds(complex, part.map(float), part.map(float)) | part.map(float) | part
+
+    def family(low, high):
+        return st.dictionaries(st.integers(low, high), value, max_size=6)
+
+    @st.composite
+    def edges(draw):
+        n = draw(st.integers(1, 40))
+        sides = {"P": (n, 64), "P_dot": (n, 64), "L": (1, n - 1), "L_dot": (1, n - 1),
+                 "g": (1, 64), "g_dot": (1, 64)}
+        return n, {name: draw(family(*side)) if side[0] <= side[1] else {}
+                   for name, side in sides.items()}
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(edges(), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+    def check(edge, a, b):
+        n, given = edge
+        state = PerturbationState(n, **given)
+        for name, coeffs in given.items():
+            view = getattr(state, name)
+            assert view == {j: x for j, x in coeffs.items() if x != 0}, name
+            assert all(type(j) is int and type(x) is complex for j, x in view.items()), name
+        same = evolve_state(state, a, b, 0.0)
+        for name in ("j_odd", "w_plus", "w_minus", "j_even", "g_values", "g_dot_values"):
+            before, after = getattr(state, name), getattr(same, name)
+            assert before.dtype == after.dtype and before.tobytes() == after.tobytes(), name
+
+    check()
+
+
+@pytest.mark.parametrize("key", [2.5, 2 ** 70, math.nan, "3"],
+                         ids=["non-integer", "past-int64", "nan", "string"])
+def test_a_coefficient_key_outside_the_int64_integers_is_named(key):
+    # 2.5 and 2**70 were accepted as keys of P
+    with pytest.raises(ValueError, match=re.escape(
+            f"coefficient key {key!r} is not an integer in the int64 range")):
+        PerturbationState(2, P={key: 1})

@@ -12,6 +12,7 @@ from khlab.core import (
     GridMismatchError,
     PerturbationState,
     TwoPhaseGridField,
+    power_of_two_unit,
     tangential_grid,
     vertical_levels,
 )
@@ -30,6 +31,7 @@ from khlab.functionals import (
 )
 
 from reference_fields import (
+    families,
     full_grid,
     inner_product_vector,
     plane_spectrum_agrees,
@@ -40,7 +42,7 @@ from reference_fields import (
 
 
 def _grad_f1_at(sup):
-    grad_f1 = potential_gradient_plane({1: 1.0}, {}, 16, 8)
+    grad_f1 = potential_gradient_plane([1], [1.0], [0], 16, 8)
     return grad_f1 * (sup / np.abs(grad_f1).max())
 
 
@@ -57,9 +59,11 @@ def test_decomposition_at_the_top_of_the_float_range_is_exactly_scaled(chi, chi_
     small = [v * 2.0 ** -600 for v in (chi, chi_dot)]
     big = decompose_perturbation(chi, chi_dot, n_cutoff)
     ref = decompose_perturbation(*small, n_cutoff)
-    for name in ("w_plus", "w_minus", "g", "g_dot"):
-        assert getattr(big, name) == {j: 2.0 ** 600 * x for j, x in getattr(ref, name).items()}
-    assert big.w_plus and big.r_hat is None and big.r_dot_hat is None
+    for name in ("j_odd", "j_even"):
+        assert np.array_equal(getattr(big, name), getattr(ref, name))
+    for name in ("w_plus", "w_minus", "g_values", "g_dot_values"):
+        assert np.array_equal(getattr(big, name), 2.0 ** 600 * getattr(ref, name))
+    assert big.w_plus.size and big.r_hat is None and big.r_dot_hat is None
 
 
 @pytest.mark.filterwarnings("error")
@@ -89,11 +93,18 @@ def test_odd_views_of_characteristic_amplitudes_at_the_top_of_the_float_range(n_
     chi[2, 0, :, 0, 0] = chi[2, 1, :, 0, -1] = 1e308 * np.array([1.0, 1.0, -1.0, -1.0] * 2)
     big = decompose_perturbation(chi, np.zeros_like(chi), n_cutoff)
     ref = decompose_perturbation(chi * 2.0 ** -600, np.zeros_like(chi), n_cutoff)
-    assert big.w_plus == {2: 1e308 * (1 - 1j)}
+    assert big.j_odd.tolist() == [2] and big.w_plus.tolist() == [1e308 * (1 - 1j)]
     odd = big.P or big.L
     assert list(odd) == [2] and math.isfinite(abs(odd[2]))
     for name in ("P", "P_dot", "L", "L_dot"):
         assert getattr(big, name) == {j: 2.0 ** 600 * x for j, x in getattr(ref, name).items()}
+
+
+def test_views_of_an_infinite_amplitude_read_inf_not_nan():
+    # w+ = d + j*c = 2e308 leaves the float range in the constructor; halving each part keeps
+    # the views at inf, where Python's complex quotient read the zero imaginary part as NaN
+    state = PerturbationState(1, P={1: 1e308}, P_dot={1: 1e308})
+    assert state.P == state.P_dot == {1: complex(math.inf, 0.0)}
 
 
 def _grad_f(j, coeff, n_tan, n_ver):
@@ -325,7 +336,7 @@ def _plane_data(n_tan, n_ver, phase):
 
     r3 carries x3 * (1 - |x3|), exactly zero on the interface and wall rows.
     """
-    plane = potential_gradient_plane({2: 0.7 - 0.2j}, {3: 0.4j * phase}, n_tan, n_ver)
+    plane = potential_gradient_plane(*families({2: 0.7 - 0.2j}, {3: 0.4j * phase}), n_tan, n_ver)
     x1 = tangential_grid(n_tan)
     for p, z in enumerate(map(np.asarray, vertical_levels(n_ver))):
         plane[0, p, :, 0] += np.outer(np.cos(x1 + phase), 1.0 + z)
@@ -404,6 +415,29 @@ def test_decompose_rejects_wall_violation():
                                _zeros(n_tan, n_ver), 2)
 
 
+def test_potential_split_is_the_scalar_loop_bit_for_bit():
+    # the vectorised split against the loop of Python complex arithmetic it replaced: each
+    # term c = (cu +/- cl)/j is kept when its trace j*|c| exceeds tol, else it reads 0
+    n = 32
+    x1 = tangential_grid(n)
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal((4, n // 2 - 1)) * 10.0 ** rng.integers(-14, 1, n // 2 - 1)
+    up, lo = (sum(a[0, k - 1] * np.cos(k * x1) + a[1, k - 1] * np.sin(k * x1)
+                  for k in range(1, n // 2))[:, None] for a in (amps[:2], amps[2:]))
+    sup = float(max(np.abs(up).max(), np.abs(lo).max()))
+    tol = 1e-12 * sup
+    j, odd, even = functionals._potential_split(up, lo, tol, sup)
+    unit = power_of_two_unit(sup)
+    su, sl = (np.fft.fft2(trace / unit, norm="forward") * unit for trace in (up, lo))
+    assert j.tolist() == list(range(1, n // 2))
+    for k in range(1, n // 2):
+        cu, cl = complex(su[k, 0]), complex(sl[k, 0])
+        c_f, c_g = (cu + cl) / k, (cl - cu) / k
+        assert odd[k - 1] == (c_f if k * abs(c_f) > tol else 0), k
+        assert even[k - 1] == (c_g if k * abs(c_g) > tol else 0), k
+    assert 0 < np.count_nonzero(odd) < n // 2 - 1 and 0 < np.count_nonzero(even) < n // 2 - 1
+
+
 @pytest.mark.parametrize("share", [0.9e-12, 0.5e-12])
 @pytest.mark.parametrize("family", ["odd", "even"])
 def test_a_potential_term_is_kept_by_its_interface_trace(family, share):
@@ -411,10 +445,10 @@ def test_a_potential_term_is_kept_by_its_interface_trace(family, share):
     # interface trace 1500*|c| it leaves is above it, and above the remainder check's
     # 1e-9 * sup|chi| at share 0.9e-12: the term is kept and the data leave no r
     n_tan, n_ver, j = 4096, 8, 1500
-    sup = float(np.abs(potential_gradient_plane({1: 1.0}, {}, n_tan, n_ver)).max())
+    sup = float(np.abs(potential_gradient_plane([1], [1.0], [0], n_tan, n_ver)).max())
     term = {j: share * sup}
-    chi = potential_gradient_plane({1: 1.0, **term} if family == "odd" else {1: 1.0},
-                                   term if family == "even" else {}, n_tan, n_ver)
+    chi = potential_gradient_plane(*families({1: 1.0, **term} if family == "odd" else {1: 1.0},
+                                             term if family == "even" else {}), n_tan, n_ver)
     assert float(np.abs(chi).max()) == sup
     state = decompose_perturbation(chi, np.zeros_like(chi), 1)
     kept = state.P if family == "odd" else state.g
@@ -426,7 +460,7 @@ def test_a_potential_term_is_kept_by_its_interface_trace(family, share):
 def test_a_gradient_that_misses_the_trace_is_a_fault(monkeypatch):
     # a fault check: with a correct potential builder the kept terms absorb the trace, so
     # a builder that lays half of each gradient stands in for the fault
-    chi = potential_gradient_plane({3: 0.4}, {}, 16, 8)
+    chi = potential_gradient_plane([3], [0.4], [0], 16, 8)
     monkeypatch.setattr(functionals, "potential_gradient_plane",
                         lambda *args: 0.5 * potential_gradient_plane(*args))
     # sup|chi| is 1.206 here, so the bound (1e-9 + 16e-12)*sup|chi| is 1.225e-09
@@ -445,10 +479,10 @@ def test_many_dropped_terms_stay_within_the_remainder_check(n_tan, paired):
     # remainder check's bound (1e-9 + n_tan * 1e-12) * sup|chi|: 3.05e-9 * sup|chi| at
     # n_tan 2048 and 5.10e-9 * sup|chi| at 4096
     n_ver = 2
-    sup = float(np.abs(potential_gradient_plane({1: 1.0}, {}, n_tan, n_ver)).max())
+    sup = float(np.abs(potential_gradient_plane([1], [1.0], [0], n_tan, n_ver)).max())
     tiny = {j: 0.9e-12 * sup / j for j in range(2, n_tan // 2)}
     even = {j: -c for j, c in tiny.items()} if paired else {}
-    chi = potential_gradient_plane({1: 1.0, **tiny}, even, n_tan, n_ver)
+    chi = potential_gradient_plane(*families({1: 1.0, **tiny}, even), n_tan, n_ver)
     state = decompose_perturbation(chi, np.zeros_like(chi), 1)
     assert set(state.P) == {1} and state.g == {}
 
@@ -458,7 +492,7 @@ def test_many_dropped_terms_stay_within_the_remainder_check(n_tan, paired):
 def test_decompose_rejects_non_finite_data(which, bad):
     # the tolerance is 1e-12 * sup|vector|, which needs a finite sup: inf once gave the
     # exact zero state and nan an r block of nan
-    good = potential_gradient_plane({2: 1.0}, {}, 16, 8)
+    good = potential_gradient_plane([2], [1.0], [0], 16, 8)
     broken = good.copy()
     broken[0, 0, 3, 0, 4] = bad
     pair = (broken, good) if which == "chi" else (good, broken)
@@ -707,9 +741,13 @@ def test_the_side_bounds_hold_for_any_state_property():
     @st.composite
     def states(draw):
         n = draw(st.integers(1, 80))
-        keys = draw(st.lists(st.integers(1, 64), unique=True, max_size=8))
-        w_plus, w_minus = ({j: draw(coeff) for j in keys} for _ in range(2))
-        return PerturbationState._from_spectra(n, w_plus, w_minus, {}, {}, None, None)
+        keys = np.array(sorted(draw(st.lists(st.integers(1, 64), unique=True, max_size=8))),
+                        dtype=np.int64)
+        w_plus, w_minus = (np.array([draw(coeff) for _ in keys], dtype=complex)
+                           for _ in range(2))
+        empty = np.zeros(0, dtype=complex)
+        return PerturbationState._from_spectra(n, keys, w_plus, w_minus, keys[:0], empty, empty,
+                                               None, None)
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(states())
@@ -810,6 +848,14 @@ def test_growth_corollary_undefined_ratio():
         check_growth_corollary([(0.0, PerturbationState(3))], 3)
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.5])
+def test_growth_corollary_undefined_ratio_names_the_reference_sample(t0):
+    # the reference is the first sample: at t0 = 0.5 the message named E1+(0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"E1+(t0) = 0 at t0 = {t0}: growth ratio undefined")):
+        check_growth_corollary([(t0, PerturbationState(3))], 3)
+
+
 # ---------------------------------------------------------------------------
 # vanishing initial data
 # ---------------------------------------------------------------------------
@@ -849,9 +895,9 @@ def test_decomposed_coefficients_are_keyed_by_python_int():
     assert set(seed.P_dot) == {4} and set(mixed.L) == {2} and set(mixed.g_dot) == {3}
     for state in (seed, mixed):
         for s in (state, evolve_state(state, 0.7, 1.3, 0.5)):
-            for name in ("w_plus", "w_minus", "g", "g_dot", "P", "L"):
+            for name in ("P", "P_dot", "L", "L_dot", "g", "g_dot"):
                 assert all(type(j) is int for j in getattr(s, name)), name
-            json.dumps(dict.fromkeys(s.w_plus, 0))
+                json.dumps(dict.fromkeys(getattr(s, name), 0))
 
 
 def test_perturbed_data_growth_factor():

@@ -206,7 +206,8 @@ def test_r_rows_checked_on_grid_input():
     spectrum = PerturbationState(2, r=r).r_hat.copy()
     spectrum[2, 0, 1, 2, -1] = 1e-300j
     with pytest.raises(ValueError):
-        PerturbationState._from_spectra(2, {}, {}, {}, {}, spectrum, None)
+        j, values = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
+        PerturbationState._from_spectra(2, j, values, values, j, values, values, spectrum, None)
 
 
 def test_hot_paths_run_no_fft(monkeypatch):
@@ -309,7 +310,7 @@ def test_drop_threshold_is_the_decomposition_tolerance():
     assert np.abs(chi_dot).max() == 0.0
     # beside a dominant potential term the tolerance is 1e-12 of that term's sup norm: a
     # block 10 times above it is kept, one at half of it is round-off and goes
-    grad = potential_gradient_plane({2: 1.0}, {}, n_tan, n_ver)
+    grad = potential_gradient_plane([2], [1.0], [0], n_tan, n_ver)
     tol = 1e-12 * np.abs(grad).max()
     unit = (1.0 / np.abs(r).max()) * tol
     state = decompose_perturbation(grad + 10.0 * unit * r, grad + 0.5 * unit * r, 2)

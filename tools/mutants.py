@@ -90,10 +90,16 @@ MUTANTS = (
     Mutant("gradient-x1-factor", "eigenmodes.py", "(0, profile.scaled(1j * j))",
            "(0, profile.scaled(-1j * j))", ("tests/test_eigenmodes.py",)),
     # the decomposition's keep rule: each family's term by its interface trace j*|c|
-    Mutant("keep-odd-by-coefficient", "functionals.py", "j * abs(c_f) > tol", "abs(c_f) > tol",
-           (KEEP_RULE_TEST,)),
-    Mutant("keep-even-by-coefficient", "functionals.py", "j * abs(c_g) > tol", "abs(c_g) > tol",
-           (KEEP_RULE_TEST,)),
+    Mutant("keep-odd-by-coefficient", "functionals.py", "j * np.hypot(c_f.real, c_f.imag) > tol",
+           "np.hypot(c_f.real, c_f.imag) > tol", (KEEP_RULE_TEST,)),
+    Mutant("keep-even-by-coefficient", "functionals.py", "j * np.hypot(c_g.real, c_g.imag) > tol",
+           "np.hypot(c_g.real, c_g.imag) > tol", (KEEP_RULE_TEST,)),
+    # the odd family's squared rate j^2, which the propagator turns into e^{+/-j t}
+    Mutant("odd-rate-halved", "evolution.py", "[odd * odd,", "[0.25 * odd * odd,",
+           ("tests/test_evolution.py",)),
+    # the basis weight 4 pi^2 j coth j of every coefficient sum
+    Mutant("weight-coth-dropped", "eigenmodes.py", "4.0 * math.pi ** 2 * j * coth",
+           "4.0 * math.pi ** 2 * j", ("tests/test_eigenmodes.py",)),
 )
 
 
