@@ -21,7 +21,8 @@ from collections import namedtuple
 from importlib import resources
 from types import SimpleNamespace
 
-from khlab.core import ShearParams, WaveVector, linspace, strictly_monotone, vertical_levels
+from khlab.core import (ShearParams, WaveVector, linspace, strictly_monotone, sup_abs,
+                        vertical_levels)
 from khlab.eigenmodes import build_linearized_mode, build_wall_bounded_profiles, verify_mode
 from khlab.evolution import boundary_dispersion, default_rk4_dt, evolve_state
 from khlab.functionals import (
@@ -453,7 +454,7 @@ def _evolve_series(cfg: RunConfig):
         dt = default_rk4_dt(state, cfg.a, cfg.b)
     samples = ((t, evolve_state(state, cfg.a, cfg.b, t, cfg.stepper, dt))
                for t in linspace(0.0, cfg.t, cfg.samples))
-    return cutoff, samples, float(abs(chi_dot).max())
+    return cutoff, samples, sup_abs(chi_dot)
 
 
 def _cmd_evolve(cfg: RunConfig):

@@ -63,6 +63,12 @@ def power_of_two_unit(sup):
     return math.ldexp(0.5, math.frexp(sup)[1])
 
 
+def sup_abs(x):
+    """max|x| of a real array from its max and min, with no |x| temporary: +0.0 for all-zero
+    data, NaN if any entry is NaN."""
+    return max(abs(float(x.max())), abs(float(x.min())))
+
+
 def _make_validated(cls, fields):
     """namedtuple's _make, which _replace calls, through a validating constructor."""
     return cls(*fields)
@@ -271,7 +277,7 @@ class TwoPhaseGridField:
         return 1.0 / self.n_ver
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return sup_abs(self.values)
 
 
 def tangential_grid(n_tan):
@@ -363,6 +369,13 @@ def _family(x, y):
             *(np.array([c.get(j, 0) for j in keys], dtype=complex) for c in (x, y)))
 
 
+def _cutoff(n_cutoff):
+    """n_cutoff as an int if it is an integer >= 1, else ValueError."""
+    if not (isinstance(n_cutoff, (int, np.integer)) and n_cutoff >= 1):
+        raise ValueError(f"n_cutoff must be an integer >= 1, got {n_cutoff!r}")
+    return int(n_cutoff)
+
+
 def _view(j, values):
     """{j: x} of aligned arrays as Python int and complex, exact zeros left out."""
     keep = values != 0
@@ -403,8 +416,7 @@ class PerturbationState:
 
     def __new__(cls, n_cutoff, P=None, P_dot=None, L=None, L_dot=None,
                 g=None, g_dot=None, r=None, r_dot=None):
-        if n_cutoff < 1:
-            raise ValueError("n_cutoff must be >= 1")
+        n_cutoff = _cutoff(n_cutoff)
         P, P_dot, L, L_dot, g, g_dot = (
             {} if c is None else c for c in (P, P_dot, L, L_dot, g, g_dot))
         for j in [*P, *P_dot, *L, *L_dot, *g, *g_dot]:
@@ -450,9 +462,18 @@ class PerturbationState:
 
     @staticmethod
     def _characteristic(j, c, d):
-        """(w+, w-) = d +/- j*c of odd-family coefficients c and velocities d aligned to j."""
-        with np.errstate(over="ignore", invalid="ignore"):   # the decomposition names an overflow
-            return tuple(d + sign * j * c for sign in (1, -1))
+        """(w+, w-) = d +/- j*c of odd-family coefficients c and velocities d aligned to j.
+
+        A non-finite c or d raises ValueError, a w+/- past the float range OverflowError.
+        """
+        for name, x in (("P and L coefficients", c), ("P_dot and L_dot velocities", d)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = tuple(d + sign * j * c for sign in (1, -1))
+        if not np.isfinite(w).all():
+            raise OverflowError("w+/- = d +/- j*c leave the float range; scale the data down")
+        return w
 
     def _side(self, high):
         """(j, w+, w-) of the odd family above the cutoff (P) if high, else below it (L)."""

@@ -9,10 +9,10 @@ part expands in the streamwise family f_j (split at the cutoff n into
 high frequencies P and low frequencies L) and its even part in g_j.
 Both families are constant in x2, so grad h is built once on the
 (x1, x3) plane and broadcast along x2: the decomposition subtracts it
-in place from a copy of chi.  chi, chi_dot and r are grid 3-vectors in
-core's one encoding, a float array with axes (component, phase, x1, x2,
-x3); x2-constant data (x2 extent 1) stay planes throughout, the stored
-x2 spectrum of r included.
+from chi into a new remainder array and never writes chi.  chi, chi_dot
+and r are grid 3-vectors in core's one encoding, a float array with axes
+(component, phase, x1, x2, x3); x2-constant data (x2 extent 1) stay
+planes throughout, the stored x2 spectrum of r included.
 
 Growth is measured by quadratic functionals built from the block
 operator A (the j^2 multiplier on potential coefficients, k2^2 on r):
@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 from khlab.core import (
     PerturbationState,
+    _cutoff,
     _grid_array,
     _divided,
     _r_frequencies,
@@ -48,6 +49,7 @@ from khlab.core import (
     _vertical_weights,
     np,
     power_of_two_unit,
+    sup_abs,
 )
 from khlab.eigenmodes import potential_gradient_norm_sq, potential_gradient_plane
 
@@ -109,32 +111,32 @@ def _potential_split(trace_up, trace_lo, tol, sup_norm):
 
 def _decompose_single(chi):
     """(j, odd, even, r_hat) of one grid 3-vector at the tolerance 1e-12 * sup|chi|."""
-    values = _grid_array(chi, (3, 2)).copy()
-    scale = float(max(values.max(), -values.min()))   # sup|chi|
+    values = _grid_array(chi, (3, 2))
+    scale = sup_abs(values)   # sup|chi|
     if not math.isfinite(scale):
         raise ValueError("chi and chi_dot must be finite")
     tol = 1e-12 * scale
     n_tan, n_ver = values.shape[2], values.shape[4] - 1
     up3, lo3 = values[2]
-    wall = max(float(np.max(np.abs(up3[:, :, -1]))), float(np.max(np.abs(lo3[:, :, 0]))))
+    wall = max(sup_abs(up3[:, :, -1]), sup_abs(lo3[:, :, 0]))
     if wall > tol:
         raise ValueError(f"wall-normal velocity {wall:.3e} at the walls; data outside "
                          "the admissible class")
     j, odd, even = _potential_split(up3[:, :, 0], lo3[:, :, -1], tol, scale)
     held = (odd != 0) | (even != 0)
-    values -= potential_gradient_plane(j[held], odd[held], even[held], n_tan, n_ver)
+    # the remainder is a new array, built once the gradient exists, so chi is never written
+    values = values - potential_gradient_plane(j[held], odd[held], even[held], n_tan, n_ver)
     # r3 must vanish on the interface and wall rows: checked, then snapped exactly; each
     # dropped family term leaves a trace j*|c| <= tol there, and fewer than n_tan are dropped
-    worst = float(np.max(np.abs(values[2][..., [0, -1]])))
+    worst = sup_abs(values[2][..., [0, -1]])
     bound = 1e-9 * scale + n_tan * tol
     if worst > bound:
         raise ValueError(f"remainder field keeps a wall-normal trace of {worst:.3e}, above "
                          f"(1e-9 + n_tan*1e-12)*sup|chi| = {bound:.3e}; decomposition "
                          "failed to absorb the interface motion")
     values[2][..., [0, -1]] = 0.0
-    # a remainder with no entry above tol is round-off and dropped; max(max, -min) is
-    # max|r| without an |r| temporary
-    dropped = max(values.max(), -values.min()) <= tol
+    # a remainder with no entry above tol is round-off and dropped
+    dropped = sup_abs(values) <= tol
     return j, odd, even, (None if dropped else _r_spectrum(values))
 
 
@@ -158,9 +160,8 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int) -> PerturbationState:
     power of two give the exactly scaled state, and all-zero data the exact
     zero state.
     """
-    if n_cutoff < 1:
-        raise ValueError("n_cutoff must be >= 1")
-    try:   # one vector at a time, so only one stacked copy is alive
+    n_cutoff = _cutoff(n_cutoff)
+    try:   # one vector at a time, so only one remainder is built at once
         with np.errstate(over="raise", invalid="raise"):
             j, c, g, r_hat = _decompose_single(chi)
             j_dot, d, g_dot, r_dot_hat = _decompose_single(chi_dot)
@@ -171,8 +172,6 @@ def decompose_perturbation(chi, chi_dot, n_cutoff: int) -> PerturbationState:
     j = max(j, j_dot, key=len)
     c, d, g, g_dot = (np.concatenate([x, np.zeros(j.size - x.size)]) for x in (c, d, g, g_dot))
     w_plus, w_minus = PerturbationState._characteristic(j, c, d)
-    if not np.isfinite([w_plus, w_minus]).all():
-        raise OverflowError("w+/- = d +/- j*c leave the float range; scale the data down")
     odd, even = (c != 0) | (d != 0), (g != 0) | (g_dot != 0)
     return PerturbationState._from_spectra(n_cutoff, j[odd], w_plus[odd], w_minus[odd],
                                            j[even], g[even], g_dot[even], r_hat, r_dot_hat)

@@ -12,6 +12,7 @@ from khlab.core import (
     VerticalProfile,
     WaveVector,
     linspace,
+    sup_abs,
     vertical_levels,
 )
 
@@ -223,6 +224,28 @@ def test_linspace_and_levels_match_numpy_bit_for_bit():
         zu, zl = vertical_levels(n_ver)
         assert bits(zu) == bits(np.linspace(0.0, 1.0, n_ver + 1))
         assert bits(zl) == bits(np.linspace(-1.0, 0.0, n_ver + 1))
+
+
+def test_sup_abs_matches_the_max_of_abs_property():
+    # max|x| from max and min, with no |x| temporary: the same float as np.max(np.abs(x)),
+    # +0.0 for all-zero data (-0.0 included) and NaN if any entry is NaN
+    hypothesis = pytest.importorskip("hypothesis")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    st = hypothesis.strategies
+    special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.0])
+    entries = st.one_of(special, st.floats(width=64))
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4,
+                                                                 max_side=5), elements=entries),
+                      transposed=st.booleans())
+    def check(x, transposed):
+        x = x.T if transposed else x
+        want, got = float(np.max(np.abs(x))), sup_abs(x)
+        assert type(got) is float
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -101,10 +102,27 @@ def test_odd_views_of_characteristic_amplitudes_at_the_top_of_the_float_range(n_
 
 
 def test_views_of_an_infinite_amplitude_read_inf_not_nan():
-    # w+ = d + j*c = 2e308 leaves the float range in the constructor; halving each part keeps
-    # the views at inf, where Python's complex quotient read the zero imaginary part as NaN
-    state = PerturbationState(1, P={1: 1e308}, P_dot={1: 1e308})
+    # w+ = inf, as exact evolution reaches by e^{j t} growth through _from_spectra (the
+    # constructor now rejects it); halving each part keeps the views at inf, where Python's
+    # complex quotient read the zero imaginary part as NaN
+    none, empty = np.array([], dtype=np.int64), np.array([], dtype=complex)
+    state = PerturbationState._from_spectra(1, np.array([1]), np.array([complex(math.inf, 0.0)]),
+                                            np.array([0j]), none, empty, empty, None, None)
     assert state.P == state.P_dot == {1: complex(math.inf, 0.0)}
+
+
+def test_constructor_rejects_w_past_the_float_range_and_non_finite_amplitudes():
+    # PerturbationState(1, P={1: 1e308}, P_dot={1: 1e308}) stored w+ = 2e308 = inf and its
+    # views read inf, while the decomposition raised OverflowError for the same amplitudes
+    for kwargs in ({"P": {2: 1e308}, "P_dot": {2: 1e308}}, {"L": {1: -1e308}, "L_dot": {1: 1e308}}):
+        with pytest.raises(OverflowError, match="^w\\+/- = d \\+/- j\\*c leave the float range"):
+            PerturbationState(2, **kwargs)
+    for key, name in (("P", "P and L coefficients"), ("L", "P and L coefficients"),
+                      ("P_dot", "P_dot and L_dot velocities"),
+                      ("L_dot", "P_dot and L_dot velocities")):
+        for bad in (math.inf, complex(0.0, -math.inf), math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                PerturbationState(2, **{key: {2 if key.startswith("P") else 1: bad}})
 
 
 def _grad_f(j, coeff, n_tan, n_ver):
@@ -500,6 +518,39 @@ def test_decompose_rejects_non_finite_data(which, bad):
         decompose_perturbation(*pair, 2)
 
 
+@pytest.mark.parametrize("grid", ["plane", "full"])
+def test_decomposition_leaves_its_input_unchanged(grid):
+    # the remainder is a new array, not a copy of chi written in place, so chi and chi_dot
+    # keep every bit although both hold a potential part and a remainder (the shifts of the
+    # x1 component make r and r_dot nonzero)
+    chi = potential_gradient_plane([6], [1.0], [0.5], 32, 16)
+    chi_dot = perturbed_initial_data(5, 1.0, 32, 16)[1]
+    chi[0] += 0.25
+    chi_dot[0] -= 0.5 * chi_dot[2]
+    if grid == "full":
+        chi, chi_dot = full_grid(chi), full_grid(chi_dot)
+    before = chi.tobytes(), chi_dot.tobytes()
+    state = decompose_perturbation(chi, chi_dot, 5)
+    assert state.P and state.P_dot and state.g
+    assert state.r is not None and state.r_dot is not None
+    assert (chi.tobytes(), chi_dot.tobytes()) == before
+
+
+def test_decomposition_plane_peak_memory():
+    # warmed up, so numpy's lazy imports are not counted, the n_tan = n_ver = 64 seed planes
+    # (199 680 B each) peaked at 613 943 B with chi copied before the gradient plane was built
+    # and at 414 167 B with the remainder built after it (tracemalloc, Python 3.11, numpy 2.4)
+    data = perturbed_initial_data(5, 1.0, 64, 64)
+    decompose_perturbation(*data, 5)
+    tracemalloc.start()
+    try:
+        decompose_perturbation(*data, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2 ** 10, peak
+
+
 @pytest.mark.parametrize("shape", [
     pytest.param((2, 2, 16, 16, 9), id="two-components"),
     pytest.param((3, 1, 16, 16, 9), id="one-phase"),
@@ -777,18 +828,38 @@ _PLANE_ZEROS = np.zeros((3, 2, 8, 1, 5))
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: PerturbationState(0), "n_cutoff must be >= 1"),
+    (lambda: PerturbationState(0), "n_cutoff must be an integer >= 1, got 0"),
     (lambda: PerturbationState(3, P={2: 1.0}), "P coefficient 2 below cutoff 3"),
     (lambda: PerturbationState(3, L={3: 1.0}), r"L coefficient 3 outside \[1, 3\)"),
     (lambda: PerturbationState(3, g={0: 1.0}), "g coefficients are indexed by j >= 1"),
     (lambda: potential_gradient_norm_sq(0), "potential frequency j must be >= 1"),
     (lambda: decompose_perturbation(_PLANE_ZEROS, _PLANE_ZEROS, n_cutoff=0),
-     "n_cutoff must be >= 1"),
+     "n_cutoff must be an integer >= 1, got 0"),
 ], ids=["state-cutoff", "P-below-cutoff", "L-outside", "g-index", "norm-frequency",
         "decompose-cutoff"])
 def test_invalid_arguments_raise_a_named_value_error(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, 2.5, 0, 3.0, -1, np.float64(3.0)])
+def test_a_cutoff_that_is_not_an_integer_above_zero_is_rejected(cutoff):
+    # PerturbationState(nan, P={3: 1}) was accepted and its P read back as L ({3: 1}), since
+    # j < nan is False; 2.5 was accepted too.  The constructor and the decomposition share
+    # one check
+    message = rf"^n_cutoff must be an integer >= 1, got {re.escape(repr(cutoff))}$"
+    with pytest.raises(ValueError, match=message):
+        PerturbationState(cutoff, P={3: 1.0})
+    with pytest.raises(ValueError, match=message):
+        decompose_perturbation(_PLANE_ZEROS, _PLANE_ZEROS, cutoff)
+
+
+def test_an_integer_cutoff_of_any_integer_type_is_accepted():
+    for cutoff in (3, np.int64(3)):
+        state = PerturbationState(cutoff, P={3: 1.0}, L={2: 1.0})
+        assert state.n_cutoff == 3 and type(state.n_cutoff) is int
+        assert state.P == {3: 1.0} and state.L == {2: 1.0}
+        assert decompose_perturbation(_PLANE_ZEROS, _PLANE_ZEROS, cutoff).n_cutoff == 3
 
 
 def test_growth_corollary_pure_mode_margin():

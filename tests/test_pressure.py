@@ -274,14 +274,28 @@ def test_fd_incompatible_neumann_data():
             solve_two_phase_poisson_fd(source, drift=drift)
 
 
+@pytest.mark.parametrize("n_ver", [2 ** e for e in range(3, 13)])
+def test_fd_backward_error_gate_fails_incompatible_data_at_every_depth(n_ver):
+    # the gate is |A z - b| <= 64 u (||A|| ||z|| + ||b||): ||A|| grows as 4 n_ver^2, yet a
+    # constant source (backward error 5.8e-3 at n_ver 8, 2.2e-8 at 4096) and cos(x1) + 1e-12,
+    # an incompatibility the old absolute gate 1e-10 passed (backward error 4.0e-12, 560
+    # times the gate, 1/18 of a gate 1e4 times looser), fail the zero mode at every depth;
+    # cos(x1) alone solves
+    wave = np.broadcast_to(_cos_x1(8)[None, :, :, None], (2, 8, 1, n_ver + 1))
+    for offset in (1.0, 1e-12):
+        with pytest.raises(SolvabilityError, match="zero mode"):
+            solve_two_phase_poisson_fd(TwoPhaseGridField(wave + offset))
+    assert solve_two_phase_poisson_fd(TwoPhaseGridField(wave.copy())).max_abs() > 0.0
+
+
 def _corrupting(monkeypatch, column):
     """Make _solve_modes return its solution with one mode column shifted by 1."""
     solve_modes = pressure._solve_modes
 
     def corrupted(b, h, lam):
-        z = solve_modes(b, h, lam)
+        z, norm_a = solve_modes(b, h, lam)
         z[:, column] += 1.0
-        return z
+        return z, norm_a
 
     monkeypatch.setattr(pressure, "_solve_modes", corrupted)
 
@@ -298,8 +312,8 @@ def test_fd_names_a_nonzero_mode_that_fails_its_residual(monkeypatch, n2, column
     with pytest.raises(pressure.PressureSolverError) as info:
         solve_two_phase_poisson_fd(TwoPhaseGridField.zeros(n, n, n2))
     assert type(info.value) is pressure.PressureSolverError
-    assert info.value.args[0].startswith(f"mode {mode} residual ")
-    assert info.value.args[0].endswith(" exceeds 1e-10")
+    assert info.value.args[0].startswith(f"mode {mode} residual backward error ")
+    assert info.value.args[0].endswith(" exceeds 7.105e-15")
 
 
 def test_pressure_command_reports_a_failed_mode_as_a_solver_failure(monkeypatch, capsys):
@@ -309,8 +323,8 @@ def test_pressure_command_reports_a_failed_mode_as_a_solver_failure(monkeypatch,
     assert main(["--command", "pressure"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("khlab: solver failure: mode (1,0) residual ")
-    assert len(err.splitlines()) == 1 and err.endswith(" exceeds 1e-10\n")
+    assert err.startswith("khlab: solver failure: mode (1,0) residual backward error ")
+    assert len(err.splitlines()) == 1 and err.endswith(" exceeds 7.105e-15\n")
 
 
 def test_fd_requires_minimum_resolution():

@@ -29,6 +29,11 @@ PATTERN_CHECK = "tests/test_source.py::test_every_mutant_pattern_occurs_exactly_
 KEEP_RULE_TEST = "tests/test_functionals.py::test_a_potential_term_is_kept_by_its_interface_trace"
 CERTIFICATE_START_TEST = (
     "tests/test_functionals.py::test_growth_corollary_certificate_starts_at_the_first_sample")
+CUTOFF_TEST = (
+    "tests/test_functionals.py::test_a_cutoff_that_is_not_an_integer_above_zero_is_rejected")
+FD_GATE_TEST = (
+    "tests/test_pressure.py::test_fd_backward_error_gate_fails_incompatible_data_at_every_depth")
+SUP_TEST = "tests/test_core.py::test_sup_abs_matches_the_max_of_abs_property"
 
 
 class Mutant(NamedTuple):
@@ -54,8 +59,11 @@ MUTANTS = (
            ("tests/test_evolution.py", "tests/test_cli.py")),
     Mutant("rk4-step-c", "evolution.py", "z * z / 24.0", "z * z / 25.0",
            ("tests/test_symbolic_oracle.py",)),
-    Mutant("fd-residual-tol", "pressure.py", "RESIDUAL_TOL = 1e-10", "RESIDUAL_TOL = 1e-6",
+    # the FD gate's backward error bound 64 u: the unit round-off 2^13 too large, the multiple
+    # 1e4 times too large
+    Mutant("fd-residual-tol", "pressure.py", "2.0 ** -53", "2.0 ** -40",
            ("tests/test_pressure.py",)),
+    Mutant("fd-backward-error", "pressure.py", "64 * 2.0", "64e4 * 2.0", (FD_GATE_TEST,)),
     # the FD rows, which the solver and the residual check both read: one coefficient of the
     # lower wall, flux, value and interior rows each
     Mutant("fd-wall-row", "pressure.py", "-3.0 * lo[0]", "-3.1 * lo[0]",
@@ -94,6 +102,11 @@ MUTANTS = (
            "np.hypot(c_f.real, c_f.imag) > tol", (KEEP_RULE_TEST,)),
     Mutant("keep-even-by-coefficient", "functionals.py", "j * np.hypot(c_g.real, c_g.imag) > tol",
            "np.hypot(c_g.real, c_g.imag) > tol", (KEEP_RULE_TEST,)),
+    # the cutoff check's integer test, which a NaN or fractional cutoff fails
+    Mutant("cutoff-integer", "core.py", "isinstance(n_cutoff, (int, np.integer)) and ", "",
+           (CUTOFF_TEST,)),
+    # the sup norm's negative side: max|x| read from the max alone
+    Mutant("sup-min-dropped", "core.py", "abs(float(x.min()))", "0.0", (SUP_TEST,)),
     # the odd family's squared rate j^2, which the propagator turns into e^{+/-j t}
     Mutant("odd-rate-halved", "evolution.py", "[odd * odd,", "[0.25 * odd * odd,",
            ("tests/test_evolution.py",)),
